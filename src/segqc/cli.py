@@ -27,11 +27,11 @@ from pathlib import Path
 import numpy as np
 
 from . import io as sio
-from .metrics import consensus_segmentation, structure_report, voxel_uncertainty
-from .nifti import write_nifti
+from .metrics import consensus_segmentation, structure_report
+from .nifti import read_label_nifti, write_nifti
 from .stats import GROUP_MODES, ValidationError, group_analysis, pearson
 from .synth import make_phantom, registry_for_phantom, sample_mc
-from .volumes import StructureRegistry
+from .volumes import LabelVolume, StructureRegistry
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -128,10 +128,21 @@ def _print_report_table(report) -> None:
               f"{fmt(s.mc_dice):>10}{fmt(s.mean_uncertainty):>10}{fmt(s.gt_dice):>10}")
 
 
+def _read_gt(path: str, registry: StructureRegistry) -> LabelVolume:
+    try:
+        gt = read_label_nifti(path)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    unknown = gt.check_labels(registry)
+    if unknown:
+        raise ValidationError(f"{path}: label ids {unknown} not in registry")
+    return gt
+
+
 def cmd_metrics(args) -> int:
     samples, registry, gt_path, probs = _gather_inputs(args)
     sample_set = sio.read_sample_set(samples, registry, prob_paths=probs)
-    gt = sio.read_sample_set([gt_path], registry).samples[0].labels if gt_path else None
+    gt = _read_gt(gt_path, registry) if gt_path else None
     report = structure_report(
         sample_set, gt=gt, normalize=args.normalize_entropy,
         scan_id=args.scan_id, dataset=args.dataset,
@@ -139,13 +150,12 @@ def cmd_metrics(args) -> int:
     with _atomic(args.out) as tmp:
         sio.write_report(report, tmp)
     if args.uncertainty_out:
-        unc = voxel_uncertainty(sample_set, normalize=args.normalize_entropy)
+        unc = report.uncertainty
         with _atomic(args.uncertainty_out) as tmp:
             write_nifti(tmp, unc.values.astype(np.float32), unc.geometry)
     if args.heatmap_out:
-        consensus = consensus_segmentation(sample_set)
         with _atomic(args.heatmap_out) as tmp:
-            sio.write_heatmap_volume(consensus, report, args.heatmap_metric, tmp)
+            sio.write_heatmap_volume(report.consensus, report, args.heatmap_metric, tmp)
     _print_report_table(report)
     return EXIT_OK
 

@@ -11,6 +11,7 @@ structured-text side plus the metric heat-map writer.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -116,17 +117,19 @@ def read_cohort_csv(path: str | Path) -> CohortTable:
 
     UTF-8, '.' decimal separator. Optional numeric cells may be empty
     (missing weight); required cells may not. Any unparsable numeric cell
-    is an error naming its line number and column.
+    is an error naming its line number and column. Only CR and LF end a
+    line: other Unicode line separators are ordinary characters in a cell.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path} is not valid UTF-8: {exc}") from exc
-    rows = list(csv.reader(text.splitlines()))
-    if not rows:
+    reader = csv.reader(io.StringIO(text, newline=""))
+    first = next(reader, None)
+    if first is None:
         raise ValidationError(f"{path}: empty file, expected a header row")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in first]
     known = set(COHORT_REQUIRED) | set(COHORT_OPTIONAL)
     for col in COHORT_REQUIRED:
         if col not in header:
@@ -139,7 +142,8 @@ def read_cohort_csv(path: str | Path) -> CohortTable:
     idx = {h: k for k, h in enumerate(header)}
 
     cols: dict[str, list] = {h: [] for h in header}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for row in reader:
+        lineno = reader.line_num  # last physical line of the row
         if not row or all(not c.strip() for c in row):
             continue  # blank line
         if len(row) != len(header):
@@ -246,6 +250,15 @@ def _opt_float(d: dict, key: str, where: str) -> float | None:
     return float(v)
 
 
+def _required(d: dict, key: str, convert, where: str):
+    if key not in d:
+        raise ValidationError(f"{where}: missing required field \"{key}\"")
+    try:
+        return convert(d[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{where}.{key}: bad value {d[key]!r}: {exc}") from exc
+
+
 def report_from_dict(doc: dict, where: str = "report") -> StructureReport:
     if not isinstance(doc, dict):
         raise ValidationError(f"{where} must be a JSON object")
@@ -287,10 +300,10 @@ def report_from_dict(doc: dict, where: str = "report") -> StructureReport:
         ))
     return StructureReport(
         structures=tuple(structures),
-        n_samples=int(doc["n_samples"]),
-        uncertainty_min=float(unc["min"]),
-        uncertainty_mean=float(unc["mean"]),
-        uncertainty_max=float(unc["max"]),
+        n_samples=_required(doc, "n_samples", int, where),
+        uncertainty_min=_required(unc, "min", float, f"{where}.uncertainty"),
+        uncertainty_mean=_required(unc, "mean", float, f"{where}.uncertainty"),
+        uncertainty_max=_required(unc, "max", float, f"{where}.uncertainty"),
         normalized_uncertainty=bool(doc.get("normalized_uncertainty", False)),
         scan_id=str(doc.get("scan_id", "")),
         dataset=str(doc.get("dataset", "")),
@@ -463,15 +476,14 @@ def read_sample_set(
                     f"sample {i}: {len(stack_paths)} probability volumes for "
                     f"{len(registry.ids)} registry entries"
                 )
-            maps = []
-            for q in stack_paths:
+            maps = np.empty((len(stack_paths),) + geometry.dims, dtype=np.float64)
+            for k, q in enumerate(stack_paths):
                 pimg = read_nifti(q)
                 if pimg.geometry != geometry:
                     raise ValidationError(f"{q}: geometry does not match {p}")
-                maps.append(pimg.data.astype(np.float64))
-            probs = ProbMapStack(
-                geometry=geometry, label_ids=registry.ids, maps=np.stack(maps)
-            )
+                maps[k] = pimg.data
+            maps.flags.writeable = False  # nothing else holds it: no copy
+            probs = ProbMapStack(geometry=geometry, label_ids=registry.ids, maps=maps)
         samples.append(McSample(labels=labels, probs=probs))
     return McSampleSet(geometry=geometry, registry=registry, samples=tuple(samples))
 

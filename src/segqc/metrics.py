@@ -29,6 +29,7 @@ from .volumes import (
     StructureRegistry,
     ValidationError,
     VoxelGeometry,
+    _read_only,
     require_valid,
 )
 
@@ -55,9 +56,7 @@ class UncertaintyVolume:
             raise ValidationError("uncertainty values must be finite")
         if arr.size and float(arr.min()) < 0.0:
             raise ValidationError("uncertainty values must be non-negative")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _read_only(arr))
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,13 @@ class StructureMetrics:
 
 @dataclass(frozen=True)
 class StructureReport:
-    """Per-structure metrics for one scan plus a voxel-uncertainty summary."""
+    """Per-structure metrics for one scan plus a voxel-uncertainty summary.
+
+    A report made by :func:`structure_report` also carries the consensus
+    and the voxel uncertainty map it was computed from, so callers that
+    write them need not recompute either; a report read back from JSON
+    has neither.
+    """
 
     structures: tuple[StructureMetrics, ...]
     n_samples: int
@@ -91,6 +96,8 @@ class StructureReport:
     normalized_uncertainty: bool = False
     scan_id: str = ""
     dataset: str = ""
+    consensus: LabelVolume | None = field(default=None, repr=False, compare=False)
+    uncertainty: UncertaintyVolume | None = field(default=None, repr=False, compare=False)
 
     def by_id(self, label_id: int) -> StructureMetrics:
         for s in self.structures:
@@ -107,7 +114,21 @@ def _check_dense_ids(registry: StructureRegistry) -> int:
 
 
 def _flat_labels(sample_set: McSampleSet) -> list[np.ndarray]:
-    return [sample_set.sample_labels(i).reshape(-1) for i in range(sample_set.n)]
+    # x-fastest like LabelVolume.flat: a view, not a copy, of volumes read
+    # from NIfTI files
+    return [sample_set.sample_labels(i).reshape(-1, order="F") for i in range(sample_set.n)]
+
+
+def _present_labels(stacked: np.ndarray) -> list[int]:
+    """Ascending distinct values of a non-negative integer stack.
+
+    One bincount per row: a bincount of the whole stack would first make
+    an intp copy of all of it.
+    """
+    seen = np.zeros(int(stacked.max()) + 1, dtype=bool)
+    for row in stacked:
+        seen |= np.bincount(row, minlength=seen.size) > 0
+    return np.flatnonzero(seen).tolist()
 
 
 def voxel_uncertainty(sample_set: McSampleSet, normalize: bool = False) -> UncertaintyVolume:
@@ -137,6 +158,7 @@ def voxel_uncertainty(sample_set: McSampleSet, normalize: bool = False) -> Uncer
         np.maximum(values, 0.0, out=values)
     if normalize:
         values /= sample_set.n
+    values.flags.writeable = False  # handed over whole: no defensive copy
     return UncertaintyVolume(geometry=sample_set.geometry, values=values)
 
 
@@ -171,7 +193,7 @@ def _majority_vote(flat_labels: list[np.ndarray]) -> np.ndarray:
         stacked = np.stack([arr[dis] for arr in flat_labels])
         best_count = np.zeros(dis.size, dtype=np.int32)
         best_label = np.zeros(dis.size, dtype=np.int64)
-        for lab in np.unique(stacked):  # ascending, so strict > keeps lowest id
+        for lab in _present_labels(stacked):  # ascending, so strict > keeps lowest id
             cnt = (stacked == lab).sum(axis=0, dtype=np.int32)
             better = cnt > best_count
             best_count[better] = cnt[better]
@@ -193,7 +215,7 @@ def consensus_segmentation(sample_set: McSampleSet) -> LabelVolume:
     dims = sample_set.geometry.dims
     if sample_set.kind == "labels":
         flat = _majority_vote(_flat_labels(sample_set))
-        data = flat.reshape(dims)
+        data = flat.reshape(dims, order="F")
     else:
         # Stream per structure in ascending-id order; strict > keeps the
         # lowest id on exact ties. Mean over samples in ascending order.
@@ -211,6 +233,7 @@ def consensus_segmentation(sample_set: McSampleSet) -> LabelVolume:
         data = best_id
     if data.max(initial=0) <= np.iinfo(np.uint16).max:
         data = data.astype(np.uint16)
+        data.flags.writeable = False  # a fresh array: LabelVolume keeps it
     return LabelVolume(geometry=sample_set.geometry, data=data)
 
 
@@ -345,15 +368,15 @@ def _pairwise_structure_counts(
         stacked = np.stack([arr[dis] for arr in flat_labels])
         for i in range(n):
             counts[i] = base_counts + np.bincount(stacked[i], minlength=max_id + 1)
-        present = np.unique(stacked)
     else:
         stacked = None
         for i in range(n):
             counts[i] = base_counts
-        present = np.array([], dtype=np.int64)
+    # labels on any disagreement voxel: where some row's own bincount is nonzero
+    present = np.flatnonzero((counts != base_counts).any(axis=0))
 
     per_label: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    seen = set(int(v) for v in present)
+    seen = set(present.tolist())
     for lab in sorted(set(int(v) for v in np.flatnonzero(base_counts)) | seen):
         inter = np.full((n, n), base_counts[lab], dtype=np.int64)
         if stacked is not None and lab in seen:
@@ -377,7 +400,11 @@ def structure_report(
     dataset: str = "",
 ) -> StructureReport:
     """Full per-scan report: consensus, uncertainty map summary, and all
-    per-structure metrics; Dice against ground truth when one is given."""
+    per-structure metrics; Dice against ground truth when one is given.
+
+    The consensus and uncertainty map are returned on the report as
+    ``consensus`` and ``uncertainty``.
+    """
     require_valid(sample_set)
     if sample_set.n < 2:
         raise ValidationError(f"need N >= 2 samples, got {sample_set.n}")
@@ -396,14 +423,17 @@ def structure_report(
     counts, per_label = _pairwise_structure_counts(flats, max_id)
     vox = sample_set.geometry.voxel_volume
 
-    cons_flat = consensus.data.reshape(-1)
+    cons_flat = consensus.flat
     cons_counts = np.bincount(cons_flat, minlength=max_id + 1)
     if gt is not None:
-        gt_flat = gt.data.reshape(-1)
+        gt_flat = gt.flat
         gt_counts = np.bincount(gt_flat, minlength=max_id + 1)
         match = cons_flat == gt_flat
         inter_counts = np.bincount(cons_flat[match], minlength=max_id + 1)
 
+    # the per-structure masks select from the C-ordered uncertainty map;
+    # matching its layout keeps that selection a sequential scan
+    cons_c = np.ascontiguousarray(consensus.data)
     n = sample_set.n
     rows = []
     for label_id, name in registry.foreground:
@@ -423,7 +453,7 @@ def structure_report(
                     scores.append(_pair_dice(int(sizes[i]), int(sizes[j]), both))
             pair_mean = sum(scores) / len(scores)
         if cons_counts[label_id]:
-            mean_unc = float(unc.values[consensus.data == label_id].mean())
+            mean_unc = float(unc.values[cons_c == label_id].mean())
         else:
             mean_unc = None
         row = StructureMetrics(
@@ -456,4 +486,6 @@ def structure_report(
         normalized_uncertainty=normalize,
         scan_id=scan_id,
         dataset=dataset,
+        consensus=consensus,
+        uncertainty=unc,
     )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,13 +92,39 @@ class NiftiImage:
         return LabelVolume(self.geometry, self.data)
 
 
-def _decompress_if_gzip(raw: bytes) -> bytes:
-    if raw[:2] == b"\x1f\x8b":
-        try:
-            return gzip.decompress(raw)
-        except (OSError, EOFError) as exc:
-            raise NiftiFormatError(f"gzip stream is corrupt: {exc}") from exc
-    return raw
+class _Gunzip:
+    """Inflate a gzip stream on demand, never past what the caller asks for.
+
+    Bounding each read by the size the header declares keeps a small
+    stream that expands far beyond its volume (a gzip bomb) from being
+    decoded in full.
+    """
+
+    def __init__(self, raw: bytes):
+        self._inflater = zlib.decompressobj(wbits=31)
+        self._pending = raw
+        self._ended = False
+
+    def read(self, size: int) -> bytes:
+        """Up to ``size`` decoded bytes; fewer only where the stream ends."""
+        parts = []
+        while size > 0 and not self._ended:
+            try:
+                chunk = self._inflater.decompress(self._pending, size)
+            except zlib.error as exc:
+                raise NiftiFormatError(f"gzip stream is corrupt: {exc}") from exc
+            if self._inflater.eof:
+                # a concatenated stream continues with its next member
+                self._pending = self._inflater.unused_data
+                self._ended = not self._pending
+                self._inflater = zlib.decompressobj(wbits=31)
+            elif chunk:
+                self._pending = self._inflater.unconsumed_tail
+            else:
+                raise NiftiFormatError("gzip stream is corrupt: truncated stream")
+            parts.append(chunk)
+            size -= len(chunk)
+        return parts[0] if len(parts) == 1 else b"".join(parts)
 
 
 def _detect_byteorder(buf: bytes) -> str:
@@ -179,23 +206,37 @@ def _parse_header(buf: bytes) -> tuple[NiftiHeaderSubset, OrientationInfo, str]:
 def read_nifti(path: str | Path) -> NiftiImage:
     """Decode a .nii or .nii.gz file (gzip detected by signature).
 
+    ``data`` is read-only and indexed ``[x, y, z]`` in file order: for a
+    little-endian unscaled file it is a Fortran-order (x-fastest) view
+    over the decoded bytes, not a copy. A gzip stream is decoded only as
+    far as the header says the volume reaches.
+
     Integer payloads keep their stored dtype unless a nontrivial
     scl_slope/scl_inter forces scaling, which disqualifies them as label
     maps. Float payloads have slope/intercept applied (slope 0 means 1);
     the trivial slope 1 / intercept 0 case skips arithmetic entirely so
     round-trips are bit-exact.
     """
-    raw = _decompress_if_gzip(Path(path).read_bytes())
-    header, orientation, e = _parse_header(raw)
+    raw = Path(path).read_bytes()
+    gz = _Gunzip(raw) if raw[:2] == b"\x1f\x8b" else None
+    head = gz.read(HEADER_SIZE) if gz else raw
+    header, orientation, e = _parse_header(head)
     dt = DTYPES[header.datatype].newbyteorder(e)
     n = int(np.prod(header.dims))
     offset = int(header.vox_offset)
     need = offset + n * dt.itemsize
-    if len(raw) < need:
+    if gz:
+        # the payload buffer starts right after the header
+        body = gz.read(need - HEADER_SIZE)
+        gz.read(1)  # reaches the trailer of a well-formed stream, checking its CRC
+        have, offset = HEADER_SIZE + len(body), offset - HEADER_SIZE
+    else:
+        body, have = raw, len(raw)
+    if have < need:
         raise NiftiFormatError(
-            f"truncated data section: need {need} bytes total, file has {len(raw)}"
+            f"truncated data section: need {need} bytes total, file has {have}"
         )
-    flat = np.frombuffer(raw, dtype=dt, count=n, offset=offset)
+    flat = np.frombuffer(body, dtype=dt, count=n, offset=offset)
     data = flat.reshape(header.dims, order="F")
     if e == ">":
         data = data.astype(data.dtype.newbyteorder("<"))
@@ -216,8 +257,9 @@ def read_nifti(path: str | Path) -> NiftiImage:
                 data = data * np.float32(slope) + np.float32(inter)
                 scaled = True
 
+    data.flags.writeable = False
     geometry = VoxelGeometry(dims=header.dims, spacing=header.pixdim)
-    return NiftiImage(geometry=geometry, data=np.ascontiguousarray(data),
+    return NiftiImage(geometry=geometry, data=data,
                       header=header, orientation=orientation, scaled=scaled)
 
 
@@ -270,7 +312,7 @@ def write_nifti(
     if data.shape != geometry.dims:
         raise ValidationError(f"data shape {data.shape} does not match dims {geometry.dims}")
     dt = _storage_dtype(data)
-    payload = np.ascontiguousarray(data.astype(dt, copy=False))
+    payload = data.astype(dt, copy=False)
     code = _CODE_OF_DTYPE[dt]
     o = orientation or OrientationInfo()
 

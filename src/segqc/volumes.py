@@ -4,7 +4,9 @@ All types are immutable after construction. Construction is deliberately
 tolerant for sample sets: consistency rules are checked by
 :func:`validate_sample_set`, which reports violations instead of raising,
 so that broken inputs can be diagnosed file by file. Metric operations
-refuse to run on an invalid set.
+refuse to run on an invalid set. Because a set and all its parts are
+immutable, its report is computed once and memoised
+(:attr:`McSampleSet.violations`).
 
 Voxel data is stored as 3-D numpy arrays indexed ``[x, y, z]``; the flat
 (serialized) order is x-fastest, matching the on-disk layout used by the
@@ -14,6 +16,7 @@ io module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +27,28 @@ PROB_SUM_TOL = 1e-4
 
 class ValidationError(ValueError):
     """An input violates a structural invariant."""
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself if no writeable alias of its memory can exist, else a
+    read-only private copy.
+
+    An array is kept when it and every array it views are read-only and
+    the memory underneath is either owned by one of them or an immutable
+    ``bytes`` object (a decoded file). Anything else -- a writeable array,
+    a view of one, or foreign memory such as a ``bytearray`` -- is copied.
+    """
+    base = arr
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            break
+        base = base.base
+    else:
+        if base is None or isinstance(base, bytes):
+            return arr
+    arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -123,9 +148,7 @@ class LabelVolume:
             raise ValidationError(
                 f"label data shape {arr.shape} does not match dims {self.geometry.dims}"
             )
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _read_only(arr))
 
     @property
     def flat(self) -> np.ndarray:
@@ -133,10 +156,23 @@ class LabelVolume:
         return self.data.reshape(-1, order="F")
 
     def check_labels(self, registry: StructureRegistry) -> list[int]:
-        """Label ids present in the volume but absent from the registry."""
-        present = np.unique(self.data)
-        known = set(registry.ids)
-        return [int(v) for v in present if int(v) not in known]
+        """Label ids present in the volume but absent from the registry, sorted.
+
+        A min/max test settles the common case; when the registry has gaps
+        inside the volume's value range, a lookup table over that range
+        tests every voxel. ``np.unique`` only runs to name unknown ids once
+        some are known to exist.
+        """
+        lo, hi = int(self.data.min()), int(self.data.max())
+        if lo >= 0 and hi <= registry.max_id:
+            known = np.zeros(hi + 1, dtype=bool)
+            known[[i for i in registry.ids if i <= hi]] = True
+            if known[lo:].all():
+                return []
+            if hi < self.data.size and known[self.data].all():
+                return []
+        ids = set(registry.ids)
+        return [int(v) for v in np.unique(self.data) if int(v) not in ids]
 
 
 @dataclass(frozen=True)
@@ -166,9 +202,8 @@ class ProbMapStack:
             )
         if not np.issubdtype(arr.dtype, np.floating):
             arr = arr.astype(np.float64)
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "maps", arr)
+            arr.flags.writeable = False
+        object.__setattr__(self, "maps", _read_only(arr))
         object.__setattr__(self, "label_ids", tuple(int(i) for i in self.label_ids))
 
     def violations(self, sum_tol: float = PROB_SUM_TOL) -> list[str]:
@@ -193,8 +228,9 @@ class ProbMapStack:
         """Most probable label per voxel; ties go to the lowest label id."""
         order = np.argsort(self.label_ids, kind="stable")
         ids = np.asarray(self.label_ids, dtype=np.int64)[order]
-        idx = np.argmax(self.maps[order], axis=0)
-        return ids[idx]
+        in_order = np.array_equal(order, np.arange(order.size))
+        maps = self.maps if in_order else self.maps[order]  # skip the gather copy
+        return ids[np.argmax(maps, axis=0)]
 
 
 @dataclass(frozen=True)
@@ -242,6 +278,11 @@ class McSampleSet:
         if s.labels is not None:
             return s.labels.data
         return s.probs.argmax_labels()
+
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """The :func:`validate_sample_set` report, computed on first use."""
+        return tuple(validate_sample_set(self))
 
 
 @dataclass(frozen=True)
@@ -314,12 +355,27 @@ def validate_sample_set(sample_set: McSampleSet) -> list[Violation]:
                 )
             for msg in s.probs.violations():
                 out.append(Violation("prob_normalization", msg, i))
+        if (s.kind == "both" and s.labels.geometry == sample_set.geometry
+                and s.probs.geometry == sample_set.geometry):
+            # consensus follows the maps while CV and MC Dice follow the
+            # labels, so the two must describe the same segmentation
+            differ = int(np.count_nonzero(s.labels.data != s.probs.argmax_labels()))
+            if differ:
+                out.append(Violation(
+                    "label_prob_mismatch",
+                    f"labels differ from the argmax of the probability maps "
+                    f"at {differ} voxels",
+                    i,
+                ))
     return out
 
 
 def require_valid(sample_set: McSampleSet) -> None:
-    """Raise ValidationError with the full report if the set is invalid."""
-    report = validate_sample_set(sample_set)
+    """Raise ValidationError with the full report if the set is invalid.
+
+    Uses the set's memoised report, so only the first call validates.
+    """
+    report = sample_set.violations
     if report:
         raise ValidationError("; ".join(str(v) for v in report))
 

@@ -166,6 +166,46 @@ def test_metrics_side_outputs(configs):
     assert no_temp_litter(sim)
 
 
+def test_metrics_side_outputs_reuse_the_report(configs, monkeypatch):
+    # one call validates the set once and computes the consensus and the
+    # uncertainty map once, whatever it writes
+    import segqc.metrics as metrics
+    import segqc.volumes as volumes
+
+    root, phantom, noise = configs
+    sim = root / "sim"
+    run(["simulate", "--phantom", phantom, "--noise", noise, "--out", sim,
+         "--with-probs"])
+    calls = {}
+    for module, name in ((volumes, "validate_sample_set"),
+                         (metrics, "consensus_segmentation"),
+                         (metrics, "voxel_uncertainty")):
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    code = run(["metrics", "--manifest", sim / "manifest.json", "--gt", sim / "gt.nii",
+                "--out", sim / "r.json", "--uncertainty-out", sim / "unc.nii",
+                "--heatmap-out", sim / "heat.nii"])
+    assert code == 0
+    assert calls == {"validate_sample_set": 1, "consensus_segmentation": 1,
+                     "voxel_uncertainty": 1}
+    monkeypatch.undo()
+
+    # the written maps are the ones the library computes for the same set
+    from segqc.io import read_registry, read_sample_set, read_scan_manifest
+    man = read_scan_manifest(sim / "manifest.json")
+    ss = read_sample_set(man["samples"], read_registry(man["registry"]),
+                         prob_paths=man["probs"])
+    unc = metrics.voxel_uncertainty(ss)
+    assert np.array_equal(read_nifti(sim / "unc.nii").data, unc.values.astype(np.float32))
+    consensus = metrics.consensus_segmentation(ss)
+    mc_dice = {s.label_id: s.mc_dice for s in read_report(sim / "r.json").structures}
+    heat = read_nifti(sim / "heat.nii").data
+    for label_id, value in mc_dice.items():
+        assert np.all(heat[consensus.data == label_id] == np.float32(value))
+
+
 def test_metrics_ignores_dotfiles_and_prob_stacks(configs):
     root, phantom, noise = configs
     out = root / "sim"
@@ -248,6 +288,17 @@ def test_correlate_needs_three_reports(report_dir):
     for p in sorted(reports.glob("*.json"))[:2]:
         (few / p.name).write_bytes(p.read_bytes())
     assert run(["correlate", few]) == 1
+
+
+def test_correlate_incomplete_report_is_validation_error(report_dir, capsys):
+    _, reports = report_dir
+    victim = sorted(reports.glob("*.json"))[0]
+    doc = json.loads(victim.read_text())
+    del doc["n_samples"]
+    victim.write_text(json.dumps(doc))
+    assert run(["correlate", reports]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "n_samples" in err
 
 
 def test_correlate_requires_gt_dice(configs, capsys):

@@ -152,6 +152,23 @@ def test_cohort_csv_validation(tmp_path, text, needle):
         read_cohort_csv(p)
 
 
+def test_cohort_csv_unicode_line_separators_stay_in_cells(tmp_path):
+    # U+2028 and U+0085 are line breaks to str.splitlines, not to CSV
+    p = tmp_path / "cohort.csv"
+    p.write_text("subject_id,age,sex,dx,volume\ns\u2028a,30,0,1,1.5\n"
+                 "s\x85b,40,1,0,1.2\ns3,31,1,1,0.9\n", encoding="utf-8")
+    t = read_cohort_csv(p)
+    assert t.subject_ids == ("s\u2028a", "s\x85b", "s3")
+
+
+def test_cohort_csv_error_names_the_physical_line(tmp_path):
+    # a blank line and a quoted cell spanning two lines both count
+    p = tmp_path / "cohort.csv"
+    p.write_text('subject_id,age,sex,dx,volume\n\n"s\n1",30,0,1,1.5\ns2,x,0,1,1.5\n')
+    with pytest.raises(ValidationError, match="line 5, column age"):
+        read_cohort_csv(p)
+
+
 def test_cohort_csv_rejects_non_utf8(tmp_path):
     p = tmp_path / "cohort.csv"
     p.write_bytes("subject_id,age,sex,dx,volume\ns\xe9,30,0,1,1.5\n".encode("latin-1"))
@@ -234,6 +251,28 @@ def test_report_missing_required_field():
     doc = report_to_dict(sample_report())
     del doc["structures"][0]["mean_volume"]
     with pytest.raises(ValidationError, match="structures\\[0\\]"):
+        report_from_dict(doc)
+
+
+@pytest.mark.parametrize("drop,needle", [
+    (("n_samples",), "n_samples"),
+    (("uncertainty", "min"), "uncertainty: missing required field \"min\""),
+    (("uncertainty", "max"), "max"),
+])
+def test_report_missing_summary_field_is_named(drop, needle):
+    doc = report_to_dict(sample_report())
+    target = doc
+    for key in drop[:-1]:
+        target = target[key]
+    del target[drop[-1]]
+    with pytest.raises(ValidationError, match=needle):
+        report_from_dict(doc)
+
+
+def test_report_bad_summary_value_is_named():
+    doc = report_to_dict(sample_report())
+    doc["n_samples"] = "many"
+    with pytest.raises(ValidationError, match="n_samples"):
         report_from_dict(doc)
 
 

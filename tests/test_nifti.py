@@ -75,6 +75,59 @@ def test_gzip_detected_by_signature_not_suffix(tmp_path):
     assert np.array_equal(read_nifti(misnamed).data, data)
 
 
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+def test_read_returns_read_only_view_in_file_order(tmp_path, suffix):
+    data = random_volume(np.int16, seed=4)
+    path = tmp_path / f"vol{suffix}"
+    write_nifti(path, data, GEOM)
+    raw = path.read_bytes()
+    if suffix == ".nii.gz":
+        raw = gzip.decompress(raw)
+    img = read_nifti(path)
+    assert not img.data.flags.writeable
+    assert img.data.flags.f_contiguous
+    assert img.data.reshape(-1, order="F").tobytes() == raw[352:]
+    # labels built from the view share it instead of copying
+    assert not read_label_nifti(path).data.flags.owndata
+
+
+def test_concatenated_gzip_members_are_read(tmp_path):
+    data = random_volume(np.uint8, seed=5)
+    plain = tmp_path / "vol.nii"
+    write_nifti(plain, data, GEOM)
+    raw = plain.read_bytes()
+    split = tmp_path / "split.nii.gz"
+    split.write_bytes(gzip.compress(raw[:200]) + gzip.compress(raw[200:]))
+    assert np.array_equal(read_nifti(split).data, data)
+
+
+def test_gzip_bomb_decodes_only_the_declared_volume(tmp_path):
+    import tracemalloc
+
+    data = random_volume(np.uint8, seed=6)
+    plain = tmp_path / "vol.nii"
+    write_nifti(plain, data, GEOM)
+    expansion = 64 << 20
+    bomb = tmp_path / "bomb.nii.gz"
+    bomb.write_bytes(gzip.compress(plain.read_bytes() + bytes(expansion)))
+    assert bomb.stat().st_size < expansion // 100
+    tracemalloc.start()
+    try:
+        img = read_nifti(bomb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(img.data, data)
+    assert peak < expansion // 16
+
+
+def test_gzip_checksum_is_verified(tmp_path, good):
+    blob = bytearray(gzip.compress(bytes(good)))
+    blob[-8] ^= 0xFF  # first byte of the CRC-32 trailer
+    with pytest.raises(NiftiFormatError, match="gzip"):
+        reread(tmp_path, blob)
+
+
 def test_big_endian_file_is_converted(tmp_path):
     dims = (3, 2, 2)
     data = np.arange(12, dtype=">i2").reshape(dims, order="F")

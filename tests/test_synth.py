@@ -19,7 +19,7 @@ from segqc.synth import (
     registry_for_phantom,
     sample_mc,
 )
-from segqc.volumes import VoxelGeometry
+from segqc.volumes import VoxelGeometry, validate_sample_set
 
 
 def box_phantom(dims=24, edges=(10.0, 10.0, 6.0)):
@@ -149,6 +149,17 @@ def test_prob_argmax_matches_labels_under_noise():
         assert np.array_equal(ids[np.argmax(s.probs.maps, axis=0)], s.labels.data)
         # per-voxel probabilities sum to one
         assert not s.probs.violations()
+
+
+def test_sampled_labels_and_probs_pass_validation():
+    # labels and probability maps of one sample must agree (argmax rule)
+    spec = contact_pair_phantom()
+    gt = make_phantom(spec)
+    reg = registry_for_phantom(spec)
+    ss = sample_mc(gt, reg, NoiseSpec(n_samples=3, default_flip_prob=0.3, seed=5),
+                   with_probs=True)
+    assert ss.kind == "both"
+    assert validate_sample_set(ss) == []
 
 
 def test_label_only_sampling():

@@ -116,6 +116,47 @@ def test_check_labels_reports_unknown_ids():
     assert vol.check_labels(small_registry()) == [5]
 
 
+def test_label_volume_from_writeable_array_is_private_copy():
+    data = np.zeros((3, 3, 3), dtype=np.uint8)
+    vol = LabelVolume(geom(), data)
+    assert not np.shares_memory(vol.data, data)
+    assert not vol.data.flags.writeable
+    data[0, 0, 0] = 7
+    assert vol.data[0, 0, 0] == 0
+    # a read-only view does not protect the writeable memory under it
+    view = data[:]
+    view.flags.writeable = False
+    assert not np.shares_memory(LabelVolume(geom(), view).data, data)
+
+
+def test_label_volume_keeps_read_only_view_over_bytes():
+    data = np.frombuffer(bytes(range(27)), dtype=np.uint8).reshape((3, 3, 3), order="F")
+    vol = LabelVolume(geom(), data)
+    assert vol.data is data
+
+
+def gap_registry():
+    return StructureRegistry(
+        entries=((0, "background"), (2, "left"), (5, "right")), background_id=0
+    )
+
+
+@pytest.mark.parametrize("values,dtype,registry", [
+    ((0, 1, 2), np.uint8, small_registry),           # every id known
+    ((0, 1, 2, 200, 7), np.uint8, small_registry),   # above the registry range
+    ((0, -3, 2, -1), np.int16, small_registry),      # negative ids
+    ((0, 2, 5), np.uint8, gap_registry),             # gaps in the registry, all known
+    ((0, 1, 2, 4, 5), np.uint8, gap_registry),       # ids inside the gaps
+    ((2, 3), np.int64, gap_registry),                # range starts above zero
+])
+def test_check_labels_matches_unique_reference(values, dtype, registry):
+    reg = registry()
+    data = np.resize(np.array(values, dtype=dtype), 27)
+    vol = LabelVolume(geom(), data.reshape(3, 3, 3))
+    expected = sorted(int(v) for v in set(np.unique(data).tolist()) - set(reg.ids))
+    assert vol.check_labels(reg) == expected
+
+
 # -- ProbMapStack ------------------------------------------------------------
 
 
@@ -209,6 +250,41 @@ def test_validate_flags_unknown_labels_and_mixed_kinds():
     ss = McSampleSet(geometry=geom(), registry=reg, samples=(a, b))
     rules = {v.rule for v in validate_sample_set(ss)}
     assert "labels" in rules and "sample_kind" in rules
+
+
+def test_validate_flags_labels_disagreeing_with_probs():
+    reg = small_registry()
+    maps = np.zeros((3, 3, 3, 3))
+    maps[1] = 1.0
+    stack = ProbMapStack(geometry=geom(), label_ids=(0, 1, 2), maps=maps)
+    agree = np.ones((3, 3, 3), dtype=np.uint8)
+    differ = agree.copy()
+    differ[0, 1, 2] = 2
+    ss = McSampleSet(geometry=geom(), registry=reg, samples=(
+        McSample(labels=LabelVolume(geom(), agree), probs=stack),
+        McSample(labels=LabelVolume(geom(), differ), probs=stack),
+    ))
+    out = [v for v in validate_sample_set(ss) if v.rule == "label_prob_mismatch"]
+    assert [v.sample_index for v in out] == [1]
+    assert "1 voxels" in out[0].message
+    with pytest.raises(ValidationError, match="label_prob_mismatch"):
+        require_valid(ss)
+
+
+def test_validation_report_is_memoised(monkeypatch):
+    import segqc.volumes as volumes
+
+    calls = []
+    real = volumes.validate_sample_set
+    monkeypatch.setattr(volumes, "validate_sample_set",
+                        lambda ss: calls.append(ss) or real(ss))
+    vol = LabelVolume(geom(), np.zeros((3, 3, 3), dtype=np.uint8))
+    ss = McSampleSet(geometry=geom(), registry=small_registry(),
+                     samples=(McSample(labels=vol), McSample(labels=vol)))
+    for _ in range(3):
+        require_valid(ss)
+    assert ss.violations == ()
+    assert len(calls) == 1
 
 
 def test_validate_flags_prob_label_mismatch():
