@@ -166,10 +166,10 @@ def cmd_consensus(args) -> int:
     consensus = consensus_segmentation(sample_set)
     with _atomic(args.out) as tmp:
         write_nifti(tmp, consensus)
-    counts = {n: int((consensus.data == i).sum()) for i, n in registry.foreground}
+    counts = np.bincount(consensus.flat, minlength=registry.max_id + 1)
     print(f"consensus of {sample_set.n} samples -> {args.out}")
-    for name, c in counts.items():
-        print(f"  {name:<24}{c:>10} voxels")
+    for i, name in registry.foreground:
+        print(f"  {name:<24}{int(counts[i]):>10} voxels")
     return EXIT_OK
 
 

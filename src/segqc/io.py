@@ -247,7 +247,10 @@ def _opt_float(d: dict, key: str, where: str) -> float | None:
         return None
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValidationError(f"{where}.{key} must be a number or null, got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError as exc:
+        raise ValidationError(f"{where}.{key}: {exc}") from exc
 
 
 def _required(d: dict, key: str, convert, where: str):
@@ -285,7 +288,7 @@ def report_from_dict(doc: dict, where: str = "report") -> StructureReport:
             mean_volume = float(s["mean_volume"])
             std_volume = float(s["std_volume"])
             consensus_volume = float(s["consensus_volume"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{tag}: bad or missing required field: {exc}") from exc
         structures.append(StructureMetrics(
             label_id=label_id,
@@ -362,7 +365,7 @@ def read_phantom_json(path: str | Path) -> PhantomSpec:
             for s in doc["shapes"]
         )
         background = int(doc.get("background", 0))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: bad phantom config: {exc}") from exc
     return PhantomSpec(geometry=geometry, shapes=shapes, background_id=background)
 
@@ -382,10 +385,11 @@ def write_phantom_json(spec: PhantomSpec, path: str | Path) -> None:
 
 
 def _noise_from_dict(doc: dict, where: str) -> NoiseSpec:
+    flips = doc.get("flip_probs", {})
+    if not isinstance(flips, dict):
+        raise ValidationError(f"{where}: \"flip_probs\" must be a JSON object")
     try:
-        flip_probs = tuple(
-            (int(k), float(v)) for k, v in doc.get("flip_probs", {}).items()
-        )
+        flip_probs = tuple((int(k), float(v)) for k, v in flips.items())
         return NoiseSpec(
             n_samples=int(doc["n_samples"]),
             flip_probs=flip_probs,
@@ -393,7 +397,7 @@ def _noise_from_dict(doc: dict, where: str) -> NoiseSpec:
             erosion_dilation_radius=int(doc.get("erosion_dilation_radius", 0)),
             seed=int(doc.get("seed", 0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{where}: bad noise config: {exc}") from exc
 
 
@@ -532,9 +536,11 @@ def read_scan_manifest(path: str | Path) -> dict:
         if doc.get(key) is not None:
             out[key] = resolve(doc[key])
     if doc.get("probs") is not None:
-        if not isinstance(doc["probs"], list) or len(doc["probs"]) != len(doc["samples"]):
+        probs = doc["probs"]
+        if (not isinstance(probs, list) or len(probs) != len(doc["samples"])
+                or not all(isinstance(per_sample, list) for per_sample in probs)):
             raise ValidationError(
-                f"{path}: \"probs\" must list one entry per sample"
+                f"{path}: \"probs\" must list one array of paths per sample"
             )
-        out["probs"] = [[resolve(p) for p in per_sample] for per_sample in doc["probs"]]
+        out["probs"] = [[resolve(p) for p in per_sample] for per_sample in probs]
     return out

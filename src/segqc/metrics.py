@@ -1,8 +1,9 @@
 """Uncertainty and agreement metrics over MC segmentation sample sets.
 
 Implements the voxel-wise uncertainty map (per-structure entropy terms
-summed over samples and structures), three structure-wise uncertainty
-measures, consensus segmentation, and Dice overlap:
+summed over samples and structures), consensus segmentation, Dice
+overlap, and :func:`structure_report`, the only source of the three
+structure-wise uncertainty measures:
 
 * volume CV       -- coefficient of variation of a structure's volume
                      across samples (sample std over mean).
@@ -10,6 +11,10 @@ measures, consensus segmentation, and Dice overlap:
                      all unordered sample pairs.
 * mean uncertainty -- mean of the voxel-wise uncertainty map over the
                      voxels the consensus assigns to a structure.
+
+One counting pass over the samples' labels yields every integer count
+behind them (per-sample label counts and pairwise intersections) and the
+majority vote that is the consensus of label-only sets.
 
 All functions are pure and deterministic: floating-point reductions run
 in a fixed order (ascending sample index, registry order over structures),
@@ -36,6 +41,7 @@ from .volumes import (
 # Dense per-label counting arrays are sized max_id + 1; anything beyond
 # this is almost certainly a corrupt registry, not a real label table.
 _MAX_DENSE_LABEL = 1 << 20
+_UINT16_MAX = np.iinfo(np.uint16).max
 
 
 @dataclass(frozen=True)
@@ -106,29 +112,79 @@ class StructureReport:
         raise KeyError(f"no structure with label id {label_id} in report")
 
 
-def _check_dense_ids(registry: StructureRegistry) -> int:
-    max_id = registry.max_id
-    if max_id > _MAX_DENSE_LABEL:
-        raise ValidationError(f"registry label ids too large for dense counting ({max_id})")
-    return max_id
+def _check_dense_ids(registry: StructureRegistry) -> None:
+    if registry.max_id > _MAX_DENSE_LABEL:
+        raise ValidationError(
+            f"registry label ids too large for dense counting ({registry.max_id})"
+        )
 
 
-def _flat_labels(sample_set: McSampleSet) -> list[np.ndarray]:
+def _registry_counts(values: np.ndarray, registry: StructureRegistry) -> np.ndarray:
+    """Voxels of each registry label among ``values``, by registry position."""
+    return np.bincount(values, minlength=registry.max_id + 1)[list(registry.ids)]
+
+
+def _count_labels(sample_set: McSampleSet) -> tuple[np.ndarray, np.ndarray]:
+    """The one counting pass behind every structure metric; the caller
+    has checked the registry with :func:`_check_dense_ids`.
+
+    Returns ``inter``, of shape (N, N, K) with K the registry length: the
+    voxels where samples i and j both carry the label at registry position
+    k, so the diagonal holds each sample's own label counts. Also returns
+    ``vote``, the per-voxel majority label on the sample grid, ties to the
+    lowest id; it is uint16 unless a registry id exceeds 65535.
+
+    Voxels where all samples agree are counted once and credited to every
+    sample and pair, so only disagreement voxels are touched per pair. One
+    equality mask per pair feeds both that pair's intersections and the
+    vote counter, where ``votes[i]`` is the number of samples carrying
+    sample i's label, itself included. The arithmetic is pure integer
+    counting and matches a per-voxel enumeration exactly.
+    """
+    registry = sample_set.registry
+    n = sample_set.n
     # x-fastest like LabelVolume.flat: a view, not a copy, of volumes read
     # from NIfTI files
-    return [sample_set.sample_labels(i).reshape(-1, order="F") for i in range(sample_set.n)]
+    flats = [sample_set.sample_labels(i).reshape(-1, order="F") for i in range(n)]
+    base = flats[0]
+    agree = np.ones(base.shape, dtype=bool)
+    for arr in flats[1:]:
+        agree &= arr == base
+    base_counts = _registry_counts(base[agree], registry)
+    dis = np.flatnonzero(~agree)
+    del agree
+    stacked = np.stack([arr[dis] for arr in flats])
+
+    votes = np.ones(stacked.shape, dtype=np.min_scalar_type(n))
+    inter = np.empty((n, n, len(base_counts)), dtype=np.int64)
+    for i in range(n):
+        inter[i, i] = base_counts + _registry_counts(stacked[i], registry)
+        for j in range(i + 1, n):
+            eq = stacked[i] == stacked[j]
+            votes[i] += eq
+            votes[j] += eq
+            inter[i, j] = inter[j, i] = base_counts + _registry_counts(stacked[i][eq], registry)
+
+    # samples sharing a label share its vote count, so the most-voted
+    # sample's label is the majority; ascending samples with strict
+    # comparisons keep the lowest id on ties
+    best, best_votes = stacked[0].copy(), votes[0].copy()
+    for i in range(1, n):
+        better = (votes[i] > best_votes) | ((votes[i] == best_votes) & (stacked[i] < best))
+        best[better] = stacked[i][better]
+        best_votes[better] = votes[i][better]
+    vote = base.astype(np.uint16 if registry.max_id <= _UINT16_MAX else np.int64)
+    vote[dis] = best
+    vote.flags.writeable = False
+    return inter, vote.reshape(sample_set.geometry.dims, order="F")
 
 
-def _present_labels(stacked: np.ndarray) -> list[int]:
-    """Ascending distinct values of a non-negative integer stack.
-
-    One bincount per row: a bincount of the whole stack would first make
-    an intp copy of all of it.
-    """
-    seen = np.zeros(int(stacked.max()) + 1, dtype=bool)
-    for row in stacked:
-        seen |= np.bincount(row, minlength=seen.size) > 0
-    return np.flatnonzero(seen).tolist()
+def _consensus_volume(geometry: VoxelGeometry, data: np.ndarray) -> LabelVolume:
+    """Consensus labels stored as uint16 whenever every id fits."""
+    if data.dtype != np.uint16 and data.max(initial=0) <= _UINT16_MAX:
+        data = data.astype(np.uint16)
+    data.flags.writeable = False  # a fresh array: LabelVolume keeps it
+    return LabelVolume(geometry=geometry, data=data)
 
 
 def voxel_uncertainty(sample_set: McSampleSet, normalize: bool = False) -> UncertaintyVolume:
@@ -181,27 +237,6 @@ def structure_uncertainty(sample_set: McSampleSet, label_id: int) -> np.ndarray:
     return values
 
 
-def _majority_vote(flat_labels: list[np.ndarray]) -> np.ndarray:
-    """Per-voxel most frequent label; ties resolved to the lowest label id."""
-    base = flat_labels[0]
-    agree = np.ones(base.shape, dtype=bool)
-    for arr in flat_labels[1:]:
-        agree &= arr == base
-    out = base.astype(np.int64, copy=True)
-    dis = np.flatnonzero(~agree)
-    if dis.size:
-        stacked = np.stack([arr[dis] for arr in flat_labels])
-        best_count = np.zeros(dis.size, dtype=np.int32)
-        best_label = np.zeros(dis.size, dtype=np.int64)
-        for lab in _present_labels(stacked):  # ascending, so strict > keeps lowest id
-            cnt = (stacked == lab).sum(axis=0, dtype=np.int32)
-            better = cnt > best_count
-            best_count[better] = cnt[better]
-            best_label[better] = lab
-        out[dis] = best_label
-    return out
-
-
 def consensus_segmentation(sample_set: McSampleSet) -> LabelVolume:
     """Final segmentation: argmax of the MC-mean probability map.
 
@@ -210,66 +245,25 @@ def consensus_segmentation(sample_set: McSampleSet) -> LabelVolume:
     sample order.
     """
     require_valid(sample_set)
-    registry = sample_set.registry
-    _check_dense_ids(registry)
-    dims = sample_set.geometry.dims
+    _check_dense_ids(sample_set.registry)
     if sample_set.kind == "labels":
-        flat = _majority_vote(_flat_labels(sample_set))
-        data = flat.reshape(dims, order="F")
-    else:
-        # Stream per structure in ascending-id order; strict > keeps the
-        # lowest id on exact ties. Mean over samples in ascending order.
-        order = sorted(range(len(registry.ids)), key=lambda k: registry.ids[k])
-        best_val = np.full(dims, -np.inf, dtype=np.float64)
-        best_id = np.zeros(dims, dtype=np.int64)
-        for k in order:
-            acc = np.zeros(dims, dtype=np.float64)
-            for i in range(sample_set.n):
-                acc += sample_set.samples[i].probs.maps[k]
-            acc /= sample_set.n
-            better = acc > best_val
-            best_val[better] = acc[better]
-            best_id[better] = registry.ids[k]
-        data = best_id
-    if data.max(initial=0) <= np.iinfo(np.uint16).max:
-        data = data.astype(np.uint16)
-        data.flags.writeable = False  # a fresh array: LabelVolume keeps it
-    return LabelVolume(geometry=sample_set.geometry, data=data)
-
-
-def sample_structure_volumes(sample_set: McSampleSet) -> np.ndarray:
-    """Per-sample volume of every registry id, in mm^3.
-
-    Returns an (N, max_id + 1) array indexed by label id; entries for ids
-    not in the registry are zero. Volumes come from each sample's own
-    labels (argmax labels for probability-only sets).
-    """
-    require_valid(sample_set)
-    max_id = _check_dense_ids(sample_set.registry)
-    vox = sample_set.geometry.voxel_volume
-    out = np.zeros((sample_set.n, max_id + 1), dtype=np.float64)
-    for i, flat in enumerate(_flat_labels(sample_set)):
-        out[i] = np.bincount(flat, minlength=max_id + 1) * vox
-    return out
-
-
-def cv_volume(sample_set: McSampleSet, label_id: int) -> float | None:
-    """Coefficient of variation of a structure's volume across samples.
-
-    Sample standard deviation (N-1 divisor) over the mean. Returns None
-    when the structure is absent from every sample (zero mean volume).
-    """
-    require_valid(sample_set)
-    if label_id not in sample_set.registry:
-        raise ValidationError(f"label id {label_id} not in registry")
-    vox = sample_set.geometry.voxel_volume
-    vols = np.array(
-        [np.count_nonzero(lab == label_id) * vox for lab in _flat_labels(sample_set)]
-    )
-    mean = float(vols.mean())
-    if mean == 0.0:
-        return None
-    return float(vols.std(ddof=1) / mean)
+        return _consensus_volume(sample_set.geometry, _count_labels(sample_set)[1])
+    # Stream per structure in ascending-id order; strict > keeps the
+    # lowest id on exact ties. Mean over samples in ascending order.
+    registry = sample_set.registry
+    dims = sample_set.geometry.dims
+    order = sorted(range(len(registry.ids)), key=lambda k: registry.ids[k])
+    best_val = np.full(dims, -np.inf, dtype=np.float64)
+    best_id = np.zeros(dims, dtype=np.int64)
+    for k in order:
+        acc = np.zeros(dims, dtype=np.float64)
+        for i in range(sample_set.n):
+            acc += sample_set.samples[i].probs.maps[k]
+        acc /= sample_set.n
+        better = acc > best_val
+        best_val[better] = acc[better]
+        best_id[better] = registry.ids[k]
+    return _consensus_volume(sample_set.geometry, best_id)
 
 
 def _pair_dice(size_a: int, size_b: int, inter: int) -> float:
@@ -280,50 +274,6 @@ def _pair_dice(size_a: int, size_b: int, inter: int) -> float:
     if size_a == 0 or size_b == 0:
         return 0.0
     return 2.0 * inter / (size_a + size_b)
-
-
-def mc_dice(sample_set: McSampleSet, label_id: int) -> float | None:
-    """Mean Dice agreement of one structure over all unordered sample pairs.
-
-    A pair where both masks are empty scores 1, a pair with exactly one
-    empty mask scores 0. Returns None when the structure is absent from
-    every sample. Invariant under permutation of the samples.
-    """
-    require_valid(sample_set)
-    if sample_set.n < 2:
-        raise ValidationError(f"need N >= 2 samples, got {sample_set.n}")
-    if label_id not in sample_set.registry:
-        raise ValidationError(f"label id {label_id} not in registry")
-    masks = [lab == label_id for lab in _flat_labels(sample_set)]
-    sizes = [int(np.count_nonzero(m)) for m in masks]
-    if not any(sizes):
-        return None
-    scores = []
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            inter = int(np.count_nonzero(masks[i] & masks[j]))
-            scores.append(_pair_dice(sizes[i], sizes[j], inter))
-    return sum(scores) / len(scores)
-
-
-def mean_structure_uncertainty(
-    sample_set: McSampleSet,
-    consensus: LabelVolume,
-    uncertainty: UncertaintyVolume,
-    label_id: int,
-) -> float | None:
-    """Mean voxel uncertainty over the voxels the consensus labels as the
-    structure; None when the consensus contains no such voxel."""
-    if consensus.geometry != sample_set.geometry:
-        raise ValidationError("consensus geometry does not match the sample set")
-    if uncertainty.geometry != sample_set.geometry:
-        raise ValidationError("uncertainty geometry does not match the sample set")
-    if label_id not in sample_set.registry:
-        raise ValidationError(f"label id {label_id} not in registry")
-    mask = consensus.data == label_id
-    if not mask.any():
-        return None
-    return float(uncertainty.values[mask].mean())
 
 
 def dice_score(seg: LabelVolume, reference: LabelVolume, label_id: int) -> float:
@@ -344,54 +294,6 @@ def dice_score(seg: LabelVolume, reference: LabelVolume, label_id: int) -> float
     return _pair_dice(size_a, size_b, inter)
 
 
-def _pairwise_structure_counts(
-    flat_labels: list[np.ndarray], max_id: int
-) -> tuple[np.ndarray, dict[int, tuple[np.ndarray, np.ndarray]]]:
-    """Shared counting pass behind the per-scan report.
-
-    Returns per-sample label counts of shape (N, max_id + 1) and, for each
-    label present anywhere, (sizes over samples, pairwise intersection
-    matrix). Voxels where all samples agree are counted once and credited
-    to every sample and pair, so only disagreement voxels are touched per
-    pair; the arithmetic is pure integer counting and matches a naive
-    pairwise enumeration exactly.
-    """
-    n = len(flat_labels)
-    base = flat_labels[0]
-    agree = np.ones(base.shape, dtype=bool)
-    for arr in flat_labels[1:]:
-        agree &= arr == base
-    base_counts = np.bincount(base[agree], minlength=max_id + 1).astype(np.int64)
-    dis = np.flatnonzero(~agree)
-    counts = np.empty((n, max_id + 1), dtype=np.int64)
-    if dis.size:
-        stacked = np.stack([arr[dis] for arr in flat_labels])
-        for i in range(n):
-            counts[i] = base_counts + np.bincount(stacked[i], minlength=max_id + 1)
-    else:
-        stacked = None
-        for i in range(n):
-            counts[i] = base_counts
-    # labels on any disagreement voxel: where some row's own bincount is nonzero
-    present = np.flatnonzero((counts != base_counts).any(axis=0))
-
-    per_label: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    seen = set(present.tolist())
-    for lab in sorted(set(int(v) for v in np.flatnonzero(base_counts)) | seen):
-        inter = np.full((n, n), base_counts[lab], dtype=np.int64)
-        if stacked is not None and lab in seen:
-            eq = stacked == lab
-            cols = eq.any(axis=0)
-            sub = eq[:, cols]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    both = int(np.count_nonzero(sub[i] & sub[j]))
-                    inter[i, j] += both
-                    inter[j, i] += both
-        per_label[lab] = (counts[:, lab].copy(), inter)
-    return counts, per_label
-
-
 def structure_report(
     sample_set: McSampleSet,
     gt: LabelVolume | None = None,
@@ -402,6 +304,12 @@ def structure_report(
     """Full per-scan report: consensus, uncertainty map summary, and all
     per-structure metrics; Dice against ground truth when one is given.
 
+    CV and MC Dice follow each sample's labels (argmax labels for
+    probability-only sets) and are None when the structure is absent from
+    every sample; an MC Dice pair scores 1 when both masks are empty and 0
+    when exactly one is. Mean uncertainty is None when the consensus has
+    no voxel of the structure.
+
     The consensus and uncertainty map are returned on the report as
     ``consensus`` and ``uncertainty``.
     """
@@ -409,7 +317,7 @@ def structure_report(
     if sample_set.n < 2:
         raise ValidationError(f"need N >= 2 samples, got {sample_set.n}")
     registry = sample_set.registry
-    max_id = _check_dense_ids(registry)
+    _check_dense_ids(registry)
     if gt is not None:
         if gt.geometry != sample_set.geometry:
             raise ValidationError("ground-truth geometry does not match the sample set")
@@ -417,27 +325,32 @@ def structure_report(
         if unknown:
             raise ValidationError(f"ground-truth label ids {unknown} not in registry")
 
-    consensus = consensus_segmentation(sample_set)
+    inter, vote = _count_labels(sample_set)
+    if sample_set.kind == "labels":
+        consensus = _consensus_volume(sample_set.geometry, vote)
+    else:
+        # the consensus follows the probability maps, not the vote
+        consensus = consensus_segmentation(sample_set)
     unc = voxel_uncertainty(sample_set, normalize=normalize)
-    flats = _flat_labels(sample_set)
-    counts, per_label = _pairwise_structure_counts(flats, max_id)
     vox = sample_set.geometry.voxel_volume
 
     cons_flat = consensus.flat
-    cons_counts = np.bincount(cons_flat, minlength=max_id + 1)
+    cons_counts = _registry_counts(cons_flat, registry)
     if gt is not None:
         gt_flat = gt.flat
-        gt_counts = np.bincount(gt_flat, minlength=max_id + 1)
-        match = cons_flat == gt_flat
-        inter_counts = np.bincount(cons_flat[match], minlength=max_id + 1)
+        gt_counts = _registry_counts(gt_flat, registry)
+        inter_counts = _registry_counts(cons_flat[cons_flat == gt_flat], registry)
 
     # the per-structure masks select from the C-ordered uncertainty map;
     # matching its layout keeps that selection a sequential scan
     cons_c = np.ascontiguousarray(consensus.data)
     n = sample_set.n
     rows = []
-    for label_id, name in registry.foreground:
-        vols = counts[:, label_id] * vox
+    for k, (label_id, name) in enumerate(registry.entries):
+        if label_id == registry.background_id:
+            continue
+        sizes = inter[:, :, k].diagonal()
+        vols = sizes * vox
         mean_v = float(vols.mean())
         std_v = float(vols.std(ddof=1))
         if mean_v == 0.0:
@@ -445,18 +358,17 @@ def structure_report(
             pair_mean = None
         else:
             cv = std_v / mean_v
-            sizes, inter = per_label.get(label_id, (np.zeros(n, dtype=np.int64), None))
-            scores = []
-            for i in range(n):
-                for j in range(i + 1, n):
-                    both = int(inter[i, j]) if inter is not None else 0
-                    scores.append(_pair_dice(int(sizes[i]), int(sizes[j]), both))
+            scores = [
+                _pair_dice(int(sizes[i]), int(sizes[j]), int(inter[i, j, k]))
+                for i in range(n)
+                for j in range(i + 1, n)
+            ]
             pair_mean = sum(scores) / len(scores)
-        if cons_counts[label_id]:
+        if cons_counts[k]:
             mean_unc = float(unc.values[cons_c == label_id].mean())
         else:
             mean_unc = None
-        row = StructureMetrics(
+        rows.append(StructureMetrics(
             label_id=label_id,
             name=name,
             mean_volume=mean_v,
@@ -464,18 +376,13 @@ def structure_report(
             cv=cv,
             mc_dice=pair_mean,
             mean_uncertainty=mean_unc,
-            consensus_volume=float(cons_counts[label_id]) * vox,
+            consensus_volume=float(cons_counts[k]) * vox,
             gt_dice=(
-                _pair_dice(
-                    int(cons_counts[label_id]),
-                    int(gt_counts[label_id]),
-                    int(inter_counts[label_id]),
-                )
+                _pair_dice(int(cons_counts[k]), int(gt_counts[k]), int(inter_counts[k]))
                 if gt is not None
                 else None
             ),
-        )
-        rows.append(row)
+        ))
 
     return StructureReport(
         structures=tuple(rows),

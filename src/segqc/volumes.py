@@ -395,12 +395,3 @@ def labels_to_onehot_probs(volume: LabelVolume, registry: StructureRegistry) -> 
         maps[k] = volume.data == label_id
     return ProbMapStack(geometry=volume.geometry, label_ids=ids, maps=maps)
 
-
-def structure_volume(
-    volume: LabelVolume, label_id: int, registry: StructureRegistry
-) -> float:
-    """Volume of one structure in mm^3 (voxel count times voxel volume)."""
-    if label_id not in registry:
-        raise ValidationError(f"label id {label_id} not in registry")
-    count = int(np.count_nonzero(volume.data == label_id))
-    return count * volume.geometry.voxel_volume

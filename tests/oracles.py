@@ -6,6 +6,7 @@ package so agreement between the two routes is evidence.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -62,6 +63,18 @@ def cv_oracle(label_arrays, label, voxel_volume=1.0):
         return None
     var = sum((v - mean) ** 2 for v in vols) / (len(vols) - 1)
     return math.sqrt(var) / mean
+
+
+def majority_vote_oracle(label_arrays):
+    """Most frequent label at each voxel by a Counter per voxel; ties go
+    to the lowest label id."""
+    arrays = [np.asarray(arr) for arr in label_arrays]
+    out = np.zeros(arrays[0].shape, dtype=np.int64)
+    for idx in np.ndindex(*out.shape):
+        votes = Counter(int(arr[idx]) for arr in arrays)
+        top = max(votes.values())
+        out[idx] = min(label for label, c in votes.items() if c == top)
+    return out
 
 
 def wls_oracle(X, w, y):

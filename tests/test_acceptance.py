@@ -14,7 +14,6 @@ from segqc.cli import main as cli_main
 from segqc.io import write_registry, write_scan_manifest
 from segqc.metrics import (
     dice_score,
-    mc_dice,
     structure_report,
     structure_uncertainty,
     voxel_uncertainty,
@@ -291,8 +290,9 @@ def test_a7_dice_bruteforce():
             geometry=geom, registry=reg,
             samples=tuple(McSample(labels=LabelVolume(geom, a)) for a in arrays),
         )
+        report = structure_report(ss)
         for lid in range(1, n_labels):
-            got = mc_dice(ss, lid)
+            got = report.by_id(lid).mc_dice
             want = oracles.mc_dice_oracle(arrays, lid)
             checked += 1
             if got != want and not (got is None and want is None):

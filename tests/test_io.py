@@ -1,10 +1,14 @@
 """Registry JSON, cohort CSV, report JSON, configs, manifests, sample sets."""
 
+import copy
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from segqc.io import (
     read_cohort_csv,
@@ -468,3 +472,108 @@ def test_scan_manifest_probs_shape_checked(tmp_path):
                                "probs": [["p.nii"]]}))
     with pytest.raises(ValidationError, match="probs"):
         read_scan_manifest(man)
+
+
+# -- reader fuzz: success or ValidationError, never anything else ---------------------
+
+DOCS = Path(__file__).resolve().parent.parent / "docs"
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=12,
+)
+FUZZ = settings(max_examples=100, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one to three nested values deleted or replaced."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while isinstance(node, (dict, list)) and node:
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                       else range(len(node))))
+            if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+                node = node[key]
+            elif draw(st.booleans()):
+                del node[key]
+                break
+            else:
+                node[key] = draw(JSON_VALUES)
+                break
+    return doc
+
+
+def valid_docs():
+    return {
+        "report": (read_report, report_to_dict(sample_report())),
+        "manifest": (read_scan_manifest, {
+            "schema_version": "1", "samples": ["a.nii", "b.nii"], "gt": "gt.nii",
+            "registry": "registry.json", "probs": [["a0.nii", "a1.nii"], ["b0.nii", "b1.nii"]],
+        }),
+        "registry": (read_registry, {"background": 0, "structures": [
+            {"id": 1, "name": "left"}, {"id": 2, "name": "right"}]}),
+        "noise": (read_noise_json, json.loads((DOCS / "graded_noise.json").read_text())),
+        "phantom": (read_phantom_json,
+                    json.loads((DOCS / "paired_boxes_phantom.json").read_text())),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(valid_docs()))
+@FUZZ
+@given(data=st.data())
+def test_json_readers_fail_only_with_validation_error(kind, data, tmp_path):
+    reader, valid = valid_docs()[kind]
+    doc = data.draw(st.one_of(JSON_VALUES, mutated(valid)))
+    p = tmp_path / f"{kind}.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        reader(p)
+    except ValidationError:
+        pass
+
+
+REPORT_ROW = {"label_id": 1, "name": "a", "mean_volume": 1, "std_volume": 1,
+              "consensus_volume": 1}
+
+
+@pytest.mark.parametrize("reader,doc", [
+    (read_phantom_json, {"dims": [math.inf, 8, 8], "shapes": []}),
+    (read_phantom_json, {"dims": [8, 8, 8], "spacing": [10**400, 1, 1], "shapes": []}),
+    (read_noise_json, {"n_samples": math.inf}),
+    (read_noise_json, {"n_samples": 3, "flip_probs": [1]}),
+    (read_report, {"structures": [{**REPORT_ROW, "label_id": math.inf}]}),
+    (read_report, {"structures": [{**REPORT_ROW, "mean_volume": 10**400}]}),
+    (read_report, {"structures": [{**REPORT_ROW, "cv": 10**400}]}),
+    (read_scan_manifest, {"samples": ["a.nii"], "probs": [None]}),
+], ids=["phantom-inf", "phantom-huge", "noise-inf", "noise-flips-list", "report-inf",
+        "report-huge", "report-huge-optional", "manifest-probs-null"])
+def test_readers_reject_out_of_range_numbers_and_wrong_containers(tmp_path, reader, doc):
+    if reader is read_report:
+        doc = {"schema_version": "1", "n_samples": 2,
+               "uncertainty": {"min": 0, "mean": 0, "max": 0}, **doc}
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValidationError):
+        reader(p)
+
+
+COHORT_HEADER = b"subject_id,age,sex,dx,site,volume,cv,mc_dice\r\n"
+
+
+@FUZZ
+@given(st.one_of(
+    st.binary(max_size=300),
+    st.binary(max_size=300).map(lambda b: COHORT_HEADER + b),
+    st.text(max_size=300).map(lambda t: COHORT_HEADER + t.encode("utf-8")),
+))
+def test_cohort_csv_reader_fails_only_with_validation_error(tmp_path, payload):
+    p = tmp_path / "cohort.csv"
+    p.write_bytes(payload)
+    try:
+        read_cohort_csv(p)
+    except ValidationError:
+        pass

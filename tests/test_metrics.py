@@ -2,6 +2,7 @@
 independent oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,11 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from segqc.metrics import (
     consensus_segmentation,
-    cv_volume,
     dice_score,
-    mc_dice,
-    mean_structure_uncertainty,
-    sample_structure_volumes,
     structure_report,
     structure_uncertainty,
     voxel_uncertainty,
@@ -131,6 +128,18 @@ def test_consensus_majority_vote_tie_lowest_id():
     assert consensus_segmentation(ss).data[0, 0, 0] == 2
 
 
+def test_consensus_vote_counts_past_255_samples():
+    one = np.full((1, 1, 1), 1)
+    two = np.full((1, 1, 1), 2)
+
+    def vote(n_one, n_two):
+        return consensus_segmentation(label_set([one] * n_one + [two] * n_two)).data[0, 0, 0]
+
+    assert vote(128, 128) == 1  # tie: lowest id
+    assert vote(128, 129) == 2
+    assert vote(1, 256) == 2  # 256 votes wrap an 8-bit counter to 0
+
+
 def test_consensus_probability_mean_argmax():
     # sample A says label 1 with 0.9, sample B says label 2 with 0.6:
     # mean favors label 1 (0.45 + 0.2/2 ...), computed explicitly below
@@ -165,12 +174,16 @@ def two_sample_volumes(c1, c2):
 
 
 def test_sample_structure_volumes_counts():
+    # 5 and 9 voxels of 8 mm^3 each
     a, b = two_sample_volumes(5, 9)
-    ss = label_set([a, b])
-    vols = sample_structure_volumes(ss)
-    assert vols.shape == (2, 3)
-    assert vols[0, 1] == 5.0 and vols[1, 1] == 9.0
-    assert vols[0, 0] == 64 - 5
+    g = VoxelGeometry((4, 4, 4), (2.0, 2.0, 2.0))
+    ss = McSampleSet(
+        geometry=g, registry=REG,
+        samples=(McSample(labels=LabelVolume(g, a)), McSample(labels=LabelVolume(g, b))),
+    )
+    s1 = structure_report(ss).by_id(1)
+    assert s1.mean_volume == 7.0 * 8.0
+    assert s1.std_volume == pytest.approx(math.sqrt(8.0) * 8.0, rel=1e-15)
 
 
 def test_cv_hand_value():
@@ -179,29 +192,27 @@ def test_cv_hand_value():
         a = np.zeros((4, 4, 4), dtype=np.int64)
         a.reshape(-1)[:c] = 1
         arrays.append(a)
-    ss = label_set(arrays)
+    cv = structure_report(label_set(arrays)).by_id(1).cv
     # volumes 9, 10, 11: mean 10, sd(ddof=1) = 1
-    assert cv_volume(ss, 1) == pytest.approx(0.1, abs=1e-15)
-    assert cv_volume(ss, 1) == pytest.approx(
-        oracles.cv_oracle(arrays, 1), abs=1e-15
-    )
+    assert cv == pytest.approx(0.1, abs=1e-15)
+    assert cv == pytest.approx(oracles.cv_oracle(arrays, 1), abs=1e-15)
 
 
 def test_cv_absent_structure_is_none():
     a = np.zeros((3, 3, 3), dtype=np.int64)
-    ss = label_set([a, a])
-    assert cv_volume(ss, 2) is None
+    assert structure_report(label_set([a, a])).by_id(2).cv is None
+
+
+def mc_dice(arrays, label_id):
+    return structure_report(label_set(arrays)).by_id(label_id).mc_dice
 
 
 def test_mc_dice_hand_values():
-    a, b = two_sample_volumes(4, 6)
-    b.reshape(-1)[:3] = 1
-    b.reshape(-1)[3] = 0  # intersection 3: sizes 4 and 6 minus overlap tweak
-    # rebuild precisely: a = first 4 voxels, b = voxels 0,1,2 plus 5..7
+    a = np.zeros((4, 4, 4), dtype=np.int64)
+    a.reshape(-1)[:4] = 1
     b = np.zeros((4, 4, 4), dtype=np.int64)
-    b.reshape(-1)[[0, 1, 2, 5, 6, 7]] = 1
-    ss = label_set([a, b])
-    assert mc_dice(ss, 1) == pytest.approx(2 * 3 / (4 + 6), abs=1e-15)
+    b.reshape(-1)[[0, 1, 2, 5, 6, 7]] = 1  # intersection 3, sizes 4 and 6
+    assert mc_dice([a, b], 1) == pytest.approx(2 * 3 / (4 + 6), abs=1e-15)
 
 
 def test_mc_dice_empty_conventions():
@@ -209,33 +220,34 @@ def test_mc_dice_empty_conventions():
     one = empty.copy()
     one[0, 0, 0] = 1
     # label 2 absent everywhere: absent-flag
-    assert mc_dice(label_set([empty, empty]), 2) is None
+    assert mc_dice([empty, empty], 2) is None
     # present in one sample, empty in the other: that pair scores 0
-    assert mc_dice(label_set([one, empty]), 1) == 0.0
+    assert mc_dice([one, empty], 1) == 0.0
     # both empty pairs score 1 when the structure exists in a third sample
-    ss = label_set([one, empty, empty])
     # pairs: (one,empty)=0, (one,empty)=0, (empty,empty)=1
-    assert mc_dice(ss, 1) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert mc_dice([one, empty, empty], 1) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
 def test_mean_structure_uncertainty_two_voxel_mean():
-    # structure 1 sits on two voxels whose uncertainty is 1.0 and 3.0
-    sa = np.zeros((3, 1, 2, 1))
-    sa[1] = 1.0
-    ss = prob_set([sa, sa])
-    unc = type(voxel_uncertainty(ss))(
-        geometry=ss.geometry, values=np.array([[[1.0], [3.0]]])
-    )
-    rep_val = mean_structure_uncertainty(ss, consensus_segmentation(ss), unc, 1)
-    assert rep_val == pytest.approx(2.0, abs=1e-15)
+    # structure 1 wins the consensus on two voxels with p = 0.6 and 0.8;
+    # structure 2 holds a third voxel with certainty
+    sa = np.zeros((3, 1, 3, 1))
+    sa[0, 0, :2, 0] = (0.4, 0.2)
+    sa[1, 0, :2, 0] = (0.6, 0.8)
+    sa[2, 0, 2, 0] = 1.0
+    rep = structure_report(prob_set([sa, sa]))
+
+    def h(p):  # two samples, two nonzero terms
+        return -2.0 * (p * math.log(p) + (1.0 - p) * math.log(1.0 - p))
+
+    assert rep.by_id(1).mean_uncertainty == pytest.approx((h(0.6) + h(0.8)) / 2, rel=1e-12)
+    assert rep.by_id(2).mean_uncertainty == 0.0
 
 
 def test_mean_structure_uncertainty_absent_is_none():
     sa = np.zeros((3, 2, 2, 2))
     sa[0] = 1.0
-    ss = prob_set([sa, sa])
-    u = voxel_uncertainty(ss)
-    assert mean_structure_uncertainty(ss, consensus_segmentation(ss), u, 1) is None
+    assert structure_report(prob_set([sa, sa])).by_id(1).mean_uncertainty is None
 
 
 # -- dice against reference --------------------------------------------------
@@ -338,7 +350,59 @@ def test_onehot_prob_route_matches_label_route(seed):
     assert np.array_equal(
         consensus_segmentation(ss_lab).data, consensus_segmentation(ss_prob).data
     )
+    rep_lab, rep_prob = structure_report(ss_lab), structure_report(ss_prob)
     for lid in (1, 2):
-        assert cv_volume(ss_lab, lid) == cv_volume(ss_prob, lid)
-        assert mc_dice(ss_lab, lid) == mc_dice(ss_prob, lid)
+        assert rep_lab.by_id(lid).cv == rep_prob.by_id(lid).cv
+        assert rep_lab.by_id(lid).mc_dice == rep_prob.by_id(lid).mc_dice
     assert np.all(voxel_uncertainty(ss_prob).values == 0.0)
+
+
+# non-contiguous ids listed out of id order: registry position, label id
+# and tie order all differ
+SPARSE_REG = StructureRegistry(
+    entries=((0, "background"), (9, "a"), (2, "b"), (5, "c")), background_id=0
+)
+
+
+def check_report_against_oracles(arrays, rep):
+    n = len(arrays)
+    for s in rep.structures:
+        sizes = [int(np.count_nonzero(a == s.label_id)) for a in arrays]
+        assert s.mean_volume == sum(sizes) / n
+        assert s.cv == pytest.approx(oracles.cv_oracle(arrays, s.label_id), rel=1e-12)
+        assert s.mc_dice == oracles.mc_dice_oracle(arrays, s.label_id)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(1, 4), st.booleans())
+def test_counting_pass_matches_oracles(seed, n, n_labels, identical):
+    rng = np.random.default_rng(seed)
+    ids = np.array(SPARSE_REG.ids)[rng.permutation(4)[:n_labels]]
+    arrays = [ids[rng.integers(0, n_labels, size=(4, 4, 4))] for _ in range(n)]
+    if identical:  # no voxel disagrees
+        arrays = [arrays[0]] * n
+    ss = label_set(arrays, SPARSE_REG)
+    want = oracles.majority_vote_oracle(arrays)
+    assert np.array_equal(consensus_segmentation(ss).data, want)
+    rep = structure_report(ss)
+    assert np.array_equal(rep.consensus.data, want)
+    check_report_against_oracles(arrays, rep)
+
+
+def test_report_memory_bounded_for_sparse_registry():
+    # one id of 1e6: per-label arrays are sized by the registry, not the id
+    reg = StructureRegistry(
+        entries=((0, "background"), (1, "left"), (1_000_000, "far")), background_id=0
+    )
+    rng = np.random.default_rng(8)
+    ids = np.array(reg.ids)
+    arrays = [ids[rng.integers(0, 3, size=(4, 4, 4))] for _ in range(15)]
+    ss = label_set(arrays, reg)
+    tracemalloc.start()
+    try:
+        rep = structure_report(ss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    check_report_against_oracles(arrays, rep)

@@ -15,7 +15,6 @@ from segqc.volumes import (
     VoxelGeometry,
     labels_to_onehot_probs,
     require_valid,
-    structure_volume,
     validate_sample_set,
 )
 
@@ -297,16 +296,6 @@ def test_validate_flags_prob_label_mismatch():
         samples=(McSample(probs=stack), McSample(probs=stack)),
     )
     assert any(v.rule == "prob_labels" for v in validate_sample_set(ss))
-
-
-def test_structure_volume_uses_voxel_volume():
-    g = VoxelGeometry((3, 3, 3), (2.0, 2.0, 2.0))
-    data = np.zeros((3, 3, 3), dtype=np.uint8)
-    data[:2, 0, 0] = 1
-    vol = LabelVolume(g, data)
-    assert structure_volume(vol, 1, small_registry()) == pytest.approx(2 * 8.0)
-    with pytest.raises(ValidationError):
-        structure_volume(vol, 7, small_registry())
 
 
 # -- one-hot conversion ------------------------------------------------------
