@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .metrics import StructureMetrics, StructureReport
-from .nifti import write_nifti
+from .nifti import read_nifti, write_nifti
 from .stats import CohortTable
 from .synth import NoiseSpec, PhantomSpec, ShapeSpec
 from .volumes import (
@@ -42,9 +42,10 @@ COHORT_OPTIONAL = ("site", "cv", "mc_dice")
 
 def _load_json(path: str | Path) -> object:
     # OSError propagates: missing/unreadable files are I/O errors, not format errors
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        return json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
@@ -112,6 +113,15 @@ def _parse_float(text: str, line: int, column: str, path) -> float:
         ) from None
 
 
+def _csv_rows(reader, path):
+    """The reader's rows, with csv errors (an oversized field, say)
+    raised as ValidationError naming the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def read_cohort_csv(path: str | Path) -> CohortTable:
     """Cohort CSV with header subject_id, age, sex, dx, site?, volume, cv?, mc_dice?.
 
@@ -126,7 +136,8 @@ def read_cohort_csv(path: str | Path) -> CohortTable:
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path} is not valid UTF-8: {exc}") from exc
     reader = csv.reader(io.StringIO(text, newline=""))
-    first = next(reader, None)
+    rows = _csv_rows(reader, path)
+    first = next(rows, None)
     if first is None:
         raise ValidationError(f"{path}: empty file, expected a header row")
     header = [h.strip() for h in first]
@@ -142,7 +153,7 @@ def read_cohort_csv(path: str | Path) -> CohortTable:
     idx = {h: k for k, h in enumerate(header)}
 
     cols: dict[str, list] = {h: [] for h in header}
-    for row in reader:
+    for row in rows:
         lineno = reader.line_num  # last physical line of the row
         if not row or all(not c.strip() for c in row):
             continue  # blank line
@@ -434,6 +445,41 @@ def read_noise_json(path: str | Path) -> tuple[tuple[str, NoiseSpec], ...]:
 # -- sample sets from volume files -------------------------------------------
 
 
+class _NiftiProbMapStack(ProbMapStack):
+    """A probability stack backed by one NIfTI file per label.
+
+    The files are decoded each time the maps are asked for and nothing is
+    kept, so a sample set holds none of its maps between uses. Each map
+    keeps the dtype it was stored with (integer maps become float64, as
+    in :class:`ProbMapStack`).
+    """
+
+    def __init__(self, geometry: VoxelGeometry, label_ids: Sequence[int],
+                 paths: Sequence[str | Path], owner: str | Path):
+        object.__setattr__(self, "geometry", geometry)
+        object.__setattr__(self, "label_ids", tuple(int(i) for i in label_ids))
+        object.__setattr__(self, "paths", tuple(paths))
+        object.__setattr__(self, "owner", owner)  # the sample's label file
+
+    @property
+    def maps(self) -> np.ndarray:
+        maps = np.stack(self.load_maps())
+        maps.flags.writeable = False
+        return maps
+
+    def load_maps(self) -> list[np.ndarray]:
+        out = []
+        for q in self.paths:
+            img = read_nifti(q)
+            if img.geometry != self.geometry:
+                raise ValidationError(f"{q}: geometry does not match {self.owner}")
+            data = img.data
+            if not np.issubdtype(data.dtype, np.floating):
+                data = data.astype(np.float64)
+            out.append(data)
+        return out
+
+
 def read_sample_set(
     label_paths: Sequence[str | Path],
     registry: StructureRegistry,
@@ -444,10 +490,12 @@ def read_sample_set(
     ``prob_paths``, when given, lists one probability volume per registry
     entry (in registry order) for each sample; the stacks are attached so
     voxel uncertainty reflects the stored soft predictions instead of
-    degenerate one-hot indicators.
+    degenerate one-hot indicators. The label files are decoded here; the
+    probability files are not read until the set's one pass over its maps
+    (:attr:`McSampleSet.prob_pass`) asks for them, a sample at a time,
+    which decodes each file once. A probability file that is missing or
+    on another grid fails then.
     """
-    from .nifti import read_nifti  # local import to keep module load cheap
-
     if len(label_paths) < 1:
         raise ValidationError("no sample files given")
     if prob_paths is not None and len(prob_paths) != len(label_paths):
@@ -480,14 +528,7 @@ def read_sample_set(
                     f"sample {i}: {len(stack_paths)} probability volumes for "
                     f"{len(registry.ids)} registry entries"
                 )
-            maps = np.empty((len(stack_paths),) + geometry.dims, dtype=np.float64)
-            for k, q in enumerate(stack_paths):
-                pimg = read_nifti(q)
-                if pimg.geometry != geometry:
-                    raise ValidationError(f"{q}: geometry does not match {p}")
-                maps[k] = pimg.data
-            maps.flags.writeable = False  # nothing else holds it: no copy
-            probs = ProbMapStack(geometry=geometry, label_ids=registry.ids, maps=maps)
+            probs = _NiftiProbMapStack(geometry, registry.ids, stack_paths, p)
         samples.append(McSample(labels=labels, probs=probs))
     return McSampleSet(geometry=geometry, registry=registry, samples=tuple(samples))
 

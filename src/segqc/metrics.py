@@ -14,7 +14,10 @@ structure-wise uncertainty measures:
 
 One counting pass over the samples' labels yields every integer count
 behind them (per-sample label counts and pairwise intersections) and the
-majority vote that is the consensus of label-only sets.
+majority vote that is the consensus of label-only sets. The entropy map
+and the mean-probability consensus come from the sample set's one pass
+over its probability maps (:attr:`~segqc.volumes.McSampleSet.prob_pass`),
+which loads each sample's maps once and never holds them all.
 
 All functions are pure and deterministic: floating-point reductions run
 in a fixed order (ascending sample index, registry order over structures),
@@ -29,6 +32,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .volumes import (
+    _UINT16_MAX,
     LabelVolume,
     McSampleSet,
     StructureRegistry,
@@ -41,7 +45,6 @@ from .volumes import (
 # Dense per-label counting arrays are sized max_id + 1; anything beyond
 # this is almost certainly a corrupt registry, not a real label table.
 _MAX_DENSE_LABEL = 1 << 20
-_UINT16_MAX = np.iinfo(np.uint16).max
 
 
 @dataclass(frozen=True)
@@ -183,7 +186,7 @@ def _consensus_volume(geometry: VoxelGeometry, data: np.ndarray) -> LabelVolume:
     """Consensus labels stored as uint16 whenever every id fits."""
     if data.dtype != np.uint16 and data.max(initial=0) <= _UINT16_MAX:
         data = data.astype(np.uint16)
-    data.flags.writeable = False  # a fresh array: LabelVolume keeps it
+    data.flags.writeable = False  # never written again: LabelVolume keeps it
     return LabelVolume(geometry=geometry, data=data)
 
 
@@ -192,9 +195,10 @@ def voxel_uncertainty(sample_set: McSampleSet, normalize: bool = False) -> Uncer
 
     Per structure the contribution is the sum over samples of -p*ln(p)
     (natural log, with 0*ln(0) = 0); the map is the sum over all registry
-    structures, background included. Label-only sets are treated through
-    their indicator maps, whose terms all vanish, so they yield an exactly
-    zero map without materializing the one-hot stacks.
+    structures, background included. It is read from the set's memoised
+    pass over its maps. Label-only sets are treated through their
+    indicator maps, whose terms all vanish, so they yield an exactly zero
+    map without materializing the one-hot stacks.
 
     With ``normalize`` the map is divided by the sample count, making
     values comparable across sets of different size; off by default.
@@ -202,18 +206,12 @@ def voxel_uncertainty(sample_set: McSampleSet, normalize: bool = False) -> Uncer
     require_valid(sample_set)
     if sample_set.n < 2:
         raise ValidationError(f"need N >= 2 samples, got {sample_set.n}")
-    dims = sample_set.geometry.dims
-    values = np.zeros(dims, dtype=np.float64)
-    if sample_set.kind != "labels":
-        for i in range(sample_set.n):
-            maps = sample_set.samples[i].probs.maps
-            for k in range(maps.shape[0]):
-                p = maps[k].astype(np.float64, copy=False)
-                values -= xlogy(p, p)
-        # -p*ln(p) is non-negative for p in [0, 1]; clip float dust at 0
-        np.maximum(values, 0.0, out=values)
+    if sample_set.kind == "labels":
+        values = np.zeros(sample_set.geometry.dims, dtype=np.float64)
+    else:
+        values = sample_set.prob_pass.entropy  # read-only: shared, not copied
     if normalize:
-        values /= sample_set.n
+        values = values / sample_set.n
     values.flags.writeable = False  # handed over whole: no defensive copy
     return UncertaintyVolume(geometry=sample_set.geometry, values=values)
 
@@ -231,8 +229,8 @@ def structure_uncertainty(sample_set: McSampleSet, label_id: int) -> np.ndarray:
         return values
     k = sample_set.registry.ids.index(label_id)
     for i in range(sample_set.n):
-        p = sample_set.samples[i].probs.maps[k].astype(np.float64, copy=False)
-        values -= xlogy(p, p)
+        p = sample_set.samples[i].probs.load_maps()[k]
+        values -= xlogy(p, p, dtype=np.float64)
     np.maximum(values, 0.0, out=values)
     return values
 
@@ -242,28 +240,16 @@ def consensus_segmentation(sample_set: McSampleSet) -> LabelVolume:
 
     For label-only sets this reduces to a per-voxel majority vote. Ties
     go to the lowest label id, which is deterministic and independent of
-    sample order.
+    sample order. The mean map is read from the set's memoised pass over
+    its maps.
     """
     require_valid(sample_set)
     _check_dense_ids(sample_set.registry)
     if sample_set.kind == "labels":
-        return _consensus_volume(sample_set.geometry, _count_labels(sample_set)[1])
-    # Stream per structure in ascending-id order; strict > keeps the
-    # lowest id on exact ties. Mean over samples in ascending order.
-    registry = sample_set.registry
-    dims = sample_set.geometry.dims
-    order = sorted(range(len(registry.ids)), key=lambda k: registry.ids[k])
-    best_val = np.full(dims, -np.inf, dtype=np.float64)
-    best_id = np.zeros(dims, dtype=np.int64)
-    for k in order:
-        acc = np.zeros(dims, dtype=np.float64)
-        for i in range(sample_set.n):
-            acc += sample_set.samples[i].probs.maps[k]
-        acc /= sample_set.n
-        better = acc > best_val
-        best_val[better] = acc[better]
-        best_id[better] = registry.ids[k]
-    return _consensus_volume(sample_set.geometry, best_id)
+        data = _count_labels(sample_set)[1]
+    else:
+        data = sample_set.prob_pass.consensus
+    return _consensus_volume(sample_set.geometry, data)
 
 
 def _pair_dice(size_a: int, size_b: int, inter: int) -> float:
@@ -341,9 +327,12 @@ def structure_report(
         gt_counts = _registry_counts(gt_flat, registry)
         inter_counts = _registry_counts(cons_flat[cons_flat == gt_flat], registry)
 
-    # the per-structure masks select from the C-ordered uncertainty map;
-    # matching its layout keeps that selection a sequential scan
-    cons_c = np.ascontiguousarray(consensus.data)
+    # the uncertainty map of a label-only set is zero by construction, so
+    # its structure means need no masks; otherwise the per-structure masks
+    # select from the C-ordered map, and matching its layout keeps that
+    # selection a sequential scan
+    label_only = sample_set.kind == "labels"
+    cons_c = None if label_only else np.ascontiguousarray(consensus.data)
     n = sample_set.n
     rows = []
     for k, (label_id, name) in enumerate(registry.entries):
@@ -364,10 +353,12 @@ def structure_report(
                 for j in range(i + 1, n)
             ]
             pair_mean = sum(scores) / len(scores)
-        if cons_counts[k]:
-            mean_unc = float(unc.values[cons_c == label_id].mean())
-        else:
+        if not cons_counts[k]:
             mean_unc = None
+        elif label_only:
+            mean_unc = 0.0
+        else:
+            mean_unc = float(unc.values[cons_c == label_id].mean())
         rows.append(StructureMetrics(
             label_id=label_id,
             name=name,

@@ -6,7 +6,11 @@ tolerant for sample sets: consistency rules are checked by
 so that broken inputs can be diagnosed file by file. Metric operations
 refuse to run on an invalid set. Because a set and all its parts are
 immutable, its report is computed once and memoised
-(:attr:`McSampleSet.violations`).
+(:attr:`McSampleSet.violations`), and so is the one pass over its
+probability maps that both validation and the metrics read
+(:attr:`McSampleSet.prob_pass`): each sample's maps are loaded once, in
+ascending sample order, and folded into float64 sums, so no (N, K, x, y,
+z) stack is ever held.
 
 Voxel data is stored as 3-D numpy arrays indexed ``[x, y, z]``; the flat
 (serialized) order is x-fastest, matching the on-disk layout used by the
@@ -17,12 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
+from scipy.special import xlogy
 
 # Tolerance on per-voxel probability sums: generous enough for float32
 # sums over a few dozen maps, far below any real segmentation difference.
 PROB_SUM_TOL = 1e-4
+_UINT16_MAX = np.iinfo(np.uint16).max
 
 
 class ValidationError(ValueError):
@@ -206,31 +213,68 @@ class ProbMapStack:
         object.__setattr__(self, "maps", _read_only(arr))
         object.__setattr__(self, "label_ids", tuple(int(i) for i in self.label_ids))
 
+    def load_maps(self) -> Sequence[np.ndarray]:
+        """The maps as K volumes in ``label_ids`` order.
+
+        An in-memory stack returns :attr:`maps` itself; a stack backed by
+        files (see :func:`segqc.io.read_sample_set`) decodes them on every
+        call and keeps nothing.
+        """
+        return self.maps
+
     def violations(self, sum_tol: float = PROB_SUM_TOL) -> list[str]:
         """Rule violations in this stack; empty list means valid."""
-        out = []
-        if not np.all(np.isfinite(self.maps)):
-            out.append("probability maps contain non-finite values")
-        else:
-            lo, hi = float(self.maps.min()), float(self.maps.max())
-            if lo < 0.0 or hi > 1.0:
-                out.append(f"probability values outside [0, 1] (range {lo:g}..{hi:g})")
-            total = self.maps.sum(axis=0, dtype=np.float64)
-            err = float(np.abs(total - 1.0).max())
-            if err > sum_tol:
-                out.append(
-                    f"per-voxel probability sums deviate from 1 by up to {err:g} "
-                    f"(tolerance {sum_tol:g})"
-                )
-        return out
+        return _map_checks(self.load_maps(), sum_tol)
 
     def argmax_labels(self) -> np.ndarray:
         """Most probable label per voxel; ties go to the lowest label id."""
-        order = np.argsort(self.label_ids, kind="stable")
-        ids = np.asarray(self.label_ids, dtype=np.int64)[order]
-        in_order = np.array_equal(order, np.arange(order.size))
-        maps = self.maps if in_order else self.maps[order]  # skip the gather copy
-        return ids[np.argmax(maps, axis=0)]
+        return _argmax_labels(self.load_maps(), self.label_ids)
+
+
+def _map_checks(maps: Sequence[np.ndarray], sum_tol: float = PROB_SUM_TOL) -> list[str]:
+    """Normalisation messages for one sample's maps, visited once each.
+
+    Each map's min and max propagate NaN and reach any infinity, so they
+    settle finiteness too. The per-voxel sum adds the maps in list order
+    into float64, the order of a sum over the stack's first axis.
+    """
+    bounds = [(float(m.min()), float(m.max())) for m in maps]
+    if not np.isfinite(bounds).all():
+        return ["probability maps contain non-finite values"]
+    lo = min(b[0] for b in bounds)
+    hi = max(b[1] for b in bounds)
+    out = []
+    if lo < 0.0 or hi > 1.0:
+        out.append(f"probability values outside [0, 1] (range {lo:g}..{hi:g})")
+    total = np.zeros_like(maps[0], dtype=np.float64)
+    for m in maps:
+        total += m
+    total -= 1.0
+    err = float(np.abs(total).max())
+    if err > sum_tol:
+        out.append(
+            f"per-voxel probability sums deviate from 1 by up to {err:g} "
+            f"(tolerance {sum_tol:g})"
+        )
+    return out
+
+
+def _argmax_labels(maps: Sequence[np.ndarray], label_ids: Sequence[int]) -> np.ndarray:
+    """Label id of the largest map per voxel, ties to the lowest id.
+
+    A running maximum over the maps in ascending-id order with strict
+    ``>``, so the first maximum -- the lowest id -- is kept without any
+    (K, x, y, z) temporary. Ids are uint16 when they all fit, else int64.
+    """
+    order = sorted(range(len(label_ids)), key=label_ids.__getitem__)
+    fits = 0 <= min(label_ids) and max(label_ids) <= _UINT16_MAX
+    best = np.array(maps[order[0]], dtype=np.result_type(*(m.dtype for m in maps)), order="K")
+    ids = np.full_like(best, label_ids[order[0]], dtype=np.uint16 if fits else np.int64)
+    for k in order[1:]:
+        better = maps[k] > best
+        np.copyto(best, maps[k], where=better)
+        np.copyto(ids, label_ids[k], where=better)
+    return ids
 
 
 @dataclass(frozen=True)
@@ -277,12 +321,100 @@ class McSampleSet:
         s = self.samples[i]
         if s.labels is not None:
             return s.labels.data
-        return s.probs.argmax_labels()
+        return self.prob_pass.labels[i]
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
         """The :func:`validate_sample_set` report, computed on first use."""
         return tuple(validate_sample_set(self))
+
+    @cached_property
+    def prob_pass(self) -> ProbPass:
+        """The one pass over the probability maps, computed on first use."""
+        return _prob_pass(self)
+
+
+@dataclass(frozen=True)
+class ProbPass:
+    """Everything read from a sample set's probability maps in one pass.
+
+    checks     -- per sample, its stack's normalisation messages
+    mismatches -- per sample, the voxels where its labels differ from the
+                  argmax of its maps (0 unless both sit on the set's grid)
+    labels     -- per sample, the argmax labels of a probability-only
+                  sample, else None
+    entropy    -- sum over samples, then structures in registry order, of
+                  -p*ln(p), clipped at 0; C-order float64
+    consensus  -- argmax of the per-structure mean over samples, ties to
+                  the lowest id
+
+    ``entropy`` and ``consensus`` are None unless every sample carries
+    well-formed maps for the registry on the set's grid; a set without
+    them is invalid, so no metric reads them.
+    """
+
+    checks: tuple[tuple[str, ...], ...]
+    mismatches: tuple[int, ...]
+    labels: tuple[np.ndarray | None, ...] = field(repr=False)
+    entropy: np.ndarray | None = field(repr=False)
+    consensus: np.ndarray | None = field(repr=False)
+
+
+def _prob_pass(sample_set: McSampleSet) -> ProbPass:
+    """Load each sample's maps once, in ascending sample order, and fold
+    them into float64 sums.
+
+    Per voxel the additions run in the order of a per-structure loop
+    over samples (the mean) and of a per-sample loop over structures (the
+    entropy), and widening float32 to float64 is exact, so the results
+    are bit-identical to summing a float64 copy of the whole set. Memory
+    is K + 2 float64 volumes plus one sample's maps.
+    """
+    geometry = sample_set.geometry
+    ids = sample_set.registry.ids
+    fold = all(s.probs is not None and s.probs.geometry == geometry
+               and s.probs.label_ids == ids for s in sample_set.samples)
+    entropy, sums = None, None
+    checks, mismatches, labels = [], [], []
+    for s in sample_set.samples:
+        msgs, differ, own = (), 0, None
+        if s.probs is not None:
+            maps = s.probs.load_maps()
+            msgs = tuple(_map_checks(maps))
+            best = _argmax_labels(maps, s.probs.label_ids)
+            if s.labels is None:
+                best.flags.writeable = False
+                own = best
+            elif s.labels.geometry == geometry and s.probs.geometry == geometry:
+                differ = int(np.count_nonzero(s.labels.data != best))
+            fold = fold and not msgs
+            if fold:
+                if entropy is None:
+                    entropy = np.zeros_like(maps[0], dtype=np.float64)
+                    sums = [np.zeros_like(m, dtype=np.float64) for m in maps]
+                for k, m in enumerate(maps):
+                    entropy -= xlogy(m, m, dtype=np.float64)
+                    sums[k] += m
+            del maps, best  # freed before the next sample is decoded
+        checks.append(msgs)
+        mismatches.append(differ)
+        labels.append(own)
+
+    consensus = None
+    if not fold:
+        entropy = None
+    else:
+        # -p*ln(p) is non-negative for p in [0, 1]; clip float dust at 0.
+        # C order, like a fresh array: reductions over the whole map then
+        # visit voxels in the same order whatever layout the files had
+        np.maximum(entropy, 0.0, out=entropy)
+        entropy = np.ascontiguousarray(entropy)
+        entropy.flags.writeable = False
+        for acc in sums:
+            acc /= sample_set.n
+        consensus = _argmax_labels(sums, ids)
+        consensus.flags.writeable = False
+    return ProbPass(tuple(checks), tuple(mismatches), tuple(labels), entropy, consensus)
 
 
 @dataclass(frozen=True)
@@ -316,6 +448,7 @@ def validate_sample_set(sample_set: McSampleSet) -> list[Violation]:
         )
 
     registry_ids = tuple(sample_set.registry.ids)
+    prob_pass = sample_set.prob_pass
     for i, s in enumerate(sample_set.samples):
         if s.labels is not None:
             if s.labels.geometry != sample_set.geometry:
@@ -353,20 +486,18 @@ def validate_sample_set(sample_set: McSampleSet) -> list[Violation]:
                         i,
                     )
                 )
-            for msg in s.probs.violations():
+            for msg in prob_pass.checks[i]:
                 out.append(Violation("prob_normalization", msg, i))
-        if (s.kind == "both" and s.labels.geometry == sample_set.geometry
-                and s.probs.geometry == sample_set.geometry):
-            # consensus follows the maps while CV and MC Dice follow the
-            # labels, so the two must describe the same segmentation
-            differ = int(np.count_nonzero(s.labels.data != s.probs.argmax_labels()))
-            if differ:
-                out.append(Violation(
-                    "label_prob_mismatch",
-                    f"labels differ from the argmax of the probability maps "
-                    f"at {differ} voxels",
-                    i,
-                ))
+        # consensus follows the maps while CV and MC Dice follow the
+        # labels, so the two must describe the same segmentation
+        differ = prob_pass.mismatches[i]
+        if differ:
+            out.append(Violation(
+                "label_prob_mismatch",
+                f"labels differ from the argmax of the probability maps "
+                f"at {differ} voxels",
+                i,
+            ))
     return out
 
 

@@ -301,6 +301,15 @@ def test_correlate_incomplete_report_is_validation_error(report_dir, capsys):
     assert err.startswith("error:") and "n_samples" in err
 
 
+def test_correlate_non_utf8_report_is_validation_error(report_dir, capsys):
+    _, reports = report_dir
+    victim = sorted(reports.glob("*.json"))[0]
+    victim.write_bytes(b"\xff\xfe" + victim.read_bytes())
+    assert run(["correlate", reports]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and victim.name in err and "UTF-8" in err
+
+
 def test_correlate_requires_gt_dice(configs, capsys):
     root, phantom, noise = configs
     sim = root / "sim"

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from segqc.io import (
     write_report,
     write_scan_manifest,
 )
-from segqc.metrics import StructureMetrics, StructureReport
+from segqc.metrics import StructureMetrics, StructureReport, structure_report
 from segqc.nifti import read_nifti, write_nifti
 from segqc.stats import CohortTable
 from segqc.synth import NoiseSpec, contact_pair_phantom, make_phantom, registry_for_phantom
@@ -177,6 +178,15 @@ def test_cohort_csv_rejects_non_utf8(tmp_path):
     p = tmp_path / "cohort.csv"
     p.write_bytes("subject_id,age,sex,dx,volume\ns\xe9,30,0,1,1.5\n".encode("latin-1"))
     with pytest.raises(ValidationError, match="UTF-8"):
+        read_cohort_csv(p)
+
+
+def test_cohort_csv_oversized_field_names_the_line(tmp_path):
+    # past the csv module's field size limit (131072 characters)
+    p = tmp_path / "cohort.csv"
+    p.write_text("subject_id,age,sex,dx,volume\ns1,30,0,1,1.5\n"
+                 + "s" * 200_000 + ",31,1,0,1.2\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match="line 3: field larger than field limit"):
         read_cohort_csv(p)
 
 
@@ -441,6 +451,94 @@ def test_read_sample_set_refuses_float_labels(tmp_path):
                 VoxelGeometry((24, 24, 24), (1.0, 1.0, 1.0)))
     with pytest.raises(ValidationError, match="float.nii"):
         read_sample_set([fl] + paths[1:], reg)
+
+
+def write_prob_set(tmp_path, n, k, dims):
+    """N float32 Dirichlet stacks of K maps, labels = their argmax, all on disk."""
+    rng = np.random.default_rng(11)
+    geom = VoxelGeometry(dims, (1.0, 1.0, 1.0))
+    reg = StructureRegistry(tuple((i, f"s{i}") for i in range(k)), background_id=0)
+    label_paths, prob_paths = [], []
+    for i in range(n):
+        maps = rng.dirichlet(np.ones(k), size=dims).astype(np.float32)
+        p = tmp_path / f"sample_{i:03d}.nii"
+        write_nifti(p, np.argmax(maps, axis=-1).astype(np.uint8), geom)
+        label_paths.append(p)
+        prob_paths.append([])
+        for j in range(k):
+            q = tmp_path / f"prob_{i:03d}_{j}.nii"
+            write_nifti(q, maps[..., j], geom)
+            prob_paths[-1].append(q)
+    return label_paths, prob_paths, reg
+
+
+def test_read_sample_set_memory_is_bounded_by_one_sample(tmp_path):
+    n, k, dims = 24, 5, (32, 32, 32)
+    label_paths, prob_paths, reg = write_prob_set(tmp_path, n, k, dims)
+    tracemalloc.start()
+    try:
+        ss = read_sample_set(label_paths, reg, prob_paths=prob_paths)
+        rep = structure_report(ss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.n_samples == n
+    # a float64 copy of every map is n*k*v*8 bytes; float32 ones half that
+    assert peak < n * k * int(np.prod(dims)) * 4 / 2
+
+
+def test_read_sample_set_decodes_probability_files_once(tmp_path, monkeypatch):
+    import segqc.io
+    import segqc.nifti
+    from segqc.cli import main
+
+    n, k = 3, 4
+    label_paths, prob_paths, reg = write_prob_set(tmp_path, n, k, (6, 5, 4))
+    write_registry(reg, tmp_path / "registry.json")
+    write_nifti(tmp_path / "gt.nii", read_nifti(label_paths[0]).data,
+                VoxelGeometry((6, 5, 4), (1.0, 1.0, 1.0)))
+    write_scan_manifest(tmp_path / "manifest.json", [p.name for p in label_paths],
+                        gt="gt.nii", registry="registry.json",
+                        probs=[[q.name for q in qs] for qs in prob_paths])
+    decoded = []
+    real = segqc.nifti.read_nifti
+
+    def counted(path):
+        decoded.append(Path(path).name)
+        return real(path)
+
+    monkeypatch.setattr(segqc.nifti, "read_nifti", counted)
+    monkeypatch.setattr(segqc.io, "read_nifti", counted)
+    code = main([
+        "metrics", "--manifest", str(tmp_path / "manifest.json"),
+        "--out", str(tmp_path / "r.json"), "--uncertainty-out", str(tmp_path / "u.nii"),
+        "--heatmap-out", str(tmp_path / "h.nii"),
+    ])
+    assert code == 0
+    assert len(decoded) == n * k + n + 1
+    assert sorted(set(decoded)) == sorted(decoded)
+
+
+def test_probability_file_errors_keep_their_exit_codes(tmp_path, capsys):
+    from segqc.cli import main
+
+    label_paths, prob_paths, reg = write_prob_set(tmp_path, 3, 3, (6, 5, 4))
+    write_registry(reg, tmp_path / "registry.json")
+    write_scan_manifest(tmp_path / "manifest.json", [p.name for p in label_paths],
+                        registry="registry.json",
+                        probs=[[q.name for q in qs] for qs in prob_paths])
+    argv = ["metrics", "--manifest", str(tmp_path / "manifest.json"),
+            "--out", str(tmp_path / "r.json")]
+    odd = prob_paths[1][2]
+    write_nifti(odd, np.full((6, 5, 5), 0.5, dtype=np.float32),
+                VoxelGeometry((6, 5, 5), (1.0, 1.0, 1.0)))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and odd.name in err and "geometry" in err
+    odd.unlink()
+    assert main(argv) == 2
+    assert odd.name in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_scan_manifest_round_trip_resolves_paths(tmp_path):

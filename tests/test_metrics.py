@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy
 
 import oracles
 from segqc.metrics import (
@@ -316,6 +317,9 @@ def test_report_absent_structure_flags():
     s2 = rep.by_id(2)
     assert s2.cv is None and s2.mc_dice is None and s2.mean_uncertainty is None
     assert s2.mean_volume == 0.0
+    # a label-only uncertainty map is zero, normalized or not
+    for normalize in (False, True):
+        assert structure_report(ss, normalize=normalize).by_id(1).mean_uncertainty == 0.0
 
 
 @settings(max_examples=30, deadline=None)
@@ -406,3 +410,95 @@ def test_report_memory_bounded_for_sparse_registry():
         tracemalloc.stop()
     assert peak < 32 * 2**20
     check_report_against_oracles(arrays, rep)
+
+
+# -- the one pass over probability maps ----------------------------------------
+
+
+def loop_entropy(stacks):
+    """Sample-major entropy loop over a float64 copy of every map."""
+    values = np.zeros(stacks[0].shape[1:], dtype=np.float64)
+    for maps in stacks:
+        for k in range(maps.shape[0]):
+            p = maps[k].astype(np.float64, copy=False)
+            values -= xlogy(p, p)
+    np.maximum(values, 0.0, out=values)
+    return values
+
+
+def loop_mean_argmax(stacks, ids):
+    """Structure-major mean over samples, argmax in ascending-id order."""
+    dims = stacks[0].shape[1:]
+    best_val = np.full(dims, -np.inf, dtype=np.float64)
+    best_id = np.zeros(dims, dtype=np.int64)
+    for k in sorted(range(len(ids)), key=lambda k: ids[k]):
+        acc = np.zeros(dims, dtype=np.float64)
+        for maps in stacks:
+            acc += maps[k]
+        acc /= len(stacks)
+        better = acc > best_val
+        best_val[better] = acc[better]
+        best_id[better] = ids[k]
+    return best_id
+
+
+def np_argmax_labels(maps, ids):
+    order = np.argsort(ids, kind="stable")
+    return np.asarray(ids, dtype=np.int64)[order][np.argmax(maps[order], axis=0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(2, 5),
+       st.sampled_from([np.float32, np.float64]), st.booleans())
+def test_prob_pass_is_bit_identical_to_per_structure_loops(seed, n, k, dtype, fortran):
+    rng = np.random.default_rng(seed)
+    # distinct ids in random order, so registry order and id order differ
+    ids = tuple(int(i) for i in rng.choice(12, size=k, replace=False))
+    reg = StructureRegistry(tuple((i, f"s{i}") for i in ids), background_id=ids[0])
+    dims = (3, 4, 5)
+    v = int(np.prod(dims))
+    stacks = []
+    for _ in range(n):
+        soft = rng.dirichlet(np.ones(k), size=v).T
+        # small integer weights give exact ties within and across samples
+        w = rng.integers(1, 3, size=(k, v)).astype(np.float64)
+        flat = np.where(rng.random(v) < 0.5, soft, w / w.sum(axis=0))
+        stack = flat.reshape((k,) + dims).astype(dtype)
+        if fortran:  # x fastest, the layout of maps decoded from files
+            stack = np.asfortranarray(stack)
+        stack.flags.writeable = False  # kept as it is, not copied
+        stacks.append(stack)
+    ss = prob_set(stacks, reg)
+
+    unc = voxel_uncertainty(ss).values
+    assert np.array_equal(unc, loop_entropy(stacks))
+    assert unc.flags.c_contiguous  # whole-map reductions keep their order
+    assert np.array_equal(voxel_uncertainty(ss, normalize=True).values,
+                          loop_entropy(stacks) / n)
+    assert np.array_equal(consensus_segmentation(ss).data, loop_mean_argmax(stacks, ids))
+    for i, maps in enumerate(stacks):
+        want = np_argmax_labels(maps, ids)
+        assert np.array_equal(ss.sample_labels(i), want)
+        assert np.array_equal(ss.samples[i].probs.argmax_labels(), want)
+        assert ss.prob_pass.checks[i] == tuple(ss.samples[i].probs.violations())
+
+
+def test_prob_pass_loads_each_sample_once():
+    loads = []
+
+    class CountingStack(ProbMapStack):
+        def load_maps(self):
+            loads.append(id(self))
+            return super().load_maps()
+
+    rng = np.random.default_rng(3)
+    g = geom(4, 4, 4)
+    ss = McSampleSet(geometry=g, registry=REG, samples=tuple(
+        McSample(probs=CountingStack(geometry=g, label_ids=REG.ids, maps=s))
+        for s in random_prob_stacks(rng, n_samples=4)
+    ))
+    rep = structure_report(ss, normalize=True)
+    consensus_segmentation(ss)
+    voxel_uncertainty(ss)
+    assert loads == [id(s.probs) for s in ss.samples]
+    assert np.array_equal(rep.consensus.data, consensus_segmentation(ss).data)
