@@ -9,7 +9,8 @@ Conventions shared by every subcommand:
 * a directory of samples means every .nii/.nii.gz in it, sorted
   lexicographically (fixed order means fixed floating-point reductions);
   an explicit --manifest overrides discovery,
-* SEGQC_THREADS caps internal parallelism (defaults to the CPU count).
+* SEGQC_THREADS caps the thread pool of a multi-scan ``simulate``, which
+  writes one scan per thread (defaults to the CPU count).
 """
 
 from __future__ import annotations
@@ -128,21 +129,18 @@ def _print_report_table(report) -> None:
               f"{fmt(s.mc_dice):>10}{fmt(s.mean_uncertainty):>10}{fmt(s.gt_dice):>10}")
 
 
-def _read_gt(path: str, registry: StructureRegistry) -> LabelVolume:
+def _read_gt(path: str) -> LabelVolume:
+    # its labels are checked against the registry by structure_report
     try:
-        gt = read_label_nifti(path)
+        return read_label_nifti(path)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-    unknown = gt.check_labels(registry)
-    if unknown:
-        raise ValidationError(f"{path}: label ids {unknown} not in registry")
-    return gt
 
 
 def cmd_metrics(args) -> int:
     samples, registry, gt_path, probs = _gather_inputs(args)
     sample_set = sio.read_sample_set(samples, registry, prob_paths=probs)
-    gt = _read_gt(gt_path, registry) if gt_path else None
+    gt = _read_gt(gt_path) if gt_path else None
     report = structure_report(
         sample_set, gt=gt, normalize=args.normalize_entropy,
         scan_id=args.scan_id, dataset=args.dataset,

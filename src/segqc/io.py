@@ -448,10 +448,10 @@ def read_noise_json(path: str | Path) -> tuple[tuple[str, NoiseSpec], ...]:
 class _NiftiProbMapStack(ProbMapStack):
     """A probability stack backed by one NIfTI file per label.
 
-    The files are decoded each time the maps are asked for and nothing is
-    kept, so a sample set holds none of its maps between uses. Each map
-    keeps the dtype it was stored with (integer maps become float64, as
-    in :class:`ProbMapStack`).
+    A file is decoded each time its map is asked for and nothing is kept,
+    so a sample set holds none of its maps between uses. Each map keeps
+    the dtype it was stored with (integer maps become float64, as in
+    :class:`ProbMapStack`).
     """
 
     def __init__(self, geometry: VoxelGeometry, label_ids: Sequence[int],
@@ -467,17 +467,15 @@ class _NiftiProbMapStack(ProbMapStack):
         maps.flags.writeable = False
         return maps
 
-    def load_maps(self) -> list[np.ndarray]:
-        out = []
-        for q in self.paths:
-            img = read_nifti(q)
-            if img.geometry != self.geometry:
-                raise ValidationError(f"{q}: geometry does not match {self.owner}")
-            data = img.data
-            if not np.issubdtype(data.dtype, np.floating):
-                data = data.astype(np.float64)
-            out.append(data)
-        return out
+    def load_map(self, k: int) -> np.ndarray:
+        q = self.paths[k]
+        img = read_nifti(q)
+        if img.geometry != self.geometry:
+            raise ValidationError(f"{q}: geometry does not match {self.owner}")
+        data = img.data
+        if not np.issubdtype(data.dtype, np.floating):
+            data = data.astype(np.float64)
+        return data
 
 
 def read_sample_set(
@@ -485,41 +483,30 @@ def read_sample_set(
     registry: StructureRegistry,
     prob_paths: Sequence[Sequence[str | Path]] | None = None,
 ) -> McSampleSet:
-    """Assemble a sample set from per-sample label files.
+    """Assemble and validate a sample set from per-sample label files.
 
     ``prob_paths``, when given, lists one probability volume per registry
     entry (in registry order) for each sample; the stacks are attached so
     voxel uncertainty reflects the stored soft predictions instead of
-    degenerate one-hot indicators. The label files are decoded here; the
-    probability files are not read until the set's one pass over its maps
-    (:attr:`McSampleSet.prob_pass`) asks for them, a sample at a time,
-    which decodes each file once. A probability file that is missing or
-    on another grid fails then.
+    degenerate one-hot indicators. The label files are decoded first;
+    then the set's memoised :func:`validate_sample_set` report is taken,
+    whose pass over the maps (:attr:`McSampleSet.prob_pass`) decodes each
+    probability file once, a sample at a time. Any violation raises one
+    ValidationError listing them all, each sample's prefixed with its
+    label file; a probability file that is missing or on another grid
+    than its label file raises while it is decoded.
     """
-    if len(label_paths) < 1:
-        raise ValidationError("no sample files given")
     if prob_paths is not None and len(prob_paths) != len(label_paths):
         raise ValidationError(
             f"got {len(prob_paths)} probability entries for {len(label_paths)} samples"
         )
     samples = []
-    geometry = None
     for i, p in enumerate(label_paths):
         img = read_nifti(p)
         try:
             labels = img.as_label_volume()
         except ValidationError as exc:
             raise ValidationError(f"{p}: {exc}") from exc
-        if geometry is None:
-            geometry = labels.geometry
-        elif labels.geometry != geometry:
-            raise ValidationError(
-                f"{p}: geometry {labels.geometry.dims}/{labels.geometry.spacing} does "
-                f"not match {label_paths[0]}"
-            )
-        unknown = labels.check_labels(registry)
-        if unknown:
-            raise ValidationError(f"{p}: label ids {unknown} not in registry")
         probs = None
         if prob_paths is not None:
             stack_paths = list(prob_paths[i])
@@ -528,9 +515,16 @@ def read_sample_set(
                     f"sample {i}: {len(stack_paths)} probability volumes for "
                     f"{len(registry.ids)} registry entries"
                 )
-            probs = _NiftiProbMapStack(geometry, registry.ids, stack_paths, p)
+            probs = _NiftiProbMapStack(labels.geometry, registry.ids, stack_paths, p)
         samples.append(McSample(labels=labels, probs=probs))
-    return McSampleSet(geometry=geometry, registry=registry, samples=tuple(samples))
+    sample_set = McSampleSet(geometry=samples[0].labels.geometry if samples else None,
+                             registry=registry, samples=tuple(samples))
+    if sample_set.violations:
+        raise ValidationError("; ".join(
+            str(v) if v.sample_index is None else f"{label_paths[v.sample_index]}: {v}"
+            for v in sample_set.violations
+        ))
+    return sample_set
 
 
 # -- scan manifests ----------------------------------------------------------

@@ -42,10 +42,6 @@ from .volumes import (
     require_valid,
 )
 
-# Dense per-label counting arrays are sized max_id + 1; anything beyond
-# this is almost certainly a corrupt registry, not a real label table.
-_MAX_DENSE_LABEL = 1 << 20
-
 
 @dataclass(frozen=True)
 class UncertaintyVolume:
@@ -115,21 +111,13 @@ class StructureReport:
         raise KeyError(f"no structure with label id {label_id} in report")
 
 
-def _check_dense_ids(registry: StructureRegistry) -> None:
-    if registry.max_id > _MAX_DENSE_LABEL:
-        raise ValidationError(
-            f"registry label ids too large for dense counting ({registry.max_id})"
-        )
-
-
 def _registry_counts(values: np.ndarray, registry: StructureRegistry) -> np.ndarray:
     """Voxels of each registry label among ``values``, by registry position."""
     return np.bincount(values, minlength=registry.max_id + 1)[list(registry.ids)]
 
 
 def _count_labels(sample_set: McSampleSet) -> tuple[np.ndarray, np.ndarray]:
-    """The one counting pass behind every structure metric; the caller
-    has checked the registry with :func:`_check_dense_ids`.
+    """The one counting pass behind every structure metric.
 
     Returns ``inter``, of shape (N, N, K) with K the registry length: the
     voxels where samples i and j both carry the label at registry position
@@ -204,8 +192,6 @@ def voxel_uncertainty(sample_set: McSampleSet, normalize: bool = False) -> Uncer
     values comparable across sets of different size; off by default.
     """
     require_valid(sample_set)
-    if sample_set.n < 2:
-        raise ValidationError(f"need N >= 2 samples, got {sample_set.n}")
     if sample_set.kind == "labels":
         values = np.zeros(sample_set.geometry.dims, dtype=np.float64)
     else:
@@ -228,8 +214,8 @@ def structure_uncertainty(sample_set: McSampleSet, label_id: int) -> np.ndarray:
     if sample_set.kind == "labels":
         return values
     k = sample_set.registry.ids.index(label_id)
-    for i in range(sample_set.n):
-        p = sample_set.samples[i].probs.load_maps()[k]
+    for s in sample_set.samples:
+        p = s.probs.load_map(k)
         values -= xlogy(p, p, dtype=np.float64)
     np.maximum(values, 0.0, out=values)
     return values
@@ -244,7 +230,6 @@ def consensus_segmentation(sample_set: McSampleSet) -> LabelVolume:
     its maps.
     """
     require_valid(sample_set)
-    _check_dense_ids(sample_set.registry)
     if sample_set.kind == "labels":
         data = _count_labels(sample_set)[1]
     else:
@@ -300,10 +285,7 @@ def structure_report(
     ``consensus`` and ``uncertainty``.
     """
     require_valid(sample_set)
-    if sample_set.n < 2:
-        raise ValidationError(f"need N >= 2 samples, got {sample_set.n}")
     registry = sample_set.registry
-    _check_dense_ids(registry)
     if gt is not None:
         if gt.geometry != sample_set.geometry:
             raise ValidationError("ground-truth geometry does not match the sample set")

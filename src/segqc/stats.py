@@ -391,14 +391,12 @@ def huber_fit(table: CohortTable) -> RegressionResult:
     n, p = X.shape
     if n - p < 2:
         raise ValidationError(f"huber fit needs n - p >= 2 (n={n}, p={p})")
-    ones = np.ones(n)
-    base = _weighted_lstsq(X, y, ones, columns, "huber")
-    beta = base.beta
+    fit = _weighted_lstsq(X, y, np.ones(n), columns, "huber")
+    beta = fit.beta
     resid = y - X @ beta
     if np.max(np.abs(resid)) == 0.0:
-        return replace(base, note="exact fit: all residuals zero, no reweighting")
+        return replace(fit, note="exact fit: all residuals zero, no reweighting")
 
-    w = ones
     n_iter = 0
     converged = False
     for n_iter in range(1, HUBER_MAX_ITER + 1):
@@ -413,18 +411,15 @@ def huber_fit(table: CohortTable) -> RegressionResult:
         k = HUBER_K * scale
         absr = np.abs(resid)
         w = np.where(absr > k, k / np.maximum(absr, np.finfo(float).tiny), 1.0)
-        new_beta = _weighted_lstsq(X, y, w, columns, "huber").beta
-        delta = float(np.max(np.abs(new_beta - beta)))
-        beta = new_beta
+        fit = _weighted_lstsq(X, y, w, columns, "huber")
+        delta = float(np.max(np.abs(fit.beta - beta)))
+        beta = fit.beta
         if delta < HUBER_TOL:
             converged = True
             break
     note = None if converged else f"IRLS stopped after {n_iter} iterations without converging"
-    return replace(
-        _weighted_lstsq(X, y, w, columns, "huber"),
-        n_iter=n_iter,
-        note=note,
-    )
+    # the last fit is the one of the final weights
+    return replace(fit, n_iter=n_iter, note=note)
 
 
 def standardize_table(table: CohortTable) -> CohortTable:

@@ -42,6 +42,7 @@ from .volumes import (
     StructureRegistry,
     ValidationError,
     VoxelGeometry,
+    _UINT16_MAX,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -149,9 +150,23 @@ class NoiseSpec:
         return float(self.default_flip_prob)
 
 
+def _label_dtype(ids) -> type:
+    """Smallest unsigned dtype holding every label id; ids outside the
+    uint16 range of label volumes raise instead of wrapping."""
+    lo, hi = min(ids), max(ids)
+    if lo < 0 or hi > _UINT16_MAX:
+        raise ValidationError(
+            f"label id {lo if lo < 0 else hi} is outside 0..{_UINT16_MAX}, "
+            "the range of label volumes"
+        )
+    return np.uint8 if hi <= np.iinfo(np.uint8).max else np.uint16
+
+
 def make_phantom(spec: PhantomSpec) -> LabelVolume:
-    """Rasterize the phantom; shapes extending past the volume raise."""
+    """Rasterize the phantom; shapes extending past the volume and label
+    ids outside 0..65535 raise."""
     dims = spec.geometry.dims
+    dtype = _label_dtype([spec.background_id, *spec.label_ids])
     for shape in spec.shapes:
         for axis in range(3):
             ext = shape._extent()[axis]
@@ -176,8 +191,6 @@ def make_phantom(spec: PhantomSpec) -> LabelVolume:
         sel = inside & unwritten
         data[sel] = shape.label_id
         unwritten[sel] = False
-    max_id = max(spec.background_id, max(s.label_id for s in spec.shapes))
-    dtype = np.uint8 if max_id <= np.iinfo(np.uint8).max else np.uint16
     return LabelVolume(spec.geometry, data.astype(dtype))
 
 
@@ -285,6 +298,7 @@ def sample_mc(
     unknown = gt.check_labels(registry)
     if unknown:
         raise ValidationError(f"ground truth contains unregistered labels: {unknown}")
+    dtype = _label_dtype(registry.ids)
     gt_data = gt.data.astype(np.int64)
     bg = registry.background_id
 
@@ -330,7 +344,6 @@ def sample_mc(
                     else:
                         grown = ndimage.binary_dilation(mask, _STRUCT6, iterations=r)
                         vol[grown & (vol == bg)] = lid
-        dtype = np.uint8 if registry.max_id <= np.iinfo(np.uint8).max else np.uint16
         label_vol = LabelVolume(gt.geometry, vol.astype(dtype))
         if with_probs:
             probs = _soft_probs(vol, gt.geometry, registry, noise)

@@ -1,16 +1,16 @@
 """Domain types for label volumes, structure registries, and MC sample sets.
 
-All types are immutable after construction. Construction is deliberately
-tolerant for sample sets: consistency rules are checked by
-:func:`validate_sample_set`, which reports violations instead of raising,
-so that broken inputs can be diagnosed file by file. Metric operations
-refuse to run on an invalid set. Because a set and all its parts are
-immutable, its report is computed once and memoised
-(:attr:`McSampleSet.violations`), and so is the one pass over its
-probability maps that both validation and the metrics read
-(:attr:`McSampleSet.prob_pass`): each sample's maps are loaded once, in
-ascending sample order, and folded into float64 sums, so no (N, K, x, y,
-z) stack is ever held.
+All types are immutable after construction. Construction checks each
+part on its own (shapes, dtypes, registry ids); the rules that relate
+the parts of a sample set are :func:`validate_sample_set`'s, which lists
+every violation instead of stopping at the first. Because a set and all
+its parts are immutable, that report is computed once and memoised
+(:attr:`McSampleSet.violations`): :func:`segqc.io.read_sample_set`
+raises it when a set is read, and metric operations refuse to run on an
+invalid set. So is the one pass over its probability maps that both
+validation and the metrics read (:attr:`McSampleSet.prob_pass`): each
+sample's maps are loaded once, in ascending sample order, and folded
+into float64 sums, so no (N, K, x, y, z) stack is ever held.
 
 Voxel data is stored as 3-D numpy arrays indexed ``[x, y, z]``; the flat
 (serialized) order is x-fastest, matching the on-disk layout used by the
@@ -30,6 +30,9 @@ from scipy.special import xlogy
 # sums over a few dozen maps, far below any real segmentation difference.
 PROB_SUM_TOL = 1e-4
 _UINT16_MAX = np.iinfo(np.uint16).max
+# Per-label counts are dense arrays of max_id + 1 entries; an id beyond
+# this is a corrupt registry, not a real label table.
+_MAX_LABEL_ID = 1 << 20
 
 
 class ValidationError(ValueError):
@@ -108,6 +111,8 @@ class StructureRegistry:
         names = [n for _, n in self.entries]
         if any(i < 0 for i in ids):
             raise ValidationError("label ids must be non-negative")
+        if max(ids, default=0) > _MAX_LABEL_ID:
+            raise ValidationError(f"label id {max(ids)} exceeds the maximum {_MAX_LABEL_ID}")
         if len(set(ids)) != len(ids):
             raise ValidationError("label ids must be unique")
         if len(set(names)) != len(names):
@@ -213,14 +218,17 @@ class ProbMapStack:
         object.__setattr__(self, "maps", _read_only(arr))
         object.__setattr__(self, "label_ids", tuple(int(i) for i in self.label_ids))
 
-    def load_maps(self) -> Sequence[np.ndarray]:
-        """The maps as K volumes in ``label_ids`` order.
+    def load_map(self, k: int) -> np.ndarray:
+        """The map of ``label_ids[k]``.
 
-        An in-memory stack returns :attr:`maps` itself; a stack backed by
-        files (see :func:`segqc.io.read_sample_set`) decodes them on every
-        call and keeps nothing.
+        A stack backed by files (see :func:`segqc.io.read_sample_set`)
+        decodes that one file on every call and keeps nothing.
         """
-        return self.maps
+        return self.maps[k]
+
+    def load_maps(self) -> Sequence[np.ndarray]:
+        """The K maps of :meth:`load_map`, in ``label_ids`` order."""
+        return [self.load_map(k) for k in range(len(self.label_ids))]
 
     def violations(self, sum_tol: float = PROB_SUM_TOL) -> list[str]:
         """Rule violations in this stack; empty list means valid."""

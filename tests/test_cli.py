@@ -75,6 +75,18 @@ def test_simulate_seed_flag_changes_samples(configs):
     assert (a / "sample_000.nii").read_bytes() != (b / "sample_000.nii").read_bytes()
 
 
+def test_simulate_refuses_label_ids_beyond_uint16(configs, capsys):
+    root, phantom, noise = configs
+    doc = json.loads(phantom.read_text())
+    doc["shapes"][1]["label"] = 70000  # would wrap to 4464 in a uint16 volume
+    phantom.write_text(json.dumps(doc))
+    out = root / "sim"
+    assert run(["simulate", "--phantom", phantom, "--noise", noise, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "70000" in err
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_simulate_multi_scan_layout(configs):
     root, phantom, _ = configs
     noise = root / "multi.json"
@@ -167,7 +179,8 @@ def test_metrics_side_outputs(configs):
 
 
 def test_metrics_side_outputs_reuse_the_report(configs, monkeypatch):
-    # one call validates the set once and computes the consensus and the
+    # one call validates the set once, checks each label volume (N samples
+    # and the ground truth) once, and computes the consensus and the
     # uncertainty map once, whatever it writes
     import segqc.metrics as metrics
     import segqc.volumes as volumes
@@ -178,6 +191,7 @@ def test_metrics_side_outputs_reuse_the_report(configs, monkeypatch):
          "--with-probs"])
     calls = {}
     for module, name in ((volumes, "validate_sample_set"),
+                         (volumes.LabelVolume, "check_labels"),
                          (metrics, "consensus_segmentation"),
                          (metrics, "voxel_uncertainty")):
         def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
@@ -188,8 +202,8 @@ def test_metrics_side_outputs_reuse_the_report(configs, monkeypatch):
                 "--out", sim / "r.json", "--uncertainty-out", sim / "unc.nii",
                 "--heatmap-out", sim / "heat.nii"])
     assert code == 0
-    assert calls == {"validate_sample_set": 1, "consensus_segmentation": 1,
-                     "voxel_uncertainty": 1}
+    assert calls == {"validate_sample_set": 1, "check_labels": 4 + 1,
+                     "consensus_segmentation": 1, "voxel_uncertainty": 1}
     monkeypatch.undo()
 
     # the written maps are the ones the library computes for the same set

@@ -538,6 +538,40 @@ def test_probability_file_errors_keep_their_exit_codes(tmp_path, capsys):
     odd.unlink()
     assert main(argv) == 2
     assert odd.name in capsys.readouterr().err
+    # a normalisation error names the file of the sample it is about
+    write_nifti(odd, np.full((6, 5, 4), 0.9, dtype=np.float32),
+                VoxelGeometry((6, 5, 4), (1.0, 1.0, 1.0)))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "prob_normalization" in err
+    assert f"{label_paths[1]}: [prob_normalization] sample 1" in err
+
+
+def test_structure_uncertainty_decodes_one_file_per_sample(tmp_path, monkeypatch):
+    import segqc.io
+    from scipy.special import xlogy
+
+    from segqc.metrics import structure_uncertainty
+
+    n, k = 3, 4
+    label_paths, prob_paths, reg = write_prob_set(tmp_path, n, k, (6, 5, 4))
+    ss = read_sample_set(label_paths, reg, prob_paths=prob_paths)
+    decoded = []
+    real = segqc.io.read_nifti
+
+    def counted(path):
+        decoded.append(Path(path))
+        return real(path)
+
+    monkeypatch.setattr(segqc.io, "read_nifti", counted)
+    got = structure_uncertainty(ss, 2)
+    assert decoded == [qs[2] for qs in prob_paths]
+    monkeypatch.undo()
+    want = np.zeros((6, 5, 4))
+    for qs in prob_paths:
+        p = read_nifti(qs[2]).data
+        want -= xlogy(p, p, dtype=np.float64)
+    assert np.array_equal(got, np.maximum(want, 0.0))
     assert not (tmp_path / "r.json").exists()
 
 

@@ -339,7 +339,15 @@ def test_huber_exact_fit_note():
     assert abs(res2.beta[res2.columns.index("dx")] - 1.0) < 1e-10
 
 
-def test_huber_resists_single_outlier():
+def test_huber_resists_single_outlier(monkeypatch):
+    import segqc.stats as stats
+
+    fits = []
+
+    def counted(*args, _real=stats._weighted_lstsq, **kwargs):
+        fits.append(1)
+        return _real(*args, **kwargs)
+
     n = 21
     rng = np.random.default_rng(14)
     age = rng.uniform(20, 80, n)
@@ -350,10 +358,13 @@ def test_huber_resists_single_outlier():
     t = CohortTable(subject_ids=tuple(f"s{i}" for i in range(n)), age=age, sex=sex,
                     dx=dx, volume=vol)
     ols = wls_fit(t)
+    monkeypatch.setattr(stats, "_weighted_lstsq", counted)
     hub = huber_fit(t)
     k = ols.columns.index("dx")
     assert abs(hub.beta[k] - 1.0) < abs(ols.beta[k] - 1.0)
     assert hub.n_iter > 1
+    # the ordinary start plus one fit per iteration; the last is returned
+    assert len(fits) == hub.n_iter + 1
 
 
 # -- standardize and group analysis ------------------------------------------

@@ -77,6 +77,13 @@ def test_registry_background_must_be_listed():
         StructureRegistry(entries=((1, "a"), (2, "b")), background_id=0)
 
 
+def test_registry_rejects_ids_beyond_dense_counting():
+    # a volume holding such an id would make check_labels allocate a
+    # lookup table of 2**40 entries
+    with pytest.raises(ValidationError, match=str(2**40)):
+        StructureRegistry(entries=((0, "bg"), (2**40, "far")), background_id=0)
+
+
 def test_registry_needs_a_foreground_structure():
     with pytest.raises(ValidationError):
         StructureRegistry(entries=((0, "bg"),), background_id=0)
