@@ -32,7 +32,7 @@ from .metrics import consensus_segmentation, structure_report
 from .nifti import read_label_nifti, write_nifti
 from .stats import GROUP_MODES, ValidationError, group_analysis, pearson
 from .synth import make_phantom, registry_for_phantom, sample_mc
-from .volumes import LabelVolume, StructureRegistry
+from .volumes import StructureRegistry
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -129,22 +129,20 @@ def _print_report_table(report) -> None:
               f"{fmt(s.mc_dice):>10}{fmt(s.mean_uncertainty):>10}{fmt(s.gt_dice):>10}")
 
 
-def _read_gt(path: str) -> LabelVolume:
-    # its labels are checked against the registry by structure_report
-    try:
-        return read_label_nifti(path)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-
-
 def cmd_metrics(args) -> int:
     samples, registry, gt_path, probs = _gather_inputs(args)
     sample_set = sio.read_sample_set(samples, registry, prob_paths=probs)
-    gt = _read_gt(gt_path) if gt_path else None
-    report = structure_report(
-        sample_set, gt=gt, normalize=args.normalize_entropy,
-        scan_id=args.scan_id, dataset=args.dataset,
-    )
+    try:
+        # read_sample_set refused any bad sample, so what structure_report
+        # refuses here is the ground truth
+        report = structure_report(
+            sample_set, gt=read_label_nifti(gt_path) if gt_path else None,
+            normalize=args.normalize_entropy, scan_id=args.scan_id, dataset=args.dataset,
+        )
+    except ValidationError as exc:
+        if not gt_path:
+            raise
+        raise ValidationError(f"{gt_path}: {exc}") from exc
     with _atomic(args.out) as tmp:
         sio.write_report(report, tmp)
     if args.uncertainty_out:

@@ -489,8 +489,10 @@ def read_sample_set(
     entry (in registry order) for each sample; the stacks are attached so
     voxel uncertainty reflects the stored soft predictions instead of
     degenerate one-hot indicators. The label files are decoded first;
-    then the set's memoised :func:`validate_sample_set` report is taken,
-    whose pass over the maps (:attr:`McSampleSet.prob_pass`) decodes each
+    then the set's memoised :func:`validate_sample_set` report is taken.
+    It checks the label volumes before the maps, so a bad label file is
+    refused before any probability file is decoded; otherwise its pass
+    over the maps (:attr:`McSampleSet.prob_pass`) decodes each
     probability file once, a sample at a time. Any violation raises one
     ValidationError listing them all, each sample's prefixed with its
     label file; a probability file that is missing or on another grid

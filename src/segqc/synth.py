@@ -293,14 +293,17 @@ def sample_mc(
     flips claim the adjacent voxel), then erodes or dilates each structure
     by the configured radius at a fair coin. With ``with_probs`` each
     sample also carries a boundary-softened probability map; otherwise
-    samples are label-only.
+    samples are label-only. The ground truth's ids and the background must
+    lie in 0..65535; registry ids the ground truth does not use may be larger.
     """
     unknown = gt.check_labels(registry)
     if unknown:
         raise ValidationError(f"ground truth contains unregistered labels: {unknown}")
-    dtype = _label_dtype(registry.ids)
     gt_data = gt.data.astype(np.int64)
     bg = registry.background_id
+    # samples hold only the ground truth's ids and the background; their
+    # dtype follows the registry, whose unused ids may pass the uint16 range
+    dtype = _label_dtype([bg, int(gt_data.max()), min(registry.max_id, _UINT16_MAX)])
 
     # flip candidate sets depend only on the ground truth: compute once
     flip_sets = {}

@@ -443,7 +443,9 @@ def validate_sample_set(sample_set: McSampleSet) -> list[Violation]:
 
     Pure and side-effect free: repeated calls on the same set yield the
     same report. An empty report means the set is safe for all metric
-    operations.
+    operations. The probability maps are read (:attr:`McSampleSet.prob_pass`)
+    only when every label volume passes: a bad one makes the set invalid
+    whatever the maps hold, so its file is refused without decoding them.
     """
     out: list[Violation] = []
     if sample_set.n < 2:
@@ -455,26 +457,28 @@ def validate_sample_set(sample_set: McSampleSet) -> list[Violation]:
             Violation("sample_kind", f"mixed sample kinds {sorted(kinds)}; must be homogeneous")
         )
 
-    registry_ids = tuple(sample_set.registry.ids)
-    prob_pass = sample_set.prob_pass
+    n_set_faults = len(out)
     for i, s in enumerate(sample_set.samples):
-        if s.labels is not None:
-            if s.labels.geometry != sample_set.geometry:
-                out.append(
-                    Violation(
-                        "geometry",
-                        f"label dims {s.labels.geometry.dims} spacing "
-                        f"{s.labels.geometry.spacing} do not match set geometry "
-                        f"{sample_set.geometry.dims} {sample_set.geometry.spacing}",
-                        i,
-                    )
+        if s.labels is None:
+            continue
+        if s.labels.geometry != sample_set.geometry:
+            out.append(
+                Violation(
+                    "geometry",
+                    f"label dims {s.labels.geometry.dims} spacing "
+                    f"{s.labels.geometry.spacing} do not match set geometry "
+                    f"{sample_set.geometry.dims} {sample_set.geometry.spacing}",
+                    i,
                 )
-            else:
-                unknown = s.labels.check_labels(sample_set.registry)
-                if unknown:
-                    out.append(
-                        Violation("labels", f"label ids {unknown} not in registry", i)
-                    )
+            )
+        else:
+            unknown = s.labels.check_labels(sample_set.registry)
+            if unknown:
+                out.append(Violation("labels", f"label ids {unknown} not in registry", i))
+
+    registry_ids = tuple(sample_set.registry.ids)
+    prob_pass = sample_set.prob_pass if len(out) == n_set_faults else None
+    for i, s in enumerate(sample_set.samples):
         if s.probs is not None:
             if s.probs.geometry != sample_set.geometry:
                 out.append(
@@ -494,8 +498,10 @@ def validate_sample_set(sample_set: McSampleSet) -> list[Violation]:
                         i,
                     )
                 )
-            for msg in prob_pass.checks[i]:
-                out.append(Violation("prob_normalization", msg, i))
+        if prob_pass is None:
+            continue
+        for msg in prob_pass.checks[i]:
+            out.append(Violation("prob_normalization", msg, i))
         # consensus follows the maps while CV and MC Dice follow the
         # labels, so the two must describe the same segmentation
         differ = prob_pass.mismatches[i]

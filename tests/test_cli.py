@@ -7,9 +7,10 @@ import pytest
 
 from segqc.cli import main as cli_main
 from segqc.io import read_report
-from segqc.nifti import read_nifti
+from segqc.nifti import read_nifti, write_nifti
 from segqc.stats import CohortTable
 from segqc.io import write_cohort_csv
+from segqc.volumes import VoxelGeometry
 
 
 @pytest.fixture()
@@ -141,6 +142,16 @@ def test_metrics_from_directory(sim_dir, capsys):
     assert all(s.gt_dice is not None for s in rep.structures)
     out = capsys.readouterr().out
     assert "structure_1" in out and "gt_dice" in out
+    # a bad ground truth is refused with its file named
+    bad_gt = sim_dir.parent / "bad_gt.nii"
+    for dims, label, fault in [((20, 20, 20), 9, "not in registry"),
+                               ((20, 20, 21), 0, "geometry")]:
+        write_nifti(bad_gt, np.full(dims, label, dtype=np.uint8),
+                    VoxelGeometry(dims, (1.0, 1.0, 1.0)))
+        assert run(["metrics", sim_dir, "--registry", sim_dir / "registry.json",
+                    "--gt", bad_gt, "--out", report_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{bad_gt}: " in err and fault in err
 
 
 def test_metrics_from_manifest_matches_directory(sim_dir):

@@ -545,6 +545,7 @@ def test_probability_file_errors_keep_their_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "prob_normalization" in err
     assert f"{label_paths[1]}: [prob_normalization] sample 1" in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_structure_uncertainty_decodes_one_file_per_sample(tmp_path, monkeypatch):
@@ -572,7 +573,32 @@ def test_structure_uncertainty_decodes_one_file_per_sample(tmp_path, monkeypatch
         p = read_nifti(qs[2]).data
         want -= xlogy(p, p, dtype=np.float64)
     assert np.array_equal(got, np.maximum(want, 0.0))
-    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("fault", ["geometry", "labels"])
+def test_bad_label_file_is_refused_before_any_map_is_decoded(tmp_path, monkeypatch, fault):
+    import segqc.io
+
+    n, k = 3, 3
+    label_paths, prob_paths, reg = write_prob_set(tmp_path, n, k, (6, 5, 4))
+    if fault == "geometry":
+        write_nifti(label_paths[1], np.zeros((6, 5, 5), dtype=np.uint8),
+                    VoxelGeometry((6, 5, 5), (1.0, 1.0, 1.0)))
+    else:
+        write_nifti(label_paths[1], np.full((6, 5, 4), 7, dtype=np.uint8),
+                    VoxelGeometry((6, 5, 4), (1.0, 1.0, 1.0)))
+    decoded = []
+    real = segqc.io.read_nifti
+
+    def counted(path):
+        decoded.append(Path(path))
+        return real(path)
+
+    monkeypatch.setattr(segqc.io, "read_nifti", counted)
+    with pytest.raises(ValidationError, match=f"\\[{fault}\\] sample 1") as info:
+        read_sample_set(label_paths, reg, prob_paths=prob_paths)
+    assert str(label_paths[1]) in str(info.value)
+    assert decoded == label_paths
 
 
 def test_scan_manifest_round_trip_resolves_paths(tmp_path):

@@ -201,6 +201,23 @@ def test_sampler_rejects_unregistered_labels():
         sample_mc(bad, reg, NoiseSpec(n_samples=2, seed=0))
 
 
+def test_sampler_range_checks_only_the_ids_it_writes():
+    from segqc.volumes import LabelVolume, StructureRegistry
+
+    gt = make_phantom(box_phantom())
+    noise = NoiseSpec(n_samples=2, erosion_dilation_radius=1, seed=0)
+    # an id above 65535 that the ground truth never uses reaches no sample
+    wide = StructureRegistry(((0, "bg"), (1, "box"), (70000, "unused")), background_id=0)
+    ss = sample_mc(gt, wide, noise, with_probs=False)
+    assert all(s.labels.data.dtype == np.uint16 for s in ss.samples)
+    assert all(set(np.unique(s.labels.data)) <= {0, 1} for s in ss.samples)
+    # one the ground truth holds would wrap in a uint16 sample, so it raises
+    held = LabelVolume(gt.geometry, np.where(gt.data == 1, 70000, 0).astype(np.int64))
+    big = StructureRegistry(((0, "bg"), (70000, "box")), background_id=0)
+    with pytest.raises(ValidationError, match="70000"):
+        sample_mc(held, big, noise, with_probs=False)
+
+
 def test_noise_spec_validation():
     with pytest.raises(ValidationError):
         NoiseSpec(n_samples=1)
