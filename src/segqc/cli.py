@@ -9,8 +9,9 @@ Conventions shared by every subcommand:
 * a directory of samples means every .nii/.nii.gz in it, sorted
   lexicographically (fixed order means fixed floating-point reductions);
   an explicit --manifest overrides discovery,
-* SEGQC_THREADS caps the thread pool of a multi-scan ``simulate``, which
-  writes one scan per thread (defaults to the CPU count).
+* SEGQC_THREADS caps the thread pools of a multi-scan ``simulate``, which
+  writes one scan per thread, and of the label counting pass behind
+  ``metrics`` and ``consensus`` (defaults to the CPU count).
 """
 
 from __future__ import annotations
@@ -28,7 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from . import io as sio
-from .metrics import consensus_segmentation, structure_report
+from .metrics import (
+    _registry_counts,
+    _thread_cap,
+    consensus_segmentation,
+    structure_report,
+    voxel_uncertainty,
+)
 from .nifti import read_label_nifti, write_nifti
 from .stats import GROUP_MODES, ValidationError, group_analysis, pearson
 from .synth import make_phantom, registry_for_phantom, sample_mc
@@ -67,19 +74,6 @@ def _atomic(path: str | Path):
     finally:
         if tmp.exists():
             tmp.unlink()
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("SEGQC_THREADS", "")
-    if not raw:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"SEGQC_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise UsageError(f"SEGQC_THREADS must be >= 1, got {n}")
-    return n
 
 
 def _discover_samples(tokens: list[str]) -> list[str]:
@@ -132,6 +126,7 @@ def _print_report_table(report) -> None:
 def cmd_metrics(args) -> int:
     samples, registry, gt_path, probs = _gather_inputs(args)
     sample_set = sio.read_sample_set(samples, registry, prob_paths=probs)
+    _thread_cap()  # a bad SEGQC_THREADS is not a ground-truth error
     try:
         # read_sample_set refused any bad sample, so what structure_report
         # refuses here is the ground truth
@@ -146,7 +141,8 @@ def cmd_metrics(args) -> int:
     with _atomic(args.out) as tmp:
         sio.write_report(report, tmp)
     if args.uncertainty_out:
-        unc = report.uncertainty
+        unc = report.uncertainty or voxel_uncertainty(
+            sample_set, normalize=args.normalize_entropy)
         with _atomic(args.uncertainty_out) as tmp:
             write_nifti(tmp, unc.values.astype(np.float32), unc.geometry)
     if args.heatmap_out:
@@ -162,7 +158,7 @@ def cmd_consensus(args) -> int:
     consensus = consensus_segmentation(sample_set)
     with _atomic(args.out) as tmp:
         write_nifti(tmp, consensus)
-    counts = np.bincount(consensus.flat, minlength=registry.max_id + 1)
+    counts = dict(zip(registry.ids, _registry_counts(consensus.flat, registry)))
     print(f"consensus of {sample_set.n} samples -> {args.out}")
     for i, name in registry.foreground:
         print(f"  {name:<24}{int(counts[i]):>10} voxels")

@@ -14,7 +14,11 @@ structure-wise uncertainty measures:
 
 One counting pass over the samples' labels yields every integer count
 behind them (per-sample label counts and pairwise intersections) and the
-majority vote that is the consensus of label-only sets. The entropy map
+majority vote that is the consensus of label-only sets. It runs in fixed
+chunks of contiguous voxels on a pool of ``SEGQC_THREADS`` threads
+(default: the CPU count); counts add exactly and each voxel's vote is its
+own, so neither the chunk size nor the thread count can change a result.
+The entropy map
 and the mean-probability consensus come from the sample set's one pass
 over its probability maps (:attr:`~segqc.volumes.McSampleSet.prob_pass`),
 which loads each sample's maps once and never holds them all.
@@ -26,7 +30,10 @@ so repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import xlogy
@@ -41,6 +48,25 @@ from .volumes import (
     _read_only,
     require_valid,
 )
+
+# Voxels per chunk of the counting pass. A chunk's masks, disagreement
+# stack and vote counters stay near the CPU cache, and the intp copy that
+# np.bincount makes of its input stays at 16 MB.
+_CHUNK = 1 << 21
+
+
+def _thread_cap() -> int:
+    """Worker threads allowed by SEGQC_THREADS (default: the CPU count)."""
+    raw = os.environ.get("SEGQC_THREADS", "")
+    if not raw:
+        return os.cpu_count() or 1
+    try:
+        n = int(raw)
+    except ValueError:
+        raise ValidationError(f"SEGQC_THREADS must be an integer, got {raw!r}") from None
+    if n < 1:
+        raise ValidationError(f"SEGQC_THREADS must be >= 1, got {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -89,8 +115,9 @@ class StructureReport:
 
     A report made by :func:`structure_report` also carries the consensus
     and the voxel uncertainty map it was computed from, so callers that
-    write them need not recompute either; a report read back from JSON
-    has neither.
+    write them need not recompute either; ``uncertainty`` is None for a
+    label-only set, whose map is all zero. A report read from JSON has
+    neither.
     """
 
     structures: tuple[StructureMetrics, ...]
@@ -112,39 +139,31 @@ class StructureReport:
 
 
 def _registry_counts(values: np.ndarray, registry: StructureRegistry) -> np.ndarray:
-    """Voxels of each registry label among ``values``, by registry position."""
-    return np.bincount(values, minlength=registry.max_id + 1)[list(registry.ids)]
+    """Voxels of each registry label among ``values``, by registry position,
+    counted in ``_CHUNK`` slices to keep np.bincount's intp copy small."""
+    counts = np.zeros(registry.max_id + 1, dtype=np.int64)
+    for start in range(0, values.size, _CHUNK):
+        counts += np.bincount(values[start:start + _CHUNK], minlength=counts.size)
+    return counts[list(registry.ids)]
 
 
-def _count_labels(sample_set: McSampleSet) -> tuple[np.ndarray, np.ndarray]:
-    """The one counting pass behind every structure metric.
+def _count_chunk(flats: list[np.ndarray], registry: StructureRegistry,
+                 vote: np.ndarray, start: int) -> np.ndarray:
+    """Counting pass over voxels ``start:start + _CHUNK`` of ``flats``.
 
-    Returns ``inter``, of shape (N, N, K) with K the registry length: the
-    voxels where samples i and j both carry the label at registry position
-    k, so the diagonal holds each sample's own label counts. Also returns
-    ``vote``, the per-voxel majority label on the sample grid, ties to the
-    lowest id; it is uint16 unless a registry id exceeds 65535.
-
-    Voxels where all samples agree are counted once and credited to every
-    sample and pair, so only disagreement voxels are touched per pair. One
-    equality mask per pair feeds both that pair's intersections and the
-    vote counter, where ``votes[i]`` is the number of samples carrying
-    sample i's label, itself included. The arithmetic is pure integer
-    counting and matches a per-voxel enumeration exactly.
+    Returns the chunk's (N, N, K) intersection counts and writes its
+    majority labels into the same voxels of ``vote``.
     """
-    registry = sample_set.registry
-    n = sample_set.n
-    # x-fastest like LabelVolume.flat: a view, not a copy, of volumes read
-    # from NIfTI files
-    flats = [sample_set.sample_labels(i).reshape(-1, order="F") for i in range(n)]
-    base = flats[0]
+    n = len(flats)
+    parts = [arr[start:start + _CHUNK] for arr in flats]
+    base = parts[0]
     agree = np.ones(base.shape, dtype=bool)
-    for arr in flats[1:]:
+    for arr in parts[1:]:
         agree &= arr == base
     base_counts = _registry_counts(base[agree], registry)
     dis = np.flatnonzero(~agree)
     del agree
-    stacked = np.stack([arr[dis] for arr in flats])
+    stacked = np.stack([arr[dis] for arr in parts])
 
     votes = np.ones(stacked.shape, dtype=np.min_scalar_type(n))
     inter = np.empty((n, n, len(base_counts)), dtype=np.int64)
@@ -164,8 +183,43 @@ def _count_labels(sample_set: McSampleSet) -> tuple[np.ndarray, np.ndarray]:
         better = (votes[i] > best_votes) | ((votes[i] == best_votes) & (stacked[i] < best))
         best[better] = stacked[i][better]
         best_votes[better] = votes[i][better]
-    vote = base.astype(np.uint16 if registry.max_id <= _UINT16_MAX else np.int64)
-    vote[dis] = best
+    out = vote[start:start + _CHUNK]
+    out[...] = base
+    out[dis] = best
+    return inter
+
+
+def _count_labels(sample_set: McSampleSet) -> tuple[np.ndarray, np.ndarray]:
+    """The one counting pass behind every structure metric.
+
+    Returns ``inter``, of shape (N, N, K) with K the registry length: the
+    voxels where samples i and j both carry the label at registry position
+    k, so the diagonal holds each sample's own label counts. Also returns
+    ``vote``, the per-voxel majority label on the sample grid, ties to the
+    lowest id; it is uint16 unless a registry id exceeds 65535.
+
+    Voxels where all samples agree are counted once and credited to every
+    sample and pair, so only disagreement voxels are touched per pair. One
+    equality mask per pair feeds both that pair's intersections and the
+    vote counter, where ``votes[i]`` is the number of samples carrying
+    sample i's label, itself included. The arithmetic is pure integer
+    counting and matches a per-voxel enumeration exactly.
+
+    The pass runs in chunks of ``_CHUNK`` contiguous voxels (x-fastest) on
+    up to ``SEGQC_THREADS`` threads. Each chunk's counts are a partial sum
+    of integers and its votes depend only on its own voxels, so the sum of
+    the partials, taken in chunk order, and the vote are the same for any
+    chunk size and any thread count.
+    """
+    n = sample_set.n
+    # x-fastest like LabelVolume.flat: a view, not a copy, of volumes read
+    # from NIfTI files
+    flats = [sample_set.sample_labels(i).reshape(-1, order="F") for i in range(n)]
+    registry = sample_set.registry
+    vote = np.empty(flats[0].size, np.uint16 if registry.max_id <= _UINT16_MAX else np.int64)
+    starts = range(0, vote.size, _CHUNK)
+    with ThreadPoolExecutor(max_workers=min(_thread_cap(), len(starts))) as pool:
+        inter = sum(pool.map(partial(_count_chunk, flats, registry, vote), starts))
     vote.flags.writeable = False
     return inter, vote.reshape(sample_set.geometry.dims, order="F")
 
@@ -282,7 +336,9 @@ def structure_report(
     no voxel of the structure.
 
     The consensus and uncertainty map are returned on the report as
-    ``consensus`` and ``uncertainty``.
+    ``consensus`` and ``uncertainty``. A label-only set has an all-zero
+    map, so its summary is 0.0 and ``uncertainty`` is None; call
+    :func:`voxel_uncertainty` for the map itself.
     """
     require_valid(sample_set)
     registry = sample_set.registry
@@ -294,12 +350,15 @@ def structure_report(
             raise ValidationError(f"ground-truth label ids {unknown} not in registry")
 
     inter, vote = _count_labels(sample_set)
-    if sample_set.kind == "labels":
+    label_only = sample_set.kind == "labels"
+    if label_only:
+        # the uncertainty map of a label-only set is all zero; not built
         consensus = _consensus_volume(sample_set.geometry, vote)
+        unc = None
     else:
         # the consensus follows the probability maps, not the vote
         consensus = consensus_segmentation(sample_set)
-    unc = voxel_uncertainty(sample_set, normalize=normalize)
+        unc = voxel_uncertainty(sample_set, normalize=normalize)
     vox = sample_set.geometry.voxel_volume
 
     cons_flat = consensus.flat
@@ -309,11 +368,9 @@ def structure_report(
         gt_counts = _registry_counts(gt_flat, registry)
         inter_counts = _registry_counts(cons_flat[cons_flat == gt_flat], registry)
 
-    # the uncertainty map of a label-only set is zero by construction, so
-    # its structure means need no masks; otherwise the per-structure masks
-    # select from the C-ordered map, and matching its layout keeps that
-    # selection a sequential scan
-    label_only = sample_set.kind == "labels"
+    # a label-only set's structure means are zero and need no masks;
+    # otherwise the per-structure masks select from the C-ordered map, and
+    # matching its layout keeps that selection a sequential scan
     cons_c = None if label_only else np.ascontiguousarray(consensus.data)
     n = sample_set.n
     rows = []
@@ -357,12 +414,14 @@ def structure_report(
             ),
         ))
 
+    # one zero voxel has the min, mean and max of an all-zero map
+    values = np.zeros(1) if label_only else unc.values
     return StructureReport(
         structures=tuple(rows),
         n_samples=n,
-        uncertainty_min=float(unc.values.min()),
-        uncertainty_mean=float(unc.values.mean()),
-        uncertainty_max=float(unc.values.max()),
+        uncertainty_min=float(values.min()),
+        uncertainty_mean=float(values.mean()),
+        uncertainty_max=float(values.max()),
         normalized_uncertainty=normalize,
         scan_id=scan_id,
         dataset=dataset,

@@ -189,6 +189,30 @@ def test_metrics_side_outputs(configs):
     assert no_temp_litter(sim)
 
 
+def test_label_only_uncertainty_map_is_built_only_on_request(configs, monkeypatch):
+    # the map of a label-only set is all zero: the report summarises it
+    # without building it, and --uncertainty-out builds it once
+    import segqc.cli as cli
+    import segqc.metrics as metrics
+
+    root, phantom, noise = configs
+    sim = root / "sim"
+    run(["simulate", "--phantom", phantom, "--noise", noise, "--out", sim])
+    calls = []
+    real = metrics.voxel_uncertainty
+    for module in (cli, metrics):
+        monkeypatch.setattr(module, "voxel_uncertainty",
+                            lambda *a, **k: calls.append(k) or real(*a, **k))
+    argv = ["metrics", sim, "--registry", sim / "registry.json", "--normalize-entropy"]
+    assert run(argv + ["--out", sim / "a.json"]) == 0
+    assert calls == []
+    assert run(argv + ["--out", sim / "b.json", "--uncertainty-out", sim / "u.nii"]) == 0
+    assert calls == [{"normalize": True}]
+    assert (sim / "a.json").read_bytes() == (sim / "b.json").read_bytes()
+    unc = read_nifti(sim / "u.nii").data
+    assert unc.dtype == np.float32 and unc.shape == (20, 20, 20) and not unc.any()
+
+
 def test_metrics_side_outputs_reuse_the_report(configs, monkeypatch):
     # one call validates the set once, checks each label volume (N samples
     # and the ground truth) once, and computes the consensus and the
@@ -425,8 +449,9 @@ def test_bad_heatmap_metric_is_usage_error(sim_dir):
 
 
 def test_thread_cap_env_validation(configs, monkeypatch, capsys):
-    # the cap is read on the multi-scan path, where the pool is created
-    root, phantom, _ = configs
+    # the cap is read where a pool is created: on the multi-scan simulate
+    # path and in the counting pass behind metrics
+    root, phantom, single = configs
     noise = root / "multi.json"
     noise.write_text(json.dumps({
         "n_samples": 2,
@@ -439,6 +464,19 @@ def test_thread_cap_env_validation(configs, monkeypatch, capsys):
     monkeypatch.setenv("SEGQC_THREADS", "0")
     assert run(["simulate", "--phantom", phantom, "--noise", noise,
                 "--out", root / "x"]) == 1
+
+    monkeypatch.delenv("SEGQC_THREADS")
+    sim = root / "sim"
+    run(["simulate", "--phantom", phantom, "--noise", single, "--out", sim])
+    capsys.readouterr()
+    for bad in ("zero", "0"):
+        monkeypatch.setenv("SEGQC_THREADS", bad)
+        assert run(["metrics", sim, "--registry", sim / "registry.json",
+                    "--gt", sim / "gt.nii", "--out", sim / "r.json"]) == 1
+        err = capsys.readouterr().err
+        # a bad cap is not blamed on the ground truth
+        assert "SEGQC_THREADS" in err and "gt.nii" not in err
+    assert not (sim / "r.json").exists()
 
 
 def test_thread_cap_env_accepted(configs, monkeypatch):

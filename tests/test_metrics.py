@@ -2,6 +2,7 @@
 independent oracles."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import xlogy
 
 import oracles
+from segqc import metrics
 from segqc.metrics import (
     consensus_segmentation,
     dice_score,
@@ -317,9 +319,13 @@ def test_report_absent_structure_flags():
     s2 = rep.by_id(2)
     assert s2.cv is None and s2.mc_dice is None and s2.mean_uncertainty is None
     assert s2.mean_volume == 0.0
-    # a label-only uncertainty map is zero, normalized or not
+    # a label-only uncertainty map is zero, normalized or not, and the
+    # report summarises it without building it
     for normalize in (False, True):
-        assert structure_report(ss, normalize=normalize).by_id(1).mean_uncertainty == 0.0
+        rep = structure_report(ss, normalize=normalize)
+        assert rep.by_id(1).mean_uncertainty == 0.0
+        assert rep.uncertainty is None
+        assert (rep.uncertainty_min, rep.uncertainty_mean, rep.uncertainty_max) == (0.0,) * 3
 
 
 @settings(max_examples=30, deadline=None)
@@ -393,6 +399,45 @@ def test_counting_pass_matches_oracles(seed, n, n_labels, identical):
     check_report_against_oracles(arrays, rep)
 
 
+def pair_counts_oracle(arrays, registry):
+    """inter[i, j, k]: voxels where samples i and j both carry id k."""
+    return np.array([[[np.count_nonzero((a == lid) & (b == lid)) for lid in registry.ids]
+                      for b in arrays] for a in arrays])
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "4"])
+@pytest.mark.parametrize("chunk", [1, 5, 7])
+def test_counting_pass_is_the_same_for_any_chunking(monkeypatch, threads, chunk):
+    # threads write disjoint slices of one vote array; more threads than
+    # cores and a short switch interval would expose a lost write
+    dims = (4, 4, 4)
+    ids = np.array(SPARSE_REG.ids)
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 8))
+        # rows are x-fastest flat volumes, the order the pass chunks
+        flats = ids[rng.integers(0, len(ids), size=(n, 64))]
+        flats[:, :12] = flats[0, :12]  # whole chunks with no disagreement voxel
+        flats[0, 20:40], flats[1, 20:40] = ids[1], ids[2]  # a run across chunk ends
+        arrays = [f.reshape(dims, order="F") for f in flats]
+        whole_inter, whole_vote = metrics._count_labels(label_set(arrays, SPARSE_REG))
+        assert metrics._CHUNK >= 64  # one chunk
+        interval = sys.getswitchinterval()
+        with monkeypatch.context() as m:
+            m.setattr(metrics, "_CHUNK", chunk)
+            m.setenv("SEGQC_THREADS", threads)
+            sys.setswitchinterval(1e-6)
+            try:
+                inter, vote = metrics._count_labels(label_set(arrays, SPARSE_REG))
+            finally:
+                sys.setswitchinterval(interval)
+        assert np.array_equal(inter, whole_inter)
+        assert np.array_equal(inter, pair_counts_oracle(arrays, SPARSE_REG))
+        assert vote.dtype == whole_vote.dtype == np.uint16
+        assert np.array_equal(vote, whole_vote)
+        assert np.array_equal(vote, oracles.majority_vote_oracle(arrays))
+
+
 def test_report_memory_bounded_for_sparse_registry():
     # one id of 1e6: per-label arrays are sized by the registry, not the id
     reg = StructureRegistry(
@@ -462,7 +507,10 @@ def test_prob_pass_is_bit_identical_to_per_structure_loops(seed, n, k, dtype, fo
         soft = rng.dirichlet(np.ones(k), size=v).T
         # small integer weights give exact ties within and across samples
         w = rng.integers(1, 3, size=(k, v)).astype(np.float64)
-        flat = np.where(rng.random(v) < 0.5, soft, w / w.sum(axis=0))
+        # one-hot voxels (p in {0, 1}) are the ones the entropy skips
+        onehot = np.eye(k)[rng.integers(0, k, size=v)].T
+        kind = rng.integers(0, 3, size=v)
+        flat = np.where(kind == 0, soft, np.where(kind == 1, w / w.sum(axis=0), onehot))
         stack = flat.reshape((k,) + dims).astype(dtype)
         if fortran:  # x fastest, the layout of maps decoded from files
             stack = np.asfortranarray(stack)
