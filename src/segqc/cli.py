@@ -10,8 +10,8 @@ Conventions shared by every subcommand:
   lexicographically (fixed order means fixed floating-point reductions);
   an explicit --manifest overrides discovery,
 * SEGQC_THREADS caps the thread pools of a multi-scan ``simulate``, which
-  writes one scan per thread, and of the label counting pass behind
-  ``metrics`` and ``consensus`` (defaults to the CPU count).
+  writes one scan per thread (default: the CPU count), and of the label
+  counting pass behind ``metrics`` and ``consensus`` (default: 2).
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def _print_report_table(report) -> None:
 def cmd_metrics(args) -> int:
     samples, registry, gt_path, probs = _gather_inputs(args)
     sample_set = sio.read_sample_set(samples, registry, prob_paths=probs)
-    _thread_cap()  # a bad SEGQC_THREADS is not a ground-truth error
+    _thread_cap(1)  # a bad SEGQC_THREADS is not a ground-truth error
     try:
         # read_sample_set refused any bad sample, so what structure_report
         # refuses here is the ground truth
@@ -290,7 +290,7 @@ def cmd_simulate(args) -> int:
         print(f"wrote gt.nii, registry.json, {n} samples, manifest.json -> {out}")
         return EXIT_OK
 
-    workers = min(_thread_cap(), len(scans))
+    workers = min(_thread_cap(os.cpu_count() or 1), len(scans))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(_write_one_scan, out / sid, sid, gt, registry, noise,

@@ -16,7 +16,7 @@ One counting pass over the samples' labels yields every integer count
 behind them (per-sample label counts and pairwise intersections) and the
 majority vote that is the consensus of label-only sets. It runs in fixed
 chunks of contiguous voxels on a pool of ``SEGQC_THREADS`` threads
-(default: the CPU count); counts add exactly and each voxel's vote is its
+(default: 2); counts add exactly and each voxel's vote is its
 own, so neither the chunk size nor the thread count can change a result.
 The entropy map
 and the mean-probability consensus come from the sample set's one pass
@@ -54,12 +54,17 @@ from .volumes import (
 # np.bincount makes of its input stays at 16 MB.
 _CHUNK = 1 << 21
 
+# Threads of the counting pass when SEGQC_THREADS is unset. Each holds its
+# own chunk buffers, about 30 MB at N = 15, so the default stays small
+# whatever the host's CPU count.
+_COUNT_THREADS = 2
 
-def _thread_cap() -> int:
-    """Worker threads allowed by SEGQC_THREADS (default: the CPU count)."""
+
+def _thread_cap(default: int) -> int:
+    """Worker threads allowed by SEGQC_THREADS, ``default`` when unset."""
     raw = os.environ.get("SEGQC_THREADS", "")
     if not raw:
-        return os.cpu_count() or 1
+        return default
     try:
         n = int(raw)
     except ValueError:
@@ -141,18 +146,20 @@ class StructureReport:
 def _registry_counts(values: np.ndarray, registry: StructureRegistry) -> np.ndarray:
     """Voxels of each registry label among ``values``, by registry position,
     counted in ``_CHUNK`` slices to keep np.bincount's intp copy small."""
-    counts = np.zeros(registry.max_id + 1, dtype=np.int64)
+    ids = list(registry.ids)
+    counts = np.zeros(len(ids), dtype=np.int64)
     for start in range(0, values.size, _CHUNK):
-        counts += np.bincount(values[start:start + _CHUNK], minlength=counts.size)
-    return counts[list(registry.ids)]
+        counts += np.bincount(values[start:start + _CHUNK], minlength=registry.max_id + 1)[ids]
+    return counts
 
 
-def _count_chunk(flats: list[np.ndarray], registry: StructureRegistry,
+def _count_chunk(flats: list[np.ndarray], registry: StructureRegistry, rank: np.ndarray,
                  vote: np.ndarray, start: int) -> np.ndarray:
     """Counting pass over voxels ``start:start + _CHUNK`` of ``flats``.
 
     Returns the chunk's (N, N, K) intersection counts and writes its
-    majority labels into the same voxels of ``vote``.
+    majority labels into the same voxels of ``vote``. ``rank`` maps each
+    label id to its rank among the registry ids in ascending order.
     """
     n = len(flats)
     parts = [arr[start:start + _CHUNK] for arr in flats]
@@ -163,17 +170,22 @@ def _count_chunk(flats: list[np.ndarray], registry: StructureRegistry,
     base_counts = _registry_counts(base[agree], registry)
     dis = np.flatnonzero(~agree)
     del agree
-    stacked = np.stack([arr[dis] for arr in parts])
+    # disagreement labels as ranks: equal and ordered like the labels, but
+    # K values wide, so every pair count is a K-long bincount whatever the
+    # largest id, and the compares below touch one byte a voxel for K <= 256
+    stacked = np.stack([rank[arr[dis]] for arr in parts])
+    order = rank[list(registry.ids)]
 
     votes = np.ones(stacked.shape, dtype=np.min_scalar_type(n))
-    inter = np.empty((n, n, len(base_counts)), dtype=np.int64)
+    inter = np.empty((n, n, len(order)), dtype=np.int64)
     for i in range(n):
-        inter[i, i] = base_counts + _registry_counts(stacked[i], registry)
+        inter[i, i] = base_counts + np.bincount(stacked[i], minlength=len(order))[order]
         for j in range(i + 1, n):
             eq = stacked[i] == stacked[j]
             votes[i] += eq
             votes[j] += eq
-            inter[i, j] = inter[j, i] = base_counts + _registry_counts(stacked[i][eq], registry)
+            inter[i, j] = inter[j, i] = (
+                base_counts + np.bincount(stacked[i][eq], minlength=len(order))[order])
 
     # samples sharing a label share its vote count, so the most-voted
     # sample's label is the majority; ascending samples with strict
@@ -185,7 +197,7 @@ def _count_chunk(flats: list[np.ndarray], registry: StructureRegistry,
         best_votes[better] = votes[i][better]
     out = vote[start:start + _CHUNK]
     out[...] = base
-    out[dis] = best
+    out[dis] = np.sort(np.array(registry.ids, dtype=vote.dtype))[best]
     return inter
 
 
@@ -217,9 +229,12 @@ def _count_labels(sample_set: McSampleSet) -> tuple[np.ndarray, np.ndarray]:
     flats = [sample_set.sample_labels(i).reshape(-1, order="F") for i in range(n)]
     registry = sample_set.registry
     vote = np.empty(flats[0].size, np.uint16 if registry.max_id <= _UINT16_MAX else np.int64)
+    ids = sorted(registry.ids)  # a valid set's labels are all registry ids
+    rank = np.zeros(registry.max_id + 1, dtype=np.min_scalar_type(len(ids) - 1))
+    rank[ids] = np.arange(len(ids))
     starts = range(0, vote.size, _CHUNK)
-    with ThreadPoolExecutor(max_workers=min(_thread_cap(), len(starts))) as pool:
-        inter = sum(pool.map(partial(_count_chunk, flats, registry, vote), starts))
+    with ThreadPoolExecutor(max_workers=min(_thread_cap(_COUNT_THREADS), len(starts))) as pool:
+        inter = sum(pool.map(partial(_count_chunk, flats, registry, rank, vote), starts))
     vote.flags.writeable = False
     return inter, vote.reshape(sample_set.geometry.dims, order="F")
 

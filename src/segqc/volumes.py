@@ -400,14 +400,8 @@ def _prob_pass(sample_set: McSampleSet) -> ProbPass:
                 if entropy is None:
                     entropy = np.zeros_like(maps[0], dtype=np.float64)
                     sums = [np.zeros_like(m, dtype=np.float64) for m in maps]
-                # the entropy term is +0.0 at p = 0 and p = 1, and
-                # x - 0.0 == x, so only voxels with 0 < p < 1 take it.
-                # Boolean indexing walks C order, so transposed views make
-                # it a sequential scan of the x-fastest maps read from files
                 for k, m in enumerate(maps):
-                    soft = (m.T > 0) & (m.T < 1)
-                    v = m.T[soft]
-                    entropy.T[soft] -= xlogy(v, v, dtype=np.float64)
+                    entropy -= xlogy(m, m, dtype=np.float64)
                     sums[k] += m
             del maps, best  # freed before the next sample is decoded
         checks.append(msgs)

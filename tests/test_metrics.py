@@ -455,6 +455,32 @@ def test_report_memory_bounded_for_sparse_registry():
         tracemalloc.stop()
     assert peak < 32 * 2**20
     check_report_against_oracles(arrays, rep)
+    assert np.array_equal(rep.consensus.data, oracles.majority_vote_oracle(arrays))
+
+
+@pytest.mark.parametrize("env, workers", [(None, 2), ("3", 3), ("64", 16)])
+def test_counting_pool_size(monkeypatch, env, workers):
+    # each counting thread holds its own chunk buffers, so without
+    # SEGQC_THREADS the pool stays at two threads whatever the CPU count,
+    # and it never exceeds the chunk count
+    seen = []
+    real = metrics.ThreadPoolExecutor
+
+    def pool(max_workers):
+        seen.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(metrics, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(metrics, "_CHUNK", 4)
+    monkeypatch.setattr(metrics.os, "cpu_count", lambda: 64)
+    if env is None:
+        monkeypatch.delenv("SEGQC_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("SEGQC_THREADS", env)
+    arrays = [np.full((4, 4, 4), lid) for lid in (2, 9, 2)]
+    inter, vote = metrics._count_labels(label_set(arrays, SPARSE_REG))
+    assert seen == [workers]
+    assert np.array_equal(vote, arrays[0])
 
 
 # -- the one pass over probability maps ----------------------------------------
@@ -507,7 +533,7 @@ def test_prob_pass_is_bit_identical_to_per_structure_loops(seed, n, k, dtype, fo
         soft = rng.dirichlet(np.ones(k), size=v).T
         # small integer weights give exact ties within and across samples
         w = rng.integers(1, 3, size=(k, v)).astype(np.float64)
-        # one-hot voxels (p in {0, 1}) are the ones the entropy skips
+        # one-hot voxels (p in {0, 1}) add exact zero entropy terms
         onehot = np.eye(k)[rng.integers(0, k, size=v)].T
         kind = rng.integers(0, 3, size=v)
         flat = np.where(kind == 0, soft, np.where(kind == 1, w / w.sum(axis=0), onehot))
