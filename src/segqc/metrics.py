@@ -218,10 +218,11 @@ def _count_labels(sample_set: McSampleSet) -> tuple[np.ndarray, np.ndarray]:
     counting and matches a per-voxel enumeration exactly.
 
     The pass runs in chunks of ``_CHUNK`` contiguous voxels (x-fastest) on
-    up to ``SEGQC_THREADS`` threads. Each chunk's counts are a partial sum
-    of integers and its votes depend only on its own voxels, so the sum of
-    the partials, taken in chunk order, and the vote are the same for any
-    chunk size and any thread count.
+    up to ``SEGQC_THREADS`` threads; a volume of one chunk, or a cap of
+    one, is counted on the calling thread. Each chunk's counts are a
+    partial sum of integers and its votes depend only on its own voxels,
+    so the sum of the partials, taken in chunk order, and the vote are the
+    same for any chunk size and any thread count.
     """
     n = sample_set.n
     # x-fastest like LabelVolume.flat: a view, not a copy, of volumes read
@@ -233,8 +234,14 @@ def _count_labels(sample_set: McSampleSet) -> tuple[np.ndarray, np.ndarray]:
     rank = np.zeros(registry.max_id + 1, dtype=np.min_scalar_type(len(ids) - 1))
     rank[ids] = np.arange(len(ids))
     starts = range(0, vote.size, _CHUNK)
-    with ThreadPoolExecutor(max_workers=min(_thread_cap(_COUNT_THREADS), len(starts))) as pool:
-        inter = sum(pool.map(partial(_count_chunk, flats, registry, rank, vote), starts))
+    count = partial(_count_chunk, flats, registry, rank, vote)
+    workers = min(_thread_cap(_COUNT_THREADS), len(starts))
+    if workers == 1:
+        # one chunk or one thread: count on the calling thread, no pool
+        inter = sum(map(count, starts))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            inter = sum(pool.map(count, starts))
     vote.flags.writeable = False
     return inter, vote.reshape(sample_set.geometry.dims, order="F")
 
