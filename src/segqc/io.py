@@ -11,6 +11,7 @@ structured-text side plus the metric heat-map writer.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -46,7 +47,9 @@ def _load_json(path: str | Path) -> object:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path} is not valid UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # ValueError also covers an integer past the int-to-str digit limit;
+    # RecursionError is nesting deeper than the decoder can follow
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -125,14 +128,15 @@ def _csv_rows(reader, path):
 def read_cohort_csv(path: str | Path) -> CohortTable:
     """Cohort CSV with header subject_id, age, sex, dx, site?, volume, cv?, mc_dice?.
 
-    UTF-8, '.' decimal separator. Optional numeric cells may be empty
-    (missing weight); required cells may not. Any unparsable numeric cell
-    is an error naming its line number and column. Only CR and LF end a
-    line: other Unicode line separators are ordinary characters in a cell.
+    UTF-8, with or without a leading byte order mark; '.' decimal
+    separator. Optional numeric cells may be empty (missing weight);
+    required cells may not. Any unparsable numeric cell is an error
+    naming its line number and column. Only CR and LF end a line: other
+    Unicode line separators are ordinary characters in a cell.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path} is not valid UTF-8: {exc}") from exc
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -231,20 +235,8 @@ def report_to_dict(report: StructureReport) -> dict:
             "mean": report.uncertainty_mean,
             "max": report.uncertainty_max,
         },
-        "structures": [
-            {
-                "label_id": s.label_id,
-                "name": s.name,
-                "mean_volume": s.mean_volume,
-                "std_volume": s.std_volume,
-                "cv": s.cv,
-                "mc_dice": s.mc_dice,
-                "mean_uncertainty": s.mean_uncertainty,
-                "consensus_volume": s.consensus_volume,
-                "gt_dice": s.gt_dice,
-            }
-            for s in report.structures
-        ],
+        # StructureMetrics' field order is the JSON key order
+        "structures": [dataclasses.asdict(s) for s in report.structures],
     }
 
 
@@ -460,12 +452,6 @@ class _NiftiProbMapStack(ProbMapStack):
         object.__setattr__(self, "label_ids", tuple(int(i) for i in label_ids))
         object.__setattr__(self, "paths", tuple(paths))
         object.__setattr__(self, "owner", owner)  # the sample's label file
-
-    @property
-    def maps(self) -> np.ndarray:
-        maps = np.stack(self.load_maps())
-        maps.flags.writeable = False
-        return maps
 
     def load_map(self, k: int) -> np.ndarray:
         q = self.paths[k]

@@ -143,12 +143,6 @@ class RegressionResult:
     n_iter: int = 1
     note: str | None = None
 
-    def coef(self, column: str) -> float:
-        return float(self.beta[self.columns.index(column)])
-
-    def p_value(self, column: str) -> float:
-        return float(self.p[self.columns.index(column)])
-
 
 @dataclass(frozen=True)
 class GroupModeRow:
@@ -261,8 +255,6 @@ def _weighted_lstsq(
     columns: tuple[str, ...],
     method: str,
     n_dropped: int = 0,
-    n_iter: int = 1,
-    note: str | None = None,
 ) -> RegressionResult:
     """Solve argmin sum w_i (y_i - X_i b)^2 via SVD of sqrt(W) X.
 
@@ -308,8 +300,6 @@ def _weighted_lstsq(
         weighted_rss=wrss,
         n_used=n,
         n_dropped=n_dropped,
-        n_iter=n_iter,
-        note=note,
     )
 
 
@@ -432,16 +422,7 @@ def standardize_table(table: CohortTable) -> CohortTable:
         sd = float(np.std(arr, ddof=1))
         return (arr - arr.mean()) / (sd if sd > 0 else 1.0)
 
-    return CohortTable(
-        subject_ids=table.subject_ids,
-        age=zscore(table.age),
-        sex=table.sex,
-        dx=table.dx,
-        volume=zscore(table.volume),
-        site=table.site,
-        cv=table.cv,
-        mc_dice=table.mc_dice,
-    )
+    return replace(table, age=zscore(table.age), volume=zscore(table.volume))
 
 
 def group_analysis(

@@ -230,16 +230,12 @@ class ProbMapStack:
         """The K maps of :meth:`load_map`, in ``label_ids`` order."""
         return [self.load_map(k) for k in range(len(self.label_ids))]
 
-    def violations(self, sum_tol: float = PROB_SUM_TOL) -> list[str]:
+    def violations(self) -> list[str]:
         """Rule violations in this stack; empty list means valid."""
-        return _map_checks(self.load_maps(), sum_tol)
-
-    def argmax_labels(self) -> np.ndarray:
-        """Most probable label per voxel; ties go to the lowest label id."""
-        return _argmax_labels(self.load_maps(), self.label_ids)
+        return _map_checks(self.load_maps())
 
 
-def _map_checks(maps: Sequence[np.ndarray], sum_tol: float = PROB_SUM_TOL) -> list[str]:
+def _map_checks(maps: Sequence[np.ndarray]) -> list[str]:
     """Normalisation messages for one sample's maps, visited once each.
 
     Each map's min and max propagate NaN and reach any infinity, so they
@@ -259,10 +255,10 @@ def _map_checks(maps: Sequence[np.ndarray], sum_tol: float = PROB_SUM_TOL) -> li
         total += m
     total -= 1.0
     err = float(np.abs(total).max())
-    if err > sum_tol:
+    if err > PROB_SUM_TOL:
         out.append(
             f"per-voxel probability sums deviate from 1 by up to {err:g} "
-            f"(tolerance {sum_tol:g})"
+            f"(tolerance {PROB_SUM_TOL:g})"
         )
     return out
 
@@ -523,20 +519,3 @@ def require_valid(sample_set: McSampleSet) -> None:
     report = sample_set.violations
     if report:
         raise ValidationError("; ".join(str(v) for v in report))
-
-
-def labels_to_onehot_probs(volume: LabelVolume, registry: StructureRegistry) -> ProbMapStack:
-    """Indicator probability maps for a label volume.
-
-    Each registry entry gets a map that is 1.0 where the volume carries
-    that label and 0.0 elsewhere, so per-voxel sums are exactly 1.
-    """
-    unknown = volume.check_labels(registry)
-    if unknown:
-        raise ValidationError(f"label ids {unknown} not in registry")
-    ids = registry.ids
-    maps = np.zeros((len(ids),) + volume.geometry.dims, dtype=np.float64)
-    for k, label_id in enumerate(ids):
-        maps[k] = volume.data == label_id
-    return ProbMapStack(geometry=volume.geometry, label_ids=ids, maps=maps)
-

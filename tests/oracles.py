@@ -77,6 +77,18 @@ def majority_vote_oracle(label_arrays):
     return out
 
 
+def onehot_maps_oracle(labels, ids):
+    """Indicator probability maps, shape (len(ids), *labels.shape): map k
+    is 1.0 at each voxel whose label is ids[k], else 0.0, by scalar loop."""
+    labels = np.asarray(labels)
+    out = np.zeros((len(ids),) + labels.shape, dtype=np.float64)
+    for idx in np.ndindex(*labels.shape):
+        for k, label_id in enumerate(ids):
+            if int(labels[idx]) == label_id:
+                out[(k,) + idx] = 1.0
+    return out
+
+
 def wls_oracle(X, w, y):
     """Weighted least squares by explicit normal equations."""
     X = np.asarray(X, dtype=np.float64)

@@ -359,6 +359,25 @@ def test_correlate_non_utf8_report_is_validation_error(report_dir, capsys):
     assert err.startswith("error:") and victim.name in err and "UTF-8" in err
 
 
+@pytest.mark.parametrize("payload", [
+    '{"background": 0, "structures": [], "n": ' + "9" * 5000 + "}",  # > 4300 digits
+    "[" * 200_000 + "]" * 200_000,
+], ids=["oversized-integer", "deep-nesting"])
+@pytest.mark.parametrize("command", ["metrics", "correlate"])
+def test_unparsable_json_is_validation_error(tmp_path, capsys, payload, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text(payload, encoding="utf-8")
+    if command == "metrics":
+        argv = ["metrics", tmp_path / "a.nii", tmp_path / "b.nii", "--registry", bad,
+                "--out", tmp_path / "report.json"]
+    else:
+        argv = ["correlate", bad]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and bad.name in err and "not valid JSON" in err
+    assert "Traceback" not in err
+
+
 def test_correlate_requires_gt_dice(configs, capsys):
     root, phantom, noise = configs
     sim = root / "sim"

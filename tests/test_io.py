@@ -181,6 +181,16 @@ def test_cohort_csv_rejects_non_utf8(tmp_path):
         read_cohort_csv(p)
 
 
+def test_cohort_csv_leading_bom_is_ignored(tmp_path):
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    write_cohort_csv(cohort_table(), plain)
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    a, b = read_cohort_csv(plain), read_cohort_csv(bom)
+    assert b.subject_ids == a.subject_ids and b.site == a.site
+    for col in ("age", "sex", "dx", "volume", "cv", "mc_dice"):
+        assert np.array_equal(getattr(b, col), getattr(a, col), equal_nan=True)
+
+
 def test_cohort_csv_oversized_field_names_the_line(tmp_path):
     # past the csv module's field size limit (131072 characters)
     p = tmp_path / "cohort.csv"

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import xlogy
 
 import oracles
-from segqc import metrics
+from segqc import metrics, volumes
 from segqc.metrics import (
     consensus_segmentation,
     dice_score,
@@ -28,7 +28,6 @@ from segqc.volumes import (
     StructureRegistry,
     ValidationError,
     VoxelGeometry,
-    labels_to_onehot_probs,
 )
 
 REG = StructureRegistry(
@@ -351,12 +350,7 @@ def test_onehot_prob_route_matches_label_route(seed):
     rng = np.random.default_rng(seed)
     arrays = [rng.integers(0, 3, size=(4, 4, 4)) for _ in range(3)]
     ss_lab = label_set(arrays)
-    g = geom(4, 4, 4)
-    stacks = [
-        labels_to_onehot_probs(LabelVolume(g, a.astype(np.int64)), REG).maps
-        for a in arrays
-    ]
-    ss_prob = prob_set(stacks)
+    ss_prob = prob_set([oracles.onehot_maps_oracle(a, REG.ids) for a in arrays])
     assert np.array_equal(
         consensus_segmentation(ss_lab).data, consensus_segmentation(ss_prob).data
     )
@@ -553,7 +547,7 @@ def test_prob_pass_is_bit_identical_to_per_structure_loops(seed, n, k, dtype, fo
     for i, maps in enumerate(stacks):
         want = np_argmax_labels(maps, ids)
         assert np.array_equal(ss.sample_labels(i), want)
-        assert np.array_equal(ss.samples[i].probs.argmax_labels(), want)
+        assert np.array_equal(volumes._argmax_labels(maps, ids), want)
         assert ss.prob_pass.checks[i] == tuple(ss.samples[i].probs.violations())
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from segqc.volumes import (
     LabelVolume,
     McSample,
@@ -13,7 +14,6 @@ from segqc.volumes import (
     StructureRegistry,
     ValidationError,
     VoxelGeometry,
-    labels_to_onehot_probs,
     require_valid,
     validate_sample_set,
 )
@@ -193,16 +193,23 @@ def test_prob_stack_violations():
     assert any("non-finite" in v for v in make_stack(bad).violations())
 
 
+def argmax_labels(stack):
+    """The labels a probability-only sample set reads from ``stack``."""
+    ss = McSampleSet(geometry=stack.geometry, registry=small_registry(),
+                     samples=(McSample(probs=stack),))
+    return ss.sample_labels(0)
+
+
 def test_prob_stack_argmax_tie_takes_lowest_id():
     maps = np.zeros((3, 1, 1, 1))
     maps[1] = 0.5
     maps[2] = 0.5
-    assert make_stack(maps).argmax_labels()[0, 0, 0] == 1
+    assert argmax_labels(make_stack(maps))[0, 0, 0] == 1
     # same distribution with ids listed out of order: maps[0] is label 2
     perm = np.zeros((3, 1, 1, 1))
     perm[0] = 0.5  # label 2
     perm[1] = 0.5  # label 1
-    assert make_stack(perm, ids=(2, 1, 0)).argmax_labels()[0, 0, 0] == 1
+    assert argmax_labels(make_stack(perm, ids=(2, 1, 0)))[0, 0, 0] == 1
 
 
 # -- samples and sets --------------------------------------------------------
@@ -314,10 +321,9 @@ def test_onehot_probs_round_trip(seed):
     rng = np.random.default_rng(seed)
     reg = small_registry()
     data = rng.integers(0, 3, size=(4, 4, 4)).astype(np.uint8)
-    vol = LabelVolume(VoxelGeometry((4, 4, 4), (1.0, 1.0, 1.0)), data)
-    stack = labels_to_onehot_probs(vol, reg)
+    stack = make_stack(oracles.onehot_maps_oracle(data, reg.ids), ids=reg.ids)
     assert stack.violations() == []
     assert np.all(stack.maps.sum(axis=0) == 1.0)
-    assert np.array_equal(stack.argmax_labels(), data)
+    assert np.array_equal(argmax_labels(stack), data)
     # exactly one-hot, never fractional
     assert set(np.unique(stack.maps)) <= {0.0, 1.0}
