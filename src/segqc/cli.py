@@ -36,7 +36,7 @@ from .metrics import (
     structure_report,
     voxel_uncertainty,
 )
-from .nifti import read_label_nifti, write_nifti
+from .nifti import read_label_nifti, read_orientation, write_nifti
 from .stats import GROUP_MODES, ValidationError, group_analysis, pearson
 from .synth import make_phantom, registry_for_phantom, sample_mc
 from .volumes import StructureRegistry
@@ -140,14 +140,15 @@ def cmd_metrics(args) -> int:
         raise ValidationError(f"{gt_path}: {exc}") from exc
     with _atomic(args.out) as tmp:
         sio.write_report(report, tmp)
+    orient = read_orientation(samples[0]) if args.uncertainty_out or args.heatmap_out else None
     if args.uncertainty_out:
         unc = report.uncertainty or voxel_uncertainty(
             sample_set, normalize=args.normalize_entropy)
         with _atomic(args.uncertainty_out) as tmp:
-            write_nifti(tmp, unc.values.astype(np.float32), unc.geometry)
+            write_nifti(tmp, unc.values.astype(np.float32), unc.geometry, orient)
     if args.heatmap_out:
         with _atomic(args.heatmap_out) as tmp:
-            sio.write_heatmap_volume(report.consensus, report, args.heatmap_metric, tmp)
+            sio.write_heatmap_volume(report.consensus, report, args.heatmap_metric, tmp, orient)
     _print_report_table(report)
     return EXIT_OK
 
@@ -157,7 +158,7 @@ def cmd_consensus(args) -> int:
     sample_set = sio.read_sample_set(samples, registry, prob_paths=probs)
     consensus = consensus_segmentation(sample_set)
     with _atomic(args.out) as tmp:
-        write_nifti(tmp, consensus)
+        write_nifti(tmp, consensus, orientation=read_orientation(samples[0]))
     counts = dict(zip(registry.ids, _registry_counts(consensus.flat, registry)))
     print(f"consensus of {sample_set.n} samples -> {args.out}")
     for i, name in registry.foreground:
@@ -167,7 +168,7 @@ def cmd_consensus(args) -> int:
 
 def cmd_correlate(args) -> int:
     root = Path(args.reports)
-    paths = sorted(root.glob("*.json")) if root.is_dir() else [root]
+    paths = sorted(root.glob("[!.]*.json")) if root.is_dir() else [root]  # skips dotfiles
     reports = [sio.read_report(p) for p in paths]
     if len(reports) < 3:
         raise ValidationError(f"need at least 3 reports, got {len(reports)}")

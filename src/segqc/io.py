@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .metrics import StructureMetrics, StructureReport
-from .nifti import read_nifti, write_nifti
+from .nifti import OrientationInfo, read_nifti, write_nifti
 from .stats import CohortTable
 from .synth import NoiseSpec, PhantomSpec, ShapeSpec
 from .volumes import (
@@ -328,11 +328,12 @@ def write_heatmap_volume(
     report: StructureReport,
     metric: str,
     path: str | Path,
+    orientation: OrientationInfo | None = None,
 ) -> None:
     """Float32 volume where each voxel carries its consensus structure's metric.
 
     Background and absent-flagged structures map to 0 (an absent structure
-    has no consensus voxels anyway).
+    has no consensus voxels anyway). ``orientation`` goes into the header.
     """
     if metric not in HEATMAP_METRICS:
         raise ValidationError(f"metric must be one of {HEATMAP_METRICS}, got {metric!r}")
@@ -343,7 +344,7 @@ def write_heatmap_volume(
         if s.label_id < lut.size and value is not None:
             lut[s.label_id] = value
     heat = lut[consensus.data]
-    write_nifti(path, heat, consensus.geometry)
+    write_nifti(path, heat, consensus.geometry, orientation)
 
 
 # -- phantom / noise configs -------------------------------------------------

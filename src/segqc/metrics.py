@@ -13,10 +13,10 @@ structure-wise uncertainty measures:
                      voxels the consensus assigns to a structure.
 
 One counting pass over the samples' labels yields every integer count
-behind them (per-sample label counts and pairwise intersections) and the
-majority vote that is the consensus of label-only sets. It runs in fixed
-chunks of contiguous voxels on a pool of ``SEGQC_THREADS`` threads
-(default: 2); counts add exactly and each voxel's vote is its
+behind them (per-sample, pairwise, consensus and ground-truth label
+counts) and the majority vote that is the consensus of label-only sets.
+It runs in fixed chunks of contiguous voxels on a pool of ``SEGQC_THREADS``
+threads (default: 2); counts add exactly and each voxel's vote is its
 own, so neither the chunk size nor the thread count can change a result.
 The entropy map
 and the mean-probability consensus come from the sample set's one pass
@@ -49,10 +49,11 @@ from .volumes import (
     require_valid,
 )
 
-# Voxels per chunk of the counting pass. A chunk's masks, disagreement
-# stack and vote counters stay near the CPU cache, and the intp copy that
-# np.bincount makes of its input stays at 16 MB.
+# Voxels per chunk of the counting pass: its masks, disagreement stack and
+# vote counters stay near the CPU cache, np.bincount's intp copies at 16 MB.
+# A chunk counts its consensus and ground truth in _SLICEs: copies of 2 MB.
 _CHUNK = 1 << 21
+_SLICE = 1 << 18
 
 # Threads of the counting pass when SEGQC_THREADS is unset. Each holds its
 # own chunk buffers, about 30 MB at N = 15, so the default stays small
@@ -143,23 +144,24 @@ class StructureReport:
         raise KeyError(f"no structure with label id {label_id} in report")
 
 
-def _registry_counts(values: np.ndarray, registry: StructureRegistry) -> np.ndarray:
+def _registry_counts(values: np.ndarray, registry: StructureRegistry,
+                     step: int = _CHUNK) -> np.ndarray:
     """Voxels of each registry label among ``values``, by registry position,
-    counted in ``_CHUNK`` slices to keep np.bincount's intp copy small."""
+    counted in ``step`` slices to keep np.bincount's intp copy small."""
     ids = list(registry.ids)
     counts = np.zeros(len(ids), dtype=np.int64)
-    for start in range(0, values.size, _CHUNK):
-        counts += np.bincount(values[start:start + _CHUNK], minlength=registry.max_id + 1)[ids]
+    for start in range(0, values.size, step):
+        counts += np.bincount(values[start:start + step], minlength=registry.max_id + 1)[ids]
     return counts
 
 
 def _count_chunk(flats: list[np.ndarray], registry: StructureRegistry, rank: np.ndarray,
-                 vote: np.ndarray, start: int) -> np.ndarray:
+                 cons: np.ndarray, gt: np.ndarray | None, vote: bool, start: int) -> tuple:
     """Counting pass over voxels ``start:start + _CHUNK`` of ``flats``.
 
-    Returns the chunk's (N, N, K) intersection counts and writes its
-    majority labels into the same voxels of ``vote``. ``rank`` maps each
-    label id to its rank among the registry ids in ascending order.
+    Returns its partials of ``_count_labels``' ``inter`` and ``counts``,
+    first writing its majority labels into ``cons`` when ``vote``. ``rank``
+    maps each label id to its rank among the registry ids in ascending order.
     """
     n = len(flats)
     parts = [arr[start:start + _CHUNK] for arr in flats]
@@ -176,74 +178,86 @@ def _count_chunk(flats: list[np.ndarray], registry: StructureRegistry, rank: np.
     stacked = np.stack([rank[arr[dis]] for arr in parts])
     order = rank[list(registry.ids)]
 
-    votes = np.ones(stacked.shape, dtype=np.min_scalar_type(n))
+    votes = np.ones(stacked.shape, dtype=np.min_scalar_type(n)) if vote else None
     inter = np.empty((n, n, len(order)), dtype=np.int64)
     for i in range(n):
         inter[i, i] = base_counts + np.bincount(stacked[i], minlength=len(order))[order]
         for j in range(i + 1, n):
             eq = stacked[i] == stacked[j]
-            votes[i] += eq
-            votes[j] += eq
+            if vote:
+                votes[i] += eq
+                votes[j] += eq
             inter[i, j] = inter[j, i] = (
                 base_counts + np.bincount(stacked[i][eq], minlength=len(order))[order])
 
-    # samples sharing a label share its vote count, so the most-voted
-    # sample's label is the majority; ascending samples with strict
-    # comparisons keep the lowest id on ties
-    best, best_votes = stacked[0].copy(), votes[0].copy()
-    for i in range(1, n):
-        better = (votes[i] > best_votes) | ((votes[i] == best_votes) & (stacked[i] < best))
-        best[better] = stacked[i][better]
-        best_votes[better] = votes[i][better]
-    out = vote[start:start + _CHUNK]
-    out[...] = base
-    out[dis] = np.sort(np.array(registry.ids, dtype=vote.dtype))[best]
-    return inter
+    out = cons[start:start + _CHUNK]
+    if vote:
+        # samples sharing a label share its vote count, so the most-voted
+        # sample's label is the majority; ascending samples with strict
+        # comparisons keep the lowest id on ties
+        best, best_votes = stacked[0].copy(), votes[0].copy()
+        for i in range(1, n):
+            better = (votes[i] > best_votes) | ((votes[i] == best_votes) & (stacked[i] < best))
+            best[better] = stacked[i][better]
+            best_votes[better] = votes[i][better]
+        out[...] = base
+        out[dis] = np.sort(np.array(registry.ids, dtype=cons.dtype))[best]
+    # free the pair buffers first, so a thread's peak stays its pair loop's
+    del stacked, votes, dis
+    counts = np.zeros((3, len(order)), dtype=np.int64)
+    counts[0] = _registry_counts(out, registry, _SLICE)
+    if gt is not None:
+        truth = gt[start:start + _CHUNK]
+        counts[1] = _registry_counts(truth, registry, _SLICE)
+        counts[2] = _registry_counts(out[out == truth], registry, _SLICE)
+    return inter, counts
 
 
-def _count_labels(sample_set: McSampleSet) -> tuple[np.ndarray, np.ndarray]:
+def _count_labels(sample_set: McSampleSet, gt: LabelVolume | None = None) -> tuple:
     """The one counting pass behind every structure metric.
 
     Returns ``inter``, of shape (N, N, K) with K the registry length: the
     voxels where samples i and j both carry the label at registry position
-    k, so the diagonal holds each sample's own label counts. Also returns
-    ``vote``, the per-voxel majority label on the sample grid, ties to the
-    lowest id; it is uint16 unless a registry id exceeds 65535.
+    k, so the diagonal holds each sample's own label counts. ``counts``,
+    of shape (3, K), holds the label counts of the consensus, of ``gt`` and
+    of the voxels where the two agree (zero rows without ``gt``). Last
+    comes the consensus: :func:`consensus_segmentation` for a set with
+    maps, else the per-voxel majority label, ties to the lowest id.
 
     Voxels where all samples agree are counted once and credited to every
     sample and pair, so only disagreement voxels are touched per pair. One
-    equality mask per pair feeds both that pair's intersections and the
-    vote counter, where ``votes[i]`` is the number of samples carrying
-    sample i's label, itself included. The arithmetic is pure integer
-    counting and matches a per-voxel enumeration exactly.
+    equality mask per pair feeds both that pair's intersections and, for a
+    label-only set, the vote counter, where ``votes[i]`` is the number of
+    samples carrying sample i's label, itself included. The arithmetic is
+    pure integer counting and matches a per-voxel enumeration exactly.
 
     The pass runs in chunks of ``_CHUNK`` contiguous voxels (x-fastest) on
-    up to ``SEGQC_THREADS`` threads; a volume of one chunk, or a cap of
-    one, is counted on the calling thread. Each chunk's counts are a
+    a pool of up to ``SEGQC_THREADS`` threads. Each chunk's counts are a
     partial sum of integers and its votes depend only on its own voxels,
     so the sum of the partials, taken in chunk order, and the vote are the
     same for any chunk size and any thread count.
     """
-    n = sample_set.n
     # x-fastest like LabelVolume.flat: a view, not a copy, of volumes read
     # from NIfTI files
-    flats = [sample_set.sample_labels(i).reshape(-1, order="F") for i in range(n)]
+    flats = [sample_set.sample_labels(i).reshape(-1, order="F") for i in range(sample_set.n)]
     registry = sample_set.registry
-    vote = np.empty(flats[0].size, np.uint16 if registry.max_id <= _UINT16_MAX else np.int64)
+    vote = sample_set.kind == "labels"
+    consensus = None if vote else consensus_segmentation(sample_set)
+    dtype = np.uint16 if registry.max_id <= _UINT16_MAX else np.int64
+    cons = np.empty(flats[0].size, dtype) if vote else consensus.flat
     ids = sorted(registry.ids)  # a valid set's labels are all registry ids
     rank = np.zeros(registry.max_id + 1, dtype=np.min_scalar_type(len(ids) - 1))
     rank[ids] = np.arange(len(ids))
-    starts = range(0, vote.size, _CHUNK)
-    count = partial(_count_chunk, flats, registry, rank, vote)
-    workers = min(_thread_cap(_COUNT_THREADS), len(starts))
-    if workers == 1:
-        # one chunk or one thread: count on the calling thread, no pool
-        inter = sum(map(count, starts))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            inter = sum(pool.map(count, starts))
-    vote.flags.writeable = False
-    return inter, vote.reshape(sample_set.geometry.dims, order="F")
+    starts = range(0, cons.size, _CHUNK)
+    count = partial(_count_chunk, flats, registry, rank, cons,
+                    None if gt is None else gt.flat, vote)
+    with ThreadPoolExecutor(max_workers=min(_thread_cap(_COUNT_THREADS), len(starts))) as pool:
+        inter, counts = map(sum, zip(*pool.map(count, starts)))
+    if vote:
+        cons.flags.writeable = False
+        consensus = _consensus_volume(sample_set.geometry,
+                                      cons.reshape(sample_set.geometry.dims, order="F"))
+    return inter, counts, consensus
 
 
 def _consensus_volume(geometry: VoxelGeometry, data: np.ndarray) -> LabelVolume:
@@ -307,10 +321,8 @@ def consensus_segmentation(sample_set: McSampleSet) -> LabelVolume:
     """
     require_valid(sample_set)
     if sample_set.kind == "labels":
-        data = _count_labels(sample_set)[1]
-    else:
-        data = sample_set.prob_pass.consensus
-    return _consensus_volume(sample_set.geometry, data)
+        return _count_labels(sample_set)[2]
+    return _consensus_volume(sample_set.geometry, sample_set.prob_pass.consensus)
 
 
 def _pair_dice(size_a: int, size_b: int, inter: int) -> float:
@@ -371,24 +383,11 @@ def structure_report(
         if unknown:
             raise ValidationError(f"ground-truth label ids {unknown} not in registry")
 
-    inter, vote = _count_labels(sample_set)
+    inter, (cons_counts, gt_counts, agree_counts), consensus = _count_labels(sample_set, gt)
     label_only = sample_set.kind == "labels"
-    if label_only:
-        # the uncertainty map of a label-only set is all zero; not built
-        consensus = _consensus_volume(sample_set.geometry, vote)
-        unc = None
-    else:
-        # the consensus follows the probability maps, not the vote
-        consensus = consensus_segmentation(sample_set)
-        unc = voxel_uncertainty(sample_set, normalize=normalize)
+    # the uncertainty map of a label-only set is all zero; not built
+    unc = None if label_only else voxel_uncertainty(sample_set, normalize=normalize)
     vox = sample_set.geometry.voxel_volume
-
-    cons_flat = consensus.flat
-    cons_counts = _registry_counts(cons_flat, registry)
-    if gt is not None:
-        gt_flat = gt.flat
-        gt_counts = _registry_counts(gt_flat, registry)
-        inter_counts = _registry_counts(cons_flat[cons_flat == gt_flat], registry)
 
     # a label-only set's structure means are zero and need no masks;
     # otherwise the per-structure masks select from the C-ordered map, and
@@ -430,7 +429,7 @@ def structure_report(
             mean_uncertainty=mean_unc,
             consensus_volume=float(cons_counts[k]) * vox,
             gt_dice=(
-                _pair_dice(int(cons_counts[k]), int(gt_counts[k]), int(inter_counts[k]))
+                _pair_dice(int(cons_counts[k]), int(gt_counts[k]), int(agree_counts[k]))
                 if gt is not None
                 else None
             ),

@@ -263,6 +263,15 @@ def read_nifti(path: str | Path) -> NiftiImage:
                       header=header, orientation=orientation, scaled=scaled)
 
 
+def read_orientation(path: str | Path) -> OrientationInfo:
+    """Orientation fields of a .nii or .nii.gz file, decoding only its header."""
+    with open(path, "rb") as fh:
+        head = fh.read(HEADER_SIZE)
+    if head[:2] == b"\x1f\x8b":
+        head = _Gunzip(Path(path).read_bytes()).read(HEADER_SIZE)
+    return _parse_header(head)[1]
+
+
 def read_label_nifti(path: str | Path) -> LabelVolume:
     """Read a file that must contain an integer label map."""
     return read_nifti(path).as_label_volume()

@@ -438,6 +438,8 @@ def group_analysis(
     over the full table before any fit, keeping effect sizes comparable
     across modes.
     """
+    if not modes:
+        raise ValidationError(f"no group mode given; expected some of {GROUP_MODES}")
     for mode in modes:
         if mode not in GROUP_MODES:
             raise ValidationError(f"unknown group mode {mode!r}; expected one of {GROUP_MODES}")

@@ -7,7 +7,7 @@ import pytest
 
 from segqc.cli import main as cli_main
 from segqc.io import read_report
-from segqc.nifti import read_nifti, write_nifti
+from segqc.nifti import OrientationInfo, read_nifti, write_nifti
 from segqc.stats import CohortTable
 from segqc.io import write_cohort_csv
 from segqc.volumes import VoxelGeometry
@@ -255,6 +255,27 @@ def test_metrics_side_outputs_reuse_the_report(configs, monkeypatch):
         assert np.all(heat[consensus.data == label_id] == np.float32(value))
 
 
+def test_output_volumes_keep_the_input_orientation(configs):
+    # the consensus, uncertainty and heat-map volumes carry the samples'
+    # qform/sform, so they overlay the scan they were computed from
+    root, phantom, noise = configs
+    sim = root / "sim"
+    run(["simulate", "--phantom", phantom, "--noise", noise, "--out", sim,
+         "--with-probs"])
+    o = OrientationInfo(qform_code=1, sform_code=1, quatern=(0.0, 0.0, 1.0),
+                        qoffset=(-20.0, 12.5, 7.0), srow_x=(-1.0, 0.0, 0.0, -20.0),
+                        srow_y=(0.0, 1.0, 0.0, 12.5), srow_z=(0.0, 0.0, 1.0, 7.0))
+    for path in sim.glob("sample_*.nii"):
+        img = read_nifti(path)
+        write_nifti(path, img.data, img.geometry, orientation=o)
+    outs = {"unc": sim / "unc.nii", "heat": sim / "heat.nii", "cons": sim / "cons.nii.gz"}
+    assert run(["metrics", "--manifest", sim / "manifest.json", "--out", sim / "r.json",
+                "--uncertainty-out", outs["unc"], "--heatmap-out", outs["heat"]]) == 0
+    assert run(["consensus", "--manifest", sim / "manifest.json", "--out", outs["cons"]]) == 0
+    for name, path in outs.items():
+        assert read_nifti(path).orientation == o, name
+
+
 def test_metrics_ignores_dotfiles_and_prob_stacks(configs):
     root, phantom, noise = configs
     out = root / "sim"
@@ -328,6 +349,16 @@ def test_correlate_over_report_directory(report_dir, capsys):
     assert set(rows) == {"mean_unc", "cv", "mc_dice"}
     for r in rows.values():
         assert -1.0 <= r <= 1.0
+
+
+def test_correlate_skips_dotfiles(report_dir):
+    # a report left half-written under a temp name (as _atomic names it)
+    # is not a report
+    root, reports = report_dir
+    assert run(["correlate", reports, "--out", root / "before.csv"]) == 0
+    (reports / ".tmp-4242-scan_3.json").write_text('{"schema_version": "1", "struc')
+    assert run(["correlate", reports, "--out", root / "after.csv"]) == 0
+    assert (root / "after.csv").read_bytes() == (root / "before.csv").read_bytes()
 
 
 def test_correlate_needs_three_reports(report_dir):
@@ -426,6 +457,13 @@ def test_group_mode_subset_and_raw_scale(cohort_csv, capsys):
 
 def test_group_rejects_unknown_mode(cohort_csv):
     assert run(["group", cohort_csv, "--modes", "ols,bogus"]) == 1
+
+
+def test_group_needs_a_mode(cohort_csv, tmp_path, capsys):
+    out_csv = tmp_path / "group.csv"
+    assert run(["group", cohort_csv, "--modes", ",", "--out", out_csv]) == 1
+    assert "no group mode" in capsys.readouterr().err
+    assert not out_csv.exists()
 
 
 # -- exit codes and input validation ------------------------------------------------

@@ -399,6 +399,14 @@ def pair_counts_oracle(arrays, registry):
                       for b in arrays] for a in arrays])
 
 
+def consensus_counts_oracle(consensus, gt, registry):
+    """Voxels of each registry id in the consensus, in gt, and in both."""
+    return np.array([[np.count_nonzero(consensus == lid) for lid in registry.ids],
+                     [np.count_nonzero(gt == lid) for lid in registry.ids],
+                     [np.count_nonzero((consensus == lid) & (gt == lid))
+                      for lid in registry.ids]])
+
+
 @pytest.mark.parametrize("threads", ["1", "2", "4"])
 @pytest.mark.parametrize("chunk", [1, 5, 7])
 def test_counting_pass_is_the_same_for_any_chunking(monkeypatch, threads, chunk):
@@ -414,22 +422,63 @@ def test_counting_pass_is_the_same_for_any_chunking(monkeypatch, threads, chunk)
         flats[:, :12] = flats[0, :12]  # whole chunks with no disagreement voxel
         flats[0, 20:40], flats[1, 20:40] = ids[1], ids[2]  # a run across chunk ends
         arrays = [f.reshape(dims, order="F") for f in flats]
-        whole_inter, whole_vote = metrics._count_labels(label_set(arrays, SPARSE_REG))
+        # the ground truth is the last sample, one voxel shifted, so it
+        # agrees with the consensus at some voxels and not at others
+        gt = LabelVolume(geom(*dims), np.roll(flats[-1], 1).reshape(dims, order="F"))
+        whole_inter, whole_counts, whole_cons = metrics._count_labels(
+            label_set(arrays, SPARSE_REG), gt)
         assert metrics._CHUNK >= 64  # one chunk
         interval = sys.getswitchinterval()
         with monkeypatch.context() as m:
             m.setattr(metrics, "_CHUNK", chunk)
+            m.setattr(metrics, "_SLICE", 2)
             m.setenv("SEGQC_THREADS", threads)
             sys.setswitchinterval(1e-6)
             try:
-                inter, vote = metrics._count_labels(label_set(arrays, SPARSE_REG))
+                inter, counts, consensus = metrics._count_labels(
+                    label_set(arrays, SPARSE_REG), gt)
+                no_gt_counts = metrics._count_labels(label_set(arrays, SPARSE_REG))[1]
             finally:
                 sys.setswitchinterval(interval)
         assert np.array_equal(inter, whole_inter)
         assert np.array_equal(inter, pair_counts_oracle(arrays, SPARSE_REG))
-        assert vote.dtype == whole_vote.dtype == np.uint16
-        assert np.array_equal(vote, whole_vote)
+        vote = consensus.data
+        assert vote.dtype == whole_cons.data.dtype == np.uint16
+        assert np.array_equal(vote, whole_cons.data)
         assert np.array_equal(vote, oracles.majority_vote_oracle(arrays))
+        want = consensus_counts_oracle(vote, gt.data, SPARSE_REG)
+        assert 0 < want[2].sum() < want[0].sum()
+        assert np.array_equal(counts, whole_counts)
+        assert np.array_equal(counts, want)
+        assert np.array_equal(no_gt_counts[0], want[0])
+        assert not no_gt_counts[1:].any()
+
+
+def test_counting_pass_counts_the_map_consensus():
+    # voxel 0: samples B and C carry label 2, so the vote is 2, but A is
+    # sure of label 1 and the mean probability favors it (0.57 > 0.27);
+    # voxel 1 is background in every sample
+    maps = {"A": (0.0, 1.0, 0.0), "B": (0.25, 0.35, 0.4), "C": (0.25, 0.35, 0.4)}
+    stacks = []
+    for voxel0 in maps.values():
+        stack = np.zeros((3, 2, 1, 1))
+        stack[:, 0, 0, 0] = voxel0
+        stack[0, 1, 0, 0] = 1.0
+        stacks.append(stack)
+    ss = prob_set(stacks)
+    labels = [ss.sample_labels(i) for i in range(ss.n)]
+    assert oracles.majority_vote_oracle(labels)[0, 0, 0] == 2
+    gt = LabelVolume(ss.geometry, np.array([1, 2]).reshape(2, 1, 1))
+    inter, counts, consensus = metrics._count_labels(ss, gt)
+    assert np.array_equal(consensus.data, consensus_segmentation(ss).data)
+    assert consensus.data[0, 0, 0] == 1
+    assert np.array_equal(counts, [[1, 1, 0], [0, 1, 1], [0, 1, 0]])
+    assert np.array_equal(inter, pair_counts_oracle(labels, REG))
+    rep = structure_report(ss, gt=gt)
+    assert rep.by_id(1).consensus_volume == 1.0
+    assert rep.by_id(2).consensus_volume == 0.0
+    assert rep.by_id(1).gt_dice == 1.0
+    assert rep.by_id(2).gt_dice == 0.0
 
 
 def test_report_memory_bounded_for_sparse_registry():
@@ -456,7 +505,7 @@ def test_report_memory_bounded_for_sparse_registry():
 def test_counting_pool_size(monkeypatch, env, workers):
     # each counting thread holds its own chunk buffers, so without
     # SEGQC_THREADS the pool stays at two threads whatever the CPU count,
-    # and it never exceeds the chunk count; one thread needs no pool
+    # and it never exceeds the chunk count; one thread is a pool of one
     seen = []
     real = metrics.ThreadPoolExecutor
 
@@ -472,9 +521,9 @@ def test_counting_pool_size(monkeypatch, env, workers):
     else:
         monkeypatch.setenv("SEGQC_THREADS", env)
     arrays = [np.full((4, 4, 4), lid) for lid in (2, 9, 2)]
-    inter, vote = metrics._count_labels(label_set(arrays, SPARSE_REG))
-    assert seen == ([workers] if workers > 1 else [])
-    assert np.array_equal(vote, arrays[0])
+    inter, counts, consensus = metrics._count_labels(label_set(arrays, SPARSE_REG))
+    assert seen == [workers]
+    assert np.array_equal(consensus.data, arrays[0])
 
 
 # -- the one pass over probability maps ----------------------------------------

@@ -13,6 +13,7 @@ from segqc.nifti import (
     OrientationInfo,
     read_label_nifti,
     read_nifti,
+    read_orientation,
     write_nifti,
 )
 from segqc.volumes import LabelVolume, ValidationError, VoxelGeometry
@@ -158,6 +159,22 @@ def test_orientation_passthrough(tmp_path):
     write_nifti(path, random_volume(np.uint8), GEOM, orientation=o)
     back = read_nifti(path).orientation
     assert back == o
+    assert read_orientation(path) == o
+
+
+def test_read_orientation_decodes_only_the_header(tmp_path):
+    o = OrientationInfo(qform_code=1, sform_code=1, qoffset=(-1.5, 2.0, 3.0),
+                        srow_x=(1.0, 0.0, 0.0, -1.5), srow_y=(0.0, 1.0, 0.0, 2.0),
+                        srow_z=(0.0, 0.0, 1.0, 3.0))
+    path = tmp_path / "vol.nii.gz"
+    write_nifti(path, random_volume(np.uint8), GEOM, orientation=o)
+    assert read_orientation(path) == o
+    # a gzip stream cut off after its header still yields the header
+    cut = tmp_path / "cut.nii.gz"
+    cut.write_bytes(gzip.compress(gzip.decompress(path.read_bytes())[:HEADER_SIZE]))
+    assert read_orientation(cut) == o
+    with pytest.raises(NiftiFormatError, match="truncated data"):
+        read_nifti(cut)
 
 
 # -- scaling rules -------------------------------------------------------------

@@ -400,6 +400,12 @@ def test_group_analysis_unknown_mode():
         group_analysis(t, modes=("bogus",))
 
 
+def test_group_analysis_needs_a_mode():
+    # no mode would give a table with no rows, not an answer
+    with pytest.raises(ValidationError, match="no group mode"):
+        group_analysis(make_table(30), modes=())
+
+
 def test_group_analysis_constant_dx_collinear():
     t = make_table(30, seed=17)
     t2 = CohortTable(subject_ids=t.subject_ids, age=t.age, sex=t.sex,
