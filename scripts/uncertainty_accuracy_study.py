@@ -3,9 +3,10 @@
 
 Runs the graded-noise study end to end in memory: paired-box phantom,
 per-scan flip probabilities from the frozen severity protocol, N MC
-samples per scan, one metric report per scan, then pooled Pearson
-correlations of mean uncertainty / CV / mean pairwise Dice against the
-Dice to ground truth. The defaults reproduce the bundled configuration
+samples per scan, one metric report per scan, then the Pearson
+correlations of mean pairwise Dice / CV / mean uncertainty against the
+Dice to ground truth over the (scan, structure) records of the one
+dataset, as ``segqc correlate`` computes them. The defaults reproduce the bundled configuration
 in docs/.
 """
 
@@ -54,12 +55,11 @@ def main() -> None:
         print(f"scan_{scan:02d}: worst gt_dice {worst:.4f}, "
               f"mean voxel uncertainty {rep.uncertainty_mean:.4f}")
 
-    corr = correlate_uncertainty_accuracy(reports)
+    corr, n_absent = correlate_uncertainty_accuracy(reports)
     n_records = sum(len(r.structures) for r in reports)
-    print(f"\npooled over {n_records} (scan, structure) records:")
-    print(f"  r(mean_uncertainty, gt_dice) = {corr.mean_uncertainty.r:+.4f}")
-    print(f"  r(cv,               gt_dice) = {corr.cv.r:+.4f}")
-    print(f"  r(mc_dice,          gt_dice) = {corr.mc_dice.r:+.4f}")
+    print(f"\n{n_records} (scan, structure) records, {n_absent} absent-flagged set aside:")
+    for (_, metric), res in corr.items():  # one dataset: all scans are tagged ""
+        print(f"  r({metric:<8}, gt_dice) = {res.r:+.4f}  (n = {res.n_used})")
 
     if args.out_csv:
         with open(args.out_csv, "w", encoding="utf-8", newline="") as fh:

@@ -37,15 +37,13 @@ from .metrics import (
     voxel_uncertainty,
 )
 from .nifti import read_label_nifti, read_orientation, write_nifti
-from .stats import GROUP_MODES, ValidationError, group_analysis, pearson
+from .stats import GROUP_MODES, ValidationError, correlate_uncertainty_accuracy, group_analysis
 from .synth import make_phantom, registry_for_phantom, sample_mc
 from .volumes import StructureRegistry
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
-
-_CORR_METRICS = (("mc_dice", "mc_dice"), ("cv", "cv"), ("mean_unc", "mean_uncertainty"))
 
 
 class UsageError(ValidationError):
@@ -173,38 +171,18 @@ def cmd_correlate(args) -> int:
     if len(reports) < 3:
         raise ValidationError(f"need at least 3 reports, got {len(reports)}")
 
-    by_dataset: dict[str, list] = {}
-    absent_dropped = 0
-    for rep in reports:
-        for s in rep.structures:
-            if s.gt_dice is None:
-                raise ValidationError(
-                    f"report {rep.scan_id or '?'} lacks gt_dice for {s.name}; "
-                    "correlation needs reports produced with --gt"
-                )
-            if s.cv is None and s.mc_dice is None and s.mean_uncertainty is None:
-                absent_dropped += 1
-                continue
-            by_dataset.setdefault(rep.dataset, []).append(s)
-
-    rows = []
-    for dataset in sorted(by_dataset):
-        recs = by_dataset[dataset]
-        gtd = [s.gt_dice for s in recs]
-        for metric_name, attr in _CORR_METRICS:
-            res = pearson([getattr(s, attr) for s in recs], gtd)
-            rows.append((dataset, metric_name, res.r, res.n_used, res.n_dropped))
-
+    results, absent_dropped = correlate_uncertainty_accuracy(reports)
     if args.out:
         with _atomic(args.out) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["dataset", "metric", "r", "n_used", "n_dropped"])
-            for dataset, metric, r, n_used, n_dropped in rows:
-                w.writerow([dataset, metric, repr(r), n_used, n_dropped])
+            for (dataset, metric), res in results.items():
+                w.writerow([dataset, metric, repr(res.r), res.n_used, res.n_dropped])
     print(f"{len(reports)} reports, {absent_dropped} absent-flagged structure records dropped")
     print(f"{'dataset':<16}{'metric':<12}{'r':>9}{'n_used':>8}{'dropped':>8}")
-    for dataset, metric, r, n_used, n_dropped in rows:
-        print(f"{dataset or '-':<16}{metric:<12}{r:>+9.4f}{n_used:>8}{n_dropped:>8}")
+    for (dataset, metric), res in results.items():
+        print(f"{dataset or '-':<16}{metric:<12}{res.r:>+9.4f}{res.n_used:>8}"
+              f"{res.n_dropped:>8}")
     return EXIT_OK
 
 

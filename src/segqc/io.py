@@ -15,6 +15,9 @@ import dataclasses
 import io
 import json
 import math
+import os
+import re
+import sys
 from pathlib import Path
 from typing import Sequence
 
@@ -40,6 +43,9 @@ HEATMAP_METRICS = ("mc_dice", "cv", "mean_unc")
 COHORT_REQUIRED = ("subject_id", "age", "sex", "dx", "volume")
 COHORT_OPTIONAL = ("site", "cv", "mc_dice")
 
+# phantom dims go into the NIfTI-1 header's int16 dim fields
+_MAX_DIM = np.iinfo(np.int16).max
+
 
 def _load_json(path: str | Path) -> object:
     # OSError propagates: missing/unreadable files are I/O errors, not format errors
@@ -51,6 +57,57 @@ def _load_json(path: str | Path) -> object:
     # RecursionError is nesting deeper than the decoder can follow
     except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+
+
+_REQUIRED = object()
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a finite number",
+               str: "a string", dict: "a JSON object", list: "a JSON array"}
+
+
+def _typed(value: object, kind, where: str | Path, path: str):
+    """``value`` read as ``kind``: the one typing rule of every JSON input.
+
+    ``kind`` is bool, int, float, str, dict or list, or ``[kind]`` for an
+    array of that kind. true and false are booleans only, never numbers;
+    an int is a number with no fractional part (15, or 15.0 as float-based
+    writers emit it); a float is any finite number, returned as a float;
+    a string is a JSON string only, so a number is never a name or a path
+    and a numeric string never a number. Anything else raises a
+    ValidationError naming the file ``where`` and the ``path`` inside it.
+    """
+    if isinstance(kind, list):
+        items = _typed(value, list, where, path)
+        return [_typed(v, kind[0], where, f"{path}[{i}]") for i, v in enumerate(items)]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int and number and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    # the comparison is exact for ints and false for NaN, so integers too
+    # large for a float are refused along with NaN and the infinities
+    if kind is float and number and abs(value) <= sys.float_info.max:
+        return float(value)
+    if kind in (bool, str, dict, list) and isinstance(value, kind):
+        return value
+    shown = json.dumps(value, ensure_ascii=False, default=repr)
+    if len(shown) > 60:  # an array or a long number where a scalar belongs
+        shown = shown[:56] + " ..."
+    raise ValidationError(
+        f"{f'{where}: {path}' if path else where} must be {_KIND_NAMES[kind]}, got {shown}"
+    )
+
+
+def _field(doc: dict, key: str, kind, where: str | Path, path: str = "",
+           default=_REQUIRED):
+    """Member ``key`` of the JSON object ``doc`` at ``path``, read by
+    :func:`_typed`. A missing key takes ``default`` and is an error when
+    there is none; null counts as missing only where the default is None.
+    """
+    if key not in doc or (doc[key] is None and default is None):
+        if default is _REQUIRED:
+            raise ValidationError(
+                f"{where}: {f'{path}: ' if path else ''}missing required field \"{key}\""
+            )
+        return default
+    return _typed(doc[key], kind, where, f"{path}.{key}" if path else key)
 
 
 def _dump_json(obj: object, path: str | Path) -> None:
@@ -68,29 +125,12 @@ def read_registry(path: str | Path) -> StructureRegistry:
     The background entry itself may be listed under "structures"; if not,
     it is added with the name "background".
     """
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: registry must be a JSON object")
-    if "background" not in doc:
-        raise ValidationError(f"{path}: registry is missing the \"background\" id")
-    background = doc["background"]
-    if not isinstance(background, int) or isinstance(background, bool):
-        raise ValidationError(f"{path}: \"background\" must be an integer label id")
-    raw = doc.get("structures")
-    if not isinstance(raw, list):
-        raise ValidationError(f"{path}: \"structures\" must be a JSON array")
+    doc = _typed(_load_json(path), dict, path, "")
+    background = _field(doc, "background", int, path)
     entries = []
-    for k, item in enumerate(raw):
-        if not isinstance(item, dict) or "id" not in item or "name" not in item:
-            raise ValidationError(
-                f"{path}: structures[{k}] must be an object with \"id\" and \"name\""
-            )
-        lid, name = item["id"], item["name"]
-        if not isinstance(lid, int) or isinstance(lid, bool):
-            raise ValidationError(f"{path}: structures[{k}].id must be an integer")
-        if not isinstance(name, str):
-            raise ValidationError(f"{path}: structures[{k}].name must be a string")
-        entries.append((lid, name))
+    for k, item in enumerate(_field(doc, "structures", [dict], path)):
+        at = f"structures[{k}]"
+        entries.append((_field(item, "id", int, path, at), _field(item, "name", str, path, at)))
     if background not in [i for i, _ in entries]:
         entries.insert(0, (background, "background"))
     return StructureRegistry(entries=tuple(entries), background_id=background)
@@ -244,75 +284,39 @@ def write_report(report: StructureReport, path: str | Path) -> None:
     _dump_json(report_to_dict(report), path)
 
 
-def _opt_float(d: dict, key: str, where: str) -> float | None:
-    v = d.get(key)
-    if v is None:
-        return None
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValidationError(f"{where}.{key} must be a number or null, got {v!r}")
-    try:
-        return float(v)
-    except OverflowError as exc:
-        raise ValidationError(f"{where}.{key}: {exc}") from exc
-
-
-def _required(d: dict, key: str, convert, where: str):
-    if key not in d:
-        raise ValidationError(f"{where}: missing required field \"{key}\"")
-    try:
-        return convert(d[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{where}.{key}: bad value {d[key]!r}: {exc}") from exc
-
-
 def report_from_dict(doc: dict, where: str = "report") -> StructureReport:
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{where} must be a JSON object")
+    doc = _typed(doc, dict, where, "")
     version = doc.get("schema_version")
     if version != REPORT_SCHEMA_VERSION:
         raise ValidationError(
             f"{where}: schema_version {version!r} unsupported, expected "
             f"{REPORT_SCHEMA_VERSION!r}"
         )
-    unc = doc.get("uncertainty")
-    if not isinstance(unc, dict):
-        raise ValidationError(f"{where}: missing \"uncertainty\" summary object")
-    raw = doc.get("structures")
-    if not isinstance(raw, list):
-        raise ValidationError(f"{where}: \"structures\" must be a JSON array")
+    unc = _field(doc, "uncertainty", dict, where)
     structures = []
-    for k, s in enumerate(raw):
-        tag = f"{where}.structures[{k}]"
-        if not isinstance(s, dict):
-            raise ValidationError(f"{tag} must be a JSON object")
-        try:
-            label_id = int(s["label_id"])
-            name = str(s["name"])
-            mean_volume = float(s["mean_volume"])
-            std_volume = float(s["std_volume"])
-            consensus_volume = float(s["consensus_volume"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"{tag}: bad or missing required field: {exc}") from exc
+    for k, s in enumerate(_field(doc, "structures", [dict], where)):
+        at = f"structures[{k}]"
         structures.append(StructureMetrics(
-            label_id=label_id,
-            name=name,
-            mean_volume=mean_volume,
-            std_volume=std_volume,
-            cv=_opt_float(s, "cv", tag),
-            mc_dice=_opt_float(s, "mc_dice", tag),
-            mean_uncertainty=_opt_float(s, "mean_uncertainty", tag),
-            consensus_volume=consensus_volume,
-            gt_dice=_opt_float(s, "gt_dice", tag),
+            label_id=_field(s, "label_id", int, where, at),
+            name=_field(s, "name", str, where, at),
+            mean_volume=_field(s, "mean_volume", float, where, at),
+            std_volume=_field(s, "std_volume", float, where, at),
+            cv=_field(s, "cv", float, where, at, None),
+            mc_dice=_field(s, "mc_dice", float, where, at, None),
+            mean_uncertainty=_field(s, "mean_uncertainty", float, where, at, None),
+            consensus_volume=_field(s, "consensus_volume", float, where, at),
+            gt_dice=_field(s, "gt_dice", float, where, at, None),
         ))
     return StructureReport(
         structures=tuple(structures),
-        n_samples=_required(doc, "n_samples", int, where),
-        uncertainty_min=_required(unc, "min", float, f"{where}.uncertainty"),
-        uncertainty_mean=_required(unc, "mean", float, f"{where}.uncertainty"),
-        uncertainty_max=_required(unc, "max", float, f"{where}.uncertainty"),
-        normalized_uncertainty=bool(doc.get("normalized_uncertainty", False)),
-        scan_id=str(doc.get("scan_id", "")),
-        dataset=str(doc.get("dataset", "")),
+        n_samples=_field(doc, "n_samples", int, where),
+        uncertainty_min=_field(unc, "min", float, where, "uncertainty"),
+        uncertainty_mean=_field(unc, "mean", float, where, "uncertainty"),
+        uncertainty_max=_field(unc, "max", float, where, "uncertainty"),
+        normalized_uncertainty=_field(doc, "normalized_uncertainty", bool, where,
+                                      default=False),
+        scan_id=_field(doc, "scan_id", str, where, default=""),
+        dataset=_field(doc, "dataset", str, where, default=""),
     )
 
 
@@ -352,26 +356,23 @@ def write_heatmap_volume(
 
 def read_phantom_json(path: str | Path) -> PhantomSpec:
     """Phantom JSON: dims, spacing?, background?, shapes[{label, kind, center, size}]."""
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: phantom config must be a JSON object")
-    try:
-        dims = tuple(int(v) for v in doc["dims"])
-        spacing = tuple(float(v) for v in doc.get("spacing", (1.0, 1.0, 1.0)))
-        geometry = VoxelGeometry(dims, spacing)
-        shapes = tuple(
-            ShapeSpec(
-                label_id=int(s["label"]),
-                kind=str(s["kind"]),
-                center=tuple(float(v) for v in s["center"]),
-                size=tuple(float(v) for v in s["size"]),
-            )
-            for s in doc["shapes"]
-        )
-        background = int(doc.get("background", 0))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{path}: bad phantom config: {exc}") from exc
-    return PhantomSpec(geometry=geometry, shapes=shapes, background_id=background)
+    doc = _typed(_load_json(path), dict, path, "")
+    dims = _field(doc, "dims", [int], path)
+    if not all(1 <= d <= _MAX_DIM for d in dims):
+        raise ValidationError(f"{path}: dims must each be in 1..{_MAX_DIM}, got {dims}")
+    spacing = _field(doc, "spacing", [float], path, default=[1.0, 1.0, 1.0])
+    shapes = []
+    for k, s in enumerate(_field(doc, "shapes", [dict], path)):
+        at = f"shapes[{k}]"
+        shapes.append(ShapeSpec(
+            label_id=_field(s, "label", int, path, at),
+            kind=_field(s, "kind", str, path, at),
+            center=tuple(_field(s, "center", [float], path, at)),
+            size=tuple(_field(s, "size", [float], path, at)),
+        ))
+    return PhantomSpec(geometry=VoxelGeometry(tuple(dims), tuple(spacing)),
+                       shapes=tuple(shapes),
+                       background_id=_field(doc, "background", int, path, default=0))
 
 
 def write_phantom_json(spec: PhantomSpec, path: str | Path) -> None:
@@ -388,21 +389,22 @@ def write_phantom_json(spec: PhantomSpec, path: str | Path) -> None:
     _dump_json(doc, path)
 
 
-def _noise_from_dict(doc: dict, where: str) -> NoiseSpec:
-    flips = doc.get("flip_probs", {})
-    if not isinstance(flips, dict):
-        raise ValidationError(f"{where}: \"flip_probs\" must be a JSON object")
-    try:
-        flip_probs = tuple((int(k), float(v)) for k, v in flips.items())
-        return NoiseSpec(
-            n_samples=int(doc["n_samples"]),
-            flip_probs=flip_probs,
-            default_flip_prob=float(doc.get("default_flip_prob", 0.0)),
-            erosion_dilation_radius=int(doc.get("erosion_dilation_radius", 0)),
-            seed=int(doc.get("seed", 0)),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{where}: bad noise config: {exc}") from exc
+def _noise_from_dict(doc: dict, where: str | Path, path: str = "") -> NoiseSpec:
+    flips = _field(doc, "flip_probs", dict, where, path, default={})
+    at = f"{path}.flip_probs" if path else "flip_probs"
+    for key in flips:
+        # one spelling per id, so no two keys can name the same structure
+        if not re.fullmatch("0|[1-9][0-9]*", key):
+            raise ValidationError(
+                f"{where}: {at} key {key!r} must be a label id in plain decimal"
+            )
+    return NoiseSpec(
+        n_samples=_field(doc, "n_samples", int, where, path),
+        flip_probs=tuple((int(key), _field(flips, key, float, where, at)) for key in flips),
+        default_flip_prob=_field(doc, "default_flip_prob", float, where, path, 0.0),
+        erosion_dilation_radius=_field(doc, "erosion_dilation_radius", int, where, path, 0),
+        seed=_field(doc, "seed", int, where, path, 0),
+    )
 
 
 def read_noise_json(path: str | Path) -> tuple[tuple[str, NoiseSpec], ...]:
@@ -410,25 +412,25 @@ def read_noise_json(path: str | Path) -> tuple[tuple[str, NoiseSpec], ...]:
 
     Single scan: {"n_samples", "flip_probs": {"label": p, ...}, ...} with
     scan id "". Multi scan: {"scans": [{"scan_id", "seed", "flip_probs"},
-    ...]} plus top-level defaults the scan entries inherit.
+    ...]} plus top-level defaults the scan entries inherit. A scan id
+    names the scan's output directory, so it must be one path component.
     """
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: noise config must be a JSON object")
+    doc = _typed(_load_json(path), dict, path, "")
     if "scans" not in doc:
-        return (("", _noise_from_dict(doc, str(path))),)
-    scans = doc["scans"]
-    if not isinstance(scans, list) or not scans:
+        return (("", _noise_from_dict(doc, path)),)
+    scans = _field(doc, "scans", [dict], path)
+    if not scans:
         raise ValidationError(f"{path}: \"scans\" must be a non-empty JSON array")
     base = {k: v for k, v in doc.items() if k != "scans"}
     out = []
     for k, entry in enumerate(scans):
-        if not isinstance(entry, dict):
-            raise ValidationError(f"{path}: scans[{k}] must be a JSON object")
-        merged = dict(base)
-        merged.update(entry)
-        scan_id = str(merged.pop("scan_id", f"scan_{k:02d}"))
-        out.append((scan_id, _noise_from_dict(merged, f"{path}: scans[{k}]")))
+        at = f"scans[{k}]"
+        merged = {**base, **entry}
+        scan_id = _field(merged, "scan_id", str, path, at, default=f"scan_{k:02d}")
+        if scan_id in ("", ".", "..") or set(scan_id) & {"/", "\0", os.sep, os.altsep}:
+            raise ValidationError(f"{path}: {at}.scan_id must be one path component, "
+                                  f"got {scan_id!r}")
+        out.append((scan_id, _noise_from_dict(merged, path, at)))
     ids = [sid for sid, _ in out]
     if len(set(ids)) != len(ids):
         raise ValidationError(f"{path}: duplicate scan_id values")
@@ -543,26 +545,23 @@ def write_scan_manifest(
 def read_scan_manifest(path: str | Path) -> dict:
     """Manifest as a dict with "samples"/"gt"/"registry"/"probs" resolved
     to absolute paths against the manifest's own directory."""
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: manifest must be a JSON object")
-    if "samples" not in doc or not isinstance(doc["samples"], list) or not doc["samples"]:
+    doc = _typed(_load_json(path), dict, path, "")
+    samples = _field(doc, "samples", [str], path)
+    if not samples:
         raise ValidationError(f"{path}: manifest needs a non-empty \"samples\" array")
     root = Path(path).resolve().parent
 
-    def resolve(p) -> str:
-        q = Path(str(p))
+    def resolve(p: str) -> str:
+        q = Path(p)
         return str(q if q.is_absolute() else root / q)
 
     out = dict(doc)
-    out["samples"] = [resolve(p) for p in doc["samples"]]
+    out["samples"] = [resolve(p) for p in samples]
     for key in ("gt", "registry"):
-        if doc.get(key) is not None:
-            out[key] = resolve(doc[key])
-    if doc.get("probs") is not None:
-        probs = doc["probs"]
-        if (not isinstance(probs, list) or len(probs) != len(doc["samples"])
-                or not all(isinstance(per_sample, list) for per_sample in probs)):
+        if (value := _field(doc, key, str, path, default=None)) is not None:
+            out[key] = resolve(value)
+    if (probs := _field(doc, "probs", [[str]], path, default=None)) is not None:
+        if len(probs) != len(samples):
             raise ValidationError(
                 f"{path}: \"probs\" must list one array of paths per sample"
             )

@@ -156,14 +156,17 @@ def _registry_counts(values: np.ndarray, registry: StructureRegistry,
 
 
 def _count_chunk(flats: list[np.ndarray], registry: StructureRegistry, rank: np.ndarray,
-                 cons: np.ndarray, gt: np.ndarray | None, vote: bool, start: int) -> tuple:
+                 cons: np.ndarray, gt: np.ndarray | None, by_rank: np.ndarray | None,
+                 start: int) -> tuple:
     """Counting pass over voxels ``start:start + _CHUNK`` of ``flats``.
 
     Returns its partials of ``_count_labels``' ``inter`` and ``counts``,
-    first writing its majority labels into ``cons`` when ``vote``. ``rank``
-    maps each label id to its rank among the registry ids in ascending order.
+    first writing its majority labels into ``cons`` when ``by_rank`` is
+    given. ``rank`` maps each label id to its rank among the registry ids
+    in ascending order, and ``by_rank`` maps a rank back to its id.
     """
     n = len(flats)
+    vote = by_rank is not None
     parts = [arr[start:start + _CHUNK] for arr in flats]
     base = parts[0]
     agree = np.ones(base.shape, dtype=bool)
@@ -201,7 +204,7 @@ def _count_chunk(flats: list[np.ndarray], registry: StructureRegistry, rank: np.
             best[better] = stacked[i][better]
             best_votes[better] = votes[i][better]
         out[...] = base
-        out[dis] = np.sort(np.array(registry.ids, dtype=cons.dtype))[best]
+        out[dis] = by_rank[best]
     # free the pair buffers first, so a thread's peak stays its pair loop's
     del stacked, votes, dis
     counts = np.zeros((3, len(order)), dtype=np.int64)
@@ -243,14 +246,18 @@ def _count_labels(sample_set: McSampleSet, gt: LabelVolume | None = None) -> tup
     registry = sample_set.registry
     vote = sample_set.kind == "labels"
     consensus = None if vote else consensus_segmentation(sample_set)
-    dtype = np.uint16 if registry.max_id <= _UINT16_MAX else np.int64
+    # the vote is always some sample's label, so no wider than the samples
+    top = min(registry.max_id, max(np.iinfo(f.dtype).max for f in flats))
+    dtype = np.uint16 if top <= _UINT16_MAX else np.int64
     cons = np.empty(flats[0].size, dtype) if vote else consensus.flat
     ids = sorted(registry.ids)  # a valid set's labels are all registry ids
     rank = np.zeros(registry.max_id + 1, dtype=np.min_scalar_type(len(ids) - 1))
     rank[ids] = np.arange(len(ids))
+    # in the vote's dtype; an id past it is on no sample, so no vote picks it
+    by_rank = np.minimum(ids, top).astype(dtype) if vote else None
     starts = range(0, cons.size, _CHUNK)
     count = partial(_count_chunk, flats, registry, rank, cons,
-                    None if gt is None else gt.flat, vote)
+                    None if gt is None else gt.flat, by_rank)
     with ThreadPoolExecutor(max_workers=min(_thread_cap(_COUNT_THREADS), len(starts))) as pool:
         inter, counts = map(sum, zip(*pool.map(count, starts)))
     if vote:

@@ -34,6 +34,7 @@ CONDITION_LIMIT = 1e12
 
 WEIGHT_MODES = ("none", "inv_cv", "inv_one_minus_dice", "explicit")
 GROUP_MODES = ("none", "inv_cv", "inv_one_minus_dice", "huber")
+_CORR_METRICS = (("mc_dice", "mc_dice"), ("cv", "cv"), ("mean_unc", "mean_uncertainty"))
 
 
 class CollinearityError(ValidationError):
@@ -119,16 +120,6 @@ class PearsonResult:
 
 
 @dataclass(frozen=True)
-class UncertaintyAccuracyCorrelations:
-    """Pooled (scan, structure) correlations of each uncertainty type with
-    the Dice score against ground truth."""
-
-    mean_uncertainty: PearsonResult
-    cv: PearsonResult
-    mc_dice: PearsonResult
-
-
-@dataclass(frozen=True)
 class RegressionResult:
     method: str  # "ols" | "wls" | "huber"
     columns: tuple[str, ...]
@@ -200,21 +191,36 @@ def pearson(xs: Sequence, ys: Sequence) -> PearsonResult:
 
 def correlate_uncertainty_accuracy(
     reports: Iterable[StructureReport],
-) -> UncertaintyAccuracyCorrelations:
-    """Pool all (scan, structure) pairs and correlate each uncertainty type
-    with the ground-truth Dice score."""
-    unc, cv, dice, gt = [], [], [], []
-    for report in reports:
-        for s in report.structures:
-            unc.append(s.mean_uncertainty)
-            cv.append(s.cv)
-            dice.append(s.mc_dice)
-            gt.append(s.gt_dice)
-    return UncertaintyAccuracyCorrelations(
-        mean_uncertainty=pearson(unc, gt),
-        cv=pearson(cv, gt),
-        mc_dice=pearson(dice, gt),
-    )
+) -> tuple[dict[tuple[str, str], PearsonResult], int]:
+    """Correlate each uncertainty metric with the Dice score against ground
+    truth over the (scan, structure) records of each dataset.
+
+    Returns a PearsonResult per (dataset, metric), datasets in sorted
+    order and metrics in the order mc_dice, cv, mean_unc (mean
+    uncertainty), and the number of absent-flagged records (no CV, MC
+    Dice or mean uncertainty), which are set aside. A record without
+    gt_dice raises.
+    """
+    by_dataset: dict[str, list] = {}
+    n_absent = 0
+    for rep in reports:
+        for s in rep.structures:
+            if s.gt_dice is None:
+                raise ValidationError(
+                    f"report {rep.scan_id or '?'} lacks gt_dice for {s.name}; "
+                    "correlation needs reports produced with --gt"
+                )
+            if s.cv is None and s.mc_dice is None and s.mean_uncertainty is None:
+                n_absent += 1
+            else:
+                by_dataset.setdefault(rep.dataset, []).append(s)
+    results = {}
+    for dataset in sorted(by_dataset):
+        recs = by_dataset[dataset]
+        gtd = [s.gt_dice for s in recs]
+        for metric, attr in _CORR_METRICS:
+            results[dataset, metric] = pearson([getattr(s, attr) for s in recs], gtd)
+    return results, n_absent
 
 
 def design_matrix(table: CohortTable) -> tuple[np.ndarray, tuple[str, ...]]:

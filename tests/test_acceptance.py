@@ -84,9 +84,11 @@ def test_a2_correlation_pattern():
         noise = NoiseSpec(n_samples=15, flip_probs=probs, seed=1000 + scan)
         ss = sample_mc(gt, registry, noise)
         reports.append(structure_report(ss, gt=gt, scan_id=f"scan_{scan:02d}"))
-    corr = correlate_uncertainty_accuracy(reports)
+    corr, n_absent = correlate_uncertainty_accuracy(reports)
     elapsed = time.perf_counter() - t0
-    r_unc, r_cv, r_mcd = corr.mean_uncertainty.r, corr.cv.r, corr.mc_dice.r
+    # every scan is in the one dataset "" and no structure is absent
+    assert list(corr) == [("", "mc_dice"), ("", "cv"), ("", "mean_unc")] and n_absent == 0
+    r_unc, r_cv, r_mcd = corr["", "mean_unc"].r, corr["", "cv"].r, corr["", "mc_dice"].r
     ok = r_mcd >= 0.80 and r_cv <= -0.50 and r_unc <= -0.50 and elapsed < 60.0
     emit("A2", ok,
          f"13 scans x 8 structures, N=15: r(mc_dice,Dice)={r_mcd:+.4f} (need >= +0.80), "

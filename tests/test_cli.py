@@ -1,5 +1,6 @@
 """End-to-end command line behavior, run in process."""
 
+import csv
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from segqc.cli import main as cli_main
 from segqc.io import read_report
 from segqc.nifti import OrientationInfo, read_nifti, write_nifti
-from segqc.stats import CohortTable
+from segqc.stats import CohortTable, correlate_uncertainty_accuracy
 from segqc.io import write_cohort_csv
 from segqc.volumes import VoxelGeometry
 
@@ -86,6 +87,34 @@ def test_simulate_refuses_label_ids_beyond_uint16(configs, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "70000" in err
     assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("scan_id", ["../escaped", "..", "a/b", "", None])
+def test_simulate_keeps_scans_inside_out(configs, capsys, scan_id):
+    root, phantom, _ = configs
+    noise = root / "multi.json"
+    noise.write_text(json.dumps({"n_samples": 3, "scans": [{"scan_id": scan_id, "seed": 1}]}))
+    before = sorted(root.iterdir())
+    out = root / "out"
+    assert run(["simulate", "--phantom", phantom, "--noise", noise, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "scans[0].scan_id" in err
+    assert [p for p in sorted(root.iterdir()) if p != out] == before
+    assert not (root / "escaped").exists() and not (out / "None").exists()
+
+
+@pytest.mark.parametrize("dims", [[40000, 2, 2], [100000, 100000, 100000], [8, 0, 8]])
+def test_simulate_refuses_dims_beyond_the_nifti_header(configs, capsys, dims):
+    root, phantom, noise = configs
+    doc = json.loads(phantom.read_text())
+    doc["dims"] = dims
+    phantom.write_text(json.dumps(doc))
+    out = root / "sim"
+    assert run(["simulate", "--phantom", phantom, "--noise", noise, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {phantom}: dims must each be in 1..32767")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_simulate_multi_scan_layout(configs):
@@ -349,6 +378,24 @@ def test_correlate_over_report_directory(report_dir, capsys):
     assert set(rows) == {"mean_unc", "cv", "mc_dice"}
     for r in rows.values():
         assert -1.0 <= r <= 1.0
+
+
+def test_correlate_csv_is_the_library_result(report_dir, capsys):
+    root, reports = report_dir
+    for k, p in enumerate(sorted(reports.glob("*.json"))):
+        doc = json.loads(p.read_text())
+        doc["dataset"] = "site_b" if k % 2 else "site_a"
+        p.write_text(json.dumps(doc))
+    out_csv = root / "corr.csv"
+    assert run(["correlate", reports, "--out", out_csv]) == 0
+    with open(out_csv, encoding="utf-8", newline="") as fh:
+        cli_rows = list(csv.reader(fh))[1:]
+    corr, n_absent = correlate_uncertainty_accuracy(
+        [read_report(p) for p in sorted(reports.glob("*.json"))])
+    assert cli_rows == [[dataset, metric, repr(res.r), str(res.n_used), str(res.n_dropped)]
+                        for (dataset, metric), res in corr.items()]
+    assert [row[0] for row in cli_rows] == ["site_a"] * 3 + ["site_b"] * 3
+    assert f"4 reports, {n_absent} absent-flagged" in capsys.readouterr().out
 
 
 def test_correlate_skips_dotfiles(report_dir):

@@ -690,6 +690,34 @@ def valid_docs():
     }
 
 
+def same_json(written, given):
+    """``written`` holds the JSON values of ``given``: numbers compare by
+    value (an integer read into a float field, or 15.0 into an integer
+    field, is the same JSON number), anything else by type and value.
+    Keys ``given`` lacks were filled from defaults and are not compared."""
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    if isinstance(written, dict):
+        return isinstance(given, dict) and all(
+            same_json(v, given[k]) for k, v in written.items() if k in given)
+    if isinstance(written, list):
+        return (isinstance(given, list) and len(written) == len(given)
+                and all(map(same_json, written, given)))
+    if number(written) or number(given):
+        return number(written) and number(given) and written == given
+    return type(written) is type(given) and written == given
+
+
+def written_back(kind, value, tmp_path):
+    """The JSON that writing a read report or registry produces."""
+    if kind == "report":
+        return report_to_dict(value)
+    out = tmp_path / "written.json"
+    write_registry(value, out)
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("kind", sorted(valid_docs()))
 @FUZZ
 @given(data=st.data())
@@ -699,9 +727,27 @@ def test_json_readers_fail_only_with_validation_error(kind, data, tmp_path):
     p = tmp_path / f"{kind}.json"
     p.write_text(json.dumps(doc), encoding="utf-8")
     try:
-        reader(p)
+        value = reader(p)
     except ValidationError:
-        pass
+        return
+    if kind in ("report", "registry"):
+        back = written_back(kind, value, tmp_path)
+        if kind == "registry" and len(back["structures"]) == len(doc["structures"]) + 1:
+            # the reader lists an unlisted background first, as documented
+            assert back["structures"][0] == {"id": doc["background"], "name": "background"}
+            del back["structures"][0]
+        assert same_json(back, doc), (back, doc)
+
+
+def test_same_json_compares_types_not_only_values():
+    assert same_json({"a": 1.0, "b": [2, "x"], "c": None}, {"a": 1, "b": [2.0, "x"], "c": None})
+    assert same_json({"a": 1, "filled": 0}, {"a": 1})
+    assert not same_json({"a": 1}, {"a": True})
+    assert not same_json({"a": True}, {"a": 1})
+    assert not same_json({"a": 1.0}, {"a": "1"})
+    assert not same_json({"a": "1"}, {"a": 1})
+    assert not same_json({"a": 2}, {"a": 2.9})
+    assert not same_json([1, 2], [1])
 
 
 REPORT_ROW = {"label_id": 1, "name": "a", "mean_volume": 1, "std_volume": 1,
@@ -727,6 +773,101 @@ def test_readers_reject_out_of_range_numbers_and_wrong_containers(tmp_path, read
     p.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ValidationError):
         reader(p)
+
+
+SINGLE_NOISE = {"n_samples": 6, "flip_probs": {"1": 0.1, "2": 0.3}, "seed": 9,
+                "default_flip_prob": 0.0, "erosion_dilation_radius": 0}
+TYPE_CONFUSED = [
+    # (reader kind, path to the value, value, the path the error must name)
+    ("registry", ("background",), True, "background"),
+    ("registry", ("structures", 0, "id"), "1", "structures[0].id"),
+    ("registry", ("structures", 0, "id"), 1.5, "structures[0].id"),
+    ("registry", ("structures", 1, "id"), math.nan, "structures[1].id"),
+    ("registry", ("structures", 0, "name"), 2, "structures[0].name"),
+    ("report", ("n_samples",), 2.9, "n_samples"),
+    ("report", ("n_samples",), "12", "n_samples"),
+    ("report", ("n_samples",), True, "n_samples"),
+    ("report", ("structures", 0, "label_id"), 1.7, "structures[0].label_id"),
+    ("report", ("structures", 0, "mean_volume"), True, "structures[0].mean_volume"),
+    ("report", ("structures", 0, "std_volume"), "3.2", "structures[0].std_volume"),
+    ("report", ("structures", 0, "cv"), math.inf, "structures[0].cv"),
+    ("report", ("structures", 0, "gt_dice"), False, "structures[0].gt_dice"),
+    ("report", ("uncertainty", "mean"), math.nan, "uncertainty.mean"),
+    ("report", ("uncertainty", "max"), -math.inf, "uncertainty.max"),
+    ("report", ("structures", 1, "name"), 2, "structures[1].name"),
+    ("report", ("scan_id",), 3, "scan_id"),
+    ("report", ("dataset",), 1.0, "dataset"),
+    ("report", ("normalized_uncertainty",), "false", "normalized_uncertainty"),
+    ("report", ("normalized_uncertainty",), 0, "normalized_uncertainty"),
+    ("phantom", ("dims", 0), 8.9, "dims[0]"),
+    ("phantom", ("dims", 1), True, "dims[1]"),
+    ("phantom", ("dims", 2), "8", "dims[2]"),
+    ("phantom", ("spacing", 0), math.nan, "spacing[0]"),
+    ("phantom", ("spacing", 2), math.inf, "spacing[2]"),
+    ("phantom", ("shapes", 2, "center", 1), True, "shapes[2].center[1]"),
+    ("phantom", ("shapes", 0, "size", 0), "4", "shapes[0].size[0]"),
+    ("phantom", ("shapes", 0, "label"), 1.5, "shapes[0].label"),
+    ("phantom", ("shapes", 0, "kind"), 1, "shapes[0].kind"),
+    ("phantom", ("background",), False, "background"),
+    ("noise", ("n_samples",), 2.9, "n_samples"),
+    ("noise", ("n_samples",), "6", "n_samples"),
+    ("noise", ("erosion_dilation_radius",), 0.5, "erosion_dilation_radius"),
+    ("noise", ("erosion_dilation_radius",), True, "erosion_dilation_radius"),
+    ("noise", ("seed",), math.nan, "seed"),
+    ("noise", ("default_flip_prob",), math.nan, "default_flip_prob"),
+    ("noise", ("default_flip_prob",), True, "default_flip_prob"),
+    ("noise", ("flip_probs", "1"), "0.1", "flip_probs.1"),
+    ("noise", ("flip_probs",), {"1": 0.1, "01": 0.2}, "flip_probs key '01'"),
+    ("noise", ("flip_probs",), {"2": 0.3, "+2": 0.1}, "flip_probs key '+2'"),
+    ("noise", ("scans",), [{"scan_id": 7}], "scans[0].scan_id"),
+    ("manifest", ("samples", 1), 3, "samples[1]"),
+    ("manifest", ("gt",), 1, "gt"),
+    ("manifest", ("registry",), True, "registry"),
+    ("manifest", ("probs", 0, 1), 2.0, "probs[0][1]"),
+]
+
+
+@pytest.mark.parametrize("kind,at,value,needle", TYPE_CONFUSED,
+                         ids=[f"{k}-{n}-{v!r}" for k, _, v, n in TYPE_CONFUSED])
+def test_json_readers_refuse_type_confused_values(tmp_path, kind, at, value, needle):
+    reader, doc = valid_docs()[kind]
+    if kind == "noise":
+        doc = copy.deepcopy(SINGLE_NOISE)
+    node = doc
+    for key in at[:-1]:
+        node = node[key]
+    node[at[-1]] = value
+    p = tmp_path / f"{kind}.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValidationError) as info:
+        reader(p)
+    assert str(info.value).startswith(f"{p}: {needle}"), str(info.value)
+
+
+@pytest.mark.parametrize("kind,at,value", [
+    ("report", ("n_samples",), 12.0),
+    ("report", ("structures", 0, "label_id"), 1.0),
+    ("report", ("structures", 0, "consensus_volume"), 121),
+    ("registry", ("structures", 0, "id"), 1.0),
+    ("phantom", ("dims", 0), 48.0),
+    ("noise", ("erosion_dilation_radius",), 0.0),
+], ids=["report-n_samples", "report-label_id", "report-consensus_volume", "registry-id",
+        "phantom-dims", "noise-radius"])
+def test_json_readers_take_whole_numbers_either_way(tmp_path, kind, at, value):
+    # 12.0 is the JSON number 12, as float-based writers emit it; an
+    # integer is a number for a float field
+    reader, doc = valid_docs()[kind]
+    if kind == "noise":
+        doc = copy.deepcopy(SINGLE_NOISE)
+    p = tmp_path / f"{kind}.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    expected = reader(p)
+    node = doc
+    for key in at[:-1]:
+        node = node[key]
+    node[at[-1]] = value
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    assert reader(p) == expected
 
 
 COHORT_HEADER = b"subject_id,age,sex,dx,site,volume,cv,mc_dice\r\n"

@@ -501,6 +501,39 @@ def test_report_memory_bounded_for_sparse_registry():
     assert np.array_equal(rep.consensus.data, oracles.majority_vote_oracle(arrays))
 
 
+def test_unused_large_id_keeps_the_vote_narrow():
+    # uint8 samples cannot hold the id 1e6, so the vote stays uint16; an
+    # int64 vote buffer at 128^3 (one counting chunk) costs 16 MiB
+    # two boxes, each sample relabelling a random 30% of the voxels
+    rng = np.random.default_rng(9)
+    base = np.zeros((128, 128, 128), dtype=np.uint8)
+    base[20:100, 20:60] = 1
+    base[20:100, 60:110] = 2
+    arrays = []
+    for _ in range(3):
+        a = base.copy()
+        flip = rng.random(a.shape) < 0.3
+        a[flip] = rng.integers(0, 3, int(flip.sum()), dtype=np.uint8)
+        arrays.append(a)
+    sparse = StructureRegistry(entries=REG.entries + ((1_000_000, "far"),), background_id=0)
+    g = geom(128, 128, 128)
+    ss = McSampleSet(geometry=g, registry=sparse,
+                     samples=tuple(McSample(labels=LabelVolume(g, a)) for a in arrays))
+    assert not ss.violations  # validated before the measurement
+    tracemalloc.start()
+    try:
+        rep = structure_report(ss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 42 * 2**20, peak / 2**20
+    assert rep.consensus.data.dtype == np.uint16
+    plain = structure_report(label_set(arrays, REG))
+    assert np.array_equal(rep.consensus.data, plain.consensus.data)
+    assert rep.structures[:2] == plain.structures
+    assert rep.by_id(1_000_000).consensus_volume == 0.0
+
+
 @pytest.mark.parametrize("env, workers", [(None, 2), ("3", 3), ("64", 16), ("1", 1)])
 def test_counting_pool_size(monkeypatch, env, workers):
     # each counting thread holds its own chunk buffers, so without

@@ -116,15 +116,33 @@ def _report(rows, scan_id):
 
 
 def test_correlate_uncertainty_accuracy_pools_records():
-    # (mean_uncertainty, cv, mc_dice, gt_dice) per structure; pooled over scans
+    # (mean_uncertainty, cv, mc_dice, gt_dice) per structure; pooled over the
+    # scans of the one dataset ""
     a = _report([(0.1, 0.05, 0.95, 0.97), (0.3, 0.15, 0.85, 0.90),
                  (0.6, 0.30, 0.70, 0.75)], "scan_a")
     b = _report([(0.9, None, 0.55, 0.60), (1.2, 0.55, 0.40, 0.42)], "scan_b")
-    out = correlate_uncertainty_accuracy([a, b])
-    assert out.mean_uncertainty.r < -0.9
-    assert out.mean_uncertainty.n_used == 5
-    assert out.cv.r < -0.9 and out.cv.n_dropped == 1
-    assert out.mc_dice.r > 0.9
+    out, n_absent = correlate_uncertainty_accuracy([a, b])
+    assert list(out) == [("", "mc_dice"), ("", "cv"), ("", "mean_unc")] and n_absent == 0
+    assert out["", "mean_unc"].r < -0.9
+    assert out["", "mean_unc"].n_used == 5
+    assert out["", "cv"].r < -0.9 and out["", "cv"].n_dropped == 1
+    assert out["", "mc_dice"].r > 0.9
+
+
+def test_correlate_uncertainty_accuracy_refuses_records_without_gt_dice():
+    a = _report([(0.1, 0.05, 0.95, 0.97), (0.3, 0.15, 0.85, None)], "scan_a")
+    b = _report([(0.9, 0.40, 0.55, 0.60), (1.2, 0.55, 0.40, 0.42)], "scan_b")
+    with pytest.raises(ValidationError, match="scan_a lacks gt_dice for s2"):
+        correlate_uncertainty_accuracy([a, b])
+
+
+def test_correlate_uncertainty_accuracy_sets_absent_records_aside():
+    # (mean_uncertainty, cv, mc_dice, gt_dice); the last record is absent
+    a = _report([(0.1, 0.05, 0.95, 0.97), (0.3, 0.15, 0.85, 0.90),
+                 (0.6, 0.30, 0.70, 0.75), (None, None, None, 0.0)], "scan_a")
+    out, n_absent = correlate_uncertainty_accuracy([a])
+    assert n_absent == 1
+    assert all(res.n_used == 3 and res.n_dropped == 0 for res in out.values())
 
 
 # -- design matrix and WLS ---------------------------------------------------
