@@ -9,9 +9,10 @@ Conventions shared by every subcommand:
 * a directory of samples means every .nii/.nii.gz in it, sorted
   lexicographically (fixed order means fixed floating-point reductions);
   an explicit --manifest overrides discovery,
-* SEGQC_THREADS caps the thread pools of a multi-scan ``simulate``, which
+* SEGQC_THREADS caps the threads of a multi-scan ``simulate``, which
   writes one scan per thread (default: the CPU count), and of the label
-  counting pass behind ``metrics`` and ``consensus`` (default: 2).
+  counting pass and the probability-map pass behind ``metrics`` and
+  ``consensus`` (default: 2 each).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import numpy as np
 from . import io as sio
 from .metrics import (
     _registry_counts,
-    _thread_cap,
     consensus_segmentation,
     structure_report,
     voxel_uncertainty,
@@ -39,7 +39,7 @@ from .metrics import (
 from .nifti import read_label_nifti, read_orientation, write_nifti
 from .stats import GROUP_MODES, ValidationError, correlate_uncertainty_accuracy, group_analysis
 from .synth import make_phantom, registry_for_phantom, sample_mc
-from .volumes import StructureRegistry
+from .volumes import StructureRegistry, _thread_cap
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1

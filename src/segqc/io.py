@@ -43,8 +43,10 @@ HEATMAP_METRICS = ("mc_dice", "cv", "mean_unc")
 COHORT_REQUIRED = ("subject_id", "age", "sex", "dx", "volume")
 COHORT_OPTIONAL = ("site", "cv", "mc_dice")
 
-# phantom dims go into the NIfTI-1 header's int16 dim fields
+# phantom dims and spacing go into the NIfTI-1 header's int16 dim and
+# float32 pixdim fields
 _MAX_DIM = np.iinfo(np.int16).max
+_MAX_SPACING = float(np.finfo(np.float32).max)
 
 
 def _load_json(path: str | Path) -> object:
@@ -361,6 +363,10 @@ def read_phantom_json(path: str | Path) -> PhantomSpec:
     if not all(1 <= d <= _MAX_DIM for d in dims):
         raise ValidationError(f"{path}: dims must each be in 1..{_MAX_DIM}, got {dims}")
     spacing = _field(doc, "spacing", [float], path, default=[1.0, 1.0, 1.0])
+    # a spacing that rounds to 0 would write a file segqc then refuses
+    if not all(s <= _MAX_SPACING and np.float32(s) != 0 for s in spacing):
+        raise ValidationError(f"{path}: spacing must each fit a float32 pixdim, nonzero "
+                              f"and at most {_MAX_SPACING:g}, got {spacing}")
     shapes = []
     for k, s in enumerate(_field(doc, "shapes", [dict], path)):
         at = f"shapes[{k}]"
@@ -389,22 +395,28 @@ def write_phantom_json(spec: PhantomSpec, path: str | Path) -> None:
     _dump_json(doc, path)
 
 
-def _noise_from_dict(doc: dict, where: str | Path, path: str = "") -> NoiseSpec:
-    flips = _field(doc, "flip_probs", dict, where, path, default={})
-    at = f"{path}.flip_probs" if path else "flip_probs"
-    for key in flips:
-        # one spelling per id, so no two keys can name the same structure
-        if not re.fullmatch("0|[1-9][0-9]*", key):
-            raise ValidationError(
-                f"{where}: {at} key {key!r} must be a label id in plain decimal"
-            )
-    return NoiseSpec(
-        n_samples=_field(doc, "n_samples", int, where, path),
-        flip_probs=tuple((int(key), _field(flips, key, float, where, at)) for key in flips),
-        default_flip_prob=_field(doc, "default_flip_prob", float, where, path, 0.0),
-        erosion_dilation_radius=_field(doc, "erosion_dilation_radius", int, where, path, 0),
-        seed=_field(doc, "seed", int, where, path, 0),
-    )
+def _noise_fields(doc: dict, where: str | Path, path: str = "") -> dict:
+    """The :class:`NoiseSpec` fields set in ``doc``, each typed at ``path``."""
+    out = {key: _field(doc, key, kind, where, path)
+           for key, kind in (("n_samples", int), ("default_flip_prob", float),
+                             ("erosion_dilation_radius", int), ("seed", int)) if key in doc}
+    if "flip_probs" in doc:
+        flips = _field(doc, "flip_probs", dict, where, path)
+        at = f"{path}.flip_probs" if path else "flip_probs"
+        for key in flips:
+            # one spelling per id, so no two keys can name the same structure
+            if not re.fullmatch("0|[1-9][0-9]*", key):
+                raise ValidationError(
+                    f"{where}: {at} key {key!r} must be a label id in plain decimal"
+                )
+        out["flip_probs"] = tuple((int(key), _field(flips, key, float, where, at))
+                                  for key in flips)
+    return out
+
+
+def _noise_spec(fields: dict, where: str | Path, path: str = "") -> NoiseSpec:
+    _field(fields, "n_samples", int, where, path)  # the one required field
+    return NoiseSpec(**fields)
 
 
 def read_noise_json(path: str | Path) -> tuple[tuple[str, NoiseSpec], ...]:
@@ -412,25 +424,27 @@ def read_noise_json(path: str | Path) -> tuple[tuple[str, NoiseSpec], ...]:
 
     Single scan: {"n_samples", "flip_probs": {"label": p, ...}, ...} with
     scan id "". Multi scan: {"scans": [{"scan_id", "seed", "flip_probs"},
-    ...]} plus top-level defaults the scan entries inherit. A scan id
-    names the scan's output directory, so it must be one path component.
+    ...]} plus top-level defaults the scan entries inherit, typed where
+    they stand. A scan id names the scan's output directory, so it must
+    be one path component.
     """
     doc = _typed(_load_json(path), dict, path, "")
     if "scans" not in doc:
-        return (("", _noise_from_dict(doc, path)),)
+        return (("", _noise_spec(_noise_fields(doc, path), path)),)
     scans = _field(doc, "scans", [dict], path)
     if not scans:
         raise ValidationError(f"{path}: \"scans\" must be a non-empty JSON array")
-    base = {k: v for k, v in doc.items() if k != "scans"}
+    base = _noise_fields(doc, path)
+    base_id = _field(doc, "scan_id", str, path, default=None)
     out = []
     for k, entry in enumerate(scans):
         at = f"scans[{k}]"
-        merged = {**base, **entry}
-        scan_id = _field(merged, "scan_id", str, path, at, default=f"scan_{k:02d}")
+        scan_id = _field(entry, "scan_id", str, path, at,
+                         default=f"scan_{k:02d}" if base_id is None else base_id)
         if scan_id in ("", ".", "..") or set(scan_id) & {"/", "\0", os.sep, os.altsep}:
             raise ValidationError(f"{path}: {at}.scan_id must be one path component, "
                                   f"got {scan_id!r}")
-        out.append((scan_id, _noise_from_dict(merged, path, at)))
+        out.append((scan_id, _noise_spec({**base, **_noise_fields(entry, path, at)}, path, at)))
     ids = [sid for sid, _ in out]
     if len(set(ids)) != len(ids):
         raise ValidationError(f"{path}: duplicate scan_id values")
@@ -551,19 +565,22 @@ def read_scan_manifest(path: str | Path) -> dict:
         raise ValidationError(f"{path}: manifest needs a non-empty \"samples\" array")
     root = Path(path).resolve().parent
 
-    def resolve(p: str) -> str:
+    def resolve(p: str, at: str) -> str:
+        if "\0" in p:  # no file name holds one; open() would raise a bare ValueError
+            raise ValidationError(f"{path}: {at} must not contain a NUL character")
         q = Path(p)
         return str(q if q.is_absolute() else root / q)
 
     out = dict(doc)
-    out["samples"] = [resolve(p) for p in samples]
+    out["samples"] = [resolve(p, f"samples[{i}]") for i, p in enumerate(samples)]
     for key in ("gt", "registry"):
         if (value := _field(doc, key, str, path, default=None)) is not None:
-            out[key] = resolve(value)
+            out[key] = resolve(value, key)
     if (probs := _field(doc, "probs", [[str]], path, default=None)) is not None:
         if len(probs) != len(samples):
             raise ValidationError(
                 f"{path}: \"probs\" must list one array of paths per sample"
             )
-        out["probs"] = [[resolve(p) for p in per_sample] for per_sample in probs]
+        out["probs"] = [[resolve(p, f"probs[{i}][{k}]") for k, p in enumerate(per_sample)]
+                        for i, per_sample in enumerate(probs)]
     return out

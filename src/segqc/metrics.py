@@ -21,7 +21,10 @@ own, so neither the chunk size nor the thread count can change a result.
 The entropy map
 and the mean-probability consensus come from the sample set's one pass
 over its probability maps (:attr:`~segqc.volumes.McSampleSet.prob_pass`),
-which loads each sample's maps once and never holds them all.
+which loads each sample's maps once and never holds them all; it decodes
+each sample's maps and folds them in z-slabs on up to ``SEGQC_THREADS``
+threads (default: 2), with every float operation per voxel, so its
+results do not depend on the thread count either.
 
 All functions are pure and deterministic: floating-point reductions run
 in a fixed order (ascending sample index, registry order over structures),
@@ -30,7 +33,6 @@ so repeated runs are bit-identical.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -46,6 +48,7 @@ from .volumes import (
     ValidationError,
     VoxelGeometry,
     _read_only,
+    _thread_cap,
     require_valid,
 )
 
@@ -59,20 +62,6 @@ _SLICE = 1 << 18
 # own chunk buffers, about 30 MB at N = 15, so the default stays small
 # whatever the host's CPU count.
 _COUNT_THREADS = 2
-
-
-def _thread_cap(default: int) -> int:
-    """Worker threads allowed by SEGQC_THREADS, ``default`` when unset."""
-    raw = os.environ.get("SEGQC_THREADS", "")
-    if not raw:
-        return default
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(f"SEGQC_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ValidationError(f"SEGQC_THREADS must be >= 1, got {n}")
-    return n
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,10 @@ raises it when a set is read, and metric operations refuse to run on an
 invalid set. So is the one pass over its probability maps that both
 validation and the metrics read (:attr:`McSampleSet.prob_pass`): each
 sample's maps are loaded once, in ascending sample order, and folded
-into float64 sums, so no (N, K, x, y, z) stack is ever held.
+into float64 sums, so no (N, K, x, y, z) stack is ever held. A
+sample's maps are decoded, and folded in z-slabs, by up to
+``SEGQC_THREADS`` threads (default: 2); every float operation is per
+voxel, so the thread count never changes a result.
 
 Voxel data is stored as 3-D numpy arrays indexed ``[x, y, z]``; the flat
 (serialized) order is x-fastest, matching the on-disk layout used by the
@@ -19,8 +22,10 @@ io module.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
@@ -33,10 +38,28 @@ _UINT16_MAX = np.iinfo(np.uint16).max
 # Per-label counts are dense arrays of max_id + 1 entries; an id beyond
 # this is a corrupt registry, not a real label table.
 _MAX_LABEL_ID = 1 << 20
+# Voxels per z-slab of the probability pass, rounded down to whole x-y
+# planes (at least one): a slab's float64 temporaries stay near the CPU
+# cache, and a small volume is one slab.
+_SLAB = 1 << 17
 
 
 class ValidationError(ValueError):
     """An input violates a structural invariant."""
+
+
+def _thread_cap(default: int) -> int:
+    """Worker threads allowed by SEGQC_THREADS, ``default`` when unset."""
+    raw = os.environ.get("SEGQC_THREADS", "")
+    if not raw:
+        return default
+    try:
+        n = int(raw)
+    except ValueError:
+        raise ValidationError(f"SEGQC_THREADS must be an integer, got {raw!r}") from None
+    if n < 1:
+        raise ValidationError(f"SEGQC_THREADS must be >= 1, got {n}")
+    return n
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -226,35 +249,60 @@ class ProbMapStack:
         """
         return self.maps[k]
 
-    def load_maps(self) -> Sequence[np.ndarray]:
-        """The K maps of :meth:`load_map`, in ``label_ids`` order."""
-        return [self.load_map(k) for k in range(len(self.label_ids))]
-
     def violations(self) -> list[str]:
         """Rule violations in this stack; empty list means valid."""
-        return _map_checks(self.load_maps())
+        maps = [self.load_map(k) for k in range(len(self.label_ids))]
+        bounds, err, _ = _fold_slab(maps, slice(None))
+        return _check_messages(bounds, err)
 
 
-def _map_checks(maps: Sequence[np.ndarray]) -> list[str]:
-    """Normalisation messages for one sample's maps, visited once each.
+def _fold_slab(maps: Sequence[np.ndarray], z: slice, label_ids: Sequence[int] = (),
+               best: np.ndarray | None = None, truth: np.ndarray | None = None,
+               entropy: np.ndarray | None = None, sums: Sequence[np.ndarray] = ()) -> tuple:
+    """The probability pass over the z-slab ``[:, :, z]`` of one sample's maps.
 
-    Each map's min and max propagate NaN and reach any infinity, so they
-    settle finiteness too. The per-voxel sum adds the maps in list order
-    into float64, the order of a sum over the stack's first axis.
+    Returns each map's (min, max) as a (K, 2) array, the largest per-voxel
+    deviation of the maps' sum from 1 (NaN unless every bound is finite)
+    and the voxels where ``truth`` differs from the argmax labels. The
+    minima and maxima propagate NaN and reach any infinity, so they settle
+    finiteness too. The per-voxel sum adds the maps in list order into
+    float64, the order of a sum over the stack's first axis. With
+    ``best``, the argmax labels of ``label_ids`` are written into its
+    slab; with ``entropy``, each map's -p*ln(p) is taken from its slab
+    and the map added into the slab of ``sums[k]``.
     """
-    bounds = [(float(m.min()), float(m.max())) for m in maps]
+    part = [m[:, :, z] for m in maps]
+    bounds = np.array([(m.min(), m.max()) for m in part])
+    err = np.nan
+    if np.isfinite(bounds).all():
+        total = np.zeros_like(part[0], dtype=np.float64)
+        for m in part:
+            total += m
+        total -= 1.0
+        err = np.abs(total).max()
+    differ = 0
+    if best is not None:
+        ids = _argmax_labels(part, label_ids, best[:, :, z])
+        if truth is not None:
+            differ = int(np.count_nonzero(truth[:, :, z] != ids))
+    if entropy is not None:
+        out = entropy[:, :, z]
+        for m, acc in zip(part, sums):
+            out -= xlogy(m, m, dtype=np.float64)
+            acc = acc[:, :, z]
+            acc += m
+    return bounds, err, differ
+
+
+def _check_messages(bounds: np.ndarray, err: float) -> list[str]:
+    """Normalisation messages from :func:`_fold_slab`'s map bounds, of any
+    shape ending in (min, max), and its largest sum error."""
     if not np.isfinite(bounds).all():
         return ["probability maps contain non-finite values"]
-    lo = min(b[0] for b in bounds)
-    hi = max(b[1] for b in bounds)
+    lo, hi = float(np.min(bounds[..., 0])), float(np.max(bounds[..., 1]))
     out = []
     if lo < 0.0 or hi > 1.0:
         out.append(f"probability values outside [0, 1] (range {lo:g}..{hi:g})")
-    total = np.zeros_like(maps[0], dtype=np.float64)
-    for m in maps:
-        total += m
-    total -= 1.0
-    err = float(np.abs(total).max())
     if err > PROB_SUM_TOL:
         out.append(
             f"per-voxel probability sums deviate from 1 by up to {err:g} "
@@ -263,22 +311,30 @@ def _map_checks(maps: Sequence[np.ndarray]) -> list[str]:
     return out
 
 
-def _argmax_labels(maps: Sequence[np.ndarray], label_ids: Sequence[int]) -> np.ndarray:
+def _id_dtype(label_ids: Sequence[int]) -> type:
+    """uint16 when every id fits, else int64."""
+    return np.uint16 if 0 <= min(label_ids) and max(label_ids) <= _UINT16_MAX else np.int64
+
+
+def _argmax_labels(maps: Sequence[np.ndarray], label_ids: Sequence[int],
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Label id of the largest map per voxel, ties to the lowest id.
 
     A running maximum over the maps in ascending-id order with strict
     ``>``, so the first maximum -- the lowest id -- is kept without any
-    (K, x, y, z) temporary. Ids are uint16 when they all fit, else int64.
+    (K, x, y, z) temporary. The ids are written into ``out`` when given,
+    else into a new array of :func:`_id_dtype`.
     """
     order = sorted(range(len(label_ids)), key=label_ids.__getitem__)
-    fits = 0 <= min(label_ids) and max(label_ids) <= _UINT16_MAX
     best = np.array(maps[order[0]], dtype=np.result_type(*(m.dtype for m in maps)), order="K")
-    ids = np.full_like(best, label_ids[order[0]], dtype=np.uint16 if fits else np.int64)
+    if out is None:
+        out = np.empty_like(best, dtype=_id_dtype(label_ids))
+    out[...] = label_ids[order[0]]
     for k in order[1:]:
         better = maps[k] > best
         np.copyto(best, maps[k], where=better)
-        np.copyto(ids, label_ids[k], where=better)
-    return ids
+        np.copyto(out, label_ids[k], where=better)
+    return out
 
 
 @dataclass(frozen=True)
@@ -373,33 +429,50 @@ def _prob_pass(sample_set: McSampleSet) -> ProbPass:
     entropy), and widening float32 to float64 is exact, so the results
     are bit-identical to summing a float64 copy of the whole set. Memory
     is K + 2 float64 volumes plus one sample's maps.
+
+    Each sample's K files are decoded, and then its maps folded in
+    z-slabs of whole planes (:func:`_fold_slab`), by up to
+    ``SEGQC_THREADS`` threads (default: 2): the calling thread and a
+    per-sample pool, never more than the sample has slabs, so a volume of
+    one slab is read on the calling thread alone and starts no thread.
+    Slabs write disjoint parts of the sums and the argmax, and their map
+    bounds, sum errors and mismatch counts combine exactly (min and max,
+    max, integer sum), so no slab size or thread count changes a result.
+    A sample that fails its checks turns the fold off, which drops the
+    terms it added.
     """
     geometry = sample_set.geometry
     ids = sample_set.registry.ids
     fold = all(s.probs is not None and s.probs.geometry == geometry
                and s.probs.label_ids == ids for s in sample_set.samples)
-    entropy, sums = None, None
+    entropy, sums = None, []
     checks, mismatches, labels = [], [], []
     for s in sample_set.samples:
         msgs, differ, own = (), 0, None
         if s.probs is not None:
-            maps = s.probs.load_maps()
-            msgs = tuple(_map_checks(maps))
-            best = _argmax_labels(maps, s.probs.label_ids)
+            dims = s.probs.geometry.dims
+            depth = max(1, _SLAB // (dims[0] * dims[1]))
+            slabs = [slice(z, z + depth) for z in range(0, dims[2], depth)]
+            workers = min(_thread_cap(2), len(slabs))
+            with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+                maps = _shared(pool, workers, s.probs.load_map, range(len(s.probs.label_ids)))
+                if fold and entropy is None:
+                    entropy = np.zeros_like(maps[0], dtype=np.float64)
+                    sums = [np.zeros_like(m, dtype=np.float64) for m in maps]
+                best = np.empty_like(maps[0], dtype=_id_dtype(s.probs.label_ids))
+                truth = (s.labels.data if s.labels is not None
+                         and s.labels.geometry == geometry == s.probs.geometry else None)
+                parts = _shared(pool, workers, partial(
+                    _fold_slab, maps, label_ids=s.probs.label_ids, best=best, truth=truth,
+                    entropy=entropy if fold else None, sums=sums), slabs)
+            del maps  # freed before the next sample is decoded
+            bounds, errs, differs = zip(*parts)
+            msgs = tuple(_check_messages(np.array(bounds), np.max(errs)))
+            differ = sum(differs)
             if s.labels is None:
                 best.flags.writeable = False
                 own = best
-            elif s.labels.geometry == geometry and s.probs.geometry == geometry:
-                differ = int(np.count_nonzero(s.labels.data != best))
             fold = fold and not msgs
-            if fold:
-                if entropy is None:
-                    entropy = np.zeros_like(maps[0], dtype=np.float64)
-                    sums = [np.zeros_like(m, dtype=np.float64) for m in maps]
-                for k, m in enumerate(maps):
-                    entropy -= xlogy(m, m, dtype=np.float64)
-                    sums[k] += m
-            del maps, best  # freed before the next sample is decoded
         checks.append(msgs)
         mismatches.append(differ)
         labels.append(own)
@@ -419,6 +492,19 @@ def _prob_pass(sample_set: McSampleSet) -> ProbPass:
         consensus = _argmax_labels(sums, ids)
         consensus.flags.writeable = False
     return ProbPass(tuple(checks), tuple(mismatches), tuple(labels), entropy, consensus)
+
+
+def _shared(pool: ThreadPoolExecutor, workers: int, fn, items) -> list:
+    """``fn`` over ``items``, in order, run by this thread and by
+    ``workers - 1`` of ``pool``'s, each taking the next item when free."""
+    todo = iter(enumerate(items))  # each next() is one call, atomic under the GIL
+
+    def drain() -> list[tuple]:
+        return [(i, fn(item)) for i, item in todo]
+
+    helpers = [pool.submit(drain) for _ in range(workers - 1)]
+    done = drain() + [r for h in helpers for r in h.result()]
+    return [r for _, r in sorted(done, key=lambda d: d[0])]
 
 
 @dataclass(frozen=True)

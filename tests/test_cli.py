@@ -117,6 +117,22 @@ def test_simulate_refuses_dims_beyond_the_nifti_header(configs, capsys, dims):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spacing", [[1e39, 1, 1], [1, 1e-50, 1]])
+def test_simulate_refuses_spacing_beyond_the_nifti_header(configs, capsys, spacing):
+    # pixdim is float32: a finite double past its maximum cannot be
+    # written, and one that rounds to 0 would be refused when read back
+    root, phantom, noise = configs
+    doc = json.loads(phantom.read_text())
+    doc["spacing"] = spacing
+    phantom.write_text(json.dumps(doc))
+    out = root / "sim"
+    assert run(["simulate", "--phantom", phantom, "--noise", noise, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {phantom}: spacing must each fit a float32 pixdim")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_simulate_multi_scan_layout(configs):
     root, phantom, _ = configs
     noise = root / "multi.json"
@@ -181,6 +197,22 @@ def test_metrics_from_directory(sim_dir, capsys):
                     "--gt", bad_gt, "--out", report_path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{bad_gt}: " in err and fault in err
+
+
+@pytest.mark.parametrize("key, at", [("samples", "samples[1]"), ("gt", "gt"),
+                                     ("registry", "registry")])
+def test_metrics_refuses_a_nul_in_a_manifest_path(sim_dir, capsys, key, at):
+    doc = json.loads((sim_dir / "manifest.json").read_text())
+    if key == "samples":
+        doc["samples"][1] += "\0.nii"
+    else:
+        doc[key] += "\0"
+    bad = sim_dir / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["metrics", "--manifest", bad, "--out", sim_dir / "r.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: {at} must not contain a NUL character")
+    assert not (sim_dir / "r.json").exists()
 
 
 def test_metrics_from_manifest_matches_directory(sim_dir):
@@ -554,7 +586,8 @@ def test_bad_heatmap_metric_is_usage_error(sim_dir):
 
 def test_thread_cap_env_validation(configs, monkeypatch, capsys):
     # the cap is read where a pool is created: on the multi-scan simulate
-    # path and in the counting pass behind metrics
+    # path, in the counting pass behind metrics and, for a set with maps,
+    # in the probability pass that validation runs
     root, phantom, single = configs
     noise = root / "multi.json"
     noise.write_text(json.dumps({
@@ -581,6 +614,17 @@ def test_thread_cap_env_validation(configs, monkeypatch, capsys):
         # a bad cap is not blamed on the ground truth
         assert "SEGQC_THREADS" in err and "gt.nii" not in err
     assert not (sim / "r.json").exists()
+
+    monkeypatch.delenv("SEGQC_THREADS")
+    probs = root / "probs"
+    run(["simulate", "--phantom", phantom, "--noise", single, "--out", probs, "--with-probs"])
+    capsys.readouterr()
+    for bad in ("zero", "0"):
+        monkeypatch.setenv("SEGQC_THREADS", bad)
+        assert run(["metrics", "--manifest", probs / "manifest.json",
+                    "--out", probs / "r.json"]) == 1
+        assert capsys.readouterr().err.startswith("error: SEGQC_THREADS must be")
+    assert not (probs / "r.json").exists()
 
 
 def test_thread_cap_env_accepted(configs, monkeypatch):

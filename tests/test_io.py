@@ -402,6 +402,24 @@ def test_noise_json_bad_values(tmp_path):
         read_noise_json(p)
 
 
+@pytest.mark.parametrize("field,value,needle", [
+    ("n_samples", 2.9, ": n_samples must be an integer, got 2.9"),
+    ("seed", "7", ": seed must be an integer"),
+    ("flip_probs", {"01": 0.1}, ": flip_probs key '01'"),
+    ("scan_id", 3, ": scan_id must be a string"),
+])
+def test_noise_json_names_a_bad_top_level_default_where_it_stands(tmp_path, field, value,
+                                                                  needle):
+    # the default sits beside "scans", so no scan entry is blamed for it
+    p = tmp_path / "noise.json"
+    p.write_text(json.dumps({"n_samples": 4, field: value,
+                             "scans": [{"scan_id": "a", "n_samples": 3}, {"seed": 2}]}))
+    with pytest.raises(ValidationError) as exc:
+        read_noise_json(p)
+    assert str(exc.value).startswith(f"{p}{needle}")
+    assert "scans[" not in str(exc.value)
+
+
 # -- sample sets and manifests ---------------------------------------------------------
 
 

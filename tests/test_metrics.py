@@ -3,7 +3,9 @@ independent oracles."""
 
 import math
 import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -548,7 +550,7 @@ def test_counting_pool_size(monkeypatch, env, workers):
 
     monkeypatch.setattr(metrics, "ThreadPoolExecutor", pool)
     monkeypatch.setattr(metrics, "_CHUNK", 4)
-    monkeypatch.setattr(metrics.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(volumes.os, "cpu_count", lambda: 64)
     if env is None:
         monkeypatch.delenv("SEGQC_THREADS", raising=False)
     else:
@@ -634,12 +636,15 @@ def test_prob_pass_is_bit_identical_to_per_structure_loops(seed, n, k, dtype, fo
 
 
 def test_prob_pass_loads_each_sample_once():
+    # a sample's K files may be decoded in parallel, each through load_map,
+    # so loads are counted per (sample, k): every map exactly once, and
+    # every map of a sample before any of the next sample's
     loads = []
 
     class CountingStack(ProbMapStack):
-        def load_maps(self):
-            loads.append(id(self))
-            return super().load_maps()
+        def load_map(self, k):
+            loads.append((id(self), k))
+            return super().load_map(k)
 
     rng = np.random.default_rng(3)
     g = geom(4, 4, 4)
@@ -650,5 +655,161 @@ def test_prob_pass_loads_each_sample_once():
     rep = structure_report(ss, normalize=True)
     consensus_segmentation(ss)
     voxel_uncertainty(ss)
-    assert loads == [id(s.probs) for s in ss.samples]
+    want = [(id(s.probs), k) for s in ss.samples for k in range(len(REG.ids))]
+    assert sorted(loads) == sorted(want)
+    assert [sample for sample, _ in loads] == [sample for sample, _ in want]
     assert np.array_equal(rep.consensus.data, consensus_segmentation(ss).data)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_prob_pass_holds_one_sample_of_maps(monkeypatch, threads):
+    # a sample's maps are freed before the next sample's are decoded
+    refs, alive = [], []
+
+    class TrackingStack(ProbMapStack):
+        def load_map(self, k):
+            alive.append(sum(r() is not None for r in refs))
+            m = np.array(super().load_map(k))  # owned, as a decoded file is
+            refs.append(weakref.ref(m))
+            return m
+
+    monkeypatch.setenv("SEGQC_THREADS", threads)
+    g = geom(4, 4, 4)
+    stacks = random_prob_stacks(np.random.default_rng(6), n_samples=4)
+    ss = McSampleSet(geometry=g, registry=REG, samples=tuple(
+        McSample(probs=TrackingStack(geometry=g, label_ids=REG.ids, maps=s)) for s in stacks))
+    assert not ss.violations
+    assert len(alive) == 4 * 3 and max(alive) < 3
+
+
+def slabbed_pass(samples, registry, threads):
+    """The probability pass of a fresh set of ``samples`` in z-slabs of two
+    planes of the 3 x 4 grid, on ``threads`` threads, with a short switch
+    interval that would expose a lost write."""
+    g = samples[0].probs.geometry
+    interval = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(volumes, "_SLAB", 24)
+        m.setenv("SEGQC_THREADS", threads)
+        sys.setswitchinterval(1e-6)
+        try:
+            return McSampleSet(geometry=g, registry=registry, samples=samples).prob_pass
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def assert_same_pass(got, want):
+    assert got.checks == want.checks
+    assert got.mismatches == want.mismatches
+    for a, b in zip(got.labels, want.labels):
+        assert (a is None and b is None) or (a.dtype == b.dtype and np.array_equal(a, b))
+    for a, b in ((got.entropy, want.entropy), (got.consensus, want.consensus)):
+        assert (a is None and b is None) or (a.dtype == b.dtype and np.array_equal(a, b))
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("fortran", [False, True])
+def test_prob_pass_is_the_same_for_any_slabbing(threads, dtype, fortran):
+    # 7 planes in slabs of 2: the last slab is one plane deep
+    dims = (3, 4, 7)
+    assert volumes._SLAB >= int(np.prod(dims))  # one slab unpatched
+    rng = np.random.default_rng(11)
+    ids = (4, 0, 9)
+    reg = StructureRegistry(tuple((i, f"s{i}") for i in ids), background_id=0)
+    stacks = []
+    for stack in random_prob_stacks(rng, n_samples=4, dims=dims):
+        stack[:, 0, 0, :] = np.eye(3)[rng.integers(0, 3, size=7)].T  # exact zero terms
+        stack = stack.astype(dtype)
+        stacks.append(np.asfortranarray(stack) if fortran else stack)
+    samples = tuple(McSample(probs=ProbMapStack(geom(*dims), ids, s)) for s in stacks)
+    got = slabbed_pass(samples, reg, threads)
+    assert_same_pass(got, prob_set(stacks, reg).prob_pass)
+    assert np.array_equal(got.entropy, loop_entropy(stacks))
+    assert np.array_equal(got.consensus, loop_mean_argmax(stacks, ids))
+    for maps, labels in zip(stacks, got.labels):
+        assert np.array_equal(labels, np_argmax_labels(maps, ids))
+    assert not any(got.checks)
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_prob_pass_finds_faults_in_the_last_slab(threads):
+    # each fault sits in the last plane only, the last slab of its own;
+    # the messages are the stack's own single-slab ones
+    dims = (3, 4, 7)
+    rng = np.random.default_rng(12)
+    stacks = random_prob_stacks(rng, n_samples=5, dims=dims)
+    stacks[1][2, 1, 2, 6] = np.nan
+    stacks[2][:, 0, 3, 6] = (-0.25, 1.25, 0.0)  # sums to 1, out of range
+    stacks[3][:, 2, 1, 6] *= 1.001  # in range, sums to 1.001
+    stacks[4][0, 1, 1, 6] = np.inf
+    samples = tuple(McSample(probs=ProbMapStack(geom(*dims), REG.ids, s)) for s in stacks)
+    got = slabbed_pass(samples, REG, threads)
+    assert_same_pass(got, prob_set(stacks).prob_pass)
+    assert got.checks == tuple(tuple(s.probs.violations()) for s in samples)
+    assert got.checks[0] == ()
+    assert got.checks[1] == got.checks[4] == ("probability maps contain non-finite values",)
+    assert got.checks[2] == ("probability values outside [0, 1] (range -0.25..1.25)",)
+    assert len(got.checks[3]) == 1 and "deviate from 1 by up to 0.001" in got.checks[3][0]
+    assert got.entropy is None and got.consensus is None
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_prob_pass_counts_mismatches_in_later_slabs(threads):
+    # labels that differ from the argmax only in the last two slabs
+    dims = (3, 4, 7)
+    rng = np.random.default_rng(13)
+    stacks = random_prob_stacks(rng, n_samples=3, dims=dims)
+    ids = np.array(REG.ids)
+    samples = []
+    for i, stack in enumerate(stacks):
+        labels = ids[np.argmax(stack, axis=0)]
+        labels[:, :, 4 + i % 3:] = (labels[:, :, 4 + i % 3:] + 1) % 3  # 12 voxels a plane
+        samples.append(McSample(labels=LabelVolume(geom(*dims), labels),
+                                probs=ProbMapStack(geom(*dims), REG.ids, stack)))
+    got = slabbed_pass(tuple(samples), REG, threads)
+    assert got.mismatches == (36, 24, 12)
+    assert_same_pass(got, McSampleSet(geom(*dims), REG, tuple(samples)).prob_pass)
+
+
+@pytest.mark.parametrize("env, slab, workers", [
+    (None, 16, 2), ("3", 16, 3), ("64", 16, 4), ("1", 16, 1), ("2", 1 << 17, 1)])
+def test_prob_pass_pool_size(monkeypatch, env, slab, workers):
+    # a sample is decoded and folded by SEGQC_THREADS threads (two when
+    # unset, whatever the CPU count), the calling thread included, and by
+    # no more than it has slabs: here 4 of one plane each, or one; so one
+    # sample opens one pool and submits to it workers - 1 times a phase
+    seen = []
+    real = volumes.ThreadPoolExecutor
+
+    class Pool(real):
+        def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers)
+            seen.append([max_workers, 0])
+
+        def submit(self, *args, **kwargs):
+            seen[-1][1] += 1
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(volumes, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(volumes, "_SLAB", slab)
+    monkeypatch.setattr(volumes.os, "cpu_count", lambda: 64)
+    if env is None:
+        monkeypatch.delenv("SEGQC_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("SEGQC_THREADS", env)
+    stacks = random_prob_stacks(np.random.default_rng(4), n_samples=3)
+    assert not prob_set(stacks).violations
+    assert seen == [[max(1, workers - 1), 2 * (workers - 1)]] * 3
+    assert not label_set([np.zeros((4, 4, 4), dtype=int)] * 2).violations
+    assert len(seen) == 3  # a label-only set opens no pool
+
+
+def test_no_thread_outlives_a_report():
+    # both passes shut their pools down before they return
+    baseline = threading.active_count()
+    rng = np.random.default_rng(5)
+    structure_report(prob_set(random_prob_stacks(rng, n_samples=3)))
+    assert threading.active_count() == baseline
+    structure_report(label_set([rng.integers(0, 3, size=(4, 4, 4)) for _ in range(3)]))
+    assert threading.active_count() == baseline
