@@ -125,11 +125,12 @@ def cmd_metrics(args) -> int:
     samples, registry, gt_path, probs = _gather_inputs(args)
     sample_set = sio.read_sample_set(samples, registry, prob_paths=probs)
     _thread_cap(1)  # a bad SEGQC_THREADS is not a ground-truth error
+    gt = read_label_nifti(gt_path) if gt_path else None  # its errors name the file
     try:
         # read_sample_set refused any bad sample, so what structure_report
         # refuses here is the ground truth
         report = structure_report(
-            sample_set, gt=read_label_nifti(gt_path) if gt_path else None,
+            sample_set, gt=gt,
             normalize=args.normalize_entropy, scan_id=args.scan_id, dataset=args.dataset,
         )
     except ValidationError as exc:
@@ -270,6 +271,7 @@ def cmd_simulate(args) -> int:
         return EXIT_OK
 
     workers = min(_thread_cap(os.cpu_count() or 1), len(scans))
+    import scipy.ndimage  # noqa: F401  sample_mc's, imported here before any pool thread
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(_write_one_scan, out / sid, sid, gt, registry, noise,

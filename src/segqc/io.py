@@ -74,7 +74,8 @@ def _typed(value: object, kind, where: str | Path, path: str):
     an int is a number with no fractional part (15, or 15.0 as float-based
     writers emit it); a float is any finite number, returned as a float;
     a string is a JSON string only, so a number is never a name or a path
-    and a numeric string never a number. Anything else raises a
+    and a numeric string never a number, and holds no NUL, which no file
+    name and no CSV cell can carry. Anything else raises a
     ValidationError naming the file ``where`` and the ``path`` inside it.
     """
     if isinstance(kind, list):
@@ -87,6 +88,8 @@ def _typed(value: object, kind, where: str | Path, path: str):
     # large for a float are refused along with NaN and the infinities
     if kind is float and number and abs(value) <= sys.float_info.max:
         return float(value)
+    if kind is str and isinstance(value, str) and "\0" in value:
+        raise ValidationError(f"{where}: {path} must not contain a NUL character")
     if kind in (bool, str, dict, list) and isinstance(value, kind):
         return value
     shown = json.dumps(value, ensure_ascii=False, default=repr)
@@ -441,7 +444,7 @@ def read_noise_json(path: str | Path) -> tuple[tuple[str, NoiseSpec], ...]:
         at = f"scans[{k}]"
         scan_id = _field(entry, "scan_id", str, path, at,
                          default=f"scan_{k:02d}" if base_id is None else base_id)
-        if scan_id in ("", ".", "..") or set(scan_id) & {"/", "\0", os.sep, os.altsep}:
+        if scan_id in ("", ".", "..") or set(scan_id) & {"/", os.sep, os.altsep}:
             raise ValidationError(f"{path}: {at}.scan_id must be one path component, "
                                   f"got {scan_id!r}")
         out.append((scan_id, _noise_spec({**base, **_noise_fields(entry, path, at)}, path, at)))
@@ -565,22 +568,19 @@ def read_scan_manifest(path: str | Path) -> dict:
         raise ValidationError(f"{path}: manifest needs a non-empty \"samples\" array")
     root = Path(path).resolve().parent
 
-    def resolve(p: str, at: str) -> str:
-        if "\0" in p:  # no file name holds one; open() would raise a bare ValueError
-            raise ValidationError(f"{path}: {at} must not contain a NUL character")
+    def resolve(p: str) -> str:
         q = Path(p)
         return str(q if q.is_absolute() else root / q)
 
     out = dict(doc)
-    out["samples"] = [resolve(p, f"samples[{i}]") for i, p in enumerate(samples)]
+    out["samples"] = [resolve(p) for p in samples]
     for key in ("gt", "registry"):
         if (value := _field(doc, key, str, path, default=None)) is not None:
-            out[key] = resolve(value, key)
+            out[key] = resolve(value)
     if (probs := _field(doc, "probs", [[str]], path, default=None)) is not None:
         if len(probs) != len(samples):
             raise ValidationError(
                 f"{path}: \"probs\" must list one array of paths per sample"
             )
-        out["probs"] = [[resolve(p, f"probs[{i}][{k}]") for k, p in enumerate(per_sample)]
-                        for i, per_sample in enumerate(probs)]
+        out["probs"] = [[resolve(p) for p in per_sample] for per_sample in probs]
     return out

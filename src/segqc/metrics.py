@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.special import xlogy
 
 from .volumes import (
     _UINT16_MAX,
@@ -299,6 +298,8 @@ def structure_uncertainty(sample_set: McSampleSet, label_id: int) -> np.ndarray:
     values = np.zeros(sample_set.geometry.dims, dtype=np.float64)
     if sample_set.kind == "labels":
         return values
+    from scipy.special import xlogy
+
     k = sample_set.registry.ids.index(label_id)
     for s in sample_set.samples:
         p = s.probs.load_map(k)

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import betainc
 
 from .metrics import StructureReport
 from .volumes import ValidationError
@@ -239,6 +238,8 @@ def design_matrix(table: CohortTable) -> tuple[np.ndarray, tuple[str, ...]]:
 
 def _two_sided_p(t: np.ndarray, df: int) -> np.ndarray:
     """P(|T| >= |t|) for Student-t via the regularized incomplete beta."""
+    from scipy.special import betainc
+
     t = np.asarray(t, dtype=np.float64)
     out = np.ones_like(t)
     finite = np.isfinite(t)

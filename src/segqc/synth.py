@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .stats import CohortTable
 from .volumes import (
@@ -48,8 +47,8 @@ from .volumes import (
 _MASK64 = (1 << 64) - 1
 
 # 6-connected structuring element: faces only, matching the neighborhood
-# used for boundary detection.
-_STRUCT6 = ndimage.generate_binary_structure(3, 1)
+# used for boundary detection (ndimage.generate_binary_structure(3, 1)).
+_STRUCT6 = np.abs(np.indices((3, 3, 3)) - 1).sum(axis=0) <= 1
 
 
 @dataclass(frozen=True)
@@ -295,7 +294,11 @@ def sample_mc(
     sample also carries a boundary-softened probability map; otherwise
     samples are label-only. The ground truth's ids and the background must
     lie in 0..65535; registry ids the ground truth does not use may be larger.
+    The first call imports ``scipy.ndimage``: a caller that runs this on
+    pool threads imports it first.
     """
+    from scipy import ndimage
+
     unknown = gt.check_labels(registry)
     if unknown:
         raise ValidationError(f"ground truth contains unregistered labels: {unknown}")

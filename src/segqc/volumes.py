@@ -29,7 +29,6 @@ from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
-from scipy.special import xlogy
 
 # Tolerance on per-voxel probability sums: generous enough for float32
 # sums over a few dozen maps, far below any real segmentation difference.
@@ -286,6 +285,7 @@ def _fold_slab(maps: Sequence[np.ndarray], z: slice, label_ids: Sequence[int] = 
         if truth is not None:
             differ = int(np.count_nonzero(truth[:, :, z] != ids))
     if entropy is not None:
+        from scipy.special import xlogy  # first imported by _prob_pass, before its pool
         out = entropy[:, :, z]
         for m, acc in zip(part, sums):
             out -= xlogy(m, m, dtype=np.float64)
@@ -445,6 +445,8 @@ def _prob_pass(sample_set: McSampleSet) -> ProbPass:
     ids = sample_set.registry.ids
     fold = all(s.probs is not None and s.probs.geometry == geometry
                and s.probs.label_ids == ids for s in sample_set.samples)
+    if fold:  # the entropy's xlogy: imported on this thread, never first on a pool's
+        import scipy.special  # noqa: F401
     entropy, sums = None, []
     checks, mismatches, labels = [], [], []
     for s in sample_set.samples:

@@ -1,10 +1,15 @@
 """End-to-end command line behavior, run in process."""
 
 import csv
+import gzip
 import json
+import shutil
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from segqc.cli import main as cli_main
 from segqc.io import read_report
@@ -12,6 +17,7 @@ from segqc.nifti import OrientationInfo, read_nifti, write_nifti
 from segqc.stats import CohortTable, correlate_uncertainty_accuracy
 from segqc.io import write_cohort_csv
 from segqc.volumes import VoxelGeometry
+from test_io import DOCS, mutated
 
 
 @pytest.fixture()
@@ -213,6 +219,43 @@ def test_metrics_refuses_a_nul_in_a_manifest_path(sim_dir, capsys, key, at):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: {at} must not contain a NUL character")
     assert not (sim_dir / "r.json").exists()
+
+
+def _spoil(path, fault):
+    """Rewrite a NIfTI file with one fault, keeping its gzip wrapping."""
+    raw = path.read_bytes()
+    gz = raw[:2] == b"\x1f\x8b"
+    body = bytearray(gzip.decompress(raw) if gz else raw)
+    if fault == "corrupt_gzip":
+        path.write_bytes(raw[:-12] + bytes(12))
+        return
+    if fault == "pixdim_zero":
+        struct.pack_into("<f", body, 80, 0.0)
+    elif fault == "scaled_labels":
+        struct.pack_into("<f", body, 112, 2.0)  # scl_slope
+    elif fault == "truncated":
+        body = body[:len(body) // 2]
+    path.write_bytes(gzip.compress(bytes(body)) if gz else bytes(body))
+
+
+@pytest.mark.parametrize("target, fault", [
+    ("sample", "pixdim_zero"), ("sample", "truncated"), ("sample", "scaled_labels"),
+    ("map", "pixdim_zero"), ("map", "truncated"), ("map", "corrupt_gzip"),
+    ("gt", "pixdim_zero"), ("gt", "truncated"), ("gt", "scaled_labels"),
+])
+def test_metrics_errors_name_the_bad_file_once(configs, capsys, target, fault):
+    root, phantom, noise = configs
+    sim = root / "sim"
+    assert run(["simulate", "--phantom", phantom, "--noise", noise, "--out", sim,
+                "--with-probs"]) == 0
+    bad = {"sample": sim / "sample_001.nii", "map": sim / "prob_002_label_1.nii.gz",
+           "gt": sim / "gt.nii"}[target].resolve()
+    _spoil(bad, fault)
+    capsys.readouterr()
+    assert run(["metrics", "--manifest", sim / "manifest.json", "--out", sim / "r.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count(str(bad)) == 1, err
+    assert not (sim / "r.json").exists()
 
 
 def test_metrics_from_manifest_matches_directory(sim_dir):
@@ -637,3 +680,92 @@ def test_thread_cap_env_accepted(configs, monkeypatch):
     monkeypatch.setenv("SEGQC_THREADS", "1")
     assert run(["simulate", "--phantom", phantom, "--noise", noise,
                 "--out", root / "capped"]) == 0
+
+
+# -- whole-command fuzz: exit 0, 1 or 2 with a message, never a traceback ----------
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """The bundled configs shrunk to an 8^3 grid, 3 samples and 3 scans, a
+    simulated study of them with maps, and a report of each scan."""
+    root = tmp_path_factory.mktemp("fuzz")
+    phantom = json.loads((DOCS / "paired_boxes_phantom.json").read_text())
+    phantom["dims"] = [8, 8, 8]
+    for shape in phantom["shapes"]:
+        shape["center"] = [c / 6 for c in shape["center"]]
+        shape["size"] = [max(2.0, s / 6) for s in shape["size"]]
+    noise = json.loads((DOCS / "graded_noise.json").read_text())
+    noise["n_samples"] = 3
+    noise["scans"] = noise["scans"][:3]
+    docs = {"phantom": phantom, "noise": noise}
+    for kind, doc in docs.items():
+        (root / f"{kind}.json").write_text(json.dumps(doc))
+    sim = root / "sim"
+    assert run(["simulate", "--phantom", root / "phantom.json", "--noise", root / "noise.json",
+                "--out", sim, "--with-probs"]) == 0
+    scans = json.loads((sim / "dataset.json").read_text())["scans"]
+    docs["manifest"] = json.loads((sim / scans[0] / "manifest.json").read_text())
+    docs["registry"] = json.loads((sim / "registry.json").read_text())
+    reports = root / "reports"
+    reports.mkdir()
+    for sid in scans:
+        assert run(["metrics", "--manifest", sim / sid / "manifest.json",
+                    "--out", reports / f"{sid}.json", "--dataset", "d"]) == 0
+    docs["report"] = json.loads((reports / f"{scans[0]}.json").read_text())
+    return root, sim / scans[0], docs
+
+
+def _bounded(kind, doc) -> bool:
+    """Whether ``doc`` asks for no more than a small run: an 8^3 grid, 3
+    samples, erosion radius 3. Larger asks are sizes, not malformed input."""
+    def at_most(value, top):
+        return not isinstance(value, (int, float)) or value <= top
+
+    if not isinstance(doc, dict):
+        return True
+    if kind == "phantom":
+        dims = doc.get("dims")
+        return not isinstance(dims, list) or all(at_most(d, 8) for d in dims)
+    if kind == "noise":
+        scans = doc.get("scans") if isinstance(doc.get("scans"), list) else []
+        return all(at_most(e.get("n_samples"), 3) and at_most(e.get("erosion_dilation_radius"), 3)
+                   for e in [doc, *scans] if isinstance(e, dict))
+    return True
+
+
+@pytest.mark.parametrize("kind", ["phantom", "noise", "manifest", "registry", "report"])
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_on_mutated_inputs_exits_with_a_message(fuzz_base, capsys, kind, data):
+    root, scan, docs = fuzz_base
+    doc = data.draw(mutated(docs[kind]))
+    assume(_bounded(kind, doc))
+    work = root / "work"
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir()
+    # the manifest sits beside the scan's files, whose paths it gives relative to itself
+    bad = (scan if kind == "manifest" else work) / f"mutated_{kind}.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    argv = {
+        "phantom": ["simulate", "--phantom", bad, "--noise", root / "noise.json",
+                    "--out", work / "sim", "--with-probs"],
+        "noise": ["simulate", "--phantom", root / "phantom.json", "--noise", bad,
+                  "--out", work / "sim"],
+        "manifest": ["metrics", "--manifest", bad, "--out", work / "r.json",
+                     "--uncertainty-out", work / "u.nii", "--heatmap-out", work / "h.nii"],
+        "registry": ["metrics", "--manifest", scan / "manifest.json", "--registry", bad,
+                     "--out", work / "r.json"],
+        "report": ["correlate", work, "--out", work / "c.csv"],
+    }[kind]
+    if kind == "report":
+        for p in sorted((root / "reports").iterdir())[1:]:
+            shutil.copy(p, work / p.name)
+    capsys.readouterr()
+    try:
+        code = cli_main([str(a) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2)
+    if code:
+        assert "error:" in capsys.readouterr().err

@@ -757,6 +757,30 @@ def test_json_readers_fail_only_with_validation_error(kind, data, tmp_path):
         assert same_json(back, doc), (back, doc)
 
 
+@pytest.mark.parametrize("kind, at", [
+    ("registry", ("structures", 1, "name")),
+    ("report", ("structures", 0, "name")),
+    ("report", ("scan_id",)),
+    ("report", ("dataset",)),
+    ("phantom", ("shapes", 0, "kind")),
+    ("noise", ("scans", 0, "scan_id")),
+    ("manifest", ("samples", 1)),
+    ("manifest", ("probs", 1, 0)),
+])
+def test_json_readers_refuse_a_nul_in_any_string(kind, at, tmp_path):
+    reader, doc = valid_docs()[kind]
+    node = doc
+    for key in at[:-1]:
+        node = node[key]
+    node[at[-1]] = "a\0b"
+    p = tmp_path / f"{kind}.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    field = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in at).lstrip(".")
+    with pytest.raises(ValidationError) as info:
+        reader(p)
+    assert str(info.value) == f"{p}: {field} must not contain a NUL character"
+
+
 def test_same_json_compares_types_not_only_values():
     assert same_json({"a": 1.0, "b": [2, "x"], "c": None}, {"a": 1, "b": [2.0, "x"], "c": None})
     assert same_json({"a": 1, "filled": 0}, {"a": 1})

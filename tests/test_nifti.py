@@ -67,6 +67,21 @@ def test_gzip_output_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("volume", [
+    LabelVolume(GEOM, random_volume(np.uint8, seed=4) % 5),
+    np.random.default_rng(5).dirichlet(np.ones(3), GEOM.dims)[..., 0],  # a float map
+], ids=["labels", "float32_map"])
+def test_gzip_writer_is_level_1_and_decodes_to_the_plain_file(tmp_path, volume):
+    plain, a, b = tmp_path / "v.nii", tmp_path / "a.nii.gz", tmp_path / "b.nii.gz"
+    for path in (plain, a, b):
+        write_nifti(path, volume, None if isinstance(volume, LabelVolume) else GEOM)
+    assert gzip.decompress(a.read_bytes()) == plain.read_bytes()
+    assert a.read_bytes() == b.read_bytes()
+    header = a.read_bytes()[:10]
+    assert header[4:8] == bytes(4)  # mtime 0
+    assert header[8] == 4  # XFL: written by the fastest level, 1
+
+
 def test_gzip_detected_by_signature_not_suffix(tmp_path):
     data = random_volume(np.uint8, seed=2)
     gz = tmp_path / "vol.nii.gz"
