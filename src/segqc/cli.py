@@ -12,7 +12,7 @@ Conventions shared by every subcommand:
 * SEGQC_THREADS caps the threads of a multi-scan ``simulate``, which
   writes one scan per thread (default: the CPU count), and of the label
   counting pass and the probability-map pass behind ``metrics`` and
-  ``consensus`` (default: 2 each).
+  ``consensus`` (default: 2 each), the calling thread counted in all three.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +38,8 @@ from .metrics import (
 )
 from .nifti import read_label_nifti, read_orientation, write_nifti
 from .stats import GROUP_MODES, ValidationError, correlate_uncertainty_accuracy, group_analysis
-from .synth import make_phantom, registry_for_phantom, sample_mc
-from .volumes import StructureRegistry, _thread_cap
+from .synth import _soft_probs, make_phantom, registry_for_phantom, sample_mc
+from .volumes import StructureRegistry, _parallel, _thread_cap
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -210,9 +210,13 @@ def cmd_group(args) -> int:
     return EXIT_OK
 
 
-def _write_one_scan(scan_dir, scan_id, gt, registry, noise, with_probs, dataset_rel):
+def _write_one_scan(out, gt, registry, with_probs, scan):
+    """Write one scan of ``simulate``: into ``out`` itself when its id is ""."""
+    scan_id, noise = scan
+    scan_dir, dataset_rel = (out / scan_id, "../") if scan_id else (out, "")
     scan_dir.mkdir(parents=True, exist_ok=True)
-    sample_set = sample_mc(gt, registry, noise, with_probs=with_probs)
+    # maps made one sample at a time, as sample_mc would: K held, not N * K
+    sample_set = sample_mc(gt, registry, noise, with_probs=False)
     sample_names, prob_lists = [], []
     for i, sample in enumerate(sample_set.samples):
         name = f"sample_{i:03d}.nii"
@@ -220,12 +224,12 @@ def _write_one_scan(scan_dir, scan_id, gt, registry, noise, with_probs, dataset_
             write_nifti(tmp, sample.labels)
         sample_names.append(name)
         if with_probs:
+            maps = _soft_probs(sample.labels.data, gt.geometry, registry, noise).maps
             per_sample = []
             for k, lid in enumerate(registry.ids):
                 pname = f"prob_{i:03d}_label_{lid}.nii.gz"
                 with _atomic(scan_dir / pname) as tmp:
-                    write_nifti(tmp, sample.probs.maps[k].astype(np.float32),
-                                gt.geometry)
+                    write_nifti(tmp, maps[k].astype(np.float32), gt.geometry)
                 per_sample.append(pname)
             prob_lists.append(per_sample)
     extra = {
@@ -250,10 +254,15 @@ def cmd_simulate(args) -> int:
     spec = sio.read_phantom_json(args.phantom)
     scans = sio.read_noise_json(args.noise)
     if args.seed is not None:
-        scans = tuple(
-            (sid, replace(noise, seed=args.seed + k))
-            for k, (sid, noise) in enumerate(scans)
-        )
+        scans = tuple((sid, replace(noise, seed=args.seed + k))
+                      for k, (sid, noise) in enumerate(scans))
+    # one scan needs at least make_phantom's int64 raster of V voxels, N label
+    # volumes of V bytes and, with maps, one sample's K float64 maps
+    n = max(noise.n_samples for _, noise in scans)
+    need = spec.geometry.n_voxels * (8 + n + 8 * (len(spec.label_ids) + 1) * args.with_probs)
+    if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ValidationError(f"dims {list(spec.geometry.dims)} with n_samples {n} need at least "
+                              f"{need / 2**30:.3g} GiB for one scan, more than physical memory")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     gt = make_phantom(spec)
@@ -263,23 +272,14 @@ def cmd_simulate(args) -> int:
     with _atomic(out / "registry.json") as tmp:
         sio.write_registry(registry, tmp)
 
-    single = len(scans) == 1 and scans[0][0] == ""
-    if single:
-        _write_one_scan(out, "", gt, registry, scans[0][1], args.with_probs, "")
-        n = scans[0][1].n_samples
+    write = partial(_write_one_scan, out, gt, registry, args.with_probs)
+    if len(scans) == 1 and scans[0][0] == "":
+        write(scans[0])
         print(f"wrote gt.nii, registry.json, {n} samples, manifest.json -> {out}")
         return EXIT_OK
 
-    workers = min(_thread_cap(os.cpu_count() or 1), len(scans))
     import scipy.ndimage  # noqa: F401  sample_mc's, imported here before any pool thread
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_write_one_scan, out / sid, sid, gt, registry, noise,
-                        args.with_probs, "../")
-            for sid, noise in scans
-        ]
-        for f in futures:
-            f.result()
+    _parallel(write, scans, min(_thread_cap(os.cpu_count() or 1), len(scans)))
     with _atomic(out / "dataset.json") as tmp:
         doc = {"schema_version": sio.REPORT_SCHEMA_VERSION,
                "scans": [sid for sid, _ in scans]}

@@ -15,16 +15,16 @@ structure-wise uncertainty measures:
 One counting pass over the samples' labels yields every integer count
 behind them (per-sample, pairwise, consensus and ground-truth label
 counts) and the majority vote that is the consensus of label-only sets.
-It runs in fixed chunks of contiguous voxels on a pool of ``SEGQC_THREADS``
-threads (default: 2); counts add exactly and each voxel's vote is its
-own, so neither the chunk size nor the thread count can change a result.
-The entropy map
-and the mean-probability consensus come from the sample set's one pass
-over its probability maps (:attr:`~segqc.volumes.McSampleSet.prob_pass`),
-which loads each sample's maps once and never holds them all; it decodes
-each sample's maps and folds them in z-slabs on up to ``SEGQC_THREADS``
-threads (default: 2), with every float operation per voxel, so its
-results do not depend on the thread count either.
+The entropy map and the mean-probability consensus come from the sample
+set's one pass over its probability maps
+(:attr:`~segqc.volumes.McSampleSet.prob_pass`), which loads each
+sample's maps once and never holds them all. The counting pass runs in
+fixed chunks of contiguous voxels, the probability pass decodes each
+sample's maps and folds them in z-slabs, each on up to
+``SEGQC_THREADS`` threads (default: 2) with the calling thread counted
+as one of them (:func:`~segqc.volumes._parallel`). Counts add exactly,
+each voxel's vote is its own and every float operation is per voxel, so
+neither the chunk or slab size nor the thread count changes a result.
 
 All functions are pure and deterministic: floating-point reductions run
 in a fixed order (ascending sample index, registry order over structures),
@@ -33,7 +33,6 @@ so repeated runs are bit-identical.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -46,6 +45,7 @@ from .volumes import (
     StructureRegistry,
     ValidationError,
     VoxelGeometry,
+    _parallel,
     _read_only,
     _thread_cap,
     require_valid,
@@ -56,11 +56,6 @@ from .volumes import (
 # A chunk counts its consensus and ground truth in _SLICEs: copies of 2 MB.
 _CHUNK = 1 << 21
 _SLICE = 1 << 18
-
-# Threads of the counting pass when SEGQC_THREADS is unset. Each holds its
-# own chunk buffers, about 30 MB at N = 15, so the default stays small
-# whatever the host's CPU count.
-_COUNT_THREADS = 2
 
 
 @dataclass(frozen=True)
@@ -223,10 +218,11 @@ def _count_labels(sample_set: McSampleSet, gt: LabelVolume | None = None) -> tup
     pure integer counting and matches a per-voxel enumeration exactly.
 
     The pass runs in chunks of ``_CHUNK`` contiguous voxels (x-fastest) on
-    a pool of up to ``SEGQC_THREADS`` threads. Each chunk's counts are a
-    partial sum of integers and its votes depend only on its own voxels,
-    so the sum of the partials, taken in chunk order, and the vote are the
-    same for any chunk size and any thread count.
+    up to ``SEGQC_THREADS`` threads, two when it is unset whatever the CPU
+    count, since each holds its own chunk buffers (about 30 MB at N = 15).
+    Each chunk's counts are a partial sum of integers and its votes depend
+    only on its own voxels, so the sum of the partials, taken in chunk
+    order, and the vote are the same for any chunk size and thread count.
     """
     # x-fastest like LabelVolume.flat: a view, not a copy, of volumes read
     # from NIfTI files
@@ -246,8 +242,7 @@ def _count_labels(sample_set: McSampleSet, gt: LabelVolume | None = None) -> tup
     starts = range(0, cons.size, _CHUNK)
     count = partial(_count_chunk, flats, registry, rank, cons,
                     None if gt is None else gt.flat, by_rank)
-    with ThreadPoolExecutor(max_workers=min(_thread_cap(_COUNT_THREADS), len(starts))) as pool:
-        inter, counts = map(sum, zip(*pool.map(count, starts)))
+    inter, counts = map(sum, zip(*_parallel(count, starts, min(_thread_cap(2), len(starts)))))
     if vote:
         cons.flags.writeable = False
         consensus = _consensus_volume(sample_set.geometry,

@@ -12,8 +12,8 @@ validation and the metrics read (:attr:`McSampleSet.prob_pass`): each
 sample's maps are loaded once, in ascending sample order, and folded
 into float64 sums, so no (N, K, x, y, z) stack is ever held. A
 sample's maps are decoded, and folded in z-slabs, by up to
-``SEGQC_THREADS`` threads (default: 2); every float operation is per
-voxel, so the thread count never changes a result.
+``SEGQC_THREADS`` threads (default: 2), the calling thread included;
+every float operation is per voxel, so no thread count changes a result.
 
 Voxel data is stored as 3-D numpy arrays indexed ``[x, y, z]``; the flat
 (serialized) order is x-fastest, matching the on-disk layout used by the
@@ -430,11 +430,9 @@ def _prob_pass(sample_set: McSampleSet) -> ProbPass:
     are bit-identical to summing a float64 copy of the whole set. Memory
     is K + 2 float64 volumes plus one sample's maps.
 
-    Each sample's K files are decoded, and then its maps folded in
-    z-slabs of whole planes (:func:`_fold_slab`), by up to
-    ``SEGQC_THREADS`` threads (default: 2): the calling thread and a
-    per-sample pool, never more than the sample has slabs, so a volume of
-    one slab is read on the calling thread alone and starts no thread.
+    Each sample's K files are decoded, then its maps folded in z-slabs of
+    whole planes (:func:`_fold_slab`), by :func:`_parallel` on up to
+    ``SEGQC_THREADS`` threads (default: 2) and never more than its slabs.
     Slabs write disjoint parts of the sums and the argmax, and their map
     bounds, sum errors and mismatch counts combine exactly (min and max,
     max, integer sum), so no slab size or thread count changes a result.
@@ -456,17 +454,16 @@ def _prob_pass(sample_set: McSampleSet) -> ProbPass:
             depth = max(1, _SLAB // (dims[0] * dims[1]))
             slabs = [slice(z, z + depth) for z in range(0, dims[2], depth)]
             workers = min(_thread_cap(2), len(slabs))
-            with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
-                maps = _shared(pool, workers, s.probs.load_map, range(len(s.probs.label_ids)))
-                if fold and entropy is None:
-                    entropy = np.zeros_like(maps[0], dtype=np.float64)
-                    sums = [np.zeros_like(m, dtype=np.float64) for m in maps]
-                best = np.empty_like(maps[0], dtype=_id_dtype(s.probs.label_ids))
-                truth = (s.labels.data if s.labels is not None
-                         and s.labels.geometry == geometry == s.probs.geometry else None)
-                parts = _shared(pool, workers, partial(
-                    _fold_slab, maps, label_ids=s.probs.label_ids, best=best, truth=truth,
-                    entropy=entropy if fold else None, sums=sums), slabs)
+            maps = _parallel(s.probs.load_map, range(len(s.probs.label_ids)), workers)
+            if fold and entropy is None:
+                entropy = np.zeros_like(maps[0], dtype=np.float64)
+                sums = [np.zeros_like(m, dtype=np.float64) for m in maps]
+            best = np.empty_like(maps[0], dtype=_id_dtype(s.probs.label_ids))
+            truth = (s.labels.data if s.labels is not None
+                     and s.labels.geometry == geometry == s.probs.geometry else None)
+            parts = _parallel(partial(
+                _fold_slab, maps, label_ids=s.probs.label_ids, best=best, truth=truth,
+                entropy=entropy if fold else None, sums=sums), slabs, workers)
             del maps  # freed before the next sample is decoded
             bounds, errs, differs = zip(*parts)
             msgs = tuple(_check_messages(np.array(bounds), np.max(errs)))
@@ -496,16 +493,22 @@ def _prob_pass(sample_set: McSampleSet) -> ProbPass:
     return ProbPass(tuple(checks), tuple(mismatches), tuple(labels), entropy, consensus)
 
 
-def _shared(pool: ThreadPoolExecutor, workers: int, fn, items) -> list:
-    """``fn`` over ``items``, in order, run by this thread and by
-    ``workers - 1`` of ``pool``'s, each taking the next item when free."""
+def _parallel(fn, items, workers: int) -> list:
+    """``fn`` over the sequence ``items``, in order: the one thread runner.
+    ``workers`` threads, the calling one and ``workers - 1`` of a pool shut
+    down before this returns, each take the next item when free. Callers
+    pass at most ``SEGQC_THREADS``, so the calling thread counts as one of
+    them and one worker starts no thread. An exception on any thread propagates."""
     todo = iter(enumerate(items))  # each next() is one call, atomic under the GIL
 
     def drain() -> list[tuple]:
         return [(i, fn(item)) for i, item in todo]
 
-    helpers = [pool.submit(drain) for _ in range(workers - 1)]
-    done = drain() + [r for h in helpers for r in h.result()]
+    if workers < 2:
+        return [r for _, r in drain()]
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+        done = drain() + [r for h in helpers for r in h.result()]
     return [r for _, r in sorted(done, key=lambda d: d[0])]
 
 

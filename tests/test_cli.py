@@ -5,19 +5,23 @@ import gzip
 import json
 import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from segqc import cli, metrics, volumes
 from segqc.cli import main as cli_main
-from segqc.io import read_report
+from segqc.io import read_noise_json, read_phantom_json, read_report
 from segqc.nifti import OrientationInfo, read_nifti, write_nifti
 from segqc.stats import CohortTable, correlate_uncertainty_accuracy
+from segqc.synth import make_phantom, registry_for_phantom, sample_mc
 from segqc.io import write_cohort_csv
 from segqc.volumes import VoxelGeometry
 from test_io import DOCS, mutated
+from test_metrics import parallel_workers
 
 
 @pytest.fixture()
@@ -139,6 +143,23 @@ def test_simulate_refuses_spacing_beyond_the_nifti_header(configs, capsys, spaci
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dims, n_samples", [([32767, 32767, 32767], 4), ([100, 100, 100], 10**9)])
+def test_simulate_refuses_a_scan_beyond_physical_memory(configs, capsys, dims, n_samples):
+    # one scan needs at least an int64 raster and N label volumes of its grid
+    root, phantom, noise = configs
+    doc = json.loads(phantom.read_text())
+    doc["dims"] = dims
+    phantom.write_text(json.dumps(doc))
+    noise.write_text(json.dumps({"n_samples": n_samples}))
+    out = root / "sim"
+    assert run(["simulate", "--phantom", phantom, "--noise", noise, "--out", out,
+                "--with-probs"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: dims {dims} with n_samples {n_samples} need at least ")
+    assert "more than physical memory" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_simulate_multi_scan_layout(configs):
     root, phantom, _ = configs
     noise = root / "multi.json"
@@ -167,6 +188,15 @@ def test_simulate_with_probs_writes_stacks(configs):
     assert len(list(out.glob("prob_*_label_*.nii.gz"))) == 4 * 3
     man = json.loads((out / "manifest.json").read_text())
     assert len(man["probs"]) == 4 and len(man["probs"][0]) == 3
+    # the maps are made one sample at a time, and are sample_mc's maps
+    spec = read_phantom_json(phantom)
+    registry = registry_for_phantom(spec)
+    want = sample_mc(make_phantom(spec), registry, read_noise_json(noise)[0][1])
+    for i, sample in enumerate(want.samples):
+        for k, lid in enumerate(registry.ids):
+            got = read_nifti(out / f"prob_{i:03d}_label_{lid}.nii.gz").data
+            assert got.dtype == np.float32
+            assert np.array_equal(got, sample.probs.maps[k].astype(np.float32))
 
 
 # -- metrics / consensus ---------------------------------------------------------
@@ -680,6 +710,39 @@ def test_thread_cap_env_accepted(configs, monkeypatch):
     monkeypatch.setenv("SEGQC_THREADS", "1")
     assert run(["simulate", "--phantom", phantom, "--noise", noise,
                 "--out", root / "capped"]) == 0
+
+
+def test_thread_count_leaves_cli_outputs_unchanged(configs, monkeypatch, capsys):
+    # a multi-scan simulate, then metrics and consensus on one scan, at one
+    # thread and at three; chunks and slabs are small, so every pool has
+    # work for three: 3 scans, 8 counting chunks, 10 slabs a sample
+    root, phantom, _ = configs
+    noise = root / "multi.json"
+    noise.write_text(json.dumps({"n_samples": 3, "default_flip_prob": 0.2,
+                                 "scans": [{"scan_id": f"s{k}", "seed": k} for k in range(3)]}))
+    monkeypatch.setattr(metrics, "_CHUNK", 1000)
+    monkeypatch.setattr(metrics, "_SLICE", 300)
+    monkeypatch.setattr(volumes, "_SLAB", 800)
+    calls = parallel_workers(monkeypatch, cli, metrics, volumes)
+    outputs = {}
+    for threads in (1, 3):
+        monkeypatch.setenv("SEGQC_THREADS", str(threads))
+        work = root / f"threads_{threads}"
+        work.mkdir()
+        monkeypatch.chdir(work)  # stdout names relative paths only
+        calls.clear()
+        scan = Path("sim", "s1", "manifest.json")
+        assert run(["simulate", "--phantom", phantom, "--noise", noise, "--out", "sim",
+                    "--with-probs"]) == 0
+        assert run(["metrics", "--manifest", scan, "--out", "r.json", "--uncertainty-out",
+                    "u.nii.gz", "--heatmap-out", "h.nii"]) == 0
+        assert run(["consensus", "--manifest", scan, "--out", "c.nii"]) == 0
+        # simulate; metrics: 3 samples x (decode, fold), counting; consensus: 3 x 2
+        assert calls == [threads] * (1 + 6 + 1 + 6)
+        outputs[threads] = capsys.readouterr().out, {
+            p.relative_to(work): p.read_bytes() for p in work.rglob("*") if p.is_file()}
+    assert len(outputs[1][1]) == 3 + 3 * (1 + 3 + 3 * 3) + 4
+    assert outputs[1] == outputs[3]
 
 
 # -- whole-command fuzz: exit 0, 1 or 2 with a message, never a traceback ----------

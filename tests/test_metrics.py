@@ -536,19 +536,81 @@ def test_unused_large_id_keeps_the_vote_narrow():
     assert rep.by_id(1_000_000).consensus_volume == 0.0
 
 
+def parallel_workers(monkeypatch, *modules) -> list[int]:
+    """The ``workers`` of every ``_parallel`` call made through ``modules``."""
+    seen, real = [], volumes._parallel
+
+    def spy(fn, items, workers):
+        seen.append(workers)
+        return real(fn, items, workers)
+
+    for module in modules:
+        monkeypatch.setattr(module, "_parallel", spy)
+    return seen
+
+
+def test_parallel_runs_on_the_caller_and_workers_minus_one_pool_threads(monkeypatch):
+    # the first `workers` items each hold their thread at a barrier, so the
+    # call passes it only if that many threads share the work: the calling
+    # thread and workers - 1 of a pool given one task each
+    pools = []
+    real = volumes.ThreadPoolExecutor
+
+    class Pool(real):
+        def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers)
+            pools.append([max_workers, 0])
+
+        def submit(self, *args, **kwargs):
+            pools[-1][1] += 1
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(volumes, "ThreadPoolExecutor", Pool)
+    caller, baseline = threading.get_ident(), threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            pools.clear()
+            met, ran_on = threading.Barrier(workers, timeout=60), []
+
+            def square(x):
+                if x < workers:
+                    met.wait()
+                ran_on.append(threading.get_ident())
+                return x * x
+
+            assert volumes._parallel(square, range(50), workers) == [x * x for x in range(50)]
+            assert len(set(ran_on)) == workers and caller in ran_on
+            assert pools == ([] if workers == 1 else [[workers - 1, workers - 1]])
+            assert threading.active_count() == baseline
+
+        class Boom(Exception):
+            pass
+
+        for on_caller in (True, False):
+            met = threading.Barrier(2, timeout=60)
+
+            def fail(x):
+                if x < 2:
+                    met.wait()  # both threads hold an item, so both have work
+                if (threading.get_ident() == caller) == on_caller:
+                    raise Boom
+                return x
+
+            with pytest.raises(Boom):
+                volumes._parallel(fail, range(20), 2)
+            assert threading.active_count() == baseline
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("env, workers", [(None, 2), ("3", 3), ("64", 16), ("1", 1)])
 def test_counting_pool_size(monkeypatch, env, workers):
     # each counting thread holds its own chunk buffers, so without
-    # SEGQC_THREADS the pool stays at two threads whatever the CPU count,
-    # and it never exceeds the chunk count; one thread is a pool of one
-    seen = []
-    real = metrics.ThreadPoolExecutor
-
-    def pool(max_workers):
-        seen.append(max_workers)
-        return real(max_workers=max_workers)
-
-    monkeypatch.setattr(metrics, "ThreadPoolExecutor", pool)
+    # SEGQC_THREADS the pass asks for two threads whatever the CPU count,
+    # and never for more than the chunks; the calling thread is one of them
+    seen = parallel_workers(monkeypatch, metrics)
     monkeypatch.setattr(metrics, "_CHUNK", 4)
     monkeypatch.setattr(volumes.os, "cpu_count", lambda: 64)
     if env is None:
@@ -775,23 +837,10 @@ def test_prob_pass_counts_mismatches_in_later_slabs(threads):
 @pytest.mark.parametrize("env, slab, workers", [
     (None, 16, 2), ("3", 16, 3), ("64", 16, 4), ("1", 16, 1), ("2", 1 << 17, 1)])
 def test_prob_pass_pool_size(monkeypatch, env, slab, workers):
-    # a sample is decoded and folded by SEGQC_THREADS threads (two when
+    # a sample is decoded, then folded, by SEGQC_THREADS threads (two when
     # unset, whatever the CPU count), the calling thread included, and by
-    # no more than it has slabs: here 4 of one plane each, or one; so one
-    # sample opens one pool and submits to it workers - 1 times a phase
-    seen = []
-    real = volumes.ThreadPoolExecutor
-
-    class Pool(real):
-        def __init__(self, max_workers):
-            super().__init__(max_workers=max_workers)
-            seen.append([max_workers, 0])
-
-        def submit(self, *args, **kwargs):
-            seen[-1][1] += 1
-            return super().submit(*args, **kwargs)
-
-    monkeypatch.setattr(volumes, "ThreadPoolExecutor", Pool)
+    # no more than it has slabs: here 4 of one plane each, or one
+    seen = parallel_workers(monkeypatch, volumes)
     monkeypatch.setattr(volumes, "_SLAB", slab)
     monkeypatch.setattr(volumes.os, "cpu_count", lambda: 64)
     if env is None:
@@ -800,9 +849,9 @@ def test_prob_pass_pool_size(monkeypatch, env, slab, workers):
         monkeypatch.setenv("SEGQC_THREADS", env)
     stacks = random_prob_stacks(np.random.default_rng(4), n_samples=3)
     assert not prob_set(stacks).violations
-    assert seen == [[max(1, workers - 1), 2 * (workers - 1)]] * 3
+    assert seen == [workers, workers] * 3
     assert not label_set([np.zeros((4, 4, 4), dtype=int)] * 2).violations
-    assert len(seen) == 3  # a label-only set opens no pool
+    assert len(seen) == 6  # validating a label-only set runs no pass
 
 
 def test_no_thread_outlives_a_report():

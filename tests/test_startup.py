@@ -67,11 +67,11 @@ def fresh(code: str, *args: str, **env: str) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def cli_probe(argv=None) -> dict:
+def cli_probe(argv=None, **env: str) -> dict:
     """Exit code of ``main(argv)`` in a fresh interpreter (or a bare
     ``import segqc.cli`` when argv is None), the scipy modules it loaded
     and what was loaded at each pool submission."""
-    return fresh(_CLI_PROBE, json.dumps(None if argv is None else [str(a) for a in argv]))
+    return fresh(_CLI_PROBE, json.dumps(None if argv is None else [str(a) for a in argv]), **env)
 
 
 def scipy_modules(argv=None) -> tuple[int | None, list[str]]:
@@ -131,14 +131,16 @@ def test_struct6_is_the_6_connected_element():
 def test_prob_pass_imports_scipy_special_before_its_pool():
     # an import first resolved on a pool thread could block the pool
     at_submit = fresh(_PROB_PASS_PROBE, SEGQC_THREADS="2")["at_submit"]
-    assert len(at_submit) == 4  # per sample: decode, then fold
+    # workers - 1 = 1 submission a call; two calls a sample: decode, then fold
+    assert len(at_submit) == 2 * 2
     assert all("scipy.special" in loaded for loaded in at_submit)
 
 
 def test_simulate_imports_scipy_ndimage_before_its_pool(study, tmp_path):
     root = study[0].parent
     doc = cli_probe(["simulate", "--phantom", root / "phantom.json",
-                     "--noise", root / "noise.json", "--out", tmp_path / "sim"])
+                     "--noise", root / "noise.json", "--out", tmp_path / "sim"],
+                    SEGQC_THREADS="3")
     assert doc["code"] == 0
-    assert len(doc["at_submit"]) == 3  # one scan per submission
+    assert len(doc["at_submit"]) == 3 - 1  # one call for 3 scans: workers - 1 submissions
     assert all("scipy.ndimage" in loaded for loaded in doc["at_submit"])
