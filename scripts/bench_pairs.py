@@ -10,9 +10,10 @@ slow drift of the host lands on both sides alike. For each end-to-end
 metric that ``BENCHMARK.json`` of CHANGE names, it then prints both
 medians, the parent's quartiles and in how many of the pairs the change
 was better (ties count for neither side), followed by every failed call
-or run. It changes nothing in either checkout beyond what the benchmark
-itself caches, and uses the standard library only. The exit code is 1
-when any run or call failed.
+or run. A run that has not ended ``SETUP_S`` seconds past three times
+``--seconds`` is stopped and counted as failed. It changes nothing in
+either checkout beyond what the benchmark itself caches, and uses the
+standard library only. The exit code is 1 when any run or call failed.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+SETUP_S = 600  # building a workload's inputs on a cold cache, with room to spare
+
 
 def run_once(root: Path, args) -> tuple[dict | None, list[str]]:
     """Metric values of one benchmark run in ``root``, and its failures."""
@@ -34,8 +37,9 @@ def run_once(root: Path, args) -> tuple[dict | None, list[str]]:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.Popen(cmd, cwd=root, env=env, text=True,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    limit = SETUP_S + 3 * args.seconds
     try:
-        out, err = proc.communicate(timeout=args.timeout)
+        out, err = proc.communicate(timeout=limit)
     except subprocess.TimeoutExpired:
         proc.terminate()  # the runner unwinds on SIGTERM and stops its children
         try:
@@ -43,7 +47,7 @@ def run_once(root: Path, args) -> tuple[dict | None, list[str]]:
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.communicate()
-        return None, [f"run timed out after {args.timeout:g} s"]
+        return None, [f"run timed out after {limit:g} s"]
     lines = out.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -63,7 +67,6 @@ def main() -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--seconds", type=float, default=10.0)
-    ap.add_argument("--timeout", type=float, default=900.0, help="seconds allowed per run")
     args = ap.parse_args()
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))

@@ -38,7 +38,7 @@ from .metrics import (
 )
 from .nifti import read_label_nifti, read_orientation, write_nifti
 from .stats import GROUP_MODES, ValidationError, correlate_uncertainty_accuracy, group_analysis
-from .synth import _soft_probs, make_phantom, registry_for_phantom, sample_mc
+from .synth import make_phantom, registry_for_phantom, sample_mc, soft_probs
 from .volumes import StructureRegistry, _parallel, _thread_cap
 
 EXIT_OK = 0
@@ -215,7 +215,7 @@ def _write_one_scan(out, gt, registry, with_probs, scan):
     scan_id, noise = scan
     scan_dir, dataset_rel = (out / scan_id, "../") if scan_id else (out, "")
     scan_dir.mkdir(parents=True, exist_ok=True)
-    # maps made one sample at a time, as sample_mc would: K held, not N * K
+    # each sample's maps are made just before they are written: K held, not N * K
     sample_set = sample_mc(gt, registry, noise, with_probs=False)
     sample_names, prob_lists = [], []
     for i, sample in enumerate(sample_set.samples):
@@ -224,7 +224,7 @@ def _write_one_scan(out, gt, registry, with_probs, scan):
             write_nifti(tmp, sample.labels)
         sample_names.append(name)
         if with_probs:
-            maps = _soft_probs(sample.labels.data, gt.geometry, registry, noise).maps
+            maps = soft_probs(sample.labels, registry, noise).maps
             per_sample = []
             for k, lid in enumerate(registry.ids):
                 pname = f"prob_{i:03d}_label_{lid}.nii.gz"
@@ -263,6 +263,9 @@ def cmd_simulate(args) -> int:
     if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
         raise ValidationError(f"dims {list(spec.geometry.dims)} with n_samples {n} need at least "
                               f"{need / 2**30:.3g} GiB for one scan, more than physical memory")
+    # like the memory check, read before --out exists, so a refusal writes nothing
+    single = len(scans) == 1 and scans[0][0] == ""
+    workers = 1 if single else min(_thread_cap(os.cpu_count() or 1), len(scans))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     gt = make_phantom(spec)
@@ -272,14 +275,11 @@ def cmd_simulate(args) -> int:
     with _atomic(out / "registry.json") as tmp:
         sio.write_registry(registry, tmp)
 
-    write = partial(_write_one_scan, out, gt, registry, args.with_probs)
-    if len(scans) == 1 and scans[0][0] == "":
-        write(scans[0])
+    import scipy.ndimage  # noqa: F401  sample_mc's, imported here before any pool thread
+    _parallel(partial(_write_one_scan, out, gt, registry, args.with_probs), scans, workers)
+    if single:
         print(f"wrote gt.nii, registry.json, {n} samples, manifest.json -> {out}")
         return EXIT_OK
-
-    import scipy.ndimage  # noqa: F401  sample_mc's, imported here before any pool thread
-    _parallel(write, scans, min(_thread_cap(os.cpu_count() or 1), len(scans)))
     with _atomic(out / "dataset.json") as tmp:
         doc = {"schema_version": sio.REPORT_SCHEMA_VERSION,
                "scans": [sid for sid, _ in scans]}

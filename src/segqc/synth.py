@@ -233,19 +233,21 @@ def _dominant_other_neighbor(data: np.ndarray, idx: np.ndarray, background_id: i
     return np.where(result < 0, background_id, result)
 
 
-def _soft_probs(
-    labels: np.ndarray,
-    geometry: VoxelGeometry,
+def soft_probs(
+    sample: LabelVolume,
     registry: StructureRegistry,
     noise: NoiseSpec,
 ) -> ProbMapStack:
     """One-hot maps with boundary voxels softened by sigma = flip_prob / 2.
 
-    A boundary voxel keeps 1 - sigma on its own label and moves sigma to
-    its dominant differing neighbor, with sigma the larger of the two
-    structures' values (background contributes none). Argmax of the
-    result always reproduces ``labels``.
+    The maps :func:`sample_mc` gives a sample, made from its labels alone,
+    so a caller can draw label-only samples and make each sample's maps
+    when it needs them. A boundary voxel keeps 1 - sigma on its own label
+    and moves sigma to its dominant differing neighbor, with sigma the
+    larger of the two structures' values (background contributes none).
+    Argmax of the result always reproduces the labels.
     """
+    labels = sample.data
     boundary = np.zeros(labels.shape, dtype=bool)
     for axis in range(3):
         sl_a = [slice(None)] * 3
@@ -276,7 +278,7 @@ def _soft_probs(
         other_pos = np.asarray([pos_of[int(l)] for l in other])
         maps[own_pos, idx] = 1.0 - sigma
         maps[other_pos, idx] += sigma
-    return ProbMapStack(geometry, ids, maps.reshape((len(ids),) + labels.shape))
+    return ProbMapStack(sample.geometry, ids, maps.reshape((len(ids),) + labels.shape))
 
 
 def sample_mc(
@@ -291,11 +293,11 @@ def sample_mc(
     structure (inward flips go to the dominant differing neighbor, outward
     flips claim the adjacent voxel), then erodes or dilates each structure
     by the configured radius at a fair coin. With ``with_probs`` each
-    sample also carries a boundary-softened probability map; otherwise
-    samples are label-only. The ground truth's ids and the background must
-    lie in 0..65535; registry ids the ground truth does not use may be larger.
-    The first call imports ``scipy.ndimage``: a caller that runs this on
-    pool threads imports it first.
+    sample also carries the maps :func:`soft_probs` makes of its labels;
+    otherwise samples are label-only. The ground truth's ids and the
+    background must lie in 0..65535; registry ids the ground truth does
+    not use may be larger. The first call imports ``scipy.ndimage``: a
+    caller that runs this on pool threads imports it first.
     """
     from scipy import ndimage
 
@@ -351,11 +353,8 @@ def sample_mc(
                         grown = ndimage.binary_dilation(mask, _STRUCT6, iterations=r)
                         vol[grown & (vol == bg)] = lid
         label_vol = LabelVolume(gt.geometry, vol.astype(dtype))
-        if with_probs:
-            probs = _soft_probs(vol, gt.geometry, registry, noise)
-            samples.append(McSample(labels=label_vol, probs=probs))
-        else:
-            samples.append(McSample(labels=label_vol))
+        probs = soft_probs(label_vol, registry, noise) if with_probs else None
+        samples.append(McSample(labels=label_vol, probs=probs))
     return McSampleSet(geometry=gt.geometry, registry=registry, samples=tuple(samples))
 
 

@@ -667,13 +667,17 @@ def test_thread_cap_env_validation(configs, monkeypatch, capsys):
         "n_samples": 2,
         "scans": [{"scan_id": f"s{k}", "seed": k} for k in range(2)],
     }))
-    monkeypatch.setenv("SEGQC_THREADS", "zero")
-    assert run(["simulate", "--phantom", phantom, "--noise", noise,
-                "--out", root / "x"]) == 1
-    assert "SEGQC_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("SEGQC_THREADS", "0")
-    assert run(["simulate", "--phantom", phantom, "--noise", noise,
-                "--out", root / "x"]) == 1
+    for bad in ("zero", "0"):
+        monkeypatch.setenv("SEGQC_THREADS", bad)
+        assert run(["simulate", "--phantom", phantom, "--noise", noise,
+                    "--out", root / "x"]) == 1
+        assert capsys.readouterr().err.startswith("error: SEGQC_THREADS must be")
+        # refused before --out is made: no gt.nii or registry.json left behind
+        assert not (root / "x").exists()
+    # a single scan runs on the calling thread and never reads the cap
+    assert run(["simulate", "--phantom", phantom, "--noise", single,
+                "--out", root / "one"]) == 0
+    capsys.readouterr()
 
     monkeypatch.delenv("SEGQC_THREADS")
     sim = root / "sim"
