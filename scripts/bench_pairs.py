@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
-"""Compare two checkouts on one benchmark workload in alternating pairs.
+"""Compare two checkouts on benchmark workloads in alternating pairs.
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --workload a9_labels --pairs 10
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload a9_labels \
+        [--workload prob_maps ...] --pairs 10
 
 PARENT and CHANGE are the roots of two checkouts of the repository. Each
 pair runs ``perfbench/run.py --trace 0`` once in each of them, from its
 own root, and swaps which side runs first from one pair to the next, so
-slow drift of the host lands on both sides alike. For each end-to-end
+slow drift of the host lands on both sides alike. The workloads run one
+after the other, all pairs of each. For each workload and each end-to-end
 metric that ``BENCHMARK.json`` of CHANGE names, it then prints both
 medians, the parent's quartiles and in how many of the pairs the change
-was better (ties count for neither side), followed by every failed call
-or run. A run that has not ended ``SETUP_S`` seconds past three times
+was better (ties count for neither side), and at the end every failed
+call or run. A run that has not ended ``SETUP_S`` seconds past three times
 ``--seconds`` is stopped and counted as failed. It changes nothing in
 either checkout beyond what the benchmark itself caches, and uses the
 standard library only. The exit code is 1 when any run or call failed.
@@ -29,9 +31,9 @@ from pathlib import Path
 SETUP_S = 600  # building a workload's inputs on a cold cache, with room to spare
 
 
-def run_once(root: Path, args) -> tuple[dict | None, list[str]]:
+def run_once(root: Path, workload: str, args) -> tuple[dict | None, list[str]]:
     """Metric values of one benchmark run in ``root``, and its failures."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
     # each run imports the sources of its own checkout only
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -59,32 +61,22 @@ def run_once(root: Path, args) -> tuple[dict | None, list[str]]:
     return {name: m["value"] for name, m in result["metrics"].items()}, problems
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent", type=Path, help="root of the parent checkout")
-    ap.add_argument("change", type=Path, help="root of the changed checkout")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=10.0)
-    args = ap.parse_args()
-
-    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+def compare(workload: str, metrics: dict, args) -> list[str]:
+    """Run the pairs of one workload, print its table, return its failures."""
     sides = {"parent": args.parent, "change": args.change}
     values = {side: [] for side in sides}  # per pair, that run's metrics or None
     failures = []
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            got, problems = run_once(sides[side], args)
+            got, problems = run_once(sides[side], workload, args)
             values[side].append(got)
-            failures += [f"pair {pair + 1} {side}: {p}" for p in problems]
+            failures += [f"{workload} pair {pair + 1} {side}: {p}" for p in problems]
             shown = "failed" if got is None else ", ".join(
                 f"{name} {got[name]:.4g}" for name in metrics if name in got)
-            print(f"pair {pair + 1}/{args.pairs} {side}: {shown}", flush=True)
+            print(f"{workload} pair {pair + 1}/{args.pairs} {side}: {shown}", flush=True)
 
-    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs, {args.seconds:g} s a run")
+    print(f"\n{workload}, seed {args.seed}, {args.pairs} pairs, {args.seconds:g} s a run")
     print(f"{'metric':<14}{'parent median':>15}{'parent quartiles':>22}"
           f"{'change median':>15}{'change better':>15}")
     for name, better in metrics.items():
@@ -98,6 +90,26 @@ def main() -> int:
         wins = sum(c < p if better == "lower" else c > p for p, c in pairs)
         print(f"{name:<14}{statistics.median(parent):>15.4f}{f'[{q1:.4f}, {q3:.4f}]':>22}"
               f"{statistics.median(change):>15.4f}{f'{wins}/{len(pairs)}':>15}")
+    print(flush=True)
+    return failures
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path, help="root of the parent checkout")
+    ap.add_argument("change", type=Path, help="root of the changed checkout")
+    ap.add_argument("--workload", action="append", required=True,
+                    help="a workload to compare; give it once per workload")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seconds", type=float, default=10.0)
+    args = ap.parse_args()
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    failures = []
+    for workload in args.workload:
+        failures += compare(workload, metrics, args)
     print("failed: " + ("none" if not failures else f"{len(failures)}"))
     for line in failures:
         print(f"  {line}")

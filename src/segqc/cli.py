@@ -207,6 +207,9 @@ def cmd_group(args) -> int:
     for row in analysis.rows:
         print(f"{row.mode:<22}{row.beta_d:>10.4f}{row.se_d:>10.4f}"
               f"{row.p_d:>12.4g}{row.n_used:>8}{row.n_dropped:>8}")
+    for mode, fit in analysis.fits.items():
+        if fit.note:  # Huber's IRLS stopped without converging, say
+            print(f"note: {mode}: {fit.note}", file=sys.stderr)
     return EXIT_OK
 
 

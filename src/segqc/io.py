@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import io
 import json
 import math
 import os
 import re
 import sys
+from array import array
 from pathlib import Path
 from typing import Sequence
 
@@ -152,22 +152,19 @@ def write_registry(registry: StructureRegistry, path: str | Path) -> None:
 # -- cohort CSV --------------------------------------------------------------
 
 
-def _parse_float(text: str, line: int, column: str, path) -> float:
+def _cell_value(cell: str, line: int, column: str, path) -> float:
+    """A numeric cell by the per-cell rule: empty is NaN in an optional column."""
+    cell = cell.strip()
+    if cell == "" and column in ("cv", "mc_dice"):
+        return math.nan
+    if cell == "":
+        raise ValidationError(f"{path}: line {line}, column {column}: required value is empty")
     try:
-        return float(text)
+        return float(cell)
     except ValueError:
         raise ValidationError(
-            f"{path}: line {line}, column {column}: cannot parse {text!r} as a number"
+            f"{path}: line {line}, column {column}: cannot parse {cell!r} as a number"
         ) from None
-
-
-def _csv_rows(reader, path):
-    """The reader's rows, with csv errors (an oversized field, say)
-    raised as ValidationError naming the line."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def read_cohort_csv(path: str | Path) -> CohortTable:
@@ -177,92 +174,99 @@ def read_cohort_csv(path: str | Path) -> CohortTable:
     separator. Optional numeric cells may be empty (missing weight);
     required cells may not. Any unparsable numeric cell is an error
     naming its line number and column. Only CR and LF end a line: other
-    Unicode line separators are ordinary characters in a cell.
+    Unicode line separators are ordinary characters in a cell. The file is
+    streamed, its numbers converted _COHORT_BLOCK rows at a time, so memory
+    follows the table, not the file; errors still come in file order.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        # newline=None: CR and CRLF read as LF, in quoted cells too, and nothing else
+        with open(path, encoding="utf-8-sig") as fh:
+            return _parse_cohort(csv.reader(fh), path)
     except UnicodeDecodeError as exc:
+        try:  # decoded whole, the error gives the offset in the file, not in a read buffer
+            path.read_bytes().decode("utf-8-sig")
+        except UnicodeDecodeError as whole:
+            exc = whole
         raise ValidationError(f"{path} is not valid UTF-8: {exc}") from exc
-    reader = csv.reader(io.StringIO(text, newline=""))
-    rows = _csv_rows(reader, path)
-    first = next(rows, None)
-    if first is None:
-        raise ValidationError(f"{path}: empty file, expected a header row")
-    header = [h.strip() for h in first]
-    known = set(COHORT_REQUIRED) | set(COHORT_OPTIONAL)
-    for col in COHORT_REQUIRED:
-        if col not in header:
-            raise ValidationError(f"{path}: header is missing required column {col}")
-    unknown = [h for h in header if h not in known]
-    if unknown:
-        raise ValidationError(f"{path}: unknown columns {unknown}")
-    if len(set(header)) != len(header):
-        raise ValidationError(f"{path}: duplicate columns in header")
-    idx = {h: k for k, h in enumerate(header)}
 
-    cols: dict[str, list] = {h: [] for h in header}
-    for row in rows:
-        lineno = reader.line_num  # last physical line of the row
-        if not row or all(not c.strip() for c in row):
-            continue  # blank line
-        if len(row) != len(header):
-            raise ValidationError(
-                f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        for h in header:
-            cell = row[idx[h]].strip()
-            if h in ("subject_id", "site"):
-                cols[h].append(cell)
-            elif cell == "" and h in ("cv", "mc_dice"):
-                cols[h].append(math.nan)
-            elif cell == "":
-                raise ValidationError(
-                    f"{path}: line {lineno}, column {h}: required value is empty"
-                )
-            else:
-                cols[h].append(_parse_float(cell, lineno, h, path))
+
+_COHORT_BLOCK = 4096  # rows whose numeric cells are converted together
+
+
+def _parse_cohort(reader, path: Path) -> CohortTable:
+    header: list[str] = []
+    block: list[list[str]] = []  # data rows not yet converted
+    lines = array("q")  # the last physical line of each row in block
+    cols: dict[str, list] = {}  # per column, its strings or its converted blocks
+    sites: dict[str, str] = {}  # one str object per distinct site
+
+    def flush() -> None:
+        if not block:
+            return
+        cells = dict(zip(header, zip(*block)))
+        numeric = [h for h in header if h not in ("subject_id", "site")]
+        cols["subject_id"] += map(str.strip, cells["subject_id"])
+        if "site" in cells:
+            cols["site"] += (sites.setdefault(s, s) for s in map(str.strip, cells["site"]))
+        try:  # float strips the same whitespace as str.strip
+            parts = [np.fromiter(map(float, cells[h]), np.float64, len(block)) for h in numeric]
+        except ValueError:  # the per-cell rule, row by row, so the first bad cell is named
+            at = [(header.index(h), h) for h in numeric]
+            parts = np.array([[_cell_value(row[k], line, h, path) for k, h in at]
+                              for row, line in zip(block, lines)]).T
+        for h, part in zip(numeric, parts):
+            cols[h].append(part)
+        block.clear()
+        del lines[:]
+
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise ValidationError(f"{path}: empty file, expected a header row")
+        header = [h.strip() for h in first]
+        for col in COHORT_REQUIRED:
+            if col not in header:
+                raise ValidationError(f"{path}: header is missing required column {col}")
+        unknown = [h for h in header if h not in COHORT_REQUIRED + COHORT_OPTIONAL]
+        if unknown:
+            raise ValidationError(f"{path}: unknown columns {unknown}")
+        if len(set(header)) != len(header):
+            raise ValidationError(f"{path}: duplicate columns in header")
+        cols.update((h, []) for h in header)
+        for row in reader:
+            if not "".join(row).strip():
+                continue  # blank line
+            if len(row) != len(header):
+                flush()
+                raise ValidationError(f"{path}: line {reader.line_num}: expected "
+                                      f"{len(header)} fields, got {len(row)}")
+            block.append(row)
+            lines.append(reader.line_num)
+            if len(block) == _COHORT_BLOCK:
+                flush()
+    except csv.Error as exc:  # an oversized field, say
+        flush()
+        raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
+    flush()
     if not cols["subject_id"]:
         raise ValidationError(f"{path}: no data rows")
-    return CohortTable(
-        subject_ids=tuple(cols["subject_id"]),
-        age=np.array(cols["age"]),
-        sex=np.array(cols["sex"]),
-        dx=np.array(cols["dx"]),
-        volume=np.array(cols["volume"]),
-        site=tuple(cols["site"]) if "site" in cols else None,
-        cv=np.array(cols["cv"]) if "cv" in cols else None,
-        mc_dice=np.array(cols["mc_dice"]) if "mc_dice" in cols else None,
-    )
-
-
-def _fmt_cell(v: float) -> str:
-    return "" if math.isnan(v) else repr(float(v))
+    ids, site = cols.pop("subject_id"), cols.pop("site", None)
+    return CohortTable(subject_ids=tuple(ids), site=None if site is None else tuple(site),
+                       **{h: np.concatenate(parts) for h, parts in cols.items()})
 
 
 def write_cohort_csv(table: CohortTable, path: str | Path) -> None:
-    header = ["subject_id", "age", "sex", "dx"]
-    if table.site is not None:
-        header.append("site")
-    header.append("volume")
-    if table.cv is not None:
-        header.append("cv")
-    if table.mc_dice is not None:
-        header.append("mc_dice")
+    cols = {"subject_id": table.subject_ids, "age": table.age, "sex": table.sex,
+            "dx": table.dx, "site": table.site, "volume": table.volume, "cv": table.cv,
+            "mc_dice": table.mc_dice}
+    cols = {h: v if h in ("subject_id", "site") else
+            ["" if math.isnan(x) else repr(float(x)) for x in v]
+            for h, v in cols.items() if v is not None}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(header)
-        for i in range(table.n):
-            row = [table.subject_ids[i], _fmt_cell(table.age[i]),
-                   _fmt_cell(table.sex[i]), _fmt_cell(table.dx[i])]
-            if table.site is not None:
-                row.append(table.site[i])
-            row.append(_fmt_cell(table.volume[i]))
-            if table.cv is not None:
-                row.append(_fmt_cell(table.cv[i]))
-            if table.mc_dice is not None:
-                row.append(_fmt_cell(table.mc_dice[i]))
-            w.writerow(row)
+        w.writerow(cols)
+        w.writerows(zip(*cols.values()))
 
 
 # -- metric report JSON ------------------------------------------------------

@@ -15,7 +15,8 @@ zero-weighting them.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,7 +47,9 @@ class CohortTable:
 
     ``cv`` and ``mc_dice`` are optional weight columns; NaN entries mark
     subjects whose weight is unavailable. ``site`` is either None (no site
-    covariate) or one category string per subject.
+    covariate) or one category string per subject. A table is validated
+    when it is made; tables derived from one (:meth:`take`,
+    :func:`standardize_table`) are not validated again.
     """
 
     subject_ids: tuple[str, ...]
@@ -72,9 +75,7 @@ class CohortTable:
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        for name in ("age", "sex", "dx", "volume"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValidationError(f"column {name} must be finite with no missing values")
+        self._require_finite("age", "sex", "dx", "volume")
         for name in ("sex", "dx"):
             vals = getattr(self, name)
             if not np.all(np.isin(vals, (0.0, 1.0))):
@@ -93,22 +94,35 @@ class CohortTable:
                 raise ValidationError(f"site column has {len(site)} entries for {n} subjects")
             object.__setattr__(self, "site", site)
 
+    def _require_finite(self, *names: str) -> None:
+        for name in names:
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValidationError(f"column {name} must be finite with no missing values")
+
+    def _derived(self, **columns) -> "CohortTable":
+        """This table with ``columns`` replaced, made read-only and not
+        validated again: they are derived from this table's own columns."""
+        out = object.__new__(CohortTable)
+        out.__dict__.update({f.name: getattr(self, f.name) for f in fields(self)}, **columns)
+        for arr in columns.values():
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+        return out
+
     @property
     def n(self) -> int:
         return len(self.subject_ids)
 
+    @cached_property
+    def _design(self) -> tuple[np.ndarray, tuple[str, ...]]:
+        """:func:`design_matrix` of this table, built once for all its fits."""
+        return design_matrix(self)
+
     def take(self, idx: np.ndarray) -> "CohortTable":
         """Row subset in the given order."""
-        return CohortTable(
-            subject_ids=tuple(self.subject_ids[i] for i in idx),
-            age=self.age[idx],
-            sex=self.sex[idx],
-            dx=self.dx[idx],
-            volume=self.volume[idx],
-            site=None if self.site is None else tuple(self.site[i] for i in idx),
-            cv=None if self.cv is None else self.cv[idx],
-            mc_dice=None if self.mc_dice is None else self.mc_dice[idx],
-        )
+        cols = {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._derived(**{name: tuple(v[i] for i in idx) if isinstance(v, tuple) else v[idx]
+                                for name, v in cols.items() if v is not None})
 
 
 @dataclass(frozen=True)
@@ -229,9 +243,10 @@ def design_matrix(table: CohortTable) -> tuple[np.ndarray, tuple[str, ...]]:
     names = ["intercept", "age", "sex", "dx"]
     if table.site is not None:
         levels = sorted(set(table.site))
-        site_arr = np.asarray(table.site)
-        for level in levels[1:]:
-            cols.append((site_arr == level).astype(np.float64))
+        # each row's level by dict lookup: a numpy string array would drop trailing NULs
+        code = np.fromiter(map(dict(zip(levels, range(len(levels)))).get, table.site), np.intp)
+        for k, level in enumerate(levels[1:], 1):
+            cols.append((code == k).astype(np.float64))
             names.append(f"site:{level}")
     return np.column_stack(cols), tuple(names)
 
@@ -361,7 +376,7 @@ def wls_fit(
     and p-values unchanged.
     """
     table, w, dropped = _weights_for_mode(table, weight_mode, explicit_weights)
-    X, columns = design_matrix(table)
+    X, columns = table._design
     method = "ols" if weight_mode == "none" else "wls"
     return _weighted_lstsq(X, y=table.volume, w=w, columns=columns, method=method,
                            n_dropped=dropped)
@@ -383,7 +398,7 @@ def huber_fit(table: CohortTable) -> RegressionResult:
     coefficient change drops below 1e-8 or 50 iterations. Data whose
     residuals never exceed k reproduce the ordinary fit exactly.
     """
-    X, columns = design_matrix(table)
+    X, columns = table._design
     y = table.volume
     n, p = X.shape
     if n - p < 2:
@@ -429,7 +444,9 @@ def standardize_table(table: CohortTable) -> CohortTable:
         sd = float(np.std(arr, ddof=1))
         return (arr - arr.mean()) / (sd if sd > 0 else 1.0)
 
-    return replace(table, age=zscore(table.age), volume=zscore(table.volume))
+    out = table._derived(age=zscore(table.age), volume=zscore(table.volume))
+    out._require_finite("age", "volume")  # a mean or spread past the float range
+    return out
 
 
 def group_analysis(
@@ -460,19 +477,8 @@ def group_analysis(
             res = wls_fit(fitted_table, weight_mode=mode)
         fits[mode] = res
         k = res.columns.index("dx")
-        rows.append(
-            GroupModeRow(
-                mode=mode,
-                beta_d=float(res.beta[k]),
-                se_d=float(res.se[k]),
-                p_d=float(res.p[k]),
-                n_used=res.n_used,
-                n_dropped=res.n_dropped,
-            )
-        )
-    return GroupAnalysis(
-        structure=structure,
-        standardized=standardize,
-        rows=tuple(rows),
-        fits=fits,
-    )
+        rows.append(GroupModeRow(mode=mode, beta_d=float(res.beta[k]), se_d=float(res.se[k]),
+                                 p_d=float(res.p[k]), n_used=res.n_used,
+                                 n_dropped=res.n_dropped))
+    return GroupAnalysis(structure=structure, standardized=standardize, rows=tuple(rows),
+                         fits=fits)

@@ -23,6 +23,7 @@ io module.
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -498,11 +499,15 @@ def _parallel(fn, items, workers: int) -> list:
     ``workers`` threads, the calling one and ``workers - 1`` of a pool shut
     down before this returns, each take the next item when free. Callers
     pass at most ``SEGQC_THREADS``, so the calling thread counts as one of
-    them and one worker starts no thread. An exception on any thread propagates."""
+    them and one worker starts no thread. An exception on any thread
+    propagates, and once one is raised no thread starts another item."""
     todo = iter(enumerate(items))  # each next() is one call, atomic under the GIL
 
     def drain() -> list[tuple]:
-        return [(i, fn(item)) for i, item in todo]
+        try:
+            return [(i, fn(item)) for i, item in todo]
+        finally:  # after an error, the items left are taken so that no thread runs them
+            deque(todo, maxlen=0)
 
     if workers < 2:
         return [r for _, r in drain()]

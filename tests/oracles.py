@@ -5,8 +5,11 @@ loops, set arithmetic, and textbook formulas, sharing no code with the
 package so agreement between the two routes is evidence.
 """
 
+import csv
+import io
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -107,3 +110,76 @@ def t_cdf_quadrature(t, df, n_steps=2_000_000):
     dens = np.exp(log_c - ((df + 1) / 2.0) * np.log1p(x * x / df))
     tail = np.trapezoid(dens, x) if hasattr(np, "trapezoid") else np.trapz(dens, x)
     return 2.0 * tail
+
+
+def cohort_csv_oracle(path):
+    """Cohort CSV read whole and parsed row by row, cell by cell: the
+    reader as it was before it streamed. Only the table it returns, and
+    the ValidationError, are the package's own; its errors and line
+    numbers are the ones the streaming reader must reproduce."""
+    from segqc.stats import CohortTable
+    from segqc.volumes import ValidationError
+
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not valid UTF-8: {exc}") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+
+    def rows():
+        try:
+            yield from reader
+        except csv.Error as exc:
+            raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
+
+    rows = rows()
+    first = next(rows, None)
+    if first is None:
+        raise ValidationError(f"{path}: empty file, expected a header row")
+    header = [h.strip() for h in first]
+    required = ("subject_id", "age", "sex", "dx", "volume")
+    known = set(required) | {"site", "cv", "mc_dice"}
+    for col in required:
+        if col not in header:
+            raise ValidationError(f"{path}: header is missing required column {col}")
+    unknown = [h for h in header if h not in known]
+    if unknown:
+        raise ValidationError(f"{path}: unknown columns {unknown}")
+    if len(set(header)) != len(header):
+        raise ValidationError(f"{path}: duplicate columns in header")
+    cols = {h: [] for h in header}
+    for row in rows:
+        lineno = reader.line_num
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise ValidationError(
+                f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
+            )
+        for h, cell in zip(header, row):
+            cell = cell.strip()
+            if h in ("subject_id", "site"):
+                cols[h].append(cell)
+            elif cell == "" and h in ("cv", "mc_dice"):
+                cols[h].append(math.nan)
+            elif cell == "":
+                raise ValidationError(
+                    f"{path}: line {lineno}, column {h}: required value is empty"
+                )
+            else:
+                try:
+                    cols[h].append(float(cell))
+                except ValueError:
+                    raise ValidationError(f"{path}: line {lineno}, column {h}: "
+                                          f"cannot parse {cell!r} as a number") from None
+    if not cols["subject_id"]:
+        raise ValidationError(f"{path}: no data rows")
+    return CohortTable(
+        subject_ids=tuple(cols["subject_id"]),
+        age=np.array(cols["age"]), sex=np.array(cols["sex"]), dx=np.array(cols["dx"]),
+        volume=np.array(cols["volume"]),
+        site=tuple(cols["site"]) if "site" in cols else None,
+        cv=np.array(cols["cv"]) if "cv" in cols else None,
+        mc_dice=np.array(cols["mc_dice"]) if "mc_dice" in cols else None,
+    )

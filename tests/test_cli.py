@@ -607,6 +607,24 @@ def test_group_mode_subset_and_raw_scale(cohort_csv, capsys):
     assert "inv_cv" not in stdout
 
 
+def test_group_prints_huber_non_convergence_on_stderr(cohort_csv, tmp_path, capsys,
+                                                      monkeypatch):
+    from segqc import stats
+
+    assert run(["group", cohort_csv, "--out", tmp_path / "a.csv"]) == 0
+    converged = capsys.readouterr()
+    monkeypatch.setattr(stats, "HUBER_MAX_ITER", 1)
+    assert run(["group", cohort_csv, "--out", tmp_path / "b.csv"]) == 0
+    stopped = capsys.readouterr()
+    assert converged.err == ""
+    assert stopped.err == "note: huber: IRLS stopped after 1 iterations without converging\n"
+    # only the huber row moves; the note reaches neither stdout nor the CSV
+    a, b = (f.read_text().splitlines() for f in (tmp_path / "a.csv", tmp_path / "b.csv"))
+    assert a[:-1] == b[:-1] and b[-1].startswith("huber,") and a[-1] != b[-1]
+    assert converged.out.splitlines()[:-1] == stopped.out.splitlines()[:-1]
+    assert "IRLS" not in stopped.out
+
+
 def test_group_rejects_unknown_mode(cohort_csv):
     assert run(["group", cohort_csv, "--modes", "ols,bogus"]) == 1
 

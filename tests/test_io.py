@@ -1,6 +1,8 @@
 """Registry JSON, cohort CSV, report JSON, configs, manifests, sample sets."""
 
 import copy
+import csv
+import io
 import json
 import math
 import tracemalloc
@@ -11,6 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
+import segqc.io
 from segqc.io import (
     read_cohort_csv,
     read_noise_json,
@@ -198,6 +202,89 @@ def test_cohort_csv_oversized_field_names_the_line(tmp_path):
                  + "s" * 200_000 + ",31,1,0,1.2\n", encoding="utf-8")
     with pytest.raises(ValidationError, match="line 3: field larger than field limit"):
         read_cohort_csv(p)
+
+
+def same_cohort(a, b):
+    if a.subject_ids != b.subject_ids or a.site != b.site:
+        return False
+    for col in ("age", "sex", "dx", "volume", "cv", "mc_dice"):
+        x, y = getattr(a, col), getattr(b, col)
+        if (x is None) != (y is None) or (
+                x is not None and not np.array_equal(x, y, equal_nan=True)):
+            return False
+    return True
+
+
+def read_both(path):
+    """The reader's and the oracle's table, or each one's error text."""
+    out = []
+    for read in (read_cohort_csv, oracles.cohort_csv_oracle):
+        try:
+            out.append(read(path))
+        except ValidationError as exc:
+            out.append(str(exc))
+    return out
+
+
+def write_big_cohort(path, n, seed=3):
+    from segqc.synth import make_cohort
+
+    table, _ = make_cohort(n, seed=seed)
+    write_cohort_csv(table, path)
+    return table
+
+
+def test_cohort_csv_of_many_blocks_matches_the_oracle(tmp_path):
+    p = tmp_path / "cohort.csv"
+    write_big_cohort(p, 3 * segqc.io._COHORT_BLOCK + 17)
+    rows = p.read_text(encoding="utf-8").splitlines()
+
+    def edit(k, col, value):  # row k is on line k + 1
+        cells = rows[k].split(",")
+        cells[col] = value
+        rows[k] = ",".join(cells)
+
+    edit(4500, 6, " ")  # an empty cv: NaN, in the second block
+    p.write_text("\n".join(rows[:9] + [" "] + rows[9:]) + "\n", encoding="utf-8")
+    got, want = read_both(p)
+    assert same_cohort(got, want) and np.isnan(got.cv[4499]) and got.n == len(rows) - 1
+    edit(7000, 2, "x")
+    edit(6000, 1, "")
+    rows[9000] += ","
+    # the first error in file order wins, whichever block it falls in
+    for fix, error in [(None, "line 6001, column age: required value is empty"),
+                       ((6000, 1, "30"), "line 7001, column sex: cannot parse 'x' as a number"),
+                       ((7000, 2, "1"), "line 9001: expected 8 fields, got 9")]:
+        if fix:
+            edit(*fix)
+        p.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        got, want = read_both(p)
+        assert got == want == f"{p}: {error}"
+
+
+def test_cohort_csv_memory_follows_the_table_not_the_file(tmp_path):
+    p = tmp_path / "cohort.csv"
+    table = write_big_cohort(p, 50_000)
+    tracemalloc.start()
+    try:
+        got = read_cohort_csv(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.n == table.n
+    # read whole and parsed into lists of floats this took 9.5 times the file
+    assert peak < 4 * p.stat().st_size
+
+
+def test_cohort_csv_bad_utf8_after_the_first_block_names_the_file(tmp_path):
+    p = tmp_path / "cohort.csv"
+    write_big_cohort(p, 2 * segqc.io._COHORT_BLOCK)
+    raw = p.read_bytes()
+    p.write_bytes(raw + b"s\xff,30,0,1,site_a,1.5,0.1,0.9\n")
+    with pytest.raises(ValidationError, match="is not valid UTF-8") as info:
+        read_cohort_csv(p)
+    assert str(p) in str(info.value)
+    assert read_both(p)[0] == read_both(p)[1]  # the offset is the one in the whole file
 
 
 # -- report JSON ------------------------------------------------------------------
@@ -928,3 +1015,53 @@ def test_cohort_csv_reader_fails_only_with_validation_error(tmp_path, payload):
         read_cohort_csv(p)
     except ValidationError:
         pass
+
+
+COHORT_COLUMNS = ("subject_id", "age", "sex", "dx", "site", "volume", "cv", "mc_dice")
+PAD = st.sampled_from(["", " ", "\t", "\u2003", "\x1c", " \u00a0 "])
+LABEL = st.text(alphabet=list('ab ,"\n\r\u2028\x85'), max_size=5)
+NUMBER = st.floats(-1e6, 1e6, allow_nan=False).map(repr)
+UNIT = st.floats(0.0, 1.0).map(repr)
+GOOD = {"subject_id": LABEL, "site": LABEL, "sex": st.sampled_from(["0", "1", "1.0", "0e0"]),
+        "dx": st.sampled_from(["0", "1", "0.0", "1_0e-1"]), "cv": UNIT, "mc_dice": UNIT}
+BAD = st.sampled_from(["", "abc", "1.2.3", "--1", "nan", "1e999"])
+
+
+@st.composite
+def cohort_files(draw):
+    optional = draw(st.lists(st.sampled_from(COHORT_COLUMNS[4:]), unique=True))
+    header = draw(st.permutations(["subject_id", "age", "sex", "dx", "volume", *optional]))
+    term = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    out = io.StringIO(newline="")
+    w = csv.writer(out, lineterminator=term, quoting=quoting)
+    w.writerow(header)
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.integers(0, 19))
+        if kind == 0:  # a blank or whitespace-only line
+            out.write(draw(st.sampled_from(["", " ", "\t ", ",,", " , "])) + term)
+            continue
+        row = []
+        for h in header:
+            good = GOOD.get(h, NUMBER)
+            cell = draw(st.one_of(good, good, good, good, good, good, BAD) if kind == 1
+                        else good)
+            row.append(draw(PAD) + cell + draw(PAD))
+        if kind == 2:  # a wrong field count
+            row = row[:-1] if draw(st.booleans()) else row + [""]
+        w.writerow(row)
+    return ("\ufeff" if draw(st.booleans()) else "") + out.getvalue()
+
+
+@FUZZ
+@given(text=cohort_files(), block=st.integers(1, 5))
+def test_cohort_csv_reader_matches_the_row_by_row_oracle(tmp_path, monkeypatch, text, block):
+    # small blocks, so most files span several of them
+    monkeypatch.setattr(segqc.io, "_COHORT_BLOCK", block)
+    p = tmp_path / "cohort.csv"
+    p.write_bytes(text.encode("utf-8"))
+    got, want = read_both(p)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    else:
+        assert same_cohort(got, want)

@@ -4,6 +4,7 @@ independent oracles."""
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 
@@ -601,6 +602,22 @@ def test_parallel_runs_on_the_caller_and_workers_minus_one_pool_threads(monkeypa
             with pytest.raises(Boom):
                 volumes._parallel(fail, range(20), 2)
             assert threading.active_count() == baseline
+
+        # once an item raises no thread starts another: each may finish the
+        # item it holds and at most take one more before the items run out
+        workers, started = 2, []
+
+        def fail_one(x):
+            started.append(x)
+            if x == 1:
+                raise Boom
+            time.sleep(0.001)
+            return x
+
+        with pytest.raises(Boom):
+            volumes._parallel(fail_one, range(40), workers)
+        assert len(started) - started.index(1) - 1 <= workers
+        assert threading.active_count() == baseline
     finally:
         sys.setswitchinterval(interval)
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from segqc import stats
 from segqc.metrics import StructureMetrics, StructureReport
 from segqc.stats import (
     CohortTable,
@@ -410,6 +411,69 @@ def test_group_analysis_modes_and_rows():
         assert np.isfinite(row.beta_d) and 0.0 <= row.p_d <= 1.0
     raw = group_analysis(t, standardize=False)
     assert not raw.standardized
+
+
+def with_cv(t, cv):
+    return CohortTable(subject_ids=t.subject_ids, age=t.age, sex=t.sex, dx=t.dx,
+                       volume=t.volume, site=t.site, cv=cv, mc_dice=t.mc_dice)
+
+
+@pytest.mark.parametrize("gone", ["alpha", "gamma"])  # the reference site, and another
+def test_group_analysis_site_with_no_weighted_row_adds_no_column(gone):
+    t = make_table(60, seed=18)
+    t = with_cv(t, np.where(np.array(t.site) == gone, np.nan, t.cv))
+    keep = np.flatnonzero(~np.isnan(t.cv))
+    for standardize in (True, False):
+        with pytest.warns(UserWarning, match="dropping"):
+            got = group_analysis(t, modes=("inv_cv",), standardize=standardize).fits["inv_cv"]
+        kept = (standardize_table(t) if standardize else t).take(keep)
+        want = wls_fit(kept, weight_mode="inv_cv")
+        assert got.columns == want.columns == design_matrix(kept)[1]
+        assert f"site:{gone}" not in got.columns and len(got.columns) == 5
+        for name in ("beta", "se", "p"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert got.n_dropped == t.n - keep.size and want.n_used == keep.size
+
+
+def test_group_analysis_validates_once_and_builds_one_design_per_row_set(monkeypatch):
+    t = make_table(60, seed=19)
+    partial = with_cv(t, np.where(np.arange(t.n) % 5 == 0, np.nan, t.cv))
+    calls = {"validate": 0, "design": 0}
+    real_post, real_design = CohortTable.__post_init__, stats.design_matrix
+
+    def count(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    monkeypatch.setattr(CohortTable, "__post_init__", count("validate", real_post))
+    monkeypatch.setattr(stats, "design_matrix", count("design", real_design))
+    group_analysis(t)
+    assert calls == {"validate": 0, "design": 1}
+    with pytest.warns(UserWarning, match="dropping"):
+        group_analysis(partial)
+    # all rows for none, inv_one_minus_dice and huber; the rows with a cv for inv_cv
+    assert calls == {"validate": 0, "design": 3}
+
+
+def test_standardize_refuses_a_spread_past_the_float_range():
+    t = make_table(30, seed=20)
+    age = t.age.copy()
+    age[:3] = (1e308, 1e308, -1e308)  # finite, but their sum is not
+    t = CohortTable(subject_ids=t.subject_ids, age=age, sex=t.sex, dx=t.dx, volume=t.volume)
+    with np.errstate(all="ignore"), pytest.raises(ValidationError, match="column age"):
+        standardize_table(t)
+
+
+def test_design_matrix_keeps_sites_that_differ_by_a_trailing_nul():
+    t = make_table(30, seed=21)
+    site = tuple(("a", "a\0", "b")[i % 3] for i in range(t.n))
+    t = CohortTable(subject_ids=t.subject_ids, age=t.age, sex=t.sex, dx=t.dx,
+                    volume=t.volume, site=site)
+    X, names = design_matrix(t)
+    assert names[4:] == ("site:a\0", "site:b")
+    assert np.array_equal(X[:, 4:], [[s == "a\0", s == "b"] for s in site])
 
 
 def test_group_analysis_unknown_mode():
