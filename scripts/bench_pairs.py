@@ -10,9 +10,20 @@ own root, and swaps which side runs first from one pair to the next, so
 slow drift of the host lands on both sides alike. The workloads run one
 after the other, all pairs of each. For each workload and each end-to-end
 metric that ``BENCHMARK.json`` of CHANGE names, it then prints both
-medians, the parent's quartiles and in how many of the pairs the change
-was better (ties count for neither side), and at the end every failed
-call or run. A run that has not ended ``SETUP_S`` seconds past three times
+medians, the parent's quartiles, in how many of the pairs the change was
+better (ties count for neither side) and a verdict, and at the end every
+failed call or run. With ``bound`` the metric's fraction of the parent
+median in ``BENCHMARK.json``, the verdict is the first that holds of:
+
+- ``worse``: the change median is worse than the parent's by more than
+  the bound;
+- ``unresolved``: the parent's quartile spread exceeds the bound, and not
+  every change run beats every parent run;
+- ``better``: the change won at least 9 in 10 pairs, and the medians
+  differ by more than the parent's quartile spread;
+- ``held``: none of these.
+
+A run that has not ended ``SETUP_S`` seconds past three times
 ``--seconds`` is stopped and counted as failed. It changes nothing in
 either checkout beyond what the benchmark itself caches, and uses the
 standard library only. The exit code is 1 when any run or call failed.
@@ -61,6 +72,22 @@ def run_once(root: Path, workload: str, args) -> tuple[dict | None, list[str]]:
     return {name: m["value"] for name, m in result["metrics"].items()}, problems
 
 
+def verdict(parent, change, spread: float, wins: int, better: str, bound: float) -> str:
+    """``worse``, ``unresolved``, ``better`` or ``held``, as defined above;
+    ``spread`` is the distance between the parent's quartiles."""
+    lower = better == "lower"
+    base = statistics.median(parent)
+    gap = (statistics.median(change) - base) * (1.0 if lower else -1.0)  # > 0: change worse
+    if gap > bound * abs(base):
+        return "worse"
+    beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+    if spread > bound * abs(base) and not beats_all:
+        return "unresolved"
+    if 10 * wins >= 9 * len(parent) and -gap > spread:
+        return "better"
+    return "held"
+
+
 def compare(workload: str, metrics: dict, args) -> list[str]:
     """Run the pairs of one workload, print its table, return its failures."""
     sides = {"parent": args.parent, "change": args.change}
@@ -78,8 +105,8 @@ def compare(workload: str, metrics: dict, args) -> list[str]:
 
     print(f"\n{workload}, seed {args.seed}, {args.pairs} pairs, {args.seconds:g} s a run")
     print(f"{'metric':<14}{'parent median':>15}{'parent quartiles':>22}"
-          f"{'change median':>15}{'change better':>15}")
-    for name, better in metrics.items():
+          f"{'change median':>15}{'change better':>15}{'verdict':>12}")
+    for name, (better, bound) in metrics.items():
         pairs = [(p[name], c[name]) for p, c in zip(values["parent"], values["change"])
                  if p is not None and c is not None and name in p and name in c]
         if not pairs:
@@ -89,7 +116,8 @@ def compare(workload: str, metrics: dict, args) -> list[str]:
                      if len(parent) > 1 else (parent[0],) * 3)
         wins = sum(c < p if better == "lower" else c > p for p, c in pairs)
         print(f"{name:<14}{statistics.median(parent):>15.4f}{f'[{q1:.4f}, {q3:.4f}]':>22}"
-              f"{statistics.median(change):>15.4f}{f'{wins}/{len(pairs)}':>15}")
+              f"{statistics.median(change):>15.4f}{f'{wins}/{len(pairs)}':>15}"
+              f"{verdict(parent, change, q3 - q1, wins, better, bound):>12}")
     print(flush=True)
     return failures
 
@@ -106,7 +134,7 @@ def main() -> int:
     args = ap.parse_args()
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     failures = []
     for workload in args.workload:
         failures += compare(workload, metrics, args)

@@ -39,7 +39,7 @@ from .metrics import (
 from .nifti import read_label_nifti, read_orientation, write_nifti
 from .stats import GROUP_MODES, ValidationError, correlate_uncertainty_accuracy, group_analysis
 from .synth import make_phantom, registry_for_phantom, sample_mc, soft_probs
-from .volumes import StructureRegistry, _parallel, _thread_cap
+from .volumes import StructureRegistry, _parallel, _physical_memory, _thread_cap
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -263,7 +263,7 @@ def cmd_simulate(args) -> int:
     # volumes of V bytes and, with maps, one sample's K float64 maps
     n = max(noise.n_samples for _, noise in scans)
     need = spec.geometry.n_voxels * (8 + n + 8 * (len(spec.label_ids) + 1) * args.with_probs)
-    if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+    if need > _physical_memory():
         raise ValidationError(f"dims {list(spec.geometry.dims)} with n_samples {n} need at least "
                               f"{need / 2**30:.3g} GiB for one scan, more than physical memory")
     # like the memory check, read before --out exists, so a refusal writes nothing

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .metrics import StructureMetrics, StructureReport
-from .nifti import OrientationInfo, read_nifti, write_nifti
+from .nifti import OrientationInfo, read_label_nifti, read_nifti, write_nifti
 from .stats import CohortTable
 from .synth import NoiseSpec, PhantomSpec, ShapeSpec
 from .volumes import (
@@ -514,11 +514,7 @@ def read_sample_set(
         )
     samples = []
     for i, p in enumerate(label_paths):
-        img = read_nifti(p)
-        try:
-            labels = img.as_label_volume()
-        except ValidationError as exc:
-            raise ValidationError(f"{p}: {exc}") from exc
+        labels = read_label_nifti(p)
         probs = None
         if prob_paths is not None:
             stack_paths = list(prob_paths[i])

@@ -15,12 +15,12 @@ from __future__ import annotations
 import gzip
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .volumes import LabelVolume, ValidationError, VoxelGeometry
+from .volumes import LabelVolume, ValidationError, VoxelGeometry, _physical_memory
 
 HEADER_SIZE = 348
 MAGIC = b"n+1\x00"
@@ -35,6 +35,27 @@ DTYPES = {
 }
 _CODE_OF_DTYPE = {dt: code for code, dt in DTYPES.items()}
 _BITPIX = {code: dt.itemsize * 8 for code, dt in DTYPES.items()}
+
+# Byte offset and struct format (byte order prefixed at use) of each header
+# field read or written; those named like OrientationInfo's are carried as-is.
+_FIELDS = {
+    "sizeof_hdr": (0, "i"),
+    "dim": (40, "8h"),
+    "datatype": (70, "h"),
+    "bitpix": (72, "h"),
+    "pixdim": (76, "8f"),  # pixdim[0] is qfac
+    "vox_offset": (108, "f"),
+    "scl_slope": (112, "f"),
+    "scl_inter": (116, "f"),
+    "qform_code": (252, "h"),
+    "sform_code": (254, "h"),
+    "quatern": (256, "3f"),
+    "qoffset": (268, "3f"),
+    "srow_x": (280, "4f"),
+    "srow_y": (296, "4f"),
+    "srow_z": (312, "4f"),
+    "magic": (344, "4s"),
+}
 
 
 class NiftiFormatError(ValidationError):
@@ -79,18 +100,6 @@ class NiftiImage:
     orientation: OrientationInfo
     scaled: bool  # True when scl_slope/scl_inter were applied
 
-    def as_label_volume(self) -> LabelVolume:
-        if self.scaled:
-            raise NiftiFormatError(
-                "scaled data (scl_slope/scl_inter applied) cannot be used as labels"
-            )
-        if not np.issubdtype(self.data.dtype, np.integer):
-            raise NiftiFormatError(
-                f"datatype {self.data.dtype.name} cannot be used as labels; "
-                "labels must be integer-typed"
-            )
-        return LabelVolume(self.geometry, self.data)
-
 
 class _Gunzip:
     """Inflate a gzip stream on demand, never past what the caller asks for.
@@ -127,80 +136,49 @@ class _Gunzip:
         return parts[0] if len(parts) == 1 else b"".join(parts)
 
 
-def _detect_byteorder(buf: bytes) -> str:
-    (le,) = struct.unpack_from("<i", buf, 0)
-    (be,) = struct.unpack_from(">i", buf, 0)
-    if le == HEADER_SIZE:
-        return "<"
-    if be == HEADER_SIZE:
-        return ">"
-    raise NiftiFormatError(
-        f"sizeof_hdr: got {le} (little-endian) / {be} (big-endian), need {HEADER_SIZE}"
-    )
-
-
 def _parse_header(buf: bytes) -> tuple[NiftiHeaderSubset, OrientationInfo, str]:
     if len(buf) < HEADER_SIZE:
         raise NiftiFormatError(f"truncated header: {len(buf)} bytes, need {HEADER_SIZE}")
-    e = _detect_byteorder(buf)
-    magic = buf[344:348]
-    if magic != MAGIC:
-        raise NiftiFormatError(f"magic: got {magic!r}, need {MAGIC!r} (single-file NIfTI-1)")
-    dim = struct.unpack_from(e + "8h", buf, 40)
-    if dim[0] != 3:
-        raise NiftiFormatError(f"dim[0]: got {dim[0]}, need 3 (3-D volumes only)")
-    dims = dim[1:4]
-    if min(dims) < 1:
-        raise NiftiFormatError(f"dim[1..3]: got {dims}, every extent must be >= 1")
-    (datatype,) = struct.unpack_from(e + "h", buf, 70)
-    if datatype not in DTYPES:
+    offset, fmt = _FIELDS["sizeof_hdr"]
+    le, be = (struct.unpack_from(e + fmt, buf, offset)[0] for e in "<>")
+    if HEADER_SIZE not in (le, be):
         raise NiftiFormatError(
-            f"datatype: code {datatype} unsupported; supported codes {sorted(DTYPES)}"
+            f"sizeof_hdr: got {le} (little-endian) / {be} (big-endian), need {HEADER_SIZE}"
         )
-    (bitpix,) = struct.unpack_from(e + "h", buf, 72)
-    if bitpix != _BITPIX[datatype]:
+    e = "<" if le == HEADER_SIZE else ">"
+    f = {}
+    for name, (offset, fmt) in _FIELDS.items():
+        v = struct.unpack_from(e + fmt, buf, offset)
+        f[name] = v[0] if len(v) == 1 else v
+    h = NiftiHeaderSubset(f["dim"][1:4], f["datatype"], f["bitpix"], f["pixdim"][1:4],
+                          f["vox_offset"], f["scl_slope"], f["scl_inter"], f["magic"])
+    if h.magic != MAGIC:
+        raise NiftiFormatError(f"magic: got {h.magic!r}, need {MAGIC!r} (single-file NIfTI-1)")
+    if f["dim"][0] != 3:
+        raise NiftiFormatError(f"dim[0]: got {f['dim'][0]}, need 3 (3-D volumes only)")
+    if min(h.dims) < 1:
+        raise NiftiFormatError(f"dim[1..3]: got {h.dims}, every extent must be >= 1")
+    if h.datatype not in DTYPES:
         raise NiftiFormatError(
-            f"bitpix: got {bitpix}, need {_BITPIX[datatype]} for datatype {datatype}"
+            f"datatype: code {h.datatype} unsupported; supported codes {sorted(DTYPES)}"
         )
-    pixdim = struct.unpack_from(e + "8f", buf, 76)
-    spacing = pixdim[1:4]
-    if not all(np.isfinite(s) and s > 0 for s in spacing):
-        raise NiftiFormatError(f"pixdim[1..3]: got {spacing}, need finite positive spacings")
-    (vox_offset,) = struct.unpack_from(e + "f", buf, 108)
-    if not np.isfinite(vox_offset) or vox_offset < HEADER_SIZE:
-        raise NiftiFormatError(f"vox_offset: got {vox_offset}, need >= {HEADER_SIZE}")
-    scl_slope, scl_inter = struct.unpack_from(e + "2f", buf, 112)
-    if not np.isfinite(scl_slope) or not np.isfinite(scl_inter):
+    if h.bitpix != _BITPIX[h.datatype]:
         raise NiftiFormatError(
-            f"scl_slope/scl_inter: got ({scl_slope}, {scl_inter}), must be finite"
+            f"bitpix: got {h.bitpix}, need {_BITPIX[h.datatype]} for datatype {h.datatype}"
         )
-    qform_code, sform_code = struct.unpack_from(e + "2h", buf, 252)
-    quatern = struct.unpack_from(e + "3f", buf, 256)
-    qoffset = struct.unpack_from(e + "3f", buf, 268)
-    srow_x = struct.unpack_from(e + "4f", buf, 280)
-    srow_y = struct.unpack_from(e + "4f", buf, 296)
-    srow_z = struct.unpack_from(e + "4f", buf, 312)
-    header = NiftiHeaderSubset(
-        dims=tuple(int(d) for d in dims),
-        datatype=int(datatype),
-        bitpix=int(bitpix),
-        pixdim=tuple(float(s) for s in spacing),
-        vox_offset=float(vox_offset),
-        scl_slope=float(scl_slope),
-        scl_inter=float(scl_inter),
-        magic=magic,
-    )
-    orientation = OrientationInfo(
-        qfac=float(pixdim[0]),
-        qform_code=int(qform_code),
-        sform_code=int(sform_code),
-        quatern=tuple(float(v) for v in quatern),
-        qoffset=tuple(float(v) for v in qoffset),
-        srow_x=tuple(float(v) for v in srow_x),
-        srow_y=tuple(float(v) for v in srow_y),
-        srow_z=tuple(float(v) for v in srow_z),
-    )
-    return header, orientation, e
+    if not all(np.isfinite(s) and s > 0 for s in h.pixdim):
+        raise NiftiFormatError(f"pixdim[1..3]: got {h.pixdim}, need finite positive spacings")
+    if not np.isfinite(h.vox_offset) or h.vox_offset < HEADER_SIZE:
+        raise NiftiFormatError(f"vox_offset: got {h.vox_offset}, need >= {HEADER_SIZE}")
+    if h.vox_offset % 1:
+        raise NiftiFormatError(f"vox_offset: got {h.vox_offset}, need a whole number of bytes")
+    if not np.isfinite(h.scl_slope) or not np.isfinite(h.scl_inter):
+        raise NiftiFormatError(
+            f"scl_slope/scl_inter: got ({h.scl_slope}, {h.scl_inter}), must be finite"
+        )
+    orientation = OrientationInfo(qfac=f["pixdim"][0], **{
+        field.name: f[field.name] for field in fields(OrientationInfo) if field.name != "qfac"})
+    return h, orientation, e
 
 
 def read_nifti(path: str | Path) -> NiftiImage:
@@ -230,8 +208,12 @@ def _decode(raw: bytes) -> NiftiImage:
     header, orientation, e = _parse_header(head)
     dt = DTYPES[header.datatype].newbyteorder(e)
     n = int(np.prod(header.dims))
+    size = n * dt.itemsize
+    if size > _physical_memory():
+        raise NiftiFormatError(f"dims {list(header.dims)} need {size / 2**30:.3g} GiB of data, "
+                               "more than physical memory")
     offset = int(header.vox_offset)
-    need = offset + n * dt.itemsize
+    need = offset + size
     if gz:
         # the payload buffer starts right after the header
         body = gz.read(need - HEADER_SIZE)
@@ -282,10 +264,14 @@ def read_orientation(path: str | Path) -> OrientationInfo:
 def read_label_nifti(path: str | Path) -> LabelVolume:
     """Read a file that must contain an integer label map; errors name it."""
     image = read_nifti(path)
-    try:
-        return image.as_label_volume()
-    except ValidationError as exc:
-        raise NiftiFormatError(f"{path}: {exc}") from exc
+    if image.scaled:
+        raise NiftiFormatError(
+            f"{path}: scaled data (scl_slope/scl_inter applied) cannot be used as labels"
+        )
+    if not np.issubdtype(image.data.dtype, np.integer):
+        raise NiftiFormatError(f"{path}: datatype {image.data.dtype.name} cannot be used as "
+                               "labels; labels must be integer-typed")
+    return LabelVolume(image.geometry, image.data)
 
 
 def _storage_dtype(data: np.ndarray) -> np.dtype:
@@ -339,21 +325,15 @@ def write_nifti(
     code = _CODE_OF_DTYPE[dt]
     o = orientation or OrientationInfo()
 
+    values = {**vars(o), "sizeof_hdr": HEADER_SIZE, "dim": (3, *geometry.dims, 1, 1, 1, 1),
+              "datatype": code, "bitpix": _BITPIX[code],
+              "pixdim": (o.qfac, *geometry.spacing, 0.0, 0.0, 0.0, 0.0),
+              "vox_offset": float(WRITE_VOX_OFFSET), "scl_slope": 1.0, "scl_inter": 0.0,
+              "magic": MAGIC}
     buf = bytearray(WRITE_VOX_OFFSET)  # header + 4 zero bytes (no extensions)
-    struct.pack_into("<i", buf, 0, HEADER_SIZE)
-    struct.pack_into("<8h", buf, 40, 3, *geometry.dims, 1, 1, 1, 1)
-    struct.pack_into("<h", buf, 70, code)
-    struct.pack_into("<h", buf, 72, _BITPIX[code])
-    struct.pack_into("<8f", buf, 76, o.qfac, *geometry.spacing, 0.0, 0.0, 0.0, 0.0)
-    struct.pack_into("<f", buf, 108, float(WRITE_VOX_OFFSET))
-    struct.pack_into("<2f", buf, 112, 1.0, 0.0)  # scl_slope, scl_inter
-    struct.pack_into("<2h", buf, 252, o.qform_code, o.sform_code)
-    struct.pack_into("<3f", buf, 256, *o.quatern)
-    struct.pack_into("<3f", buf, 268, *o.qoffset)
-    struct.pack_into("<4f", buf, 280, *o.srow_x)
-    struct.pack_into("<4f", buf, 296, *o.srow_y)
-    struct.pack_into("<4f", buf, 312, *o.srow_z)
-    buf[344:348] = MAGIC
+    for name, (offset, fmt) in _FIELDS.items():
+        v = values[name]
+        struct.pack_into("<" + fmt, buf, offset, *(v if np.ndim(v) else (v,)))
 
     body = bytes(buf) + payload.tobytes(order="F")
     path = Path(path)

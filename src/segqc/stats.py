@@ -15,7 +15,7 @@ zero-weighting them.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -134,13 +134,11 @@ class PearsonResult:
 
 @dataclass(frozen=True)
 class RegressionResult:
-    method: str  # "ols" | "wls" | "huber"
     columns: tuple[str, ...]
     beta: np.ndarray
     se: np.ndarray
     t: np.ndarray
     p: np.ndarray
-    df: int
     weighted_rss: float
     n_used: int
     n_dropped: int = 0
@@ -270,24 +268,10 @@ def _name_collinear(columns: tuple[str, ...], vt_last: np.ndarray) -> list[str]:
     return [columns[k] for k in range(len(columns)) if mags[k] > 0.3 * top]
 
 
-def _weighted_lstsq(
-    X: np.ndarray,
-    y: np.ndarray,
-    w: np.ndarray,
-    columns: tuple[str, ...],
-    method: str,
-    n_dropped: int = 0,
-) -> RegressionResult:
-    """Solve argmin sum w_i (y_i - X_i b)^2 via SVD of sqrt(W) X.
-
-    The orthogonal factorization keeps the solve rank-revealing: a
-    condition estimate above CONDITION_LIMIT raises CollinearityError
-    naming the involved columns. Inference uses sigma^2 = wRSS / (n - p)
-    and Var(b) = sigma^2 (X'WX)^{-1}.
-    """
-    n, p = X.shape
-    if n - p < 1:
-        raise ValidationError(f"need n - p >= 1 residual degrees of freedom (n={n}, p={p})")
+def _solve(X: np.ndarray, y: np.ndarray, w: np.ndarray, columns: tuple[str, ...]) -> tuple:
+    """b = argmin sum w_i (y_i - X_i b)^2, and the singular values and V^T of
+    sqrt(W) X. The SVD keeps the solve rank-revealing: a condition estimate
+    above CONDITION_LIMIT raises CollinearityError naming the columns."""
     sw = np.sqrt(w)
     u, s, vt = np.linalg.svd(X * sw[:, None], full_matrices=False)
     cond = np.inf if s[-1] == 0.0 else float(s[0] / s[-1])
@@ -296,7 +280,20 @@ def _weighted_lstsq(
             f"design matrix singular or ill-conditioned (condition {cond:.3g}); "
             f"collinear columns: {_name_collinear(columns, vt[-1])}"
         )
-    beta = vt.T @ ((u.T @ (y * sw)) / s)
+    return vt.T @ ((u.T @ (y * sw)) / s), s, vt
+
+
+def _weighted_lstsq(X: np.ndarray, y: np.ndarray, w: np.ndarray, columns: tuple[str, ...],
+                    n_dropped: int = 0, *, solved: tuple | None = None, n_iter: int = 1,
+                    note: str | None = None) -> RegressionResult:
+    """The fit of :func:`_solve` (or of its ``solved`` result for these
+    weights) with its inference: sigma^2 = wRSS / (n - p) and
+    Var(b) = sigma^2 (X'WX)^{-1}.
+    """
+    n, p = X.shape
+    if n - p < 1:
+        raise ValidationError(f"need n - p >= 1 residual degrees of freedom (n={n}, p={p})")
+    beta, s, vt = solved or _solve(X, y, w, columns)
     resid = y - X @ beta
     df = n - p
     wrss = float(w @ resid**2)
@@ -311,18 +308,9 @@ def _weighted_lstsq(
     # np.where would evaluate for exactly-zero coefficients)
     zb = beta[~nonzero]
     t[~nonzero] = np.where(zb == 0.0, 0.0, np.copysign(np.inf, zb))
-    return RegressionResult(
-        method=method,
-        columns=columns,
-        beta=beta,
-        se=se,
-        t=t,
-        p=_two_sided_p(t, df),
-        df=df,
-        weighted_rss=wrss,
-        n_used=n,
-        n_dropped=n_dropped,
-    )
+    return RegressionResult(columns=columns, beta=beta, se=se, t=t, p=_two_sided_p(t, df),
+                            weighted_rss=wrss, n_used=n, n_dropped=n_dropped, n_iter=n_iter,
+                            note=note)
 
 
 def _weights_for_mode(
@@ -377,9 +365,7 @@ def wls_fit(
     """
     table, w, dropped = _weights_for_mode(table, weight_mode, explicit_weights)
     X, columns = table._design
-    method = "ols" if weight_mode == "none" else "wls"
-    return _weighted_lstsq(X, y=table.volume, w=w, columns=columns, method=method,
-                           n_dropped=dropped)
+    return _weighted_lstsq(X, y=table.volume, w=w, columns=columns, n_dropped=dropped)
 
 
 # Huber tuning: 1.345 gives 95% efficiency at the normal model; 0.6745
@@ -403,11 +389,12 @@ def huber_fit(table: CohortTable) -> RegressionResult:
     n, p = X.shape
     if n - p < 2:
         raise ValidationError(f"huber fit needs n - p >= 2 (n={n}, p={p})")
-    fit = _weighted_lstsq(X, y, np.ones(n), columns, "huber")
-    beta = fit.beta
-    resid = y - X @ beta
-    if np.max(np.abs(resid)) == 0.0:
-        return replace(fit, note="exact fit: all residuals zero, no reweighting")
+    w = np.ones(n)
+    solved = _solve(X, y, w, columns)
+    beta = solved[0]
+    if np.max(np.abs(y - X @ beta)) == 0.0:
+        return _weighted_lstsq(X, y, w, columns, solved=solved,
+                               note="exact fit: all residuals zero, no reweighting")
 
     n_iter = 0
     converged = False
@@ -423,15 +410,15 @@ def huber_fit(table: CohortTable) -> RegressionResult:
         k = HUBER_K * scale
         absr = np.abs(resid)
         w = np.where(absr > k, k / np.maximum(absr, np.finfo(float).tiny), 1.0)
-        fit = _weighted_lstsq(X, y, w, columns, "huber")
-        delta = float(np.max(np.abs(fit.beta - beta)))
-        beta = fit.beta
+        solved = _solve(X, y, w, columns)
+        delta = float(np.max(np.abs(solved[0] - beta)))
+        beta = solved[0]
         if delta < HUBER_TOL:
             converged = True
             break
     note = None if converged else f"IRLS stopped after {n_iter} iterations without converging"
-    # the last fit is the one of the final weights
-    return replace(fit, n_iter=n_iter, note=note)
+    # inference once, for the weights of the last solve
+    return _weighted_lstsq(X, y, w, columns, solved=solved, n_iter=n_iter, note=note)
 
 
 def standardize_table(table: CohortTable) -> CohortTable:

@@ -62,6 +62,11 @@ def _thread_cap(default: int) -> int:
     return n
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this host."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     """``arr`` itself if no writeable alias of its memory can exist, else a
     read-only private copy.

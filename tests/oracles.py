@@ -183,3 +183,147 @@ def cohort_csv_oracle(path):
         cv=np.array(cols["cv"]) if "cv" in cols else None,
         mc_dice=np.array(cols["mc_dice"]) if "mc_dice" in cols else None,
     )
+
+
+# -- NIfTI-1 headers, one struct call per field ------------------------------
+
+NIFTI_BITPIX = {2: 8, 4: 16, 16: 32, 512: 16}  # datatype code -> bits per voxel
+
+
+def nifti_header_oracle(buf):
+    """Parse and check a NIfTI-1 header one ``struct`` call per field at its
+    fixed offset, in the codec's order and with its messages: the reader
+    as it was before the codec kept its layout in one table. Returns
+    (NiftiHeaderSubset, OrientationInfo, byte order)."""
+    import struct
+
+    from segqc.nifti import NiftiFormatError, NiftiHeaderSubset, OrientationInfo
+
+    if len(buf) < 348:
+        raise NiftiFormatError(f"truncated header: {len(buf)} bytes, need 348")
+    (le,) = struct.unpack_from("<i", buf, 0)
+    (be,) = struct.unpack_from(">i", buf, 0)
+    if le == 348:
+        e = "<"
+    elif be == 348:
+        e = ">"
+    else:
+        raise NiftiFormatError(
+            f"sizeof_hdr: got {le} (little-endian) / {be} (big-endian), need 348")
+    magic, want = bytes(buf[344:348]), b"n+1\x00"
+    if magic != want:
+        raise NiftiFormatError(f"magic: got {magic!r}, need {want!r} (single-file NIfTI-1)")
+    dim = struct.unpack_from(e + "8h", buf, 40)
+    if dim[0] != 3:
+        raise NiftiFormatError(f"dim[0]: got {dim[0]}, need 3 (3-D volumes only)")
+    dims = dim[1:4]
+    if min(dims) < 1:
+        raise NiftiFormatError(f"dim[1..3]: got {dims}, every extent must be >= 1")
+    (datatype,) = struct.unpack_from(e + "h", buf, 70)
+    if datatype not in NIFTI_BITPIX:
+        raise NiftiFormatError(
+            f"datatype: code {datatype} unsupported; supported codes {sorted(NIFTI_BITPIX)}")
+    (bitpix,) = struct.unpack_from(e + "h", buf, 72)
+    if bitpix != NIFTI_BITPIX[datatype]:
+        raise NiftiFormatError(
+            f"bitpix: got {bitpix}, need {NIFTI_BITPIX[datatype]} for datatype {datatype}")
+    pixdim = struct.unpack_from(e + "8f", buf, 76)
+    spacing = pixdim[1:4]
+    if not all(math.isfinite(s) and s > 0 for s in spacing):
+        raise NiftiFormatError(f"pixdim[1..3]: got {spacing}, need finite positive spacings")
+    (vox_offset,) = struct.unpack_from(e + "f", buf, 108)
+    if not math.isfinite(vox_offset) or vox_offset < 348:
+        raise NiftiFormatError(f"vox_offset: got {vox_offset}, need >= 348")
+    if vox_offset != math.floor(vox_offset):
+        raise NiftiFormatError(f"vox_offset: got {vox_offset}, need a whole number of bytes")
+    scl_slope, scl_inter = struct.unpack_from(e + "2f", buf, 112)
+    if not math.isfinite(scl_slope) or not math.isfinite(scl_inter):
+        raise NiftiFormatError(
+            f"scl_slope/scl_inter: got ({scl_slope}, {scl_inter}), must be finite")
+    qform_code, sform_code = struct.unpack_from(e + "2h", buf, 252)
+    header = NiftiHeaderSubset(
+        dims=dims, datatype=datatype, bitpix=bitpix, pixdim=spacing, vox_offset=vox_offset,
+        scl_slope=scl_slope, scl_inter=scl_inter, magic=magic)
+    orientation = OrientationInfo(
+        qfac=pixdim[0], qform_code=qform_code, sform_code=sform_code,
+        quatern=struct.unpack_from(e + "3f", buf, 256),
+        qoffset=struct.unpack_from(e + "3f", buf, 268),
+        srow_x=struct.unpack_from(e + "4f", buf, 280),
+        srow_y=struct.unpack_from(e + "4f", buf, 296),
+        srow_z=struct.unpack_from(e + "4f", buf, 312))
+    return header, orientation, e
+
+
+def nifti_bytes_oracle(data, spacing, orientation, byteorder="<"):
+    """A single-file NIfTI-1 volume packed one ``struct`` call per field:
+    352-byte header (vox_offset 352, scl 1/0), then ``data`` (uint8,
+    int16, uint16 or float32) x-fastest in ``byteorder``."""
+    import struct
+
+    data = np.asarray(data)
+    code = {"uint8": 2, "int16": 4, "float32": 16, "uint16": 512}[data.dtype.name]
+    o, e = orientation, byteorder
+    buf = bytearray(352)
+    struct.pack_into(e + "i", buf, 0, 348)
+    struct.pack_into(e + "8h", buf, 40, 3, *data.shape, 1, 1, 1, 1)
+    struct.pack_into(e + "h", buf, 70, code)
+    struct.pack_into(e + "h", buf, 72, NIFTI_BITPIX[code])
+    struct.pack_into(e + "8f", buf, 76, o.qfac, *spacing, 0.0, 0.0, 0.0, 0.0)
+    struct.pack_into(e + "f", buf, 108, 352.0)
+    struct.pack_into(e + "2f", buf, 112, 1.0, 0.0)
+    struct.pack_into(e + "2h", buf, 252, o.qform_code, o.sform_code)
+    struct.pack_into(e + "3f", buf, 256, *o.quatern)
+    struct.pack_into(e + "3f", buf, 268, *o.qoffset)
+    struct.pack_into(e + "4f", buf, 280, *o.srow_x)
+    struct.pack_into(e + "4f", buf, 296, *o.srow_y)
+    struct.pack_into(e + "4f", buf, 312, *o.srow_z)
+    buf[344:348] = b"n+1\x00"
+    return bytes(buf) + data.astype(data.dtype.newbyteorder(e)).tobytes(order="F")
+
+
+# -- Huber IRLS, the whole weighted fit at every step ------------------------
+
+
+def huber_oracle(table):
+    """Huber IRLS as it ran before the solve was split from the inference:
+    the whole weighted fit, covariance and p-values included, at every
+    iteration, and the last fit returned with its diagnostics patched in.
+    Reads the tuning constants from :mod:`segqc.stats` at call time, so a
+    test may patch them."""
+    from dataclasses import replace
+
+    from segqc import stats
+    from segqc.volumes import ValidationError
+
+    X, columns = stats.design_matrix(table)
+    y = table.volume
+    n, p = X.shape
+    if n - p < 2:
+        raise ValidationError(f"huber fit needs n - p >= 2 (n={n}, p={p})")
+    fit = stats._weighted_lstsq(X, y, np.ones(n), columns)
+    beta = fit.beta
+    resid = y - X @ beta
+    if np.max(np.abs(resid)) == 0.0:
+        return replace(fit, note="exact fit: all residuals zero, no reweighting")
+    n_iter = 0
+    converged = False
+    for n_iter in range(1, stats.HUBER_MAX_ITER + 1):
+        resid = y - X @ beta
+        mad = float(np.median(np.abs(resid - np.median(resid))))
+        scale = mad / stats.MAD_TO_SIGMA
+        if scale == 0.0:
+            spread = float(np.std(resid, ddof=1))
+            if spread == 0.0:
+                break
+            scale = spread
+        k = stats.HUBER_K * scale
+        absr = np.abs(resid)
+        w = np.where(absr > k, k / np.maximum(absr, np.finfo(float).tiny), 1.0)
+        fit = stats._weighted_lstsq(X, y, w, columns)
+        delta = float(np.max(np.abs(fit.beta - beta)))
+        beta = fit.beta
+        if delta < stats.HUBER_TOL:
+            converged = True
+            break
+    note = None if converged else f"IRLS stopped after {n_iter} iterations without converging"
+    return replace(fit, n_iter=n_iter, note=note)

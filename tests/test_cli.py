@@ -268,6 +268,23 @@ def _spoil(path, fault):
     path.write_bytes(gzip.compress(bytes(body)) if gz else bytes(body))
 
 
+def test_metrics_refuses_a_volume_beyond_physical_memory(sim_dir, capsys, monkeypatch):
+    # a gzip bomb: 16 MiB of zeros in a small stream, against 8 MiB of memory
+    dims = (256, 256, 256)
+    bomb = sim_dir / "sample_001.nii"
+    header = bytearray(bomb.read_bytes()[:352])
+    struct.pack_into("<3h", header, 42, *dims)
+    bomb.write_bytes(gzip.compress(bytes(header) + bytes(int(np.prod(dims))), compresslevel=1))
+    assert len(bomb.read_bytes()) < 2**20
+    monkeypatch.setattr("segqc.nifti._physical_memory", lambda: 8 * 2**20, raising=False)
+    assert run(["metrics", sim_dir, "--registry", sim_dir / "registry.json",
+                "--out", sim_dir / "r.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bomb}: dims [256, 256, 256] need 0.0156 GiB")
+    assert "more than physical memory" in err and "Traceback" not in err
+    assert not (sim_dir / "r.json").exists()
+
+
 @pytest.mark.parametrize("target, fault", [
     ("sample", "pixdim_zero"), ("sample", "truncated"), ("sample", "scaled_labels"),
     ("map", "pixdim_zero"), ("map", "truncated"), ("map", "corrupt_gzip"),

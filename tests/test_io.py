@@ -693,6 +693,7 @@ def test_structure_uncertainty_decodes_one_file_per_sample(tmp_path, monkeypatch
 @pytest.mark.parametrize("fault", ["geometry", "labels"])
 def test_bad_label_file_is_refused_before_any_map_is_decoded(tmp_path, monkeypatch, fault):
     import segqc.io
+    import segqc.nifti
 
     n, k = 3, 3
     label_paths, prob_paths, reg = write_prob_set(tmp_path, n, k, (6, 5, 4))
@@ -703,12 +704,14 @@ def test_bad_label_file_is_refused_before_any_map_is_decoded(tmp_path, monkeypat
         write_nifti(label_paths[1], np.full((6, 5, 4), 7, dtype=np.uint8),
                     VoxelGeometry((6, 5, 4), (1.0, 1.0, 1.0)))
     decoded = []
-    real = segqc.io.read_nifti
+    real = segqc.nifti.read_nifti
 
     def counted(path):
         decoded.append(Path(path))
         return real(path)
 
+    # label files decode through read_label_nifti, probability files in segqc.io
+    monkeypatch.setattr(segqc.nifti, "read_nifti", counted)
     monkeypatch.setattr(segqc.io, "read_nifti", counted)
     with pytest.raises(ValidationError, match=f"\\[{fault}\\] sample 1") as info:
         read_sample_set(label_paths, reg, prob_paths=prob_paths)

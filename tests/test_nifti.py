@@ -5,7 +5,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from segqc import nifti
 from segqc.nifti import (
     HEADER_SIZE,
     MAGIC,
@@ -327,6 +331,7 @@ def reread(tmp_path, buf):
     (lambda b: struct.pack_into("<f", b, 80, 0.0), "pixdim"),
     (lambda b: struct.pack_into("<f", b, 108, 100.0), "vox_offset"),
     (lambda b: struct.pack_into("<f", b, 112, np.inf), "scl_slope"),
+    (lambda b: struct.pack_into("<f", b, 108, 352.5), "vox_offset: got 352.5, need a whole"),
 ])
 def test_field_errors_name_the_field(tmp_path, good, mutate, field):
     buf = bytearray(good)
@@ -363,3 +368,68 @@ def test_random_corruption_never_escapes_format_error(tmp_path, good):
             reread(tmp_path, buf)
         except NiftiFormatError:
             pass
+
+
+# -- the header table against the field-by-field oracle ------------------------
+
+F32 = st.floats(-(2.0**100), 2.0**100, width=32)
+
+
+@st.composite
+def nifti_volumes(draw):
+    """(data, spacing, orientation): any of the four datatypes, float32-exact
+    spacings and orientation fields."""
+    dims = draw(st.tuples(*[st.integers(1, 5)] * 3))
+    dtype = draw(st.sampled_from([np.uint8, np.int16, np.uint16, np.float32]))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, 256, dims)
+    data = data.astype(dtype)
+    spacing = draw(st.tuples(*[st.floats(2.0**-100, 2.0**100, width=32)] * 3))
+    code = st.integers(-(2**15), 2**15 - 1)
+    o = OrientationInfo(qfac=draw(F32), qform_code=draw(code), sform_code=draw(code),
+                        quatern=draw(st.tuples(*[F32] * 3)), qoffset=draw(st.tuples(*[F32] * 3)),
+                        srow_x=draw(st.tuples(*[F32] * 4)), srow_y=draw(st.tuples(*[F32] * 4)),
+                        srow_z=draw(st.tuples(*[F32] * 4)))
+    return data, spacing, o
+
+
+@settings(max_examples=60, deadline=None)
+@given(volume=nifti_volumes(), byteorder=st.sampled_from("<>"), gz=st.booleans())
+def test_header_table_matches_the_field_by_field_oracle(tmp_path_factory, volume, byteorder,
+                                                        gz):
+    data, spacing, o = volume
+    d = tmp_path_factory.mktemp("hdr")
+    want = oracles.nifti_bytes_oracle(data, spacing, o, byteorder)
+    if byteorder == "<":
+        write_nifti(d / "w.nii", data, VoxelGeometry(data.shape, spacing), orientation=o)
+        assert (d / "w.nii").read_bytes() == want
+    path = d / "o.nii"
+    path.write_bytes(gzip.compress(want) if gz else want)
+    header, orientation, _ = oracles.nifti_header_oracle(want)
+    img = read_nifti(path)
+    assert repr((img.header, img.orientation)) == repr((header, orientation))
+    assert repr(read_orientation(path)) == repr(orientation)
+    assert np.array_equal(img.data, data)
+
+
+# an edit lands on a byte of a field the codec reads, or on any header byte
+FIELD_BYTES = sorted({offset + i for offset, fmt in nifti._FIELDS.values()
+                      for i in range(struct.calcsize("<" + fmt))})
+
+
+@settings(max_examples=300, deadline=None)
+@given(volume=nifti_volumes(), byteorder=st.sampled_from("<>"),
+       edits=st.lists(st.tuples(st.sampled_from(FIELD_BYTES) | st.integers(0, HEADER_SIZE - 1),
+                                st.integers(0, 255)), min_size=1, max_size=3))
+def test_mutated_headers_fail_alike_in_table_and_oracle(volume, byteorder, edits):
+    buf = bytearray(oracles.nifti_bytes_oracle(*volume, byteorder)[:HEADER_SIZE])
+    for at, byte in edits:
+        buf[at] = byte
+    buf = bytes(buf)
+    try:
+        want = repr(oracles.nifti_header_oracle(buf))
+    except NiftiFormatError as exc:
+        with pytest.raises(NiftiFormatError) as got:
+            nifti._parse_header(buf)
+        assert str(got.value) == str(exc)
+    else:
+        assert repr(nifti._parse_header(buf)) == want

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -366,11 +367,16 @@ def test_huber_exact_fit_note():
 def test_huber_resists_single_outlier(monkeypatch):
     import segqc.stats as stats
 
-    fits = []
+    calls = []
 
-    def counted(*args, _real=stats._weighted_lstsq, **kwargs):
-        fits.append(1)
-        return _real(*args, **kwargs)
+    def counted(name):
+        real = getattr(stats, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(stats, name, wrapper)
 
     n = 21
     rng = np.random.default_rng(14)
@@ -382,13 +388,55 @@ def test_huber_resists_single_outlier(monkeypatch):
     t = CohortTable(subject_ids=tuple(f"s{i}" for i in range(n)), age=age, sex=sex,
                     dx=dx, volume=vol)
     ols = wls_fit(t)
-    monkeypatch.setattr(stats, "_weighted_lstsq", counted)
+    counted("_solve")
+    counted("_weighted_lstsq")
     hub = huber_fit(t)
     k = ols.columns.index("dx")
     assert abs(hub.beta[k] - 1.0) < abs(ols.beta[k] - 1.0)
     assert hub.n_iter > 1
-    # the ordinary start plus one fit per iteration; the last is returned
-    assert len(fits) == hub.n_iter + 1
+    # the ordinary start plus one solve per iteration; inference once, for the last
+    assert calls.count("_solve") == hub.n_iter + 1
+    assert calls.count("_weighted_lstsq") == 1
+
+
+def huber_case(seed, n, shape):
+    """A cohort whose volume is noisy, has outliers, is constant, exactly
+    linear or zero; small integer covariates make exact residuals likely."""
+    rng = np.random.default_rng(seed)
+    age = rng.integers(20, 30, n).astype(float)
+    sex = rng.integers(0, 2, n).astype(float)
+    dx = rng.integers(0, 2, n).astype(float)
+    vol = {"noisy": lambda: 2.0 + 0.02 * age + dx + rng.normal(0, 0.3, n),
+           "outliers": lambda: 2.0 + dx + rng.normal(0, 0.05, n)
+           + 20.0 * (rng.random(n) < 0.15),
+           "constant": lambda: np.full(n, 2.0),
+           "linear": lambda: 1.0 + 0.5 * age + dx,
+           "zero": lambda: np.zeros(n)}[shape]()
+    return CohortTable(subject_ids=tuple(f"s{i}" for i in range(n)), age=age, sex=sex,
+                       dx=dx, volume=vol)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(6, 30),
+       shape=st.sampled_from(["noisy", "outliers", "constant", "linear", "zero"]),
+       max_iter=st.sampled_from([1, stats.HUBER_MAX_ITER]))
+@example(seed=8, n=8, shape="constant", max_iter=stats.HUBER_MAX_ITER)  # collapsed residuals
+@example(seed=14, n=21, shape="outliers", max_iter=1)  # stopped before converging
+@example(seed=13, n=12, shape="zero", max_iter=stats.HUBER_MAX_ITER)  # exact fit
+def test_huber_fit_matches_the_per_iteration_oracle(seed, n, shape, max_iter):
+    t = huber_case(seed, n, shape)
+    with mock.patch.object(stats, "HUBER_MAX_ITER", max_iter):
+        try:
+            want = oracles.huber_oracle(t)
+        except ValidationError as exc:
+            with pytest.raises(type(exc)) as got:
+                huber_fit(t)
+            assert str(got.value) == str(exc)
+            return
+        got = huber_fit(t)
+    for name in ("beta", "se", "t", "p"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert (got.weighted_rss, got.n_iter, got.note) == (want.weighted_rss, want.n_iter, want.note)
 
 
 # -- standardize and group analysis ------------------------------------------
