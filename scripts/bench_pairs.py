@@ -23,6 +23,12 @@ median in ``BENCHMARK.json``, the verdict is the first that holds of:
   differ by more than the parent's quartile spread;
 - ``held``: none of these.
 
+After the workloads, it times ``IMPORT_STARTS`` fresh interpreters that
+run ``import segqc.cli`` in each checkout, with ``PYTHONPATH`` set to
+that checkout's ``src``: one warm-up start a side, then the two sides in
+alternating pairs. They print as an ``import_s`` row, with the bound of
+``setup_s`` and the same verdict rules; a start that fails is a failed call.
+
 A run that has not ended ``SETUP_S`` seconds past three times
 ``--seconds`` is stopped and counted as failed. It changes nothing in
 either checkout beyond what the benchmark itself caches, and uses the
@@ -37,9 +43,11 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SETUP_S = 600  # building a workload's inputs on a cold cache, with room to spare
+IMPORT_STARTS = 40  # timed fresh ``import segqc.cli`` starts a side
 
 
 def run_once(root: Path, workload: str, args) -> tuple[dict | None, list[str]]:
@@ -88,6 +96,54 @@ def verdict(parent, change, spread: float, wins: int, better: str, bound: float)
     return "held"
 
 
+def print_table(title: str, rows: dict) -> None:
+    """One table of medians and verdicts: per metric name, its
+    ``(parent, change)`` value pairs, its ``better`` and its bound."""
+    print(f"\n{title}")
+    print(f"{'metric':<14}{'parent median':>15}{'parent quartiles':>22}"
+          f"{'change median':>15}{'change better':>15}{'verdict':>12}")
+    for name, (pairs, better, bound) in rows.items():
+        if not pairs:
+            continue
+        parent, change = zip(*pairs)
+        q1, _, q3 = (statistics.quantiles(parent, n=4, method="inclusive")
+                     if len(parent) > 1 else (parent[0],) * 3)
+        wins = sum(c < p if better == "lower" else c > p for p, c in pairs)
+        print(f"{name:<14}{statistics.median(parent):>15.4f}{f'[{q1:.4f}, {q3:.4f}]':>22}"
+              f"{statistics.median(change):>15.4f}{f'{wins}/{len(pairs)}':>15}"
+              f"{verdict(parent, change, q3 - q1, wins, better, bound):>12}")
+    print(flush=True)
+
+
+def import_seconds(root: Path) -> float | None:
+    """Wall time of one fresh interpreter importing ``segqc.cli`` from
+    ``root``'s sources, or None when the start fails."""
+    env = {**os.environ, "PYTHONPATH": str(root.resolve() / "src")}
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", "import segqc.cli"], env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    wall = time.perf_counter() - t0
+    return None if proc.returncode else wall
+
+
+def compare_import(bound: float, args) -> list[str]:
+    """Time the import starts in alternating pairs, print them, return failures."""
+    sides = {"parent": args.parent, "change": args.change}
+    failures = [f"import warm-up {side}: failed" for side, root in sides.items()
+                if import_seconds(root) is None]
+    pairs = []
+    for k in range(IMPORT_STARTS):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        got = {side: import_seconds(sides[side]) for side in order}
+        failures += [f"import pair {k + 1} {side}: failed" for side in order
+                     if got[side] is None]
+        if None not in got.values():
+            pairs.append((got["parent"], got["change"]))
+    print_table(f"fresh import segqc.cli, {IMPORT_STARTS} pairs",
+                {"import_s": (pairs, "lower", bound)})
+    return failures
+
+
 def compare(workload: str, metrics: dict, args) -> list[str]:
     """Run the pairs of one workload, print its table, return its failures."""
     sides = {"parent": args.parent, "change": args.change}
@@ -103,22 +159,11 @@ def compare(workload: str, metrics: dict, args) -> list[str]:
                 f"{name} {got[name]:.4g}" for name in metrics if name in got)
             print(f"{workload} pair {pair + 1}/{args.pairs} {side}: {shown}", flush=True)
 
-    print(f"\n{workload}, seed {args.seed}, {args.pairs} pairs, {args.seconds:g} s a run")
-    print(f"{'metric':<14}{'parent median':>15}{'parent quartiles':>22}"
-          f"{'change median':>15}{'change better':>15}{'verdict':>12}")
-    for name, (better, bound) in metrics.items():
-        pairs = [(p[name], c[name]) for p, c in zip(values["parent"], values["change"])
-                 if p is not None and c is not None and name in p and name in c]
-        if not pairs:
-            continue
-        parent, change = zip(*pairs)
-        q1, _, q3 = (statistics.quantiles(parent, n=4, method="inclusive")
-                     if len(parent) > 1 else (parent[0],) * 3)
-        wins = sum(c < p if better == "lower" else c > p for p, c in pairs)
-        print(f"{name:<14}{statistics.median(parent):>15.4f}{f'[{q1:.4f}, {q3:.4f}]':>22}"
-              f"{statistics.median(change):>15.4f}{f'{wins}/{len(pairs)}':>15}"
-              f"{verdict(parent, change, q3 - q1, wins, better, bound):>12}")
-    print(flush=True)
+    print_table(f"{workload}, seed {args.seed}, {args.pairs} pairs, {args.seconds:g} s a run",
+                {name: ([(p[name], c[name]) for p, c in zip(values["parent"], values["change"])
+                         if p is not None and c is not None and name in p and name in c],
+                        better, bound)
+                 for name, (better, bound) in metrics.items()})
     return failures
 
 
@@ -138,6 +183,7 @@ def main() -> int:
     failures = []
     for workload in args.workload:
         failures += compare(workload, metrics, args)
+    failures += compare_import(metrics["setup_s"][1], args)
     print("failed: " + ("none" if not failures else f"{len(failures)}"))
     for line in failures:
         print(f"  {line}")

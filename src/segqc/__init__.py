@@ -6,6 +6,8 @@ uncertainty-weighted group analysis, plus a synthetic phantom oracle,
 a minimal NIfTI-1 reader/writer, and a command line front end.
 """
 
+from types import ModuleType as _ModuleType
+
 from .volumes import (
     LabelVolume,
     McSample,
@@ -73,57 +75,5 @@ from .io import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CohortTable",
-    "CollinearityError",
-    "LabelVolume",
-    "McSample",
-    "McSampleSet",
-    "NiftiFormatError",
-    "NoiseSpec",
-    "OrientationInfo",
-    "PhantomSpec",
-    "ProbMapStack",
-    "ShapeSpec",
-    "StructureMetrics",
-    "StructureRegistry",
-    "StructureReport",
-    "ValidationError",
-    "VoxelGeometry",
-    "consensus_segmentation",
-    "contact_pair_phantom",
-    "correlate_uncertainty_accuracy",
-    "design_matrix",
-    "dice_score",
-    "graded_severities",
-    "group_analysis",
-    "huber_fit",
-    "make_cohort",
-    "make_phantom",
-    "pearson",
-    "read_cohort_csv",
-    "read_label_nifti",
-    "read_nifti",
-    "read_noise_json",
-    "read_phantom_json",
-    "read_registry",
-    "read_report",
-    "read_sample_set",
-    "read_scan_manifest",
-    "registry_for_phantom",
-    "require_valid",
-    "sample_mc",
-    "standardize_table",
-    "structure_report",
-    "structure_uncertainty",
-    "validate_sample_set",
-    "voxel_uncertainty",
-    "wls_fit",
-    "write_cohort_csv",
-    "write_heatmap_volume",
-    "write_nifti",
-    "write_phantom_json",
-    "write_registry",
-    "write_report",
-    "write_scan_manifest",
-]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

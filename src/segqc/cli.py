@@ -23,7 +23,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
 
@@ -31,6 +31,7 @@ import numpy as np
 
 from . import io as sio
 from .metrics import (
+    STRUCTURE_METRICS,
     _registry_counts,
     consensus_segmentation,
     structure_report,
@@ -39,7 +40,7 @@ from .metrics import (
 from .nifti import read_label_nifti, read_orientation, write_nifti
 from .stats import GROUP_MODES, ValidationError, correlate_uncertainty_accuracy, group_analysis
 from .synth import make_phantom, registry_for_phantom, sample_mc, soft_probs
-from .volumes import StructureRegistry, _parallel, _physical_memory, _thread_cap
+from .volumes import StructureRegistry, _parallel, _require_memory, _thread_cap
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -235,16 +236,9 @@ def _write_one_scan(out, gt, registry, with_probs, scan):
                     write_nifti(tmp, maps[k].astype(np.float32), gt.geometry)
                 per_sample.append(pname)
             prob_lists.append(per_sample)
-    extra = {
-        "scan_id": scan_id,
-        "noise": {
-            "n_samples": noise.n_samples,
-            "flip_probs": {str(lid): p for lid, p in noise.flip_probs},
-            "default_flip_prob": noise.default_flip_prob,
-            "erosion_dilation_radius": noise.erosion_dilation_radius,
-            "seed": noise.seed,
-        },
-    }
+    # NoiseSpec's field order is the JSON key order
+    extra = {"scan_id": scan_id, "noise": {
+        **asdict(noise), "flip_probs": {str(lid): p for lid, p in noise.flip_probs}}}
     with _atomic(scan_dir / "manifest.json") as tmp:
         sio.write_scan_manifest(
             tmp, sample_names,
@@ -263,10 +257,11 @@ def cmd_simulate(args) -> int:
     # volumes of V bytes and, with maps, one sample's K float64 maps
     n = max(noise.n_samples for _, noise in scans)
     need = spec.geometry.n_voxels * (8 + n + 8 * (len(spec.label_ids) + 1) * args.with_probs)
-    if need > _physical_memory():
-        raise ValidationError(f"dims {list(spec.geometry.dims)} with n_samples {n} need at least "
-                              f"{need / 2**30:.3g} GiB for one scan, more than physical memory")
-    # like the memory check, read before --out exists, so a refusal writes nothing
+    _require_memory(need, f"dims {list(spec.geometry.dims)} with n_samples {n}")
+    for sid, _ in scans:  # a scan directory may not take the name of a file beside it
+        if sid in ("gt.nii", "registry.json", "dataset.json"):
+            raise ValidationError(f"scan_id {sid!r} is reserved: simulate writes that file")
+    # like the checks above, read before --out exists, so a refusal writes nothing
     single = len(scans) == 1 and scans[0][0] == ""
     workers = 1 if single else min(_thread_cap(os.cpu_count() or 1), len(scans))
     out = Path(args.out)
@@ -309,7 +304,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--uncertainty-out", help="voxel uncertainty .nii path")
     p.add_argument("--heatmap-out", help="structure-metric heat map .nii path")
-    p.add_argument("--heatmap-metric", default="mc_dice", choices=sio.HEATMAP_METRICS)
+    p.add_argument("--heatmap-metric", default="mc_dice", choices=STRUCTURE_METRICS)
     p.add_argument("--normalize-entropy", action="store_true",
                    help="divide the uncertainty map by the sample count")
     p.add_argument("--scan-id", default="", help="scan tag recorded in the report")

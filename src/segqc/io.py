@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .metrics import StructureMetrics, StructureReport
+from .metrics import STRUCTURE_METRICS, StructureMetrics, StructureReport
 from .nifti import OrientationInfo, read_label_nifti, read_nifti, write_nifti
 from .stats import CohortTable
 from .synth import NoiseSpec, PhantomSpec, ShapeSpec
@@ -38,7 +38,6 @@ from .volumes import (
 )
 
 REPORT_SCHEMA_VERSION = "1"
-HEATMAP_METRICS = ("mc_dice", "cv", "mean_unc")
 
 COHORT_REQUIRED = ("subject_id", "age", "sex", "dx", "volume")
 COHORT_OPTIONAL = ("site", "cv", "mc_dice")
@@ -348,12 +347,11 @@ def write_heatmap_volume(
     Background and absent-flagged structures map to 0 (an absent structure
     has no consensus voxels anyway). ``orientation`` goes into the header.
     """
-    if metric not in HEATMAP_METRICS:
-        raise ValidationError(f"metric must be one of {HEATMAP_METRICS}, got {metric!r}")
-    attr = {"mc_dice": "mc_dice", "cv": "cv", "mean_unc": "mean_uncertainty"}[metric]
+    if metric not in STRUCTURE_METRICS:
+        raise ValidationError(f"metric must be one of {tuple(STRUCTURE_METRICS)}, got {metric!r}")
     lut = np.zeros(int(consensus.data.max()) + 1, dtype=np.float32)
     for s in report.structures:
-        value = getattr(s, attr)
+        value = getattr(s, STRUCTURE_METRICS[metric])
         if s.label_id < lut.size and value is not None:
             lut[s.label_id] = value
     heat = lut[consensus.data]

@@ -98,6 +98,10 @@ class StructureMetrics:
     gt_dice: float | None = None
 
 
+# short name -> StructureMetrics attribute, in the row order of correlate's output
+STRUCTURE_METRICS = {"mc_dice": "mc_dice", "cv": "cv", "mean_unc": "mean_uncertainty"}
+
+
 @dataclass(frozen=True)
 class StructureReport:
     """Per-structure metrics for one scan plus a voxel-uncertainty summary.

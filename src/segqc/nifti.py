@@ -20,11 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .volumes import LabelVolume, ValidationError, VoxelGeometry, _physical_memory
+from .volumes import LabelVolume, ValidationError, VoxelGeometry, _require_memory
 
 HEADER_SIZE = 348
 MAGIC = b"n+1\x00"
 WRITE_VOX_OFFSET = 352
+# least compressed bytes pulled at once: a map compressed below this inflates in one call
+_GZIP_CHUNK = 1 << 20
 
 # datatype code -> numpy dtype (byte order applied at read time)
 DTYPES = {
@@ -102,35 +104,39 @@ class NiftiImage:
 
 
 class _Gunzip:
-    """Inflate a gzip stream on demand, never past what the caller asks for.
+    """Inflate the gzip stream of an open file on demand, never past what
+    the caller asks for.
 
     Bounding each read by the size the header declares keeps a small
     stream that expands far beyond its volume (a gzip bomb) from being
-    decoded in full.
+    decoded in full; compressed input is pulled from the file as needed.
     """
 
-    def __init__(self, raw: bytes):
+    def __init__(self, fh):
+        self._fh, self._pending, self._fed = fh, b"", False  # fed: a member is open
         self._inflater = zlib.decompressobj(wbits=31)
-        self._pending = raw
-        self._ended = False
 
     def read(self, size: int) -> bytes:
         """Up to ``size`` decoded bytes; fewer only where the stream ends."""
         parts = []
-        while size > 0 and not self._ended:
+        while size > 0:
+            if len(self._pending) < size:
+                self._pending += self._fh.read(max(size, _GZIP_CHUNK))
+            if not self._pending:  # the file has ended
+                if self._fed:
+                    raise NiftiFormatError("gzip stream is corrupt: truncated stream")
+                break
             try:
                 chunk = self._inflater.decompress(self._pending, size)
             except zlib.error as exc:
                 raise NiftiFormatError(f"gzip stream is corrupt: {exc}") from exc
+            self._fed = not self._inflater.eof
             if self._inflater.eof:
                 # a concatenated stream continues with its next member
                 self._pending = self._inflater.unused_data
-                self._ended = not self._pending
                 self._inflater = zlib.decompressobj(wbits=31)
-            elif chunk:
-                self._pending = self._inflater.unconsumed_tail
             else:
-                raise NiftiFormatError("gzip stream is corrupt: truncated stream")
+                self._pending = self._inflater.unconsumed_tail
             parts.append(chunk)
             size -= len(chunk)
         return parts[0] if len(parts) == 1 else b"".join(parts)
@@ -193,34 +199,40 @@ def read_nifti(path: str | Path) -> NiftiImage:
     scl_slope/scl_inter forces scaling, which disqualifies them as label
     maps. Float payloads have slope/intercept applied (slope 0 means 1);
     the trivial slope 1 / intercept 0 case skips arithmetic entirely so
-    round-trips are bit-exact. Every format error names the file.
+    round-trips are bit-exact. Every format error names the file. The file
+    is read only up to ``vox_offset`` plus the volume, and not at all when
+    that (twice that for gzip) exceeds physical memory.
     """
-    raw = Path(path).read_bytes()
     try:
-        return _decode(raw)
+        with open(path, "rb") as fh:
+            return _decode(fh)
     except ValidationError as exc:
         raise NiftiFormatError(f"{path}: {exc}") from exc
 
 
-def _decode(raw: bytes) -> NiftiImage:
-    gz = _Gunzip(raw) if raw[:2] == b"\x1f\x8b" else None
-    head = gz.read(HEADER_SIZE) if gz else raw
-    header, orientation, e = _parse_header(head)
+def _read_header(fh) -> tuple[_Gunzip | None, NiftiHeaderSubset, OrientationInfo, str]:
+    """The gzip reader of ``fh`` (None for a plain file) and its checked header."""
+    gz = _Gunzip(fh) if fh.read(2) == b"\x1f\x8b" else None
+    fh.seek(0)
+    return gz, *_parse_header(gz.read(HEADER_SIZE) if gz else fh.read(HEADER_SIZE))
+
+
+def _decode(fh) -> NiftiImage:
+    gz, header, orientation, e = _read_header(fh)
     dt = DTYPES[header.datatype].newbyteorder(e)
     n = int(np.prod(header.dims))
-    size = n * dt.itemsize
-    if size > _physical_memory():
-        raise NiftiFormatError(f"dims {list(header.dims)} need {size / 2**30:.3g} GiB of data, "
-                               "more than physical memory")
     offset = int(header.vox_offset)
-    need = offset + size
+    need = offset + n * dt.itemsize
+    _require_memory(2 * need if gz else need, f"dims {list(header.dims)}")
     if gz:
         # the payload buffer starts right after the header
         body = gz.read(need - HEADER_SIZE)
         gz.read(1)  # reaches the trailer of a well-formed stream, checking its CRC
         have, offset = HEADER_SIZE + len(body), offset - HEADER_SIZE
     else:
-        body, have = raw, len(raw)
+        fh.seek(0)
+        body = fh.read(need)  # one bytes object, which labels then view
+        have = len(body)
     if have < need:
         raise NiftiFormatError(
             f"truncated data section: need {need} bytes total, file has {have}"
@@ -255,10 +267,7 @@ def _decode(raw: bytes) -> NiftiImage:
 def read_orientation(path: str | Path) -> OrientationInfo:
     """Orientation fields of a .nii or .nii.gz file, decoding only its header."""
     with open(path, "rb") as fh:
-        head = fh.read(HEADER_SIZE)
-    if head[:2] == b"\x1f\x8b":
-        head = _Gunzip(Path(path).read_bytes()).read(HEADER_SIZE)
-    return _parse_header(head)[1]
+        return _read_header(fh)[2]
 
 
 def read_label_nifti(path: str | Path) -> LabelVolume:

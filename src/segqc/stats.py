@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .metrics import StructureReport
+from .metrics import STRUCTURE_METRICS, StructureReport
 from .volumes import ValidationError
 
 # Floor on CV and (1 - mc_dice) before inversion: a perfect-agreement
@@ -34,7 +34,6 @@ CONDITION_LIMIT = 1e12
 
 WEIGHT_MODES = ("none", "inv_cv", "inv_one_minus_dice", "explicit")
 GROUP_MODES = ("none", "inv_cv", "inv_one_minus_dice", "huber")
-_CORR_METRICS = (("mc_dice", "mc_dice"), ("cv", "cv"), ("mean_unc", "mean_uncertainty"))
 
 
 class CollinearityError(ValidationError):
@@ -210,11 +209,19 @@ def correlate_uncertainty_accuracy(
     order and metrics in the order mc_dice, cv, mean_unc (mean
     uncertainty), and the number of absent-flagged records (no CV, MC
     Dice or mean uncertainty), which are set aside. A record without
-    gt_dice raises.
+    gt_dice raises, and so does a dataset whose mean uncertainties differ
+    in scale: normalized and raw, or raw from different sample counts.
     """
     by_dataset: dict[str, list] = {}
+    scales: dict[str, str] = {}  # per dataset, its first report's mean uncertainty scale
     n_absent = 0
     for rep in reports:
+        scale = "normalized" if rep.normalized_uncertainty else f"raw, N = {rep.n_samples}"
+        if scales.setdefault(rep.dataset, scale) != scale:
+            raise ValidationError(
+                f"dataset {rep.dataset!r}: mean uncertainties on different scales "
+                f"({scales[rep.dataset]}, but {scale} in report {rep.scan_id or '?'}); "
+                "reports made with --normalize-entropy are comparable")
         for s in rep.structures:
             if s.gt_dice is None:
                 raise ValidationError(
@@ -229,7 +236,7 @@ def correlate_uncertainty_accuracy(
     for dataset in sorted(by_dataset):
         recs = by_dataset[dataset]
         gtd = [s.gt_dice for s in recs]
-        for metric, attr in _CORR_METRICS:
+        for metric, attr in STRUCTURE_METRICS.items():
             results[dataset, metric] = pearson([getattr(s, attr) for s in recs], gtd)
     return results, n_absent
 

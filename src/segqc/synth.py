@@ -259,13 +259,13 @@ def soft_probs(
         boundary[tuple(sl_b)] |= diff
     idx = np.flatnonzero(boundary.reshape(-1))
 
-    sigma_of = np.zeros(int(labels.max()) + 1)
-    for lid, _ in registry.foreground:
-        if lid <= labels.max():
-            sigma_of[lid] = noise.flip_prob(lid) / 2.0
-
     ids = registry.ids
-    pos_of = {lid: i for i, lid in enumerate(ids)}
+    sigma_of = np.zeros(registry.max_id + 1)
+    for lid, _ in registry.foreground:
+        sigma_of[lid] = noise.flip_prob(lid) / 2.0
+    pos_of = np.zeros(registry.max_id + 1, dtype=np.intp)  # registry position of each id
+    pos_of[list(ids)] = np.arange(len(ids))
+
     maps = np.zeros((len(ids), labels.size), dtype=np.float64)
     flat = labels.reshape(-1)
     for i, lid in enumerate(ids):
@@ -274,10 +274,8 @@ def soft_probs(
         own = flat[idx]
         other = _dominant_other_neighbor(labels, idx, registry.background_id)
         sigma = np.maximum(sigma_of[own], sigma_of[other])
-        own_pos = np.asarray([pos_of[int(l)] for l in own])
-        other_pos = np.asarray([pos_of[int(l)] for l in other])
-        maps[own_pos, idx] = 1.0 - sigma
-        maps[other_pos, idx] += sigma
+        maps[pos_of[own], idx] = 1.0 - sigma
+        maps[pos_of[other], idx] += sigma
     return ProbMapStack(sample.geometry, ids, maps.reshape((len(ids),) + labels.shape))
 
 

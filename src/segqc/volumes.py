@@ -62,9 +62,14 @@ def _thread_cap(default: int) -> int:
     return n
 
 
-def _physical_memory() -> int:
-    """Bytes of physical memory on this host."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+_PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")  # bytes
+
+
+def _require_memory(need: int, what: str) -> None:
+    """Refuse ``what``, which needs ``need`` bytes, beyond physical memory."""
+    if need > _PHYSICAL_MEMORY:
+        raise ValidationError(f"{what} need at least {need / 2**30:.3g} GiB, "
+                              "more than physical memory")
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -113,6 +113,19 @@ def test_simulate_keeps_scans_inside_out(configs, capsys, scan_id):
     assert not (root / "escaped").exists() and not (out / "None").exists()
 
 
+@pytest.mark.parametrize("scan_id", ["gt.nii", "registry.json", "dataset.json"])
+def test_simulate_refuses_a_scan_id_naming_its_own_files(configs, capsys, scan_id):
+    root, phantom, _ = configs
+    noise = root / "multi.json"
+    noise.write_text(json.dumps({"n_samples": 3, "scans": [{"scan_id": scan_id},
+                                                           {"scan_id": "b"}]}))
+    out = root / "out"
+    assert run(["simulate", "--phantom", phantom, "--noise", noise, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(scan_id) in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("dims", [[40000, 2, 2], [100000, 100000, 100000], [8, 0, 8]])
 def test_simulate_refuses_dims_beyond_the_nifti_header(configs, capsys, dims):
     root, phantom, noise = configs
@@ -276,13 +289,32 @@ def test_metrics_refuses_a_volume_beyond_physical_memory(sim_dir, capsys, monkey
     struct.pack_into("<3h", header, 42, *dims)
     bomb.write_bytes(gzip.compress(bytes(header) + bytes(int(np.prod(dims))), compresslevel=1))
     assert len(bomb.read_bytes()) < 2**20
-    monkeypatch.setattr("segqc.nifti._physical_memory", lambda: 8 * 2**20, raising=False)
+    monkeypatch.setattr("segqc.volumes._PHYSICAL_MEMORY", 8 * 2**20)
     assert run(["metrics", sim_dir, "--registry", sim_dir / "registry.json",
                 "--out", sim_dir / "r.json"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {bomb}: dims [256, 256, 256] need 0.0156 GiB")
+    # inflating needs the header and data twice over: 2 * (352 + 256**3) bytes
+    assert err.startswith(f"error: {bomb}: dims [256, 256, 256] need at least 0.0313 GiB")
     assert "more than physical memory" in err and "Traceback" not in err
     assert not (sim_dir / "r.json").exists()
+
+
+def test_consensus_refuses_a_gzip_offset_beyond_physical_memory(sim_dir, capsys, monkeypatch):
+    # a valid .nii.gz whose data starts 64 MiB in: inflating it would need
+    # twice that, against 16 MiB of memory
+    raw = bytearray((sim_dir / "sample_001.nii").read_bytes())
+    offset = 64 * 2**20
+    struct.pack_into("<f", raw, 108, float(offset))
+    far = sim_dir / "far.nii.gz"
+    far.write_bytes(gzip.compress(bytes(raw[:352]) + bytes(offset - 352) + bytes(raw[352:]),
+                                  compresslevel=1))
+    monkeypatch.setattr("segqc.volumes._PHYSICAL_MEMORY", 16 * 2**20)
+    assert run(["consensus", sim_dir / "sample_000.nii", far,
+                "--registry", sim_dir / "registry.json", "--out", sim_dir / "c.nii"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {far}: dims [20, 20, 20] need at least 0.125 GiB")
+    assert "more than physical memory" in err and "Traceback" not in err
+    assert not (sim_dir / "c.nii").exists()
 
 
 @pytest.mark.parametrize("target, fault", [
@@ -576,6 +608,21 @@ def test_unparsable_json_is_validation_error(tmp_path, capsys, payload, command)
     err = capsys.readouterr().err
     assert err.startswith("error:") and bad.name in err and "not valid JSON" in err
     assert "Traceback" not in err
+
+
+def test_correlate_refuses_normalized_and_raw_reports_together(report_dir, capsys):
+    root, reports = report_dir
+    sim = root / "sim"
+    for k in (1, 3):  # half the dataset's reports with the map divided by N
+        assert run(["metrics", "--manifest", sim / f"scan_{k}" / "manifest.json",
+                    "--out", reports / f"scan_{k}.json", "--scan-id", f"scan_{k}",
+                    "--normalize-entropy"]) == 0
+    capsys.readouterr()
+    assert run(["correlate", reports, "--out", root / "corr.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: dataset '': mean uncertainties on different scales")
+    assert "--normalize-entropy" in err and "Traceback" not in err
+    assert not (root / "corr.csv").exists()
 
 
 def test_correlate_requires_gt_dice(configs, capsys):

@@ -141,6 +141,37 @@ def test_gzip_bomb_decodes_only_the_declared_volume(tmp_path):
     assert peak < expansion // 16
 
 
+_TAIL_PROBE = """
+import resource, sys
+from segqc.nifti import read_nifti
+limit = 3 * 2**29  # 1.5 GiB of address space, set in this child process only
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+print(int(read_nifti(sys.argv[1]).data.sum()))
+"""
+
+
+def test_plain_read_stops_at_the_declared_volume(tmp_path):
+    # a 4^3 volume followed by a 3 GiB (sparse) tail, read in a process that
+    # cannot hold the tail: the read takes only vox_offset plus the volume
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    data = np.arange(64, dtype=np.uint8).reshape(4, 4, 4)
+    path = tmp_path / "tail.nii"
+    write_nifti(path, data, VoxelGeometry((4, 4, 4), (1.0, 1.0, 1.0)))
+    with open(path, "r+b") as fh:
+        fh.truncate(3 * 2**30 + 416)
+    src = str(Path(nifti.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _TAIL_PROBE, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert int(proc.stdout) == int(data.sum())
+
+
 def test_gzip_checksum_is_verified(tmp_path, good):
     blob = bytearray(gzip.compress(bytes(good)))
     blob[-8] ^= 0xFF  # first byte of the CRC-32 trailer

@@ -147,6 +147,25 @@ def test_correlate_uncertainty_accuracy_sets_absent_records_aside():
     assert all(res.n_used == 3 and res.n_dropped == 0 for res in out.values())
 
 
+def test_correlate_uncertainty_accuracy_refuses_mixed_uncertainty_scales():
+    from dataclasses import replace
+
+    rows = [(0.1, 0.05, 0.95, 0.97), (0.3, 0.15, 0.85, 0.90), (0.6, 0.30, 0.70, 0.75)]
+    a, b, c = (_report(rows, f"scan_{k}") for k in "abc")
+    normalized = replace(b, normalized_uncertainty=True)
+    with pytest.raises(ValidationError, match="dataset '': .*raw, N = 5, but normalized in "
+                                              "report scan_b.*--normalize-entropy"):
+        correlate_uncertainty_accuracy([a, normalized, c])
+    with pytest.raises(ValidationError, match="raw, N = 5, but raw, N = 15 in report scan_b"):
+        correlate_uncertainty_accuracy([a, replace(b, n_samples=15), c])
+    # normalized reports compare across sample counts, and datasets apart
+    correlate_uncertainty_accuracy([replace(r, normalized_uncertainty=True, n_samples=n)
+                                    for r, n in ((a, 5), (b, 15), (c, 30))])
+    out, _ = correlate_uncertainty_accuracy(
+        [a, b, c] + [replace(r, dataset="other", n_samples=15) for r in (a, b, c)])
+    assert sorted({dataset for dataset, _ in out}) == ["", "other"]
+
+
 # -- design matrix and WLS ---------------------------------------------------
 
 
