@@ -43,8 +43,6 @@ from .synth import (
     NoiseSpec,
     PhantomSpec,
     ShapeSpec,
-    contact_pair_phantom,
-    graded_severities,
     make_cohort,
     make_phantom,
     registry_for_phantom,

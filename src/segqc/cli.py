@@ -22,6 +22,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, replace
 from functools import partial
@@ -191,9 +192,15 @@ def cmd_correlate(args) -> int:
 def cmd_group(args) -> int:
     table = sio.read_cohort_csv(args.cohort)
     modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
-    analysis = group_analysis(
-        table, structure=args.structure, modes=modes, standardize=args.standardize
-    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            analysis = group_analysis(
+                table, structure=args.structure, modes=modes, standardize=args.standardize
+            )
+        finally:  # ahead of the error line, if the analysis failed
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
     if args.out:
         with _atomic(args.out) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh)
@@ -257,13 +264,14 @@ def cmd_simulate(args) -> int:
     # volumes of V bytes and, with maps, one sample's K float64 maps
     n = max(noise.n_samples for _, noise in scans)
     need = spec.geometry.n_voxels * (8 + n + 8 * (len(spec.label_ids) + 1) * args.with_probs)
-    _require_memory(need, f"dims {list(spec.geometry.dims)} with n_samples {n}")
+    limit = _require_memory(need, f"dims {list(spec.geometry.dims)} with n_samples {n}")
     for sid, _ in scans:  # a scan directory may not take the name of a file beside it
         if sid in ("gt.nii", "registry.json", "dataset.json"):
             raise ValidationError(f"scan_id {sid!r} is reserved: simulate writes that file")
     # like the checks above, read before --out exists, so a refusal writes nothing
     single = len(scans) == 1 and scans[0][0] == ""
-    workers = 1 if single else min(_thread_cap(os.cpu_count() or 1), len(scans))
+    # no more scans at once than memory holds
+    workers = 1 if single else min(_thread_cap(os.cpu_count() or 1), len(scans), limit // need)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     gt = make_phantom(spec)

@@ -201,7 +201,7 @@ def read_nifti(path: str | Path) -> NiftiImage:
     the trivial slope 1 / intercept 0 case skips arithmetic entirely so
     round-trips are bit-exact. Every format error names the file. The file
     is read only up to ``vox_offset`` plus the volume, and not at all when
-    that (twice that for gzip) exceeds physical memory.
+    that (twice that for gzip) exceeds the memory the process may use.
     """
     try:
         with open(path, "rb") as fh:

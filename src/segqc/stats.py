@@ -237,7 +237,10 @@ def correlate_uncertainty_accuracy(
         recs = by_dataset[dataset]
         gtd = [s.gt_dice for s in recs]
         for metric, attr in STRUCTURE_METRICS.items():
-            results[dataset, metric] = pearson([getattr(s, attr) for s in recs], gtd)
+            try:
+                results[dataset, metric] = pearson([getattr(s, attr) for s in recs], gtd)
+            except ValidationError as exc:
+                raise ValidationError(f"dataset {dataset!r}, metric {metric}: {exc}") from exc
     return results, n_absent
 
 
@@ -465,10 +468,10 @@ def group_analysis(
     rows = []
     fits: dict[str, RegressionResult] = {}
     for mode in modes:
-        if mode == "huber":
-            res = huber_fit(fitted_table)
-        else:
-            res = wls_fit(fitted_table, weight_mode=mode)
+        try:
+            res = huber_fit(fitted_table) if mode == "huber" else wls_fit(fitted_table, mode)
+        except ValidationError as exc:  # CollinearityError stays one
+            raise type(exc)(f"mode {mode}: {exc}") from exc
         fits[mode] = res
         k = res.columns.index("dx")
         rows.append(GroupModeRow(mode=mode, beta_d=float(res.beta[k]), se_d=float(res.se[k]),

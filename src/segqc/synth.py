@@ -412,79 +412,3 @@ def make_cohort(
     )
     return table, beta
 
-
-# ---------------------------------------------------------------------------
-# Graded-noise study fixtures.
-#
-# The correlation study needs structure metrics that respond smoothly to
-# noise severity. Majority-vote consensus over N samples denoises any
-# isolated structure whose flip probability stays below 0.5, which makes
-# Dice-vs-severity a flat line with a cliff. Placing structures in
-# touching pairs stacks two flip channels at the shared interface
-# (q = f_s + (1 - f_s) f_t crosses the consensus transition), giving a
-# graded response. Uniform structure sizes keep CV free of the
-# sqrt(surface)/volume nuisance term, and pair-shared severities put all
-# metrics on one latent driver.
-
-CONTACT_PAIR_ANCHORS = ((4, 4, 6), (4, 28, 26), (28, 4, 26), (28, 28, 6))
-
-
-def contact_pair_phantom(
-    dims: int = 48,
-    width: int = 12,
-    height: int = 6,
-    shift: int = 2,
-) -> PhantomSpec:
-    """Four pairs of touching boxes with uniform size and a diagonal offset.
-
-    Each pair stacks two width x width x height boxes along z; the upper
-    box is shifted by ``shift`` voxels in x and y so the contact patch is
-    (width - shift)^2 and both members expose free faces to background.
-    Labels are 1..8; members of pair k are 2k+1 and 2k+2.
-    """
-    shapes = []
-    lid = 1
-    for ax, ay, az in CONTACT_PAIR_ANCHORS:
-        for ox, oy, oz in ((0, 0, 0), (shift, shift, height)):
-            x0, y0, z0 = ax + ox, ay + oy, az + oz
-            center = (
-                (2 * x0 + width - 1) / 2,
-                (2 * y0 + width - 1) / 2,
-                (2 * z0 + height - 1) / 2,
-            )
-            extent = (float(width - 1), float(width - 1), float(height - 1))
-            shapes.append(ShapeSpec(lid, "box", center, extent))
-            lid += 1
-    geometry = VoxelGeometry((dims, dims, dims), (1.0, 1.0, 1.0))
-    return PhantomSpec(geometry=geometry, shapes=tuple(shapes))
-
-
-def graded_severities(
-    n_scans: int = 13,
-    n_pairs: int = 4,
-    low: float = 0.02,
-    high: float = 0.35,
-    pair_jitter: float = 0.01,
-    seed: int = 555,
-) -> tuple[tuple[tuple[int, float], ...], ...]:
-    """Per-scan flip probabilities for the paired-box phantom.
-
-    Members of a pair share a baseline severity (neighboring structures
-    see the same local image quality) plus a small independent jitter:
-    base ~ U[low + j, high - j], member = clip(base + U[-j, j], low, high).
-    Scan s draws from the substream SeedSequence((seed, s)), so the table
-    is reproducible and extending n_scans never changes earlier scans.
-    """
-    if not 0.0 <= low < high < 0.5:
-        raise ValidationError(f"need 0 <= low < high < 0.5, got [{low}, {high}]")
-    table = []
-    for scan in range(n_scans):
-        rng = np.random.default_rng(np.random.SeedSequence((seed & _MASK64, scan)))
-        probs = []
-        for pair in range(n_pairs):
-            base = rng.uniform(low + pair_jitter, high - pair_jitter)
-            for member in range(2):
-                f = float(np.clip(base + rng.uniform(-pair_jitter, pair_jitter), low, high))
-                probs.append((2 * pair + member + 1, f))
-        table.append(tuple(probs))
-    return tuple(table)

@@ -65,11 +65,19 @@ def _thread_cap(default: int) -> int:
 _PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")  # bytes
 
 
-def _require_memory(need: int, what: str) -> None:
-    """Refuse ``what``, which needs ``need`` bytes, beyond physical memory."""
-    if need > _PHYSICAL_MEMORY:
-        raise ValidationError(f"{what} need at least {need / 2**30:.3g} GiB, "
-                              "more than physical memory")
+def _require_memory(need: int, what: str) -> int:
+    """Refuse ``what``, which needs ``need`` bytes, beyond physical memory or
+    this process's soft address-space limit, whichever is smaller; returns
+    that smaller number of bytes."""
+    import resource  # read here, not at import, so startup loads nothing new
+
+    limit, name = _PHYSICAL_MEMORY, "physical memory"
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if soft != resource.RLIM_INFINITY and soft < limit:
+        limit, name = soft, f"the address-space limit of {soft / 2**30:.3g} GiB"
+    if need > limit:
+        raise ValidationError(f"{what} need at least {need / 2**30:.3g} GiB, more than {name}")
+    return limit
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -8,8 +8,8 @@ PUBLIC = {
     "CohortTable", "CollinearityError", "LabelVolume", "McSample", "McSampleSet",
     "NiftiFormatError", "NoiseSpec", "OrientationInfo", "PhantomSpec", "ProbMapStack",
     "ShapeSpec", "StructureMetrics", "StructureRegistry", "StructureReport",
-    "ValidationError", "VoxelGeometry", "consensus_segmentation", "contact_pair_phantom",
-    "correlate_uncertainty_accuracy", "design_matrix", "dice_score", "graded_severities",
+    "ValidationError", "VoxelGeometry", "consensus_segmentation",
+    "correlate_uncertainty_accuracy", "design_matrix", "dice_score",
     "group_analysis", "huber_fit", "make_cohort", "make_phantom", "pearson",
     "read_cohort_csv", "read_label_nifti", "read_nifti", "read_noise_json",
     "read_phantom_json", "read_registry", "read_report", "read_sample_set",
@@ -27,6 +27,6 @@ def test_star_import_binds_the_public_names_and_no_submodule():
     namespace = {}
     exec("from segqc import *", namespace)
     del namespace["__builtins__"]
-    assert len(PUBLIC) == 52 and set(namespace) == PUBLIC
+    assert len(PUBLIC) == 50 and set(namespace) == PUBLIC
     assert not any(isinstance(v, ModuleType) for v in namespace.values())
     assert all(getattr(segqc, name) is value for name, value in namespace.items())

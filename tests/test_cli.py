@@ -3,8 +3,11 @@
 import csv
 import gzip
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,13 +17,14 @@ from hypothesis import strategies as st
 
 from segqc import cli, metrics, volumes
 from segqc.cli import main as cli_main
-from segqc.io import read_noise_json, read_phantom_json, read_report
+from segqc.io import read_noise_json, read_phantom_json, read_report, write_registry
 from segqc.nifti import OrientationInfo, read_nifti, write_nifti
 from segqc.stats import CohortTable, correlate_uncertainty_accuracy
 from segqc.synth import make_phantom, registry_for_phantom, sample_mc
 from segqc.io import write_cohort_csv
-from segqc.volumes import VoxelGeometry
-from test_io import DOCS, mutated
+from segqc.volumes import StructureRegistry, VoxelGeometry
+from bundled import DOCS
+from test_io import mutated
 from test_metrics import parallel_workers
 
 
@@ -173,6 +177,33 @@ def test_simulate_refuses_a_scan_beyond_physical_memory(configs, capsys, dims, n
     assert not out.exists()
 
 
+def test_simulate_runs_no_more_scans_at_once_than_memory_holds(configs, monkeypatch):
+    # 3 scans on 3 threads, with memory for 2.5 scans: 2 run at once, and
+    # they write what one thread writes
+    root, phantom, _ = configs
+    noise = root / "multi.json"
+    noise.write_text(json.dumps({"n_samples": 3, "default_flip_prob": 0.2,
+                                 "scans": [{"scan_id": f"s{k}", "seed": k} for k in range(3)]}))
+    needs, real = [], cli._require_memory
+
+    def require_memory(need, what):
+        needs.append(need)
+        return real(need, what)
+
+    monkeypatch.setattr(cli, "_require_memory", require_memory)
+    calls = parallel_workers(monkeypatch, cli)
+    trees = {}
+    for threads in (1, 3):
+        monkeypatch.setenv("SEGQC_THREADS", str(threads))
+        out = root / f"threads_{threads}"
+        assert run(["simulate", "--phantom", phantom, "--noise", noise, "--out", out,
+                    "--with-probs"]) == 0
+        trees[threads] = {p.relative_to(out): p.read_bytes() for p in out.rglob("*")
+                          if p.is_file()}
+        monkeypatch.setattr(volumes, "_PHYSICAL_MEMORY", int(2.5 * needs[0]))
+    assert calls == [1, 2]
+    assert trees[1] == trees[3]
+
 def test_simulate_multi_scan_layout(configs):
     root, phantom, _ = configs
     noise = root / "multi.json"
@@ -316,6 +347,44 @@ def test_consensus_refuses_a_gzip_offset_beyond_physical_memory(sim_dir, capsys,
     assert "more than physical memory" in err and "Traceback" not in err
     assert not (sim_dir / "c.nii").exists()
 
+
+_LIMITED_CLI = """
+import resource, sys
+limit = 3 * 2**29  # 1.5 GiB of address space, set in this child process only
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from segqc.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_consensus_refuses_a_read_beyond_the_address_space_limit(tmp_path):
+    # a .nii.gz whose data starts 1 GiB in fits in physical memory, but not in
+    # a process limited to 1.5 GiB of address space
+    data = np.zeros((4, 4, 4), dtype=np.uint8)
+    data[1:3, 1:3, 1:3] = 1
+    small = tmp_path / "small.nii"
+    write_nifti(small, data, VoxelGeometry((4, 4, 4), (1.0, 1.0, 1.0)))
+    header = bytearray(small.read_bytes()[:352])
+    struct.pack_into("<f", header, 108, float(2**30))
+    block = 16 * 2**20
+    zeros = gzip.compress(bytes(block))  # concatenated members read as one stream
+    far = tmp_path / "far.nii.gz"
+    far.write_bytes(gzip.compress(bytes(header) + bytes(block - 352))
+                    + zeros * (2**30 // block - 1) + gzip.compress(data.tobytes(order="F")))
+    registry = tmp_path / "registry.json"
+    write_registry(StructureRegistry(entries=((0, "bg"), (1, "box")), background_id=0), registry)
+    out = tmp_path / "c.nii"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _LIMITED_CLI, "consensus", str(small),
+                           str(far), "--registry", str(registry), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr[-500:]
+    # inflating needs the offset and the data twice over
+    assert proc.stderr == (f"error: {far}: dims [4, 4, 4] need at least 2 GiB, "
+                           "more than the address-space limit of 1.5 GiB\n")
+    assert not out.exists()
 
 @pytest.mark.parametrize("target, fault", [
     ("sample", "pixdim_zero"), ("sample", "truncated"), ("sample", "scaled_labels"),
@@ -639,6 +708,21 @@ def test_correlate_requires_gt_dice(configs, capsys):
     assert "gt_dice" in capsys.readouterr().err
 
 
+def test_correlate_names_the_dataset_and_metric_whose_r_is_undefined(tmp_path, capsys):
+    # without maps, every record's mean uncertainty is 0
+    sim = tmp_path / "sim"
+    assert run(["simulate", "--phantom", DOCS / "paired_boxes_phantom.json",
+                "--noise", DOCS / "graded_noise.json", "--out", sim, "--seed", "5"]) == 0
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    for k in range(3):
+        assert run(["metrics", "--manifest", sim / f"scan_{k:02d}" / "manifest.json",
+                    "--out", reports / f"r{k}.json", "--dataset", "d1"]) == 0
+    capsys.readouterr()
+    assert run(["correlate", reports]) == 1
+    assert capsys.readouterr().err == (
+        "error: dataset 'd1', metric mean_unc: constant vector: correlation undefined\n")
+
 # -- group -----------------------------------------------------------------------
 
 
@@ -699,6 +783,19 @@ def test_group_needs_a_mode(cohort_csv, tmp_path, capsys):
     assert "no group mode" in capsys.readouterr().err
     assert not out_csv.exists()
 
+
+def test_group_names_the_failing_mode_after_its_warnings(tmp_path, capsys):
+    from segqc.synth import make_cohort
+
+    t, _ = make_cohort(20, seed=21)
+    cv = np.where(np.arange(t.n) == 0, t.cv, np.nan)  # 19 empty cv cells
+    p = tmp_path / "cohort.csv"
+    write_cohort_csv(CohortTable(subject_ids=t.subject_ids, age=t.age, sex=t.sex, dx=t.dx,
+                                 volume=t.volume, site=t.site, cv=cv, mc_dice=t.mc_dice), p)
+    assert run(["group", p, "--modes", "none,inv_cv"]) == 1
+    assert capsys.readouterr().err == (
+        "warning: dropping 19 cohort rows with absent inv_cv weights\n"
+        "error: mode inv_cv: need n - p >= 1 residual degrees of freedom (n=1, p=4)\n")
 
 # -- exit codes and input validation ------------------------------------------------
 

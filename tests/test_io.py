@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from bundled import DOCS, bundled_phantom
 import segqc.io
 from segqc.io import (
     read_cohort_csv,
@@ -35,7 +36,7 @@ from segqc.io import (
 from segqc.metrics import StructureMetrics, StructureReport, structure_report
 from segqc.nifti import read_nifti, write_nifti
 from segqc.stats import CohortTable
-from segqc.synth import NoiseSpec, contact_pair_phantom, make_phantom, registry_for_phantom
+from segqc.synth import NoiseSpec, make_phantom, registry_for_phantom
 from segqc.volumes import LabelVolume, StructureRegistry, ValidationError, VoxelGeometry
 
 
@@ -420,7 +421,7 @@ def test_heatmap_volume_paints_consensus_labels(tmp_path):
 
 
 def test_phantom_json_round_trip(tmp_path):
-    spec = contact_pair_phantom()
+    spec = bundled_phantom()
     p = tmp_path / "phantom.json"
     write_phantom_json(spec, p)
     back = read_phantom_json(p)
@@ -752,7 +753,6 @@ def test_scan_manifest_probs_shape_checked(tmp_path):
 
 # -- reader fuzz: success or ValidationError, never anything else ---------------------
 
-DOCS = Path(__file__).resolve().parent.parent / "docs"
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: (st.lists(inner, max_size=4)

@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bundled import bundled_phantom, bundled_scans
 from segqc.metrics import consensus_segmentation, dice_score
 from segqc.synth import (
-    CONTACT_PAIR_ANCHORS,
     NoiseSpec,
     PhantomSpec,
     ShapeSpec,
     ValidationError,
-    contact_pair_phantom,
-    graded_severities,
     make_cohort,
     make_phantom,
     registry_for_phantom,
@@ -140,7 +138,7 @@ def test_noise_actually_perturbs():
 
 
 def test_prob_argmax_matches_labels_under_noise():
-    spec = contact_pair_phantom()
+    spec = bundled_phantom()
     gt = make_phantom(spec)
     reg = registry_for_phantom(spec)
     ss = sample_mc(gt, reg, NoiseSpec(n_samples=3, default_flip_prob=0.3, seed=5))
@@ -153,7 +151,7 @@ def test_prob_argmax_matches_labels_under_noise():
 
 def test_sampled_labels_and_probs_pass_validation():
     # labels and probability maps of one sample must agree (argmax rule)
-    spec = contact_pair_phantom()
+    spec = bundled_phantom()
     gt = make_phantom(spec)
     reg = registry_for_phantom(spec)
     ss = sample_mc(gt, reg, NoiseSpec(n_samples=3, default_flip_prob=0.3, seed=5),
@@ -260,11 +258,11 @@ def test_soft_probs_argmax_invariant(flip, seed):
         assert np.array_equal(ids[np.argmax(s.probs.maps, axis=0)], s.labels.data)
 
 
-# -- paired-box study fixtures ---------------------------------------------------
+# -- the bundled study in docs/ ---------------------------------------------------
 
 
-def test_contact_pair_phantom_shape_inventory():
-    spec = contact_pair_phantom()
+def test_bundled_phantom_shape_inventory():
+    spec = bundled_phantom()
     gt = make_phantom(spec)
     present = np.unique(gt.data)
     assert present.tolist() == list(range(9))
@@ -274,11 +272,12 @@ def test_contact_pair_phantom_shape_inventory():
 
 
 def test_contact_pairs_touch_with_expected_patch():
-    spec = contact_pair_phantom(width=12, height=6, shift=2)
-    gt = make_phantom(spec)
-    for k, (ax, ay, az) in enumerate(CONTACT_PAIR_ANCHORS):
+    gt = make_phantom(bundled_phantom())
+    for k in range(4):
         lo, hi = 2 * k + 1, 2 * k + 2
-        z_top = az + 6 - 1  # last slice of the lower box
+        # the upper box starts on the slice above the lower one's last,
+        # shifted by 2 voxels in x and y
+        z_top = int(np.flatnonzero((gt.data == lo).any(axis=(0, 1)))[-1])
         contact = (gt.data[:, :, z_top] == lo) & (gt.data[:, :, z_top + 1] == hi)
         assert int(contact.sum()) == (12 - 2) ** 2
     # pairs never touch each other: labels of different pairs are never
@@ -297,31 +296,20 @@ def test_contact_pairs_touch_with_expected_patch():
         assert np.all(pa[both] == pb[both])
 
 
-def test_graded_severities_reproducible_and_bounded():
-    a = graded_severities()
-    b = graded_severities()
-    assert a == b
-    assert len(a) == 13
-    for scan in a:
-        ids = [lid for lid, _ in scan]
+def test_bundled_noise_seeds_and_severities():
+    scans = bundled_scans()
+    assert len(scans) == 13
+    for k, (scan_id, noise) in enumerate(scans):
+        assert scan_id == f"scan_{k:02d}" and noise.seed == 1000 + k
+        assert noise.n_samples == 15 and noise.default_flip_prob == 0.0
+        assert noise.erosion_dilation_radius == 0
+        ids = [lid for lid, _ in noise.flip_probs]
         assert ids == list(range(1, 9))
-        for _, f in scan:
+        for _, f in noise.flip_probs:
             assert 0.02 <= f <= 0.35
         # pair members share a baseline severity up to the jitter
-        for k in range(4):
-            assert abs(scan[2 * k][1] - scan[2 * k + 1][1]) <= 0.02 + 1e-12
-
-
-def test_graded_severities_prefix_stable():
-    # per-scan substreams: asking for fewer scans yields a prefix
-    assert graded_severities(n_scans=5) == graded_severities(n_scans=13)[:5]
-
-
-def test_graded_severities_validation():
-    with pytest.raises(ValidationError):
-        graded_severities(low=0.3, high=0.2)
-    with pytest.raises(ValidationError):
-        graded_severities(high=0.5)
+        for j in range(4):
+            assert abs(noise.flip_probs[2 * j][1] - noise.flip_probs[2 * j + 1][1]) <= 0.02 + 1e-12
 
 
 # -- cohort simulator -----------------------------------------------------------
