@@ -143,10 +143,10 @@ def cmd_metrics(args) -> int:
         sio.write_report(report, tmp)
     orient = read_orientation(samples[0]) if args.uncertainty_out or args.heatmap_out else None
     if args.uncertainty_out:
-        unc = report.uncertainty or voxel_uncertainty(
-            sample_set, normalize=args.normalize_entropy)
+        unc = (voxel_uncertainty(sample_set, normalize=args.normalize_entropy)
+               if report.uncertainty is None else report.uncertainty)
         with _atomic(args.uncertainty_out) as tmp:
-            write_nifti(tmp, unc.values.astype(np.float32), unc.geometry, orient)
+            write_nifti(tmp, unc.astype(np.float32), sample_set.geometry, orient)
     if args.heatmap_out:
         with _atomic(args.heatmap_out) as tmp:
             sio.write_heatmap_volume(report.consensus, report, args.heatmap_metric, tmp, orient)
@@ -366,6 +366,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:  # a file read that runs out is named by read_nifti instead
+        print(f"error: out of memory: {str(exc) or 'no detail given'}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 def entry_point() -> None:

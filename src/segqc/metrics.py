@@ -18,13 +18,13 @@ counts) and the majority vote that is the consensus of label-only sets.
 The entropy map and the mean-probability consensus come from the sample
 set's one pass over its probability maps
 (:attr:`~segqc.volumes.McSampleSet.prob_pass`), which loads each
-sample's maps once and never holds them all. The counting pass runs in
-fixed chunks of contiguous voxels, the probability pass decodes each
-sample's maps and folds them in z-slabs, each on up to
-``SEGQC_THREADS`` threads (default: 2) with the calling thread counted
-as one of them (:func:`~segqc.volumes._parallel`). Counts add exactly,
-each voxel's vote is its own and every float operation is per voxel, so
-neither the chunk or slab size nor the thread count changes a result.
+sample's maps once and never holds them all. Both passes split a volume
+into the same z-slabs of whole planes (:func:`~segqc.volumes._slabs`) and
+run them on up to ``SEGQC_THREADS`` threads (default: 2) with the
+calling thread counted as one of them (:func:`~segqc.volumes._parallel`);
+the probability pass first decodes each sample's maps. Counts add
+exactly, each voxel's vote is its own and every float operation is per
+voxel, so neither the slab size nor the thread count changes a result.
 
 All functions are pure and deterministic: floating-point reductions run
 in a fixed order (ascending sample index, registry order over structures),
@@ -39,6 +39,7 @@ from functools import partial
 import numpy as np
 
 from .volumes import (
+    _SLAB,
     _UINT16_MAX,
     LabelVolume,
     McSampleSet,
@@ -46,37 +47,10 @@ from .volumes import (
     ValidationError,
     VoxelGeometry,
     _parallel,
-    _read_only,
+    _slabs,
     _thread_cap,
     require_valid,
 )
-
-# Voxels per chunk of the counting pass: its masks, disagreement stack and
-# vote counters stay near the CPU cache, np.bincount's intp copies at 16 MB.
-# A chunk counts its consensus and ground truth in _SLICEs: copies of 2 MB.
-_CHUNK = 1 << 21
-_SLICE = 1 << 18
-
-
-@dataclass(frozen=True)
-class UncertaintyVolume:
-    """Per-voxel uncertainty: non-negative, finite, zero where all samples
-    are unanimous one-hot."""
-
-    geometry: VoxelGeometry
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.shape != self.geometry.dims:
-            raise ValidationError(
-                f"uncertainty shape {arr.shape} does not match dims {self.geometry.dims}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("uncertainty values must be finite")
-        if arr.size and float(arr.min()) < 0.0:
-            raise ValidationError("uncertainty values must be non-negative")
-        object.__setattr__(self, "values", _read_only(arr))
 
 
 @dataclass(frozen=True)
@@ -122,7 +96,7 @@ class StructureReport:
     scan_id: str = ""
     dataset: str = ""
     consensus: LabelVolume | None = field(default=None, repr=False, compare=False)
-    uncertainty: UncertaintyVolume | None = field(default=None, repr=False, compare=False)
+    uncertainty: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def by_id(self, label_id: int) -> StructureMetrics:
         for s in self.structures:
@@ -131,30 +105,31 @@ class StructureReport:
         raise KeyError(f"no structure with label id {label_id} in report")
 
 
-def _registry_counts(values: np.ndarray, registry: StructureRegistry,
-                     step: int = _CHUNK) -> np.ndarray:
-    """Voxels of each registry label among ``values``, by registry position,
-    counted in ``step`` slices to keep np.bincount's intp copy small."""
+def _registry_counts(values: np.ndarray, registry: StructureRegistry) -> np.ndarray:
+    """Voxels of each registry label among the 1-D ``values``, by registry
+    position, counted in ``_SLAB`` slices to keep np.bincount's intp copy small."""
     ids = list(registry.ids)
     counts = np.zeros(len(ids), dtype=np.int64)
-    for start in range(0, values.size, step):
-        counts += np.bincount(values[start:start + step], minlength=registry.max_id + 1)[ids]
+    for start in range(0, values.size, _SLAB):
+        counts += np.bincount(values[start:start + _SLAB], minlength=registry.max_id + 1)[ids]
     return counts
 
 
-def _count_chunk(flats: list[np.ndarray], registry: StructureRegistry, rank: np.ndarray,
-                 cons: np.ndarray, gt: np.ndarray | None, by_rank: np.ndarray | None,
-                 start: int) -> tuple:
-    """Counting pass over voxels ``start:start + _CHUNK`` of ``flats``.
+def _count_slab(labels: list[np.ndarray], registry: StructureRegistry, rank: np.ndarray,
+                cons: np.ndarray, gt: np.ndarray | None, by_rank: np.ndarray | None,
+                z: slice) -> tuple:
+    """Counting pass over the z-slab ``[:, :, z]`` of the 3-D ``labels``.
 
     Returns its partials of ``_count_labels``' ``inter`` and ``counts``,
-    first writing its majority labels into ``cons`` when ``by_rank`` is
-    given. ``rank`` maps each label id to its rank among the registry ids
-    in ascending order, and ``by_rank`` maps a rank back to its id.
+    first writing its majority labels into the slab of ``cons`` when
+    ``by_rank`` is given. ``rank`` maps each label id to its rank among the
+    registry ids in ascending order, and ``by_rank`` maps a rank back to
+    its id. Each slab is flattened x-fastest: a view, not a copy, of an
+    F-ordered volume, as files give and the vote's buffer is.
     """
-    n = len(flats)
+    n = len(labels)
     vote = by_rank is not None
-    parts = [arr[start:start + _CHUNK] for arr in flats]
+    parts = [arr[:, :, z].reshape(-1, order="F") for arr in labels]
     base = parts[0]
     agree = np.ones(base.shape, dtype=bool)
     for arr in parts[1:]:
@@ -180,7 +155,7 @@ def _count_chunk(flats: list[np.ndarray], registry: StructureRegistry, rank: np.
             inter[i, j] = inter[j, i] = (
                 base_counts + np.bincount(stacked[i][eq], minlength=len(order))[order])
 
-    out = cons[start:start + _CHUNK]
+    out = cons[:, :, z].reshape(-1, order="F")
     if vote:
         # samples sharing a label share its vote count, so the most-voted
         # sample's label is the majority; ascending samples with strict
@@ -195,11 +170,11 @@ def _count_chunk(flats: list[np.ndarray], registry: StructureRegistry, rank: np.
     # free the pair buffers first, so a thread's peak stays its pair loop's
     del stacked, votes, dis
     counts = np.zeros((3, len(order)), dtype=np.int64)
-    counts[0] = _registry_counts(out, registry, _SLICE)
+    counts[0] = _registry_counts(out, registry)
     if gt is not None:
-        truth = gt[start:start + _CHUNK]
-        counts[1] = _registry_counts(truth, registry, _SLICE)
-        counts[2] = _registry_counts(out[out == truth], registry, _SLICE)
+        truth = gt[:, :, z].reshape(-1, order="F")
+        counts[1] = _registry_counts(truth, registry)
+        counts[2] = _registry_counts(out[out == truth], registry)
     return inter, counts
 
 
@@ -221,36 +196,32 @@ def _count_labels(sample_set: McSampleSet, gt: LabelVolume | None = None) -> tup
     samples carrying sample i's label, itself included. The arithmetic is
     pure integer counting and matches a per-voxel enumeration exactly.
 
-    The pass runs in chunks of ``_CHUNK`` contiguous voxels (x-fastest) on
-    up to ``SEGQC_THREADS`` threads, two when it is unset whatever the CPU
-    count, since each holds its own chunk buffers (about 30 MB at N = 15).
-    Each chunk's counts are a partial sum of integers and its votes depend
-    only on its own voxels, so the sum of the partials, taken in chunk
-    order, and the vote are the same for any chunk size and thread count.
+    The pass runs in the probability pass's z-slabs (:func:`_slabs`) on up
+    to ``SEGQC_THREADS`` threads, two when it is unset whatever the CPU
+    count, since each holds its own slab buffers (up to 6 MB at N = 15).
+    Each slab's counts are a partial sum of integers and its votes depend
+    only on its own voxels, so the sum of the partials, taken in slab
+    order, and the vote are the same for any slab size and thread count.
     """
-    # x-fastest like LabelVolume.flat: a view, not a copy, of volumes read
-    # from NIfTI files
-    flats = [sample_set.sample_labels(i).reshape(-1, order="F") for i in range(sample_set.n)]
+    labels = [sample_set.sample_labels(i) for i in range(sample_set.n)]
     registry = sample_set.registry
     vote = sample_set.kind == "labels"
     consensus = None if vote else consensus_segmentation(sample_set)
     # the vote is always some sample's label, so no wider than the samples
-    top = min(registry.max_id, max(np.iinfo(f.dtype).max for f in flats))
+    top = min(registry.max_id, max(np.iinfo(a.dtype).max for a in labels))
     dtype = np.uint16 if top <= _UINT16_MAX else np.int64
-    cons = np.empty(flats[0].size, dtype) if vote else consensus.flat
+    cons = np.empty(labels[0].shape, dtype, order="F") if vote else consensus.data
     ids = sorted(registry.ids)  # a valid set's labels are all registry ids
     rank = np.zeros(registry.max_id + 1, dtype=np.min_scalar_type(len(ids) - 1))
     rank[ids] = np.arange(len(ids))
     # in the vote's dtype; an id past it is on no sample, so no vote picks it
     by_rank = np.minimum(ids, top).astype(dtype) if vote else None
-    starts = range(0, cons.size, _CHUNK)
-    count = partial(_count_chunk, flats, registry, rank, cons,
-                    None if gt is None else gt.flat, by_rank)
-    inter, counts = map(sum, zip(*_parallel(count, starts, min(_thread_cap(2), len(starts)))))
+    slabs = _slabs(cons.shape)
+    count = partial(_count_slab, labels, registry, rank, cons,
+                    None if gt is None else gt.data, by_rank)
+    inter, counts = map(sum, zip(*_parallel(count, slabs, min(_thread_cap(2), len(slabs)))))
     if vote:
-        cons.flags.writeable = False
-        consensus = _consensus_volume(sample_set.geometry,
-                                      cons.reshape(sample_set.geometry.dims, order="F"))
+        consensus = _consensus_volume(sample_set.geometry, cons)
     return inter, counts, consensus
 
 
@@ -262,8 +233,9 @@ def _consensus_volume(geometry: VoxelGeometry, data: np.ndarray) -> LabelVolume:
     return LabelVolume(geometry=geometry, data=data)
 
 
-def voxel_uncertainty(sample_set: McSampleSet, normalize: bool = False) -> UncertaintyVolume:
-    """Voxel-wise uncertainty map from the per-sample probability maps.
+def voxel_uncertainty(sample_set: McSampleSet, normalize: bool = False) -> np.ndarray:
+    """Voxel-wise uncertainty map from the per-sample probability maps, as
+    a read-only float64 array on the set's dims.
 
     Per structure the contribution is the sum over samples of -p*ln(p)
     (natural log, with 0*ln(0) = 0); the map is the sum over all registry
@@ -283,7 +255,7 @@ def voxel_uncertainty(sample_set: McSampleSet, normalize: bool = False) -> Uncer
     if normalize:
         values = values / sample_set.n
     values.flags.writeable = False  # handed over whole: no defensive copy
-    return UncertaintyVolume(geometry=sample_set.geometry, values=values)
+    return values
 
 
 def structure_uncertainty(sample_set: McSampleSet, label_id: int) -> np.ndarray:
@@ -414,7 +386,7 @@ def structure_report(
         elif label_only:
             mean_unc = 0.0
         else:
-            mean_unc = float(unc.values[cons_c == label_id].mean())
+            mean_unc = float(unc[cons_c == label_id].mean())
         rows.append(StructureMetrics(
             label_id=label_id,
             name=name,
@@ -432,7 +404,7 @@ def structure_report(
         ))
 
     # one zero voxel has the min, mean and max of an all-zero map
-    values = np.zeros(1) if label_only else unc.values
+    values = np.zeros(1) if label_only else unc
     return StructureReport(
         structures=tuple(rows),
         n_samples=n,

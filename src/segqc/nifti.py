@@ -223,16 +223,21 @@ def _decode(fh) -> NiftiImage:
     n = int(np.prod(header.dims))
     offset = int(header.vox_offset)
     need = offset + n * dt.itemsize
-    _require_memory(2 * need if gz else need, f"dims {list(header.dims)}")
-    if gz:
-        # the payload buffer starts right after the header
-        body = gz.read(need - HEADER_SIZE)
-        gz.read(1)  # reaches the trailer of a well-formed stream, checking its CRC
-        have, offset = HEADER_SIZE + len(body), offset - HEADER_SIZE
-    else:
-        fh.seek(0)
-        body = fh.read(need)  # one bytes object, which labels then view
-        have = len(body)
+    held, what = 2 * need if gz else need, f"dims {list(header.dims)}"
+    _require_memory(held, what)
+    try:  # the check passed, but the interpreter and its threads hold memory too
+        if gz:
+            # the payload buffer starts right after the header
+            body = gz.read(need - HEADER_SIZE)
+            gz.read(1)  # reaches the trailer of a well-formed stream, checking its CRC
+            have, offset = HEADER_SIZE + len(body), offset - HEADER_SIZE
+        else:
+            fh.seek(0)
+            body = fh.read(need)  # one bytes object, which labels then view
+            have = len(body)
+    except MemoryError:
+        raise ValidationError(f"{what} need at least {held / 2**30:.3g} GiB, "
+                              "more than this process has left") from None
     if have < need:
         raise NiftiFormatError(
             f"truncated data section: need {need} bytes total, file has {have}"

@@ -38,14 +38,21 @@ _UINT16_MAX = np.iinfo(np.uint16).max
 # Per-label counts are dense arrays of max_id + 1 entries; an id beyond
 # this is a corrupt registry, not a real label table.
 _MAX_LABEL_ID = 1 << 20
-# Voxels per z-slab of the probability pass, rounded down to whole x-y
-# planes (at least one): a slab's float64 temporaries stay near the CPU
-# cache, and a small volume is one slab.
+# Voxels per z-slab of every pass over voxels (the counting pass and the
+# probability pass), rounded down to whole x-y planes (at least one): a
+# slab's temporaries stay near the CPU cache, and a small volume is one slab.
 _SLAB = 1 << 17
 
 
 class ValidationError(ValueError):
     """An input violates a structural invariant."""
+
+
+def _slabs(dims: Sequence[int]) -> list[slice]:
+    """The z-slabs ``[:, :, z]`` of whole x-y planes, about ``_SLAB`` voxels
+    each, that split every pass over a volume of ``dims``."""
+    depth = max(1, _SLAB // (dims[0] * dims[1]))
+    return [slice(z, z + depth) for z in range(0, dims[2], depth)]
 
 
 def _thread_cap(default: int) -> int:
@@ -449,8 +456,8 @@ def _prob_pass(sample_set: McSampleSet) -> ProbPass:
     are bit-identical to summing a float64 copy of the whole set. Memory
     is K + 2 float64 volumes plus one sample's maps.
 
-    Each sample's K files are decoded, then its maps folded in z-slabs of
-    whole planes (:func:`_fold_slab`), by :func:`_parallel` on up to
+    Each sample's K files are decoded, then its maps folded in the z-slabs
+    of :func:`_slabs` (:func:`_fold_slab`), by :func:`_parallel` on up to
     ``SEGQC_THREADS`` threads (default: 2) and never more than its slabs.
     Slabs write disjoint parts of the sums and the argmax, and their map
     bounds, sum errors and mismatch counts combine exactly (min and max,
@@ -469,9 +476,7 @@ def _prob_pass(sample_set: McSampleSet) -> ProbPass:
     for s in sample_set.samples:
         msgs, differ, own = (), 0, None
         if s.probs is not None:
-            dims = s.probs.geometry.dims
-            depth = max(1, _SLAB // (dims[0] * dims[1]))
-            slabs = [slice(z, z + depth) for z in range(0, dims[2], depth)]
+            slabs = _slabs(s.probs.geometry.dims)
             workers = min(_thread_cap(2), len(slabs))
             maps = _parallel(s.probs.load_map, range(len(s.probs.label_ids)), workers)
             if fold and entropy is None:

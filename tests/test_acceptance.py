@@ -123,7 +123,7 @@ def test_a3_entropy_oracle_and_bound():
         raw = rng.random((5, 4) + geom.dims)
         stacks = [r / r.sum(axis=0) for r in raw]
         ss = probs_only_set(stacks, geom, reg)
-        got = voxel_uncertainty(ss).values
+        got = voxel_uncertainty(ss)
         want = oracles.entropy_map_oracle(stacks)
         worst = max(worst, float(np.max(np.abs(got - want))))
     formula_ok = worst <= 1e-12

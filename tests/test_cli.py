@@ -357,34 +357,68 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def test_consensus_refuses_a_read_beyond_the_address_space_limit(tmp_path):
-    # a .nii.gz whose data starts 1 GiB in fits in physical memory, but not in
-    # a process limited to 1.5 GiB of address space
+def _limited_consensus(tmp_path, offset_mib):
+    """``segqc consensus`` of a 4^3 .nii and a .nii.gz whose data starts
+    ``offset_mib`` MiB in, in a child process with 1.5 GiB of address space;
+    returns the finished process and the .nii.gz."""
     data = np.zeros((4, 4, 4), dtype=np.uint8)
     data[1:3, 1:3, 1:3] = 1
     small = tmp_path / "small.nii"
     write_nifti(small, data, VoxelGeometry((4, 4, 4), (1.0, 1.0, 1.0)))
     header = bytearray(small.read_bytes()[:352])
-    struct.pack_into("<f", header, 108, float(2**30))
+    struct.pack_into("<f", header, 108, float(offset_mib * 2**20))
     block = 16 * 2**20
     zeros = gzip.compress(bytes(block))  # concatenated members read as one stream
     far = tmp_path / "far.nii.gz"
     far.write_bytes(gzip.compress(bytes(header) + bytes(block - 352))
-                    + zeros * (2**30 // block - 1) + gzip.compress(data.tobytes(order="F")))
+                    + zeros * (offset_mib // 16 - 1) + gzip.compress(data.tobytes(order="F")))
     registry = tmp_path / "registry.json"
     write_registry(StructureRegistry(entries=((0, "bg"), (1, "box")), background_id=0), registry)
-    out = tmp_path / "c.nii"
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-c", _LIMITED_CLI, "consensus", str(small),
-                           str(far), "--registry", str(registry), "--out", str(out)],
+                           str(far), "--registry", str(registry), "--out",
+                           str(tmp_path / "c.nii")],
                           env=env, capture_output=True, text=True, timeout=120)
+    return proc, far
+
+
+def test_consensus_refuses_a_read_beyond_the_address_space_limit(tmp_path):
+    # a .nii.gz whose data starts 1 GiB in fits in physical memory, but not in
+    # a process limited to 1.5 GiB of address space
+    proc, far = _limited_consensus(tmp_path, 1024)
     assert proc.returncode == 1, proc.stderr[-500:]
     # inflating needs the offset and the data twice over
     assert proc.stderr == (f"error: {far}: dims [4, 4, 4] need at least 2 GiB, "
                            "more than the address-space limit of 1.5 GiB\n")
-    assert not out.exists()
+    assert not (tmp_path / "c.nii").exists()
+
+
+def test_consensus_names_a_read_that_runs_out_of_address_space(tmp_path):
+    # at 720 MiB in, the read's need (1.41 GiB) is under the 1.5 GiB limit,
+    # but the interpreter already holds part of it, so the read runs out
+    proc, far = _limited_consensus(tmp_path, 720)
+    assert proc.returncode == 1, proc.stderr[-500:]
+    assert proc.stderr == (f"error: {far}: dims [4, 4, 4] need at least 1.41 GiB, "
+                           "more than this process has left\n")
+    assert not (tmp_path / "c.nii").exists()
+
+
+def test_out_of_memory_is_one_error_line(configs, monkeypatch, capsys):
+    root, phantom, noise = configs
+    assert run(["simulate", "--phantom", phantom, "--noise", noise, "--out", root / "sim"]) == 0
+    capsys.readouterr()
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "structure_report", exhausted)
+    assert run(["metrics", "--manifest", root / "sim" / "manifest.json",
+                "--out", root / "r.json"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: no detail given\n"
+    assert not (root / "r.json").exists()
 
 @pytest.mark.parametrize("target, fault", [
     ("sample", "pixdim_zero"), ("sample", "truncated"), ("sample", "scaled_labels"),
@@ -499,7 +533,7 @@ def test_metrics_side_outputs_reuse_the_report(configs, monkeypatch):
     ss = read_sample_set(man["samples"], read_registry(man["registry"]),
                          prob_paths=man["probs"])
     unc = metrics.voxel_uncertainty(ss)
-    assert np.array_equal(read_nifti(sim / "unc.nii").data, unc.values.astype(np.float32))
+    assert np.array_equal(read_nifti(sim / "unc.nii").data, unc.astype(np.float32))
     consensus = metrics.consensus_segmentation(ss)
     mc_dice = {s.label_id: s.mc_dice for s in read_report(sim / "r.json").structures}
     heat = read_nifti(sim / "heat.nii").data
@@ -897,14 +931,12 @@ def test_thread_cap_env_accepted(configs, monkeypatch):
 
 def test_thread_count_leaves_cli_outputs_unchanged(configs, monkeypatch, capsys):
     # a multi-scan simulate, then metrics and consensus on one scan, at one
-    # thread and at three; chunks and slabs are small, so every pool has
-    # work for three: 3 scans, 8 counting chunks, 10 slabs a sample
+    # thread and at three; slabs are small, so every pool has work for
+    # three: 3 scans, and 10 slabs a sample and of the counting pass
     root, phantom, _ = configs
     noise = root / "multi.json"
     noise.write_text(json.dumps({"n_samples": 3, "default_flip_prob": 0.2,
                                  "scans": [{"scan_id": f"s{k}", "seed": k} for k in range(3)]}))
-    monkeypatch.setattr(metrics, "_CHUNK", 1000)
-    monkeypatch.setattr(metrics, "_SLICE", 300)
     monkeypatch.setattr(volumes, "_SLAB", 800)
     calls = parallel_workers(monkeypatch, cli, metrics, volumes)
     outputs = {}

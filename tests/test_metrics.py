@@ -79,9 +79,9 @@ def test_uncertainty_is_summed_over_samples_not_averaged():
     stack[0] = 0.5
     stack[1] = 0.5
     ss = prob_set([stack, stack])
-    u = voxel_uncertainty(ss).values[0, 0, 0]
+    u = voxel_uncertainty(ss)[0, 0, 0]
     assert u == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
-    u_norm = voxel_uncertainty(ss, normalize=True).values[0, 0, 0]
+    u_norm = voxel_uncertainty(ss, normalize=True)[0, 0, 0]
     assert u_norm == pytest.approx(math.log(2.0), abs=1e-12)
 
 
@@ -89,14 +89,18 @@ def test_uncertainty_matches_scalar_oracle():
     rng = np.random.default_rng(42)
     stacks = random_prob_stacks(rng, n_samples=4, dims=(3, 4, 2))
     ss = prob_set(stacks)
-    got = voxel_uncertainty(ss).values
+    got = voxel_uncertainty(ss)
     want = oracles.entropy_map_oracle(stacks)
     assert np.max(np.abs(got - want)) < 1e-12
+    # the map itself, read-only on the set's grid, and the report's own
+    assert got.dtype == np.float64 and got.shape == ss.geometry.dims
+    assert not got.flags.writeable
+    assert structure_report(ss).uncertainty is got
 
 
 def test_uncertainty_zero_for_label_sets():
     ss = label_set([np.zeros((3, 3, 3)), np.ones((3, 3, 3))])
-    assert np.all(voxel_uncertainty(ss).values == 0.0)
+    assert np.all(voxel_uncertainty(ss) == 0.0)
 
 
 def test_uncertainty_needs_two_samples():
@@ -361,7 +365,7 @@ def test_onehot_prob_route_matches_label_route(seed):
     for lid in (1, 2):
         assert rep_lab.by_id(lid).cv == rep_prob.by_id(lid).cv
         assert rep_lab.by_id(lid).mc_dice == rep_prob.by_id(lid).mc_dice
-    assert np.all(voxel_uncertainty(ss_prob).values == 0.0)
+    assert np.all(voxel_uncertainty(ss_prob) == 0.0)
 
 
 # non-contiguous ids listed out of id order: registry position, label id
@@ -411,30 +415,30 @@ def consensus_counts_oracle(consensus, gt, registry):
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "4"])
-@pytest.mark.parametrize("chunk", [1, 5, 7])
-def test_counting_pass_is_the_same_for_any_chunking(monkeypatch, threads, chunk):
-    # threads write disjoint slices of one vote array; more threads than
-    # cores and a short switch interval would expose a lost write
-    dims = (4, 4, 4)
+@pytest.mark.parametrize("planes", [1, 5, 7])
+def test_counting_pass_is_the_same_for_any_chunking(monkeypatch, threads, planes):
+    # z-slabs of 1, 5 or 7 planes of 2 x 2 voxels: the last slab of 5 or 7
+    # is short. Threads write disjoint slabs of one vote array; more threads
+    # than cores and a short switch interval would expose a lost write
+    dims = (2, 2, 16)
     ids = np.array(SPARSE_REG.ids)
     for seed in range(8):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 8))
-        # rows are x-fastest flat volumes, the order the pass chunks
+        # rows are x-fastest flat volumes, in which a slab is a contiguous run
         flats = ids[rng.integers(0, len(ids), size=(n, 64))]
-        flats[:, :12] = flats[0, :12]  # whole chunks with no disagreement voxel
-        flats[0, 20:40], flats[1, 20:40] = ids[1], ids[2]  # a run across chunk ends
+        flats[:, :28] = flats[0, :28]  # whole slabs with no disagreement voxel
+        flats[0, 36:60], flats[1, 36:60] = ids[1], ids[2]  # a run across slab ends
         arrays = [f.reshape(dims, order="F") for f in flats]
         # the ground truth is the last sample, one voxel shifted, so it
         # agrees with the consensus at some voxels and not at others
         gt = LabelVolume(geom(*dims), np.roll(flats[-1], 1).reshape(dims, order="F"))
         whole_inter, whole_counts, whole_cons = metrics._count_labels(
             label_set(arrays, SPARSE_REG), gt)
-        assert metrics._CHUNK >= 64  # one chunk
+        assert len(volumes._slabs(dims)) == 1
         interval = sys.getswitchinterval()
         with monkeypatch.context() as m:
-            m.setattr(metrics, "_CHUNK", chunk)
-            m.setattr(metrics, "_SLICE", 2)
+            m.setattr(volumes, "_SLAB", 4 * planes)
             m.setenv("SEGQC_THREADS", threads)
             sys.setswitchinterval(1e-6)
             try:
@@ -624,17 +628,18 @@ def test_parallel_runs_on_the_caller_and_workers_minus_one_pool_threads(monkeypa
 
 @pytest.mark.parametrize("env, workers", [(None, 2), ("3", 3), ("64", 16), ("1", 1)])
 def test_counting_pool_size(monkeypatch, env, workers):
-    # each counting thread holds its own chunk buffers, so without
+    # each counting thread holds its own slab buffers, so without
     # SEGQC_THREADS the pass asks for two threads whatever the CPU count,
-    # and never for more than the chunks; the calling thread is one of them
+    # and never for more than the slabs, here 16 of one plane each; the
+    # calling thread is one of them
     seen = parallel_workers(monkeypatch, metrics)
-    monkeypatch.setattr(metrics, "_CHUNK", 4)
+    monkeypatch.setattr(volumes, "_SLAB", 16)
     monkeypatch.setattr(volumes.os, "cpu_count", lambda: 64)
     if env is None:
         monkeypatch.delenv("SEGQC_THREADS", raising=False)
     else:
         monkeypatch.setenv("SEGQC_THREADS", env)
-    arrays = [np.full((4, 4, 4), lid) for lid in (2, 9, 2)]
+    arrays = [np.full((4, 4, 16), lid) for lid in (2, 9, 2)]
     inter, counts, consensus = metrics._count_labels(label_set(arrays, SPARSE_REG))
     assert seen == [workers]
     assert np.array_equal(consensus.data, arrays[0])
@@ -701,10 +706,10 @@ def test_prob_pass_is_bit_identical_to_per_structure_loops(seed, n, k, dtype, fo
         stacks.append(stack)
     ss = prob_set(stacks, reg)
 
-    unc = voxel_uncertainty(ss).values
+    unc = voxel_uncertainty(ss)
     assert np.array_equal(unc, loop_entropy(stacks))
     assert unc.flags.c_contiguous  # whole-map reductions keep their order
-    assert np.array_equal(voxel_uncertainty(ss, normalize=True).values,
+    assert np.array_equal(voxel_uncertainty(ss, normalize=True),
                           loop_entropy(stacks) / n)
     assert np.array_equal(consensus_segmentation(ss).data, loop_mean_argmax(stacks, ids))
     for i, maps in enumerate(stacks):
@@ -869,6 +874,27 @@ def test_prob_pass_pool_size(monkeypatch, env, slab, workers):
     assert seen == [workers, workers] * 3
     assert not label_set([np.zeros((4, 4, 4), dtype=int)] * 2).violations
     assert len(seen) == 6  # validating a label-only set runs no pass
+
+
+def test_both_passes_split_a_set_into_the_same_slabs(monkeypatch):
+    # the counting pass walks the probability pass's z-slabs, here 4 of one
+    # plane: each sample's fold and the count get the same list of slabs
+    seen, real = [], volumes._parallel
+
+    def spy(fn, items, workers):
+        seen.append(list(items))
+        return real(fn, items, workers)
+
+    for module in (metrics, volumes):
+        monkeypatch.setattr(module, "_parallel", spy)
+    monkeypatch.setattr(volumes, "_SLAB", 16)
+    slabs = [slice(z, z + 1) for z in range(4)]
+    structure_report(prob_set(random_prob_stacks(np.random.default_rng(8), n_samples=3)))
+    # per sample, its 3 maps decoded, then folded; last, the count
+    assert seen == [[0, 1, 2], slabs] * 3 + [slabs]
+    seen.clear()
+    structure_report(label_set([np.zeros((4, 4, 4), dtype=int)] * 2))
+    assert seen == [slabs]
 
 
 def test_no_thread_outlives_a_report():
