@@ -15,6 +15,8 @@ structure-wise uncertainty measures:
 One counting pass over the samples' labels yields every integer count
 behind them (per-sample, pairwise, consensus and ground-truth label
 counts) and the majority vote that is the consensus of label-only sets.
+Where samples disagree it holds each label as one bit plane per sample,
+so a pair's count is a popcount of two planes ANDed together.
 The entropy map and the mean-probability consensus come from the sample
 set's one pass over its probability maps
 (:attr:`~segqc.volumes.McSampleSet.prob_pass`), which loads each
@@ -115,20 +117,22 @@ def _registry_counts(values: np.ndarray, registry: StructureRegistry) -> np.ndar
     return counts
 
 
-def _count_slab(labels: list[np.ndarray], registry: StructureRegistry, rank: np.ndarray,
-                cons: np.ndarray, gt: np.ndarray | None, by_rank: np.ndarray | None,
-                z: slice) -> tuple:
+def _count_slab(labels: list[np.ndarray], registry: StructureRegistry, cons: np.ndarray,
+                gt: np.ndarray | None, vote: bool, z: slice) -> tuple:
     """Counting pass over the z-slab ``[:, :, z]`` of the 3-D ``labels``.
 
     Returns its partials of ``_count_labels``' ``inter`` and ``counts``,
     first writing its majority labels into the slab of ``cons`` when
-    ``by_rank`` is given. ``rank`` maps each label id to its rank among the
-    registry ids in ascending order, and ``by_rank`` maps a rank back to
-    its id. Each slab is flattened x-fastest: a view, not a copy, of an
+    ``vote``. Each slab is flattened x-fastest: a view, not a copy, of an
     F-ordered volume, as files give and the vote's buffer is.
+
+    The disagreement voxels are counted one label at a time, as bit
+    planes: each sample's plane holds one bit a voxel, set where it
+    carries the label, padded with zero bits to whole 64-bit words. A
+    pair's intersection is the popcount of the AND of its two planes, and
+    a voxel's vote for the label is the number of planes with its bit set.
     """
     n = len(labels)
-    vote = by_rank is not None
     parts = [arr[:, :, z].reshape(-1, order="F") for arr in labels]
     base = parts[0]
     agree = np.ones(base.shape, dtype=bool)
@@ -137,39 +141,39 @@ def _count_slab(labels: list[np.ndarray], registry: StructureRegistry, rank: np.
     base_counts = _registry_counts(base[agree], registry)
     dis = np.flatnonzero(~agree)
     del agree
-    # disagreement labels as ranks: equal and ordered like the labels, but
-    # K values wide, so every pair count is a K-long bincount whatever the
-    # largest id, and the compares below touch one byte a voxel for K <= 256
-    stacked = np.stack([rank[arr[dis]] for arr in parts])
-    order = rank[list(registry.ids)]
-
-    votes = np.ones(stacked.shape, dtype=np.min_scalar_type(n)) if vote else None
-    inter = np.empty((n, n, len(order)), dtype=np.int64)
-    for i in range(n):
-        inter[i, i] = base_counts + np.bincount(stacked[i], minlength=len(order))[order]
-        for j in range(i + 1, n):
-            eq = stacked[i] == stacked[j]
-            if vote:
-                votes[i] += eq
-                votes[j] += eq
-            inter[i, j] = inter[j, i] = (
-                base_counts + np.bincount(stacked[i][eq], minlength=len(order))[order])
-
+    stacked = np.stack([arr[dis] for arr in parts])
+    present = range(int(stacked.min()), int(stacked.max()) + 1) if dis.size else range(0)
     out = cons[:, :, z].reshape(-1, order="F")
+    best = np.zeros(dis.size, out.dtype)
+    best_votes = np.zeros(dis.size, np.min_scalar_type(n))
+    inter = np.zeros((n, n, len(registry.ids)), dtype=np.int64)
+    planes = np.empty(stacked.shape, dtype=bool)
+    # eight voxels a byte, zero-padded to whole 64-bit words
+    packed = np.zeros((n, -(-dis.size // 64) * 8), dtype=np.uint8)
+    words = packed.view(np.uint64)
+    for lid, k in sorted((lid, k) for k, lid in enumerate(registry.ids)):
+        if lid not in present:
+            continue
+        np.equal(stacked, lid, out=planes)
+        if not planes.any():
+            continue
+        if vote:
+            # ascending ids and a strictly larger vote keep the lowest id on ties
+            votes = planes.sum(0, dtype=best_votes.dtype)
+            best[votes > best_votes] = lid
+            np.maximum(best_votes, votes, out=best_votes)
+        packed[:, :-(-dis.size // 8)] = np.packbits(planes, axis=1)
+        for i in range(n):  # row by row: no N x N x words temporary
+            inter[i, i:, k] = np.bitwise_count(words[i] & words[i:]).sum(-1)
+    upper = np.triu_indices(n, 1)
+    inter[upper[::-1]] = inter[upper]
+    inter += base_counts
     if vote:
-        # samples sharing a label share its vote count, so the most-voted
-        # sample's label is the majority; ascending samples with strict
-        # comparisons keep the lowest id on ties
-        best, best_votes = stacked[0].copy(), votes[0].copy()
-        for i in range(1, n):
-            better = (votes[i] > best_votes) | ((votes[i] == best_votes) & (stacked[i] < best))
-            best[better] = stacked[i][better]
-            best_votes[better] = votes[i][better]
         out[...] = base
-        out[dis] = by_rank[best]
-    # free the pair buffers first, so a thread's peak stays its pair loop's
-    del stacked, votes, dis
-    counts = np.zeros((3, len(order)), dtype=np.int64)
+        out[dis] = best
+    # free the slab's planes first, so a thread's peak stays its label loop's
+    del stacked, planes, packed, words, dis, best, best_votes
+    counts = np.zeros((3, len(registry.ids)), dtype=np.int64)
     counts[0] = _registry_counts(out, registry)
     if gt is not None:
         truth = gt[:, :, z].reshape(-1, order="F")
@@ -190,15 +194,15 @@ def _count_labels(sample_set: McSampleSet, gt: LabelVolume | None = None) -> tup
     maps, else the per-voxel majority label, ties to the lowest id.
 
     Voxels where all samples agree are counted once and credited to every
-    sample and pair, so only disagreement voxels are touched per pair. One
-    equality mask per pair feeds both that pair's intersections and, for a
-    label-only set, the vote counter, where ``votes[i]`` is the number of
-    samples carrying sample i's label, itself included. The arithmetic is
-    pure integer counting and matches a per-voxel enumeration exactly.
+    sample and pair, so only disagreement voxels are touched per label.
+    There each label is one bit plane per sample (:func:`_count_slab`),
+    which feeds both every pair's intersections and, for a label-only set,
+    the vote. The arithmetic is pure integer counting and matches a
+    per-voxel enumeration exactly.
 
     The pass runs in the probability pass's z-slabs (:func:`_slabs`) on up
     to ``SEGQC_THREADS`` threads, two when it is unset whatever the CPU
-    count, since each holds its own slab buffers (up to 6 MB at N = 15).
+    count, since each holds its own slab buffers (up to 5.9 MiB at N = 15).
     Each slab's counts are a partial sum of integers and its votes depend
     only on its own voxels, so the sum of the partials, taken in slab
     order, and the vote are the same for any slab size and thread count.
@@ -211,14 +215,8 @@ def _count_labels(sample_set: McSampleSet, gt: LabelVolume | None = None) -> tup
     top = min(registry.max_id, max(np.iinfo(a.dtype).max for a in labels))
     dtype = np.uint16 if top <= _UINT16_MAX else np.int64
     cons = np.empty(labels[0].shape, dtype, order="F") if vote else consensus.data
-    ids = sorted(registry.ids)  # a valid set's labels are all registry ids
-    rank = np.zeros(registry.max_id + 1, dtype=np.min_scalar_type(len(ids) - 1))
-    rank[ids] = np.arange(len(ids))
-    # in the vote's dtype; an id past it is on no sample, so no vote picks it
-    by_rank = np.minimum(ids, top).astype(dtype) if vote else None
     slabs = _slabs(cons.shape)
-    count = partial(_count_slab, labels, registry, rank, cons,
-                    None if gt is None else gt.data, by_rank)
+    count = partial(_count_slab, labels, registry, cons, None if gt is None else gt.data, vote)
     inter, counts = map(sum, zip(*_parallel(count, slabs, min(_thread_cap(2), len(slabs)))))
     if vote:
         consensus = _consensus_volume(sample_set.geometry, cons)

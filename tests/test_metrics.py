@@ -385,11 +385,13 @@ def check_report_against_oracles(arrays, rep):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(1, 4), st.booleans())
-def test_counting_pass_matches_oracles(seed, n, n_labels, identical):
+@given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(1, 4), st.booleans(),
+       st.sampled_from([(4, 4, 4), (5, 4, 4), (3, 5, 7)]))
+def test_counting_pass_matches_oracles(seed, n, n_labels, identical, dims):
+    # 80 and 105 voxels: bit planes that end inside a 64-bit word
     rng = np.random.default_rng(seed)
     ids = np.array(SPARSE_REG.ids)[rng.permutation(4)[:n_labels]]
-    arrays = [ids[rng.integers(0, n_labels, size=(4, 4, 4))] for _ in range(n)]
+    arrays = [ids[rng.integers(0, n_labels, size=dims)] for _ in range(n)]
     if identical:  # no voxel disagrees
         arrays = [arrays[0]] * n
     ss = label_set(arrays, SPARSE_REG)
@@ -459,6 +461,49 @@ def test_counting_pass_is_the_same_for_any_chunking(monkeypatch, threads, planes
         assert np.array_equal(counts, want)
         assert np.array_equal(no_gt_counts[0], want[0])
         assert not no_gt_counts[1:].any()
+
+
+# SPARSE_REG plus an id past uint16, so a uint32 set votes in int64
+FAR_REG = StructureRegistry(entries=SPARSE_REG.entries + ((70_000, "far"),), background_id=0)
+
+
+@pytest.mark.parametrize("dtype, registry",
+                         [(np.uint8, SPARSE_REG), (np.uint16, SPARSE_REG), (np.uint32, FAR_REG)])
+@pytest.mark.parametrize("n", [2, 3, 15])
+def test_bit_plane_counts_at_word_boundaries(dtype, registry, n):
+    # one slab whose disagreement voxels number 0, 1, and either side of
+    # one and two 64-bit words, so a plane's last, padded word and both
+    # triangles of the pair counts reach the result
+    dims = (8, 8, 4)
+    assert len(volumes._slabs(dims)) == 1
+    ids = np.array(registry.ids)
+    g = geom(*dims)
+    rng = np.random.default_rng(n)
+    for d in (0, 1, 63, 64, 65, 129):
+        flats = np.repeat(ids[rng.integers(0, len(ids), 256)][None], n, axis=0)
+        where = rng.choice(256, d, replace=False)
+        pick = rng.integers(0, len(ids), (n, d))
+        pick[1] = (pick[0] + rng.integers(1, len(ids), d)) % len(ids)  # 0 and 1 differ
+        # every other voxel is a tie: the top two labels (of three, for odd
+        # N) on as many samples each, the higher id on sample 0
+        order = np.argsort(ids)
+        pick[:, ::2] = np.array([order[-1], order[0]] * (n // 2) + [order[1]] * (n % 2))[:, None]
+        flats[:, where] = ids[pick]
+        assert np.count_nonzero((flats != flats[0]).any(axis=0)) == d
+        arrays = [f.astype(dtype).reshape(dims, order="F") for f in flats]
+        ss = McSampleSet(geometry=g, registry=registry, samples=tuple(
+            McSample(labels=LabelVolume(g, a)) for a in arrays))
+        gt = LabelVolume(g, np.roll(arrays[-1], 1))
+        inter, counts, consensus = metrics._count_labels(ss, gt)
+        assert np.array_equal(inter, pair_counts_oracle(arrays, registry))
+        vote = consensus.data
+        assert np.array_equal(vote, oracles.majority_vote_oracle(arrays))
+        want = consensus_counts_oracle(vote, gt.data, registry)
+        assert np.array_equal(counts, want)
+        no_gt_inter, no_gt_counts, no_gt_consensus = metrics._count_labels(ss)
+        assert np.array_equal(no_gt_inter, inter)
+        assert np.array_equal(no_gt_consensus.data, vote)
+        assert np.array_equal(no_gt_counts[0], want[0]) and not no_gt_counts[1:].any()
 
 
 def test_counting_pass_counts_the_map_consensus():
