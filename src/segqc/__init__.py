@@ -10,7 +10,6 @@ from types import ModuleType as _ModuleType
 
 from .volumes import (
     LabelVolume,
-    McSample,
     McSampleSet,
     ProbMapStack,
     StructureRegistry,

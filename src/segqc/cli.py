@@ -229,13 +229,13 @@ def _write_one_scan(out, gt, registry, with_probs, scan):
     # each sample's maps are made just before they are written: K held, not N * K
     sample_set = sample_mc(gt, registry, noise, with_probs=False)
     sample_names, prob_lists = [], []
-    for i, sample in enumerate(sample_set.samples):
+    for i, labels in enumerate(sample_set.labels):
         name = f"sample_{i:03d}.nii"
         with _atomic(scan_dir / name) as tmp:
-            write_nifti(tmp, sample.labels)
+            write_nifti(tmp, labels)
         sample_names.append(name)
         if with_probs:
-            maps = soft_probs(sample.labels, registry, noise).maps
+            maps = soft_probs(labels, registry, noise).maps
             per_sample = []
             for k, lid in enumerate(registry.ids):
                 pname = f"prob_{i:03d}_label_{lid}.nii.gz"

@@ -29,7 +29,6 @@ from .stats import CohortTable
 from .synth import NoiseSpec, PhantomSpec, ShapeSpec
 from .volumes import (
     LabelVolume,
-    McSample,
     McSampleSet,
     ProbMapStack,
     StructureRegistry,
@@ -498,10 +497,11 @@ def read_sample_set(
     voxel uncertainty reflects the stored soft predictions instead of
     degenerate one-hot indicators. The label files are decoded first;
     then the set's memoised :func:`validate_sample_set` report is taken.
-    It checks the label volumes before the maps, so a bad label file is
-    refused before any probability file is decoded; otherwise its pass
-    over the maps (:attr:`McSampleSet.prob_pass`) decodes each
-    probability file once, a sample at a time. Any violation raises one
+    It checks the set's structure (N >= 2, each label file's grid and
+    ids) before the maps, so a structural fault is refused before any
+    probability file is decoded; otherwise its pass over the maps
+    (:attr:`McSampleSet.prob_pass`) decodes each probability file once,
+    a sample at a time. Any violation raises one
     ValidationError listing them all, each sample's prefixed with its
     label file; a probability file that is missing or on another grid
     than its label file raises while it is decoded.
@@ -510,21 +510,19 @@ def read_sample_set(
         raise ValidationError(
             f"got {len(prob_paths)} probability entries for {len(label_paths)} samples"
         )
-    samples = []
+    labels, probs = [], None if prob_paths is None else []
     for i, p in enumerate(label_paths):
-        labels = read_label_nifti(p)
-        probs = None
-        if prob_paths is not None:
+        labels.append(read_label_nifti(p))
+        if probs is not None:
             stack_paths = list(prob_paths[i])
             if len(stack_paths) != len(registry.ids):
                 raise ValidationError(
                     f"sample {i}: {len(stack_paths)} probability volumes for "
                     f"{len(registry.ids)} registry entries"
                 )
-            probs = _NiftiProbMapStack(labels.geometry, registry.ids, stack_paths, p)
-        samples.append(McSample(labels=labels, probs=probs))
-    sample_set = McSampleSet(geometry=samples[0].labels.geometry if samples else None,
-                             registry=registry, samples=tuple(samples))
+            probs.append(_NiftiProbMapStack(labels[i].geometry, registry.ids, stack_paths, p))
+    sample_set = McSampleSet(geometry=labels[0].geometry if labels else None,
+                             registry=registry, labels=labels, probs=probs)
     if sample_set.violations:
         raise ValidationError("; ".join(
             str(v) if v.sample_index is None else f"{label_paths[v.sample_index]}: {v}"

@@ -209,7 +209,7 @@ def _count_labels(sample_set: McSampleSet, gt: LabelVolume | None = None) -> tup
     """
     labels = [sample_set.sample_labels(i) for i in range(sample_set.n)]
     registry = sample_set.registry
-    vote = sample_set.kind == "labels"
+    vote = sample_set.probs is None
     consensus = None if vote else consensus_segmentation(sample_set)
     # the vote is always some sample's label, so no wider than the samples
     top = min(registry.max_id, max(np.iinfo(a.dtype).max for a in labels))
@@ -246,7 +246,7 @@ def voxel_uncertainty(sample_set: McSampleSet, normalize: bool = False) -> np.nd
     values comparable across sets of different size; off by default.
     """
     require_valid(sample_set)
-    if sample_set.kind == "labels":
+    if sample_set.probs is None:
         values = np.zeros(sample_set.geometry.dims, dtype=np.float64)
     else:
         values = sample_set.prob_pass.entropy  # read-only: shared, not copied
@@ -265,13 +265,13 @@ def structure_uncertainty(sample_set: McSampleSet, label_id: int) -> np.ndarray:
     if label_id not in sample_set.registry:
         raise ValidationError(f"label id {label_id} not in registry")
     values = np.zeros(sample_set.geometry.dims, dtype=np.float64)
-    if sample_set.kind == "labels":
+    if sample_set.probs is None:
         return values
     from scipy.special import xlogy
 
     k = sample_set.registry.ids.index(label_id)
-    for s in sample_set.samples:
-        p = s.probs.load_map(k)
+    for stack in sample_set.probs:
+        p = stack.load_map(k)
         values -= xlogy(p, p, dtype=np.float64)
     np.maximum(values, 0.0, out=values)
     return values
@@ -286,7 +286,7 @@ def consensus_segmentation(sample_set: McSampleSet) -> LabelVolume:
     its maps.
     """
     require_valid(sample_set)
-    if sample_set.kind == "labels":
+    if sample_set.probs is None:
         return _count_labels(sample_set)[2]
     return _consensus_volume(sample_set.geometry, sample_set.prob_pass.consensus)
 
@@ -350,7 +350,7 @@ def structure_report(
             raise ValidationError(f"ground-truth label ids {unknown} not in registry")
 
     inter, (cons_counts, gt_counts, agree_counts), consensus = _count_labels(sample_set, gt)
-    label_only = sample_set.kind == "labels"
+    label_only = sample_set.probs is None
     # the uncertainty map of a label-only set is all zero; not built
     unc = None if label_only else voxel_uncertainty(sample_set, normalize=normalize)
     vox = sample_set.geometry.voxel_volume

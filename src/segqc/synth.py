@@ -35,7 +35,6 @@ import numpy as np
 from .stats import CohortTable
 from .volumes import (
     LabelVolume,
-    McSample,
     McSampleSet,
     ProbMapStack,
     StructureRegistry,
@@ -290,9 +289,9 @@ def sample_mc(
     Each sample starts from the ground truth, flips boundary voxels per
     structure (inward flips go to the dominant differing neighbor, outward
     flips claim the adjacent voxel), then erodes or dilates each structure
-    by the configured radius at a fair coin. With ``with_probs`` each
-    sample also carries the maps :func:`soft_probs` makes of its labels;
-    otherwise samples are label-only. The ground truth's ids and the
+    by the configured radius at a fair coin. With ``with_probs`` the set
+    also carries the maps :func:`soft_probs` makes of each sample's
+    labels; otherwise it is label-only. The ground truth's ids and the
     background must lie in 0..65535; registry ids the ground truth does
     not use may be larger. The first call imports ``scipy.ndimage``: a
     caller that runs this on pool threads imports it first.
@@ -350,10 +349,9 @@ def sample_mc(
                     else:
                         grown = ndimage.binary_dilation(mask, _STRUCT6, iterations=r)
                         vol[grown & (vol == bg)] = lid
-        label_vol = LabelVolume(gt.geometry, vol.astype(dtype))
-        probs = soft_probs(label_vol, registry, noise) if with_probs else None
-        samples.append(McSample(labels=label_vol, probs=probs))
-    return McSampleSet(geometry=gt.geometry, registry=registry, samples=tuple(samples))
+        samples.append(LabelVolume(gt.geometry, vol.astype(dtype)))
+    probs = [soft_probs(s, registry, noise) for s in samples] if with_probs else None
+    return McSampleSet(geometry=gt.geometry, registry=registry, labels=samples, probs=probs)
 
 
 def make_cohort(

@@ -1,10 +1,13 @@
 """Domain types for label volumes, structure registries, and MC sample sets.
 
 All types are immutable after construction. Construction checks each
-part on its own (shapes, dtypes, registry ids); the rules that relate
-the parts of a sample set are :func:`validate_sample_set`'s, which lists
-every violation instead of stopping at the first. Because a set and all
-its parts are immutable, that report is computed once and memoised
+part on its own (shapes, dtypes, registry ids) and a sample set's shape:
+its N samples are all of one kind, a tuple of label volumes, one of
+probability stacks, or both tuples paired by position. The rules that
+relate the parts of a set are :func:`validate_sample_set`'s, which lists
+every violation instead of stopping at the first and checks the set's
+structure before it reads any map. Because a set and all its parts are
+immutable, that report is computed once and memoised
 (:attr:`McSampleSet.violations`): :func:`segqc.io.read_sample_set`
 raises it when a set is read, and metric operations refuse to run on an
 invalid set. So is the one pass over its probability maps that both
@@ -104,7 +107,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     else:
         if base is None or isinstance(base, bytes):
             return arr
-    arr = arr.copy()
+    arr = arr.copy(order="K")
     arr.flags.writeable = False
     return arr
 
@@ -364,49 +367,41 @@ def _argmax_labels(maps: Sequence[np.ndarray], label_ids: Sequence[int],
 
 
 @dataclass(frozen=True)
-class McSample:
-    """One MC segmentation sample: labels, probability maps, or both."""
-
-    labels: LabelVolume | None = None
-    probs: ProbMapStack | None = None
-
-    def __post_init__(self):
-        if self.labels is None and self.probs is None:
-            raise ValidationError("a sample needs labels, probability maps, or both")
-
-    @property
-    def kind(self) -> str:
-        if self.labels is not None and self.probs is not None:
-            return "both"
-        return "labels" if self.labels is not None else "probs"
-
-
-@dataclass(frozen=True)
 class McSampleSet:
-    """Ordered collection of MC samples sharing one grid and registry."""
+    """N MC samples of one scan on one grid and registry, all of one kind.
+
+    ``labels`` holds each sample's label volume and ``probs`` its
+    probability maps; either may be None, not both. When both are given,
+    ``labels[i]`` and ``probs[i]`` are sample ``i``, so the two tuples
+    must be equally long.
+    """
 
     geometry: VoxelGeometry
     registry: StructureRegistry
-    samples: tuple[McSample, ...]
+    labels: tuple[LabelVolume, ...] | None = None
+    probs: tuple[ProbMapStack, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        if not self.samples:
+        if self.labels is None and self.probs is None:
+            raise ValidationError("a sample set needs labels, probability maps, or both")
+        for name in ("labels", "probs"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
+        both = self.labels is not None and self.probs is not None
+        if both and len(self.labels) != len(self.probs):
+            raise ValidationError(f"got {len(self.probs)} probability stacks for "
+                                  f"{len(self.labels)} label volumes")
+        if not self.n:
             raise ValidationError("sample set must contain at least one sample")
 
     @property
     def n(self) -> int:
-        return len(self.samples)
-
-    @property
-    def kind(self) -> str:
-        return self.samples[0].kind
+        return len(self.labels if self.labels is not None else self.probs)
 
     def sample_labels(self, i: int) -> np.ndarray:
         """Label array for sample ``i`` (argmax of its maps if label-free)."""
-        s = self.samples[i]
-        if s.labels is not None:
-            return s.labels.data
+        if self.labels is not None:
+            return self.labels[i].data
         return self.prob_pass.labels[i]
 
     @cached_property
@@ -416,7 +411,8 @@ class McSampleSet:
 
     @cached_property
     def prob_pass(self) -> ProbPass:
-        """The one pass over the probability maps, computed on first use."""
+        """The one pass over the probability maps, computed on first use;
+        :func:`validate_sample_set` reads it once the set's structure holds."""
         return _prob_pass(self)
 
 
@@ -426,17 +422,17 @@ class ProbPass:
 
     checks     -- per sample, its stack's normalisation messages
     mismatches -- per sample, the voxels where its labels differ from the
-                  argmax of its maps (0 unless both sit on the set's grid)
+                  argmax of its maps (0 for a probability-only set)
     labels     -- per sample, the argmax labels of a probability-only
-                  sample, else None
+                  set, else None
     entropy    -- sum over samples, then structures in registry order, of
                   -p*ln(p), clipped at 0; C-order float64
     consensus  -- argmax of the per-structure mean over samples, ties to
                   the lowest id
 
-    ``entropy`` and ``consensus`` are None unless every sample carries
-    well-formed maps for the registry on the set's grid; a set without
-    them is invalid, so no metric reads them.
+    ``entropy`` and ``consensus`` are None unless every sample's maps
+    pass their checks; a set without them is invalid, so no metric reads
+    them. A label-only set's pass is empty.
     """
 
     checks: tuple[tuple[str, ...], ...]
@@ -449,6 +445,10 @@ class ProbPass:
 def _prob_pass(sample_set: McSampleSet) -> ProbPass:
     """Load each sample's maps once, in ascending sample order, and fold
     them into float64 sums.
+
+    The set's structure must be valid, as :func:`validate_sample_set`
+    checks before it runs this pass: every stack on the set's grid, with
+    the registry's ids in its order, and each label volume on that grid.
 
     Per voxel the additions run in the order of a per-structure loop
     over samples (the mean) and of a per-sample loop over structures (the
@@ -465,40 +465,33 @@ def _prob_pass(sample_set: McSampleSet) -> ProbPass:
     A sample that fails its checks turns the fold off, which drops the
     terms it added.
     """
-    geometry = sample_set.geometry
     ids = sample_set.registry.ids
-    fold = all(s.probs is not None and s.probs.geometry == geometry
-               and s.probs.label_ids == ids for s in sample_set.samples)
+    fold = sample_set.probs is not None
     if fold:  # the entropy's xlogy: imported on this thread, never first on a pool's
         import scipy.special  # noqa: F401
+    slabs = _slabs(sample_set.geometry.dims)
+    workers = min(_thread_cap(2), len(slabs))
     entropy, sums = None, []
     checks, mismatches, labels = [], [], []
-    for s in sample_set.samples:
-        msgs, differ, own = (), 0, None
-        if s.probs is not None:
-            slabs = _slabs(s.probs.geometry.dims)
-            workers = min(_thread_cap(2), len(slabs))
-            maps = _parallel(s.probs.load_map, range(len(s.probs.label_ids)), workers)
-            if fold and entropy is None:
-                entropy = np.zeros_like(maps[0], dtype=np.float64)
-                sums = [np.zeros_like(m, dtype=np.float64) for m in maps]
-            best = np.empty_like(maps[0], dtype=_id_dtype(s.probs.label_ids))
-            truth = (s.labels.data if s.labels is not None
-                     and s.labels.geometry == geometry == s.probs.geometry else None)
-            parts = _parallel(partial(
-                _fold_slab, maps, label_ids=s.probs.label_ids, best=best, truth=truth,
-                entropy=entropy if fold else None, sums=sums), slabs, workers)
-            del maps  # freed before the next sample is decoded
-            bounds, errs, differs = zip(*parts)
-            msgs = tuple(_check_messages(np.array(bounds), np.max(errs)))
-            differ = sum(differs)
-            if s.labels is None:
-                best.flags.writeable = False
-                own = best
-            fold = fold and not msgs
+    for i, stack in enumerate(sample_set.probs or ()):
+        maps = _parallel(stack.load_map, range(len(stack.label_ids)), workers)
+        if entropy is None:
+            entropy = np.zeros_like(maps[0], dtype=np.float64)
+            sums = [np.zeros_like(m, dtype=np.float64) for m in maps]
+        best = np.empty_like(maps[0], dtype=_id_dtype(stack.label_ids))
+        truth = None if sample_set.labels is None else sample_set.labels[i].data
+        parts = _parallel(partial(
+            _fold_slab, maps, label_ids=stack.label_ids, best=best, truth=truth,
+            entropy=entropy if fold else None, sums=sums), slabs, workers)
+        del maps  # freed before the next sample is decoded
+        bounds, errs, differs = zip(*parts)
+        msgs = tuple(_check_messages(np.array(bounds), np.max(errs)))
         checks.append(msgs)
-        mismatches.append(differ)
-        labels.append(own)
+        mismatches.append(sum(differs))
+        if truth is None:  # a probability-only set's labels are its argmax
+            best.flags.writeable = False
+        labels.append(best if truth is None else None)
+        fold = fold and not msgs
 
     consensus = None
     if not fold:
@@ -558,73 +551,54 @@ def validate_sample_set(sample_set: McSampleSet) -> list[Violation]:
 
     Pure and side-effect free: repeated calls on the same set yield the
     same report. An empty report means the set is safe for all metric
-    operations. The probability maps are read (:attr:`McSampleSet.prob_pass`)
-    only when every label volume passes: a bad one makes the set invalid
-    whatever the maps hold, so its file is refused without decoding them.
+    operations. The structure is checked first: N >= 2, and each label
+    volume's and each probability stack's grid and ids. The probability
+    maps are read (:attr:`McSampleSet.prob_pass`) only when all of that
+    holds, so a set with a structural fault is refused without decoding
+    any map, and its report lists no map message.
     """
     out: list[Violation] = []
+    geometry, registry = sample_set.geometry, sample_set.registry
     if sample_set.n < 2:
         out.append(Violation("sample_count", f"need N >= 2 samples, got {sample_set.n}"))
+    for i, vol in enumerate(sample_set.labels or ()):
+        if vol.geometry != geometry:
+            out.append(Violation(
+                "geometry",
+                f"label dims {vol.geometry.dims} spacing {vol.geometry.spacing} do not "
+                f"match set geometry {geometry.dims} {geometry.spacing}",
+                i,
+            ))
+        elif unknown := vol.check_labels(registry):
+            out.append(Violation("labels", f"label ids {unknown} not in registry", i))
+    for i, stack in enumerate(sample_set.probs or ()):
+        if stack.geometry != geometry:
+            out.append(Violation(
+                "geometry",
+                f"probability map dims {stack.geometry.dims} do not match "
+                f"set geometry {geometry.dims}",
+                i,
+            ))
+        if stack.label_ids != registry.ids:
+            out.append(Violation(
+                "prob_labels",
+                "probability stack labels do not match the registry "
+                f"({stack.label_ids} vs {registry.ids})",
+                i,
+            ))
+    if out or sample_set.probs is None:
+        return out
 
-    kinds = {s.kind for s in sample_set.samples}
-    if len(kinds) > 1:
-        out.append(
-            Violation("sample_kind", f"mixed sample kinds {sorted(kinds)}; must be homogeneous")
-        )
-
-    n_set_faults = len(out)
-    for i, s in enumerate(sample_set.samples):
-        if s.labels is None:
-            continue
-        if s.labels.geometry != sample_set.geometry:
-            out.append(
-                Violation(
-                    "geometry",
-                    f"label dims {s.labels.geometry.dims} spacing "
-                    f"{s.labels.geometry.spacing} do not match set geometry "
-                    f"{sample_set.geometry.dims} {sample_set.geometry.spacing}",
-                    i,
-                )
-            )
-        else:
-            unknown = s.labels.check_labels(sample_set.registry)
-            if unknown:
-                out.append(Violation("labels", f"label ids {unknown} not in registry", i))
-
-    registry_ids = tuple(sample_set.registry.ids)
-    prob_pass = sample_set.prob_pass if len(out) == n_set_faults else None
-    for i, s in enumerate(sample_set.samples):
-        if s.probs is not None:
-            if s.probs.geometry != sample_set.geometry:
-                out.append(
-                    Violation(
-                        "geometry",
-                        f"probability map dims {s.probs.geometry.dims} do not match "
-                        f"set geometry {sample_set.geometry.dims}",
-                        i,
-                    )
-                )
-            if s.probs.label_ids != registry_ids:
-                out.append(
-                    Violation(
-                        "prob_labels",
-                        "probability stack labels do not match the registry "
-                        f"({s.probs.label_ids} vs {registry_ids})",
-                        i,
-                    )
-                )
-        if prob_pass is None:
-            continue
+    prob_pass = sample_set.prob_pass
+    for i in range(sample_set.n):
         for msg in prob_pass.checks[i]:
             out.append(Violation("prob_normalization", msg, i))
         # consensus follows the maps while CV and MC Dice follow the
         # labels, so the two must describe the same segmentation
-        differ = prob_pass.mismatches[i]
-        if differ:
+        if differ := prob_pass.mismatches[i]:
             out.append(Violation(
                 "label_prob_mismatch",
-                f"labels differ from the argmax of the probability maps "
-                f"at {differ} voxels",
+                f"labels differ from the argmax of the probability maps at {differ} voxels",
                 i,
             ))
     return out

@@ -36,7 +36,6 @@ from segqc.synth import (
 )
 from segqc.volumes import (
     LabelVolume,
-    McSample,
     McSampleSet,
     ProbMapStack,
     StructureRegistry,
@@ -106,10 +105,8 @@ def a3_registry(n_labels):
 
 
 def probs_only_set(stacks, geometry, registry):
-    samples = tuple(
-        McSample(probs=ProbMapStack(geometry, registry.ids, m)) for m in stacks
-    )
-    return McSampleSet(geometry=geometry, registry=registry, samples=samples)
+    probs = tuple(ProbMapStack(geometry, registry.ids, m) for m in stacks)
+    return McSampleSet(geometry=geometry, registry=registry, probs=probs)
 
 
 def test_a3_entropy_oracle_and_bound():
@@ -290,7 +287,7 @@ def test_a7_dice_bruteforce():
             arrays = [np.where(a == n_labels - 1, 0, a).astype(np.uint8) for a in arrays]
         ss = McSampleSet(
             geometry=geom, registry=reg,
-            samples=tuple(McSample(labels=LabelVolume(geom, a)) for a in arrays),
+            labels=tuple(LabelVolume(geom, a) for a in arrays),
         )
         report = structure_report(ss)
         for lid in range(1, n_labels):

@@ -5,7 +5,7 @@ from types import ModuleType
 import segqc
 
 PUBLIC = {
-    "CohortTable", "CollinearityError", "LabelVolume", "McSample", "McSampleSet",
+    "CohortTable", "CollinearityError", "LabelVolume", "McSampleSet",
     "NiftiFormatError", "NoiseSpec", "OrientationInfo", "PhantomSpec", "ProbMapStack",
     "ShapeSpec", "StructureMetrics", "StructureRegistry", "StructureReport",
     "ValidationError", "VoxelGeometry", "consensus_segmentation",
@@ -27,6 +27,6 @@ def test_star_import_binds_the_public_names_and_no_submodule():
     namespace = {}
     exec("from segqc import *", namespace)
     del namespace["__builtins__"]
-    assert len(PUBLIC) == 50 and set(namespace) == PUBLIC
+    assert len(PUBLIC) == 49 and set(namespace) == PUBLIC
     assert not any(isinstance(v, ModuleType) for v in namespace.values())
     assert all(getattr(segqc, name) is value for name, value in namespace.items())

@@ -236,11 +236,11 @@ def test_simulate_with_probs_writes_stacks(configs):
     spec = read_phantom_json(phantom)
     registry = registry_for_phantom(spec)
     want = sample_mc(make_phantom(spec), registry, read_noise_json(noise)[0][1])
-    for i, sample in enumerate(want.samples):
+    for i, stack in enumerate(want.probs):
         for k, lid in enumerate(registry.ids):
             got = read_nifti(out / f"prob_{i:03d}_label_{lid}.nii.gz").data
             assert got.dtype == np.float32
-            assert np.array_equal(got, sample.probs.maps[k].astype(np.float32))
+            assert np.array_equal(got, stack.maps[k].astype(np.float32))
 
 
 # -- metrics / consensus ---------------------------------------------------------

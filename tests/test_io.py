@@ -525,9 +525,9 @@ def write_sample_files(tmp_path, n=3, noise=0.2):
     ss = sample_mc(gt, reg, NoiseSpec(n_samples=n, default_flip_prob=noise, seed=1),
                    with_probs=False)
     paths = []
-    for i, s in enumerate(ss.samples):
+    for i, s in enumerate(ss.labels):
         p = tmp_path / f"sample_{i:03d}.nii"
-        write_nifti(p, s.labels)
+        write_nifti(p, s)
         paths.append(p)
     gt_path = tmp_path / "gt.nii"
     write_nifti(gt_path, gt)
@@ -538,8 +538,8 @@ def test_read_sample_set_matches_in_memory(tmp_path):
     paths, _, reg, ss = write_sample_files(tmp_path)
     loaded = read_sample_set(paths, reg)
     assert loaded.n == ss.n
-    for a, b in zip(loaded.samples, ss.samples):
-        assert np.array_equal(a.labels.data, b.labels.data)
+    for a, b in zip(loaded.labels, ss.labels):
+        assert np.array_equal(a.data, b.data)
 
 
 def test_read_sample_set_validates_geometry(tmp_path):

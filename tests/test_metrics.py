@@ -25,7 +25,6 @@ from segqc.metrics import (
 )
 from segqc.volumes import (
     LabelVolume,
-    McSample,
     McSampleSet,
     ProbMapStack,
     StructureRegistry,
@@ -44,19 +43,16 @@ def geom(*dims):
 
 def label_set(arrays, registry=REG):
     g = VoxelGeometry(np.asarray(arrays[0]).shape, (1.0, 1.0, 1.0))
-    samples = tuple(
-        McSample(labels=LabelVolume(g, np.asarray(a, dtype=np.int64))) for a in arrays
-    )
-    return McSampleSet(geometry=g, registry=registry, samples=samples)
+    labels = tuple(LabelVolume(g, np.asarray(a, dtype=np.int64)) for a in arrays)
+    return McSampleSet(geometry=g, registry=registry, labels=labels)
 
 
 def prob_set(stacks, registry=REG):
     g = VoxelGeometry(np.asarray(stacks[0]).shape[1:], (1.0, 1.0, 1.0))
-    samples = tuple(
-        McSample(probs=ProbMapStack(geometry=g, label_ids=registry.ids, maps=np.asarray(s)))
-        for s in stacks
+    probs = tuple(
+        ProbMapStack(geometry=g, label_ids=registry.ids, maps=np.asarray(s)) for s in stacks
     )
-    return McSampleSet(geometry=g, registry=registry, samples=samples)
+    return McSampleSet(geometry=g, registry=registry, probs=probs)
 
 
 def random_prob_stacks(rng, n_samples=3, n_labels=3, dims=(4, 4, 4)):
@@ -109,7 +105,7 @@ def test_uncertainty_needs_two_samples():
     g = geom(2, 2, 2)
     ss = McSampleSet(
         geometry=g, registry=REG,
-        samples=(McSample(probs=ProbMapStack(geometry=g, label_ids=REG.ids, maps=stack)),),
+        probs=(ProbMapStack(geometry=g, label_ids=REG.ids, maps=stack),),
     )
     with pytest.raises(ValidationError, match="N >= 2"):
         voxel_uncertainty(ss)
@@ -188,7 +184,7 @@ def test_sample_structure_volumes_counts():
     g = VoxelGeometry((4, 4, 4), (2.0, 2.0, 2.0))
     ss = McSampleSet(
         geometry=g, registry=REG,
-        samples=(McSample(labels=LabelVolume(g, a)), McSample(labels=LabelVolume(g, b))),
+        labels=(LabelVolume(g, a), LabelVolume(g, b)),
     )
     s1 = structure_report(ss).by_id(1)
     assert s1.mean_volume == 7.0 * 8.0
@@ -491,8 +487,8 @@ def test_bit_plane_counts_at_word_boundaries(dtype, registry, n):
         flats[:, where] = ids[pick]
         assert np.count_nonzero((flats != flats[0]).any(axis=0)) == d
         arrays = [f.astype(dtype).reshape(dims, order="F") for f in flats]
-        ss = McSampleSet(geometry=g, registry=registry, samples=tuple(
-            McSample(labels=LabelVolume(g, a)) for a in arrays))
+        ss = McSampleSet(geometry=g, registry=registry,
+                         labels=tuple(LabelVolume(g, a) for a in arrays))
         gt = LabelVolume(g, np.roll(arrays[-1], 1))
         inter, counts, consensus = metrics._count_labels(ss, gt)
         assert np.array_equal(inter, pair_counts_oracle(arrays, registry))
@@ -553,6 +549,25 @@ def test_report_memory_bounded_for_sparse_registry():
     assert np.array_equal(rep.consensus.data, oracles.majority_vote_oracle(arrays))
 
 
+def test_writeable_fortran_labels_keep_their_layout():
+    # a writeable volume is copied in its own layout: F-ordered samples stay
+    # F-ordered, so each z-slab of the counting pass flattens to a view
+    rng = np.random.default_rng(21)
+    arrays = [np.asfortranarray(rng.integers(0, 3, (6, 5, 4))) for _ in range(4)]
+    twins = [a.copy(order="F") for a in arrays]
+    for t in twins:
+        t.flags.writeable = False
+    ss, twin = label_set(arrays), label_set(twins)
+    for vol, a, t in zip(ss.labels, arrays, twins):
+        assert vol.data.flags.f_contiguous and not vol.data.flags.c_contiguous
+        assert not np.shares_memory(vol.data, a)
+    assert all(vol.data is t for vol, t in zip(twin.labels, twins))
+    gt = LabelVolume(ss.geometry, arrays[0])
+    assert structure_report(ss, gt) == structure_report(twin, gt)
+    assert np.array_equal(structure_report(ss).consensus.data,
+                          structure_report(twin).consensus.data)
+
+
 def test_unused_large_id_keeps_the_vote_narrow():
     # uint8 samples cannot hold the id 1e6, so the vote stays uint16; an
     # int64 vote buffer at 128^3 (one counting chunk) costs 16 MiB
@@ -570,7 +585,7 @@ def test_unused_large_id_keeps_the_vote_narrow():
     sparse = StructureRegistry(entries=REG.entries + ((1_000_000, "far"),), background_id=0)
     g = geom(128, 128, 128)
     ss = McSampleSet(geometry=g, registry=sparse,
-                     samples=tuple(McSample(labels=LabelVolume(g, a)) for a in arrays))
+                     labels=tuple(LabelVolume(g, a) for a in arrays))
     assert not ss.violations  # validated before the measurement
     tracemalloc.start()
     try:
@@ -761,7 +776,7 @@ def test_prob_pass_is_bit_identical_to_per_structure_loops(seed, n, k, dtype, fo
         want = np_argmax_labels(maps, ids)
         assert np.array_equal(ss.sample_labels(i), want)
         assert np.array_equal(volumes._argmax_labels(maps, ids), want)
-        assert ss.prob_pass.checks[i] == tuple(ss.samples[i].probs.violations())
+        assert ss.prob_pass.checks[i] == tuple(ss.probs[i].violations())
 
 
 def test_prob_pass_loads_each_sample_once():
@@ -777,14 +792,14 @@ def test_prob_pass_loads_each_sample_once():
 
     rng = np.random.default_rng(3)
     g = geom(4, 4, 4)
-    ss = McSampleSet(geometry=g, registry=REG, samples=tuple(
-        McSample(probs=CountingStack(geometry=g, label_ids=REG.ids, maps=s))
+    ss = McSampleSet(geometry=g, registry=REG, probs=tuple(
+        CountingStack(geometry=g, label_ids=REG.ids, maps=s)
         for s in random_prob_stacks(rng, n_samples=4)
     ))
     rep = structure_report(ss, normalize=True)
     consensus_segmentation(ss)
     voxel_uncertainty(ss)
-    want = [(id(s.probs), k) for s in ss.samples for k in range(len(REG.ids))]
+    want = [(id(s), k) for s in ss.probs for k in range(len(REG.ids))]
     assert sorted(loads) == sorted(want)
     assert [sample for sample, _ in loads] == [sample for sample, _ in want]
     assert np.array_equal(rep.consensus.data, consensus_segmentation(ss).data)
@@ -805,24 +820,24 @@ def test_prob_pass_holds_one_sample_of_maps(monkeypatch, threads):
     monkeypatch.setenv("SEGQC_THREADS", threads)
     g = geom(4, 4, 4)
     stacks = random_prob_stacks(np.random.default_rng(6), n_samples=4)
-    ss = McSampleSet(geometry=g, registry=REG, samples=tuple(
-        McSample(probs=TrackingStack(geometry=g, label_ids=REG.ids, maps=s)) for s in stacks))
+    ss = McSampleSet(geometry=g, registry=REG, probs=tuple(
+        TrackingStack(geometry=g, label_ids=REG.ids, maps=s) for s in stacks))
     assert not ss.violations
     assert len(alive) == 4 * 3 and max(alive) < 3
 
 
-def slabbed_pass(samples, registry, threads):
-    """The probability pass of a fresh set of ``samples`` in z-slabs of two
-    planes of the 3 x 4 grid, on ``threads`` threads, with a short switch
-    interval that would expose a lost write."""
-    g = samples[0].probs.geometry
+def slabbed_pass(probs, registry, threads, labels=None):
+    """The probability pass of a fresh set of ``probs`` (and ``labels``) in
+    z-slabs of two planes of the 3 x 4 grid, on ``threads`` threads, with a
+    short switch interval that would expose a lost write."""
+    g = probs[0].geometry
     interval = sys.getswitchinterval()
     with pytest.MonkeyPatch.context() as m:
         m.setattr(volumes, "_SLAB", 24)
         m.setenv("SEGQC_THREADS", threads)
         sys.setswitchinterval(1e-6)
         try:
-            return McSampleSet(geometry=g, registry=registry, samples=samples).prob_pass
+            return McSampleSet(g, registry, labels, probs).prob_pass
         finally:
             sys.setswitchinterval(interval)
 
@@ -851,8 +866,8 @@ def test_prob_pass_is_the_same_for_any_slabbing(threads, dtype, fortran):
         stack[:, 0, 0, :] = np.eye(3)[rng.integers(0, 3, size=7)].T  # exact zero terms
         stack = stack.astype(dtype)
         stacks.append(np.asfortranarray(stack) if fortran else stack)
-    samples = tuple(McSample(probs=ProbMapStack(geom(*dims), ids, s)) for s in stacks)
-    got = slabbed_pass(samples, reg, threads)
+    probs = tuple(ProbMapStack(geom(*dims), ids, s) for s in stacks)
+    got = slabbed_pass(probs, reg, threads)
     assert_same_pass(got, prob_set(stacks, reg).prob_pass)
     assert np.array_equal(got.entropy, loop_entropy(stacks))
     assert np.array_equal(got.consensus, loop_mean_argmax(stacks, ids))
@@ -872,10 +887,10 @@ def test_prob_pass_finds_faults_in_the_last_slab(threads):
     stacks[2][:, 0, 3, 6] = (-0.25, 1.25, 0.0)  # sums to 1, out of range
     stacks[3][:, 2, 1, 6] *= 1.001  # in range, sums to 1.001
     stacks[4][0, 1, 1, 6] = np.inf
-    samples = tuple(McSample(probs=ProbMapStack(geom(*dims), REG.ids, s)) for s in stacks)
-    got = slabbed_pass(samples, REG, threads)
+    probs = tuple(ProbMapStack(geom(*dims), REG.ids, s) for s in stacks)
+    got = slabbed_pass(probs, REG, threads)
     assert_same_pass(got, prob_set(stacks).prob_pass)
-    assert got.checks == tuple(tuple(s.probs.violations()) for s in samples)
+    assert got.checks == tuple(tuple(s.violations()) for s in probs)
     assert got.checks[0] == ()
     assert got.checks[1] == got.checks[4] == ("probability maps contain non-finite values",)
     assert got.checks[2] == ("probability values outside [0, 1] (range -0.25..1.25)",)
@@ -890,15 +905,15 @@ def test_prob_pass_counts_mismatches_in_later_slabs(threads):
     rng = np.random.default_rng(13)
     stacks = random_prob_stacks(rng, n_samples=3, dims=dims)
     ids = np.array(REG.ids)
-    samples = []
+    vols = []
     for i, stack in enumerate(stacks):
         labels = ids[np.argmax(stack, axis=0)]
         labels[:, :, 4 + i % 3:] = (labels[:, :, 4 + i % 3:] + 1) % 3  # 12 voxels a plane
-        samples.append(McSample(labels=LabelVolume(geom(*dims), labels),
-                                probs=ProbMapStack(geom(*dims), REG.ids, stack)))
-    got = slabbed_pass(tuple(samples), REG, threads)
+        vols.append(LabelVolume(geom(*dims), labels))
+    probs = tuple(ProbMapStack(geom(*dims), REG.ids, stack) for stack in stacks)
+    got = slabbed_pass(probs, REG, threads, labels=vols)
     assert got.mismatches == (36, 24, 12)
-    assert_same_pass(got, McSampleSet(geom(*dims), REG, tuple(samples)).prob_pass)
+    assert_same_pass(got, McSampleSet(geom(*dims), REG, vols, probs).prob_pass)
 
 
 @pytest.mark.parametrize("env, slab, workers", [

@@ -47,11 +47,11 @@ print(json.dumps({"code": code, "scipy": mods, "at_submit": at_submit}))
 # A probability pass over two samples of two z-slabs each.
 _PROB_PASS_PROBE = _NOTE_SUBMITS + """
 import numpy as np
-from segqc.volumes import McSample, McSampleSet, ProbMapStack, StructureRegistry, VoxelGeometry
+from segqc.volumes import McSampleSet, ProbMapStack, StructureRegistry, VoxelGeometry
 geom = VoxelGeometry((64, 64, 40), (1.0, 1.0, 1.0))
 p = np.random.default_rng(0).random((2, *geom.dims))
-samples = [McSample(probs=ProbMapStack(geom, (0, 1), np.stack([q, 1 - q]))) for q in p]
-sample_set = McSampleSet(geom, StructureRegistry(((0, "bg"), (1, "a")), 0), samples)
+probs = [ProbMapStack(geom, (0, 1), np.stack([q, 1 - q])) for q in p]
+sample_set = McSampleSet(geom, StructureRegistry(((0, "bg"), (1, "a")), 0), probs=probs)
 assert not sample_set.violations and sample_set.prob_pass.entropy is not None
 print(json.dumps({"at_submit": at_submit}))
 """

@@ -96,10 +96,10 @@ def test_zero_noise_reproduces_ground_truth_exactly():
     gt = make_phantom(spec)
     reg = registry_for_phantom(spec)
     ss = sample_mc(gt, reg, NoiseSpec(n_samples=4, seed=7))
-    for s in ss.samples:
-        assert np.array_equal(s.labels.data, gt.data)
+    for labels, probs in zip(ss.labels, ss.probs, strict=True):
+        assert np.array_equal(labels.data, gt.data)
         # probability maps are exact one-hot
-        assert set(np.unique(s.probs.maps)) == {0.0, 1.0}
+        assert set(np.unique(probs.maps)) == {0.0, 1.0}
     assert np.array_equal(consensus_segmentation(ss).data, gt.data)
 
 
@@ -110,9 +110,10 @@ def test_sampler_is_deterministic():
     noise = NoiseSpec(n_samples=3, default_flip_prob=0.25, seed=42)
     a = sample_mc(gt, reg, noise)
     b = sample_mc(gt, reg, noise)
-    for sa, sb in zip(a.samples, b.samples):
-        assert np.array_equal(sa.labels.data, sb.labels.data)
-        assert np.array_equal(sa.probs.maps, sb.probs.maps)
+    for la, lb in zip(a.labels, b.labels, strict=True):
+        assert np.array_equal(la.data, lb.data)
+    for pa, pb in zip(a.probs, b.probs, strict=True):
+        assert np.array_equal(pa.maps, pb.maps)
 
 
 def test_sample_streams_stable_under_sample_count():
@@ -124,8 +125,8 @@ def test_sample_streams_stable_under_sample_count():
                     with_probs=False)
     many = sample_mc(gt, reg, NoiseSpec(n_samples=8, default_flip_prob=0.3, seed=11),
                      with_probs=False)
-    for sa, sb in zip(few.samples, many.samples):
-        assert np.array_equal(sa.labels.data, sb.labels.data)
+    for sa, sb in zip(few.labels, many.labels):
+        assert np.array_equal(sa.data, sb.data)
 
 
 def test_noise_actually_perturbs():
@@ -134,7 +135,7 @@ def test_noise_actually_perturbs():
     reg = registry_for_phantom(spec)
     ss = sample_mc(gt, reg, NoiseSpec(n_samples=4, default_flip_prob=0.3, seed=3),
                    with_probs=False)
-    assert any(not np.array_equal(s.labels.data, gt.data) for s in ss.samples)
+    assert any(not np.array_equal(s.data, gt.data) for s in ss.labels)
 
 
 def test_prob_argmax_matches_labels_under_noise():
@@ -143,10 +144,10 @@ def test_prob_argmax_matches_labels_under_noise():
     reg = registry_for_phantom(spec)
     ss = sample_mc(gt, reg, NoiseSpec(n_samples=3, default_flip_prob=0.3, seed=5))
     ids = np.asarray(reg.ids)
-    for s in ss.samples:
-        assert np.array_equal(ids[np.argmax(s.probs.maps, axis=0)], s.labels.data)
+    for labels, probs in zip(ss.labels, ss.probs, strict=True):
+        assert np.array_equal(ids[np.argmax(probs.maps, axis=0)], labels.data)
         # per-voxel probabilities sum to one
-        assert not s.probs.violations()
+        assert not probs.violations()
 
 
 def test_sampled_labels_and_probs_pass_validation():
@@ -156,7 +157,7 @@ def test_sampled_labels_and_probs_pass_validation():
     reg = registry_for_phantom(spec)
     ss = sample_mc(gt, reg, NoiseSpec(n_samples=3, default_flip_prob=0.3, seed=5),
                    with_probs=True)
-    assert ss.kind == "both"
+    assert len(ss.labels) == len(ss.probs) == 3
     assert validate_sample_set(ss) == []
 
 
@@ -166,8 +167,8 @@ def test_label_only_sampling():
     reg = registry_for_phantom(spec)
     ss = sample_mc(gt, reg, NoiseSpec(n_samples=3, default_flip_prob=0.2, seed=1),
                    with_probs=False)
-    assert all(s.probs is None for s in ss.samples)
-    assert all(s.kind == "labels" for s in ss.samples)
+    assert ss.probs is None
+    assert len(ss.labels) == 3
 
 
 def test_erosion_dilation_changes_volume_by_shells():
@@ -177,7 +178,7 @@ def test_erosion_dilation_changes_volume_by_shells():
     base = int((gt.data == 1).sum())
     ss = sample_mc(gt, reg, NoiseSpec(n_samples=6, erosion_dilation_radius=1, seed=2),
                    with_probs=False)
-    vols = {int((s.labels.data == 1).sum()) for s in ss.samples}
+    vols = {int((s.data == 1).sum()) for s in ss.labels}
     # every sample is a one-step 6-connected erosion (8x8x4) or dilation
     # (base plus one face shell: 600 + 2*100 + 4*60) of the 10x10x6 box
     assert vols <= {8 * 8 * 4, 600 + 440}
@@ -207,8 +208,8 @@ def test_sampler_range_checks_only_the_ids_it_writes():
     # an id above 65535 that the ground truth never uses reaches no sample
     wide = StructureRegistry(((0, "bg"), (1, "box"), (70000, "unused")), background_id=0)
     ss = sample_mc(gt, wide, noise, with_probs=False)
-    assert all(s.labels.data.dtype == np.uint16 for s in ss.samples)
-    assert all(set(np.unique(s.labels.data)) <= {0, 1} for s in ss.samples)
+    assert all(s.data.dtype == np.uint16 for s in ss.labels)
+    assert all(set(np.unique(s.data)) <= {0, 1} for s in ss.labels)
     # one the ground truth holds would wrap in a uint16 sample, so it raises
     held = LabelVolume(gt.geometry, np.where(gt.data == 1, 70000, 0).astype(np.int64))
     big = StructureRegistry(((0, "bg"), (70000, "box")), background_id=0)
@@ -241,7 +242,7 @@ def test_mean_sample_dice_decreases_with_severity():
         for seed in range(20):
             ss = sample_mc(gt, reg, NoiseSpec(n_samples=3, default_flip_prob=f, seed=seed),
                            with_probs=False)
-            vals.extend(dice_score(s.labels, gt, 1) for s in ss.samples)
+            vals.extend(dice_score(s, gt, 1) for s in ss.labels)
         means.append(float(np.mean(vals)))
     assert all(a > b for a, b in zip(means, means[1:])), means
 
@@ -254,8 +255,8 @@ def test_soft_probs_argmax_invariant(flip, seed):
     reg = registry_for_phantom(spec)
     ss = sample_mc(gt, reg, NoiseSpec(n_samples=2, default_flip_prob=flip, seed=seed))
     ids = np.asarray(reg.ids)
-    for s in ss.samples:
-        assert np.array_equal(ids[np.argmax(s.probs.maps, axis=0)], s.labels.data)
+    for labels, probs in zip(ss.labels, ss.probs, strict=True):
+        assert np.array_equal(ids[np.argmax(probs.maps, axis=0)], labels.data)
 
 
 # -- the bundled study in docs/ ---------------------------------------------------

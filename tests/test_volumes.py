@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import oracles
 from segqc.volumes import (
     LabelVolume,
-    McSample,
     McSampleSet,
     ProbMapStack,
     StructureRegistry,
@@ -195,8 +194,7 @@ def test_prob_stack_violations():
 
 def argmax_labels(stack):
     """The labels a probability-only sample set reads from ``stack``."""
-    ss = McSampleSet(geometry=stack.geometry, registry=small_registry(),
-                     samples=(McSample(probs=stack),))
+    ss = McSampleSet(geometry=stack.geometry, registry=small_registry(), probs=(stack,))
     return ss.sample_labels(0)
 
 
@@ -217,52 +215,50 @@ def test_prob_stack_argmax_tie_takes_lowest_id():
 
 def test_sample_needs_content():
     with pytest.raises(ValidationError):
-        McSample()
+        McSampleSet(geometry=geom(), registry=small_registry())
 
 
-def test_sample_kind():
+def test_sample_set_pairs_labels_with_probs():
     vol = LabelVolume(geom(), np.zeros((3, 3, 3), dtype=np.uint8))
-    assert McSample(labels=vol).kind == "labels"
     maps = np.zeros((3, 3, 3, 3))
     maps[0] = 1.0
     stack = ProbMapStack(geometry=geom(), label_ids=(0, 1, 2), maps=maps)
-    assert McSample(probs=stack).kind == "probs"
-    assert McSample(labels=vol, probs=stack).kind == "both"
+    with pytest.raises(ValidationError, match="2 probability stacks for 3 label volumes"):
+        McSampleSet(geometry=geom(), registry=small_registry(),
+                    labels=(vol,) * 3, probs=[stack] * 2)
+    ss = McSampleSet(geometry=geom(), registry=small_registry(),
+                     labels=[vol] * 2, probs=[stack] * 2)
+    assert ss.n == 2 and ss.labels == (vol, vol) and ss.probs == (stack, stack)
 
 
 def test_sample_set_labels_from_probs():
     maps = np.zeros((3, 3, 3, 3))
     maps[2] = 1.0
     stack = ProbMapStack(geometry=geom(), label_ids=(0, 1, 2), maps=maps)
-    ss = McSampleSet(
-        geometry=geom(), registry=small_registry(),
-        samples=(McSample(probs=stack), McSample(probs=stack)),
-    )
+    ss = McSampleSet(geometry=geom(), registry=small_registry(), probs=(stack, stack))
     assert np.all(ss.sample_labels(0) == 2)
 
 
 def test_validate_flags_geometry_mismatch():
     reg = small_registry()
-    a = McSample(labels=LabelVolume(geom(), np.zeros((3, 3, 3), dtype=np.uint8)))
-    b = McSample(labels=LabelVolume(geom(3, 3, 4), np.zeros((3, 3, 4), dtype=np.uint8)))
-    ss = McSampleSet(geometry=geom(), registry=reg, samples=(a, b))
+    a = LabelVolume(geom(), np.zeros((3, 3, 3), dtype=np.uint8))
+    b = LabelVolume(geom(3, 3, 4), np.zeros((3, 3, 4), dtype=np.uint8))
+    ss = McSampleSet(geometry=geom(), registry=reg, labels=(a, b))
     out = validate_sample_set(ss)
     assert any(v.rule == "geometry" and v.sample_index == 1 for v in out)
     with pytest.raises(ValidationError, match="geometry"):
         require_valid(ss)
 
 
-def test_validate_flags_unknown_labels_and_mixed_kinds():
+def test_validate_flags_unknown_labels():
     reg = small_registry()
     data = np.zeros((3, 3, 3), dtype=np.uint8)
     data[1, 1, 1] = 9
-    a = McSample(labels=LabelVolume(geom(), data))
-    maps = np.zeros((3, 3, 3, 3))
-    maps[0] = 1.0
-    b = McSample(probs=ProbMapStack(geometry=geom(), label_ids=(0, 1, 2), maps=maps))
-    ss = McSampleSet(geometry=geom(), registry=reg, samples=(a, b))
+    a = LabelVolume(geom(), data)
+    b = LabelVolume(geom(), np.zeros((3, 3, 3), dtype=np.uint8))
+    ss = McSampleSet(geometry=geom(), registry=reg, labels=(a, b))
     rules = {v.rule for v in validate_sample_set(ss)}
-    assert "labels" in rules and "sample_kind" in rules
+    assert "labels" in rules
 
 
 def test_validate_flags_labels_disagreeing_with_probs():
@@ -273,10 +269,8 @@ def test_validate_flags_labels_disagreeing_with_probs():
     agree = np.ones((3, 3, 3), dtype=np.uint8)
     differ = agree.copy()
     differ[0, 1, 2] = 2
-    ss = McSampleSet(geometry=geom(), registry=reg, samples=(
-        McSample(labels=LabelVolume(geom(), agree), probs=stack),
-        McSample(labels=LabelVolume(geom(), differ), probs=stack),
-    ))
+    ss = McSampleSet(geometry=geom(), registry=reg, probs=(stack, stack),
+                     labels=(LabelVolume(geom(), agree), LabelVolume(geom(), differ)))
     out = [v for v in validate_sample_set(ss) if v.rule == "label_prob_mismatch"]
     assert [v.sample_index for v in out] == [1]
     assert "1 voxels" in out[0].message
@@ -292,8 +286,7 @@ def test_validation_report_is_memoised(monkeypatch):
     monkeypatch.setattr(volumes, "validate_sample_set",
                         lambda ss: calls.append(ss) or real(ss))
     vol = LabelVolume(geom(), np.zeros((3, 3, 3), dtype=np.uint8))
-    ss = McSampleSet(geometry=geom(), registry=small_registry(),
-                     samples=(McSample(labels=vol), McSample(labels=vol)))
+    ss = McSampleSet(geometry=geom(), registry=small_registry(), labels=(vol, vol))
     for _ in range(3):
         require_valid(ss)
     assert ss.violations == ()
@@ -305,11 +298,34 @@ def test_validate_flags_prob_label_mismatch():
     maps = np.zeros((2, 3, 3, 3))
     maps[0] = 1.0
     stack = ProbMapStack(geometry=geom(), label_ids=(0, 1), maps=maps)
-    ss = McSampleSet(
-        geometry=geom(), registry=reg,
-        samples=(McSample(probs=stack), McSample(probs=stack)),
-    )
+    ss = McSampleSet(geometry=geom(), registry=reg, probs=(stack, stack))
     assert any(v.rule == "prob_labels" for v in validate_sample_set(ss))
+
+
+@pytest.mark.parametrize("rule", ["prob_labels", "geometry", "sample_count"])
+def test_structural_fault_is_refused_before_any_map_is_read(rule):
+    # stacks that list other ids than the registry, a stack on another
+    # grid, one sample: each is refused with that fault alone, no map read
+    loads = []
+
+    class CountingStack(ProbMapStack):
+        def load_map(self, k):
+            loads.append((id(self), k))
+            return super().load_map(k)
+
+    def stack(dims=(3, 3, 3), ids=(0, 1, 2)):
+        maps = np.zeros((len(ids), *dims))
+        maps[0] = 1.0
+        return CountingStack(geometry=geom(*dims), label_ids=ids, maps=maps)
+
+    stacks = {"prob_labels": (stack(), stack(ids=(2, 1, 0))),
+              "geometry": (stack(), stack(dims=(3, 3, 4))),
+              "sample_count": (stack(),)}[rule]
+    ss = McSampleSet(geometry=geom(), registry=small_registry(), probs=stacks)
+    assert [v.rule for v in validate_sample_set(ss)] == [rule]
+    with pytest.raises(ValidationError, match=rule):
+        require_valid(ss)
+    assert loads == []
 
 
 # -- one-hot conversion ------------------------------------------------------
