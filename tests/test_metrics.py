@@ -558,7 +558,7 @@ def test_writeable_fortran_labels_keep_their_layout():
     for t in twins:
         t.flags.writeable = False
     ss, twin = label_set(arrays), label_set(twins)
-    for vol, a, t in zip(ss.labels, arrays, twins):
+    for vol, a in zip(ss.labels, arrays):
         assert vol.data.flags.f_contiguous and not vol.data.flags.c_contiguous
         assert not np.shares_memory(vol.data, a)
     assert all(vol.data is t for vol, t in zip(twin.labels, twins))
