@@ -62,9 +62,7 @@ from .io import (
     read_report,
     read_sample_set,
     read_scan_manifest,
-    write_cohort_csv,
     write_heatmap_volume,
-    write_phantom_json,
     write_registry,
     write_report,
     write_scan_manifest,

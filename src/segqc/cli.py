@@ -31,13 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as sio
-from .metrics import (
-    STRUCTURE_METRICS,
-    _registry_counts,
-    consensus_segmentation,
-    structure_report,
-    voxel_uncertainty,
-)
+from .metrics import STRUCTURE_METRICS, _count_labels, structure_report, voxel_uncertainty
 from .nifti import read_label_nifti, read_orientation, write_nifti
 from .stats import GROUP_MODES, ValidationError, correlate_uncertainty_accuracy, group_analysis
 from .synth import make_phantom, registry_for_phantom, sample_mc, soft_probs
@@ -157,13 +151,13 @@ def cmd_metrics(args) -> int:
 def cmd_consensus(args) -> int:
     samples, registry, _, probs = _gather_inputs(args)
     sample_set = sio.read_sample_set(samples, registry, prob_paths=probs)
-    consensus = consensus_segmentation(sample_set)
+    _, counts, consensus = _count_labels(sample_set)  # read_sample_set validated the set
     with _atomic(args.out) as tmp:
         write_nifti(tmp, consensus, orientation=read_orientation(samples[0]))
-    counts = dict(zip(registry.ids, _registry_counts(consensus.flat, registry)))
+    voxels = dict(zip(registry.ids, counts[0]))
     print(f"consensus of {sample_set.n} samples -> {args.out}")
     for i, name in registry.foreground:
-        print(f"  {name:<24}{int(counts[i]):>10} voxels")
+        print(f"  {name:<24}{int(voxels[i]):>10} voxels")
     return EXIT_OK
 
 

@@ -254,19 +254,6 @@ def _parse_cohort(reader, path: Path) -> CohortTable:
                        **{h: np.concatenate(parts) for h, parts in cols.items()})
 
 
-def write_cohort_csv(table: CohortTable, path: str | Path) -> None:
-    cols = {"subject_id": table.subject_ids, "age": table.age, "sex": table.sex,
-            "dx": table.dx, "site": table.site, "volume": table.volume, "cv": table.cv,
-            "mc_dice": table.mc_dice}
-    cols = {h: v if h in ("subject_id", "site") else
-            ["" if math.isnan(x) else repr(float(x)) for x in v]
-            for h, v in cols.items() if v is not None}
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        w.writerows(zip(*cols.values()))
-
-
 # -- metric report JSON ------------------------------------------------------
 
 
@@ -383,20 +370,6 @@ def read_phantom_json(path: str | Path) -> PhantomSpec:
     return PhantomSpec(geometry=VoxelGeometry(tuple(dims), tuple(spacing)),
                        shapes=tuple(shapes),
                        background_id=_field(doc, "background", int, path, default=0))
-
-
-def write_phantom_json(spec: PhantomSpec, path: str | Path) -> None:
-    doc = {
-        "dims": list(spec.geometry.dims),
-        "spacing": list(spec.geometry.spacing),
-        "background": spec.background_id,
-        "shapes": [
-            {"label": s.label_id, "kind": s.kind,
-             "center": list(s.center), "size": list(s.size)}
-            for s in spec.shapes
-        ],
-    }
-    _dump_json(doc, path)
 
 
 def _noise_fields(doc: dict, where: str | Path, path: str = "") -> dict:

@@ -14,11 +14,12 @@ structure-wise uncertainty measures:
 
 One counting pass over the samples' labels yields every integer count
 behind them (per-sample, pairwise, consensus and ground-truth label
-counts) and the majority vote that is the consensus of label-only sets.
-Where samples disagree it holds each label as one bit plane per sample,
-so a pair's count is a popcount of two planes ANDed together.
-The entropy map and the mean-probability consensus come from the sample
-set's one pass over its probability maps
+counts) and is the one place that makes a consensus: it fills the
+majority vote of a label-only set and, for a set with maps, takes the
+argmax of the mean map. Where samples disagree it holds each label as
+one bit plane per sample, so a pair's count is a popcount of two planes
+ANDed together. The entropy map and the mean map's argmax come from the
+sample set's one pass over its probability maps
 (:attr:`~segqc.volumes.McSampleSet.prob_pass`), which loads each
 sample's maps once and never holds them all. Both passes split a volume
 into the same z-slabs of whole planes (:func:`~segqc.volumes._slabs`) and
@@ -41,13 +42,11 @@ from functools import partial
 import numpy as np
 
 from .volumes import (
-    _SLAB,
     _UINT16_MAX,
     LabelVolume,
     McSampleSet,
     StructureRegistry,
     ValidationError,
-    VoxelGeometry,
     _parallel,
     _slabs,
     _thread_cap,
@@ -109,12 +108,8 @@ class StructureReport:
 
 def _registry_counts(values: np.ndarray, registry: StructureRegistry) -> np.ndarray:
     """Voxels of each registry label among the 1-D ``values``, by registry
-    position, counted in ``_SLAB`` slices to keep np.bincount's intp copy small."""
-    ids = list(registry.ids)
-    counts = np.zeros(len(ids), dtype=np.int64)
-    for start in range(0, values.size, _SLAB):
-        counts += np.bincount(values[start:start + _SLAB], minlength=registry.max_id + 1)[ids]
-    return counts
+    position; ``values`` is at most one slab, so np.bincount's intp copy is small."""
+    return np.bincount(values, minlength=registry.max_id + 1)[list(registry.ids)]
 
 
 def _count_slab(labels: list[np.ndarray], registry: StructureRegistry, cons: np.ndarray,
@@ -183,15 +178,17 @@ def _count_slab(labels: list[np.ndarray], registry: StructureRegistry, cons: np.
 
 
 def _count_labels(sample_set: McSampleSet, gt: LabelVolume | None = None) -> tuple:
-    """The one counting pass behind every structure metric.
+    """The one counting pass behind every structure metric and consensus.
 
     Returns ``inter``, of shape (N, N, K) with K the registry length: the
     voxels where samples i and j both carry the label at registry position
     k, so the diagonal holds each sample's own label counts. ``counts``,
     of shape (3, K), holds the label counts of the consensus, of ``gt`` and
     of the voxels where the two agree (zero rows without ``gt``). Last
-    comes the consensus: :func:`consensus_segmentation` for a set with
-    maps, else the per-voxel majority label, ties to the lowest id.
+    comes the consensus as a read-only :class:`LabelVolume`, stored as
+    uint16 whenever every id fits: for a set with maps, the argmax of the
+    mean map from the set's probability pass; for a label-only set, the
+    per-voxel majority label, ties to the lowest id, which this pass fills.
 
     Voxels where all samples agree are counted once and credited to every
     sample and pair, so only disagreement voxels are touched per label.
@@ -210,25 +207,17 @@ def _count_labels(sample_set: McSampleSet, gt: LabelVolume | None = None) -> tup
     labels = [sample_set.sample_labels(i) for i in range(sample_set.n)]
     registry = sample_set.registry
     vote = sample_set.probs is None
-    consensus = None if vote else consensus_segmentation(sample_set)
     # the vote is always some sample's label, so no wider than the samples
     top = min(registry.max_id, max(np.iinfo(a.dtype).max for a in labels))
     dtype = np.uint16 if top <= _UINT16_MAX else np.int64
-    cons = np.empty(labels[0].shape, dtype, order="F") if vote else consensus.data
+    cons = np.empty(labels[0].shape, dtype, order="F") if vote else sample_set.prob_pass.consensus
     slabs = _slabs(cons.shape)
     count = partial(_count_slab, labels, registry, cons, None if gt is None else gt.data, vote)
     inter, counts = map(sum, zip(*_parallel(count, slabs, min(_thread_cap(2), len(slabs)))))
-    if vote:
-        consensus = _consensus_volume(sample_set.geometry, cons)
-    return inter, counts, consensus
-
-
-def _consensus_volume(geometry: VoxelGeometry, data: np.ndarray) -> LabelVolume:
-    """Consensus labels stored as uint16 whenever every id fits."""
-    if data.dtype != np.uint16 and data.max(initial=0) <= _UINT16_MAX:
-        data = data.astype(np.uint16)
-    data.flags.writeable = False  # never written again: LabelVolume keeps it
-    return LabelVolume(geometry=geometry, data=data)
+    if cons.dtype != np.uint16 and cons.max(initial=0) <= _UINT16_MAX:
+        cons = cons.astype(np.uint16)
+    cons.flags.writeable = False  # never written again: LabelVolume keeps it
+    return inter, counts, LabelVolume(geometry=sample_set.geometry, data=cons)
 
 
 def voxel_uncertainty(sample_set: McSampleSet, normalize: bool = False) -> np.ndarray:
@@ -282,13 +271,12 @@ def consensus_segmentation(sample_set: McSampleSet) -> LabelVolume:
 
     For label-only sets this reduces to a per-voxel majority vote. Ties
     go to the lowest label id, which is deterministic and independent of
-    sample order. The mean map is read from the set's memoised pass over
-    its maps.
+    sample order. It is the consensus of the counting pass
+    (:func:`_count_labels`), which reads the mean map's argmax from the
+    set's memoised pass over its maps, or fills the vote itself.
     """
     require_valid(sample_set)
-    if sample_set.probs is None:
-        return _count_labels(sample_set)[2]
-    return _consensus_volume(sample_set.geometry, sample_set.prob_pass.consensus)
+    return _count_labels(sample_set)[2]
 
 
 def _pair_dice(size_a: int, size_b: int, inter: int) -> float:

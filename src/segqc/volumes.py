@@ -186,17 +186,11 @@ class StructureRegistry:
     def max_id(self) -> int:
         return max(self.ids)
 
-    def name_of(self, label_id: int) -> str:
-        for i, n in self.entries:
-            if i == label_id:
-                return n
-        raise KeyError(f"label id {label_id} not in registry")
-
     def __contains__(self, label_id: int) -> bool:
         return label_id in self.ids
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelVolume:
     """Dense 3-D map of integer label ids."""
 
@@ -212,11 +206,6 @@ class LabelVolume:
                 f"label data shape {arr.shape} does not match dims {self.geometry.dims}"
             )
         object.__setattr__(self, "data", _read_only(arr))
-
-    @property
-    def flat(self) -> np.ndarray:
-        """Label ids in serialized (x-fastest) order."""
-        return self.data.reshape(-1, order="F")
 
     def check_labels(self, registry: StructureRegistry) -> list[int]:
         """Label ids present in the volume but absent from the registry, sorted.
@@ -238,7 +227,7 @@ class LabelVolume:
         return [int(v) for v in np.unique(self.data) if int(v) not in ids]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbMapStack:
     """Per-structure probability volumes for one MC sample.
 
@@ -366,7 +355,7 @@ def _argmax_labels(maps: Sequence[np.ndarray], label_ids: Sequence[int],
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class McSampleSet:
     """N MC samples of one scan on one grid and registry, all of one kind.
 
@@ -432,7 +421,7 @@ class ProbPass:
 
     ``entropy`` and ``consensus`` are None unless every sample's maps
     pass their checks; a set without them is invalid, so no metric reads
-    them. A label-only set's pass is empty.
+    them. Only a set with maps has a pass.
     """
 
     checks: tuple[tuple[str, ...], ...]
@@ -446,9 +435,10 @@ def _prob_pass(sample_set: McSampleSet) -> ProbPass:
     """Load each sample's maps once, in ascending sample order, and fold
     them into float64 sums.
 
-    The set's structure must be valid, as :func:`validate_sample_set`
-    checks before it runs this pass: every stack on the set's grid, with
-    the registry's ids in its order, and each label volume on that grid.
+    The set must have maps and a valid structure, as
+    :func:`validate_sample_set` checks before it runs this pass: every
+    stack on the set's grid, with the registry's ids in its order, and
+    each label volume on that grid.
 
     Per voxel the additions run in the order of a per-structure loop
     over samples (the mean) and of a per-sample loop over structures (the
@@ -466,14 +456,12 @@ def _prob_pass(sample_set: McSampleSet) -> ProbPass:
     terms it added.
     """
     ids = sample_set.registry.ids
-    fold = sample_set.probs is not None
-    if fold:  # the entropy's xlogy: imported on this thread, never first on a pool's
-        import scipy.special  # noqa: F401
+    import scipy.special  # noqa: F401  xlogy: imported on this thread, never first on a pool's
     slabs = _slabs(sample_set.geometry.dims)
     workers = min(_thread_cap(2), len(slabs))
-    entropy, sums = None, []
+    entropy, sums, fold = None, [], True
     checks, mismatches, labels = [], [], []
-    for i, stack in enumerate(sample_set.probs or ()):
+    for i, stack in enumerate(sample_set.probs):
         maps = _parallel(stack.load_map, range(len(stack.label_ids)), workers)
         if entropy is None:
             entropy = np.zeros_like(maps[0], dtype=np.float64)

@@ -15,9 +15,8 @@ PUBLIC = {
     "read_phantom_json", "read_registry", "read_report", "read_sample_set",
     "read_scan_manifest", "registry_for_phantom", "require_valid", "sample_mc",
     "standardize_table", "structure_report", "structure_uncertainty",
-    "validate_sample_set", "voxel_uncertainty", "wls_fit", "write_cohort_csv",
-    "write_heatmap_volume", "write_nifti", "write_phantom_json", "write_registry",
-    "write_report", "write_scan_manifest",
+    "validate_sample_set", "voxel_uncertainty", "wls_fit", "write_heatmap_volume",
+    "write_nifti", "write_registry", "write_report", "write_scan_manifest",
 }
 
 
@@ -27,6 +26,6 @@ def test_star_import_binds_the_public_names_and_no_submodule():
     namespace = {}
     exec("from segqc import *", namespace)
     del namespace["__builtins__"]
-    assert len(PUBLIC) == 49 and set(namespace) == PUBLIC
+    assert len(PUBLIC) == 47 and set(namespace) == PUBLIC
     assert not any(isinstance(v, ModuleType) for v in namespace.values())
     assert all(getattr(segqc, name) is value for name, value in namespace.items())

@@ -21,10 +21,9 @@ from segqc.io import read_noise_json, read_phantom_json, read_report, write_regi
 from segqc.nifti import OrientationInfo, read_nifti, write_nifti
 from segqc.stats import CohortTable, correlate_uncertainty_accuracy
 from segqc.synth import make_phantom, registry_for_phantom, sample_mc
-from segqc.io import write_cohort_csv
 from segqc.volumes import StructureRegistry, VoxelGeometry
 from bundled import DOCS
-from test_io import mutated
+from test_io import mutated, write_cohort_csv
 from test_metrics import parallel_workers
 
 
@@ -513,7 +512,7 @@ def test_metrics_side_outputs_reuse_the_report(configs, monkeypatch):
     calls = {}
     for module, name in ((volumes, "validate_sample_set"),
                          (volumes.LabelVolume, "check_labels"),
-                         (metrics, "consensus_segmentation"),
+                         (metrics, "_count_labels"),
                          (metrics, "voxel_uncertainty")):
         def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
@@ -524,7 +523,7 @@ def test_metrics_side_outputs_reuse_the_report(configs, monkeypatch):
                 "--heatmap-out", sim / "heat.nii"])
     assert code == 0
     assert calls == {"validate_sample_set": 1, "check_labels": 4 + 1,
-                     "consensus_segmentation": 1, "voxel_uncertainty": 1}
+                     "_count_labels": 1, "voxel_uncertainty": 1}
     monkeypatch.undo()
 
     # the written maps are the ones the library computes for the same set
@@ -952,8 +951,8 @@ def test_thread_count_leaves_cli_outputs_unchanged(configs, monkeypatch, capsys)
         assert run(["metrics", "--manifest", scan, "--out", "r.json", "--uncertainty-out",
                     "u.nii.gz", "--heatmap-out", "h.nii"]) == 0
         assert run(["consensus", "--manifest", scan, "--out", "c.nii"]) == 0
-        # simulate; metrics: 3 samples x (decode, fold), counting; consensus: 3 x 2
-        assert calls == [threads] * (1 + 6 + 1 + 6)
+        # simulate; metrics: 3 samples x (decode, fold), counting; consensus: the same
+        assert calls == [threads] * (1 + 6 + 1 + 7)
         outputs[threads] = capsys.readouterr().out, {
             p.relative_to(work): p.read_bytes() for p in work.rglob("*") if p.is_file()}
     assert len(outputs[1][1]) == 3 + 3 * (1 + 3 + 3 * 3) + 4

@@ -79,6 +79,10 @@ def calls(sim: Path, out: Path) -> list[tuple[str, list[str]]]:
         d = out / f"consensus{suffix.replace('.', '_')}"
         todo.append((d.name, ["consensus", "--manifest", str(sim / scans[0] / "manifest.json"),
                               "--out", str(d / f"consensus{suffix}")]))
+    for suffix in (".nii", ".nii.gz"):  # directory mode: the label-only set
+        d = out / f"consensus_labels{suffix.replace('.', '_')}"
+        todo.append((d.name, ["consensus", str(sim / scans[0]), "--registry", registry,
+                              "--out", str(d / f"consensus{suffix}")]))
     return todo
 
 

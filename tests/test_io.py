@@ -26,9 +26,7 @@ from segqc.io import (
     read_scan_manifest,
     report_from_dict,
     report_to_dict,
-    write_cohort_csv,
     write_heatmap_volume,
-    write_phantom_json,
     write_registry,
     write_report,
     write_scan_manifest,
@@ -103,6 +101,20 @@ def cohort_table():
         cv=np.array([0.1, math.nan, 0.3, 0.2]),
         mc_dice=np.array([0.9, 0.8, math.nan, 0.95]),
     )
+
+
+def write_cohort_csv(table, path):
+    """``table`` as a cohort CSV: every column it has, NaN as an empty cell."""
+    cols = {"subject_id": table.subject_ids, "age": table.age, "sex": table.sex,
+            "dx": table.dx, "site": table.site, "volume": table.volume, "cv": table.cv,
+            "mc_dice": table.mc_dice}
+    cols = {h: v if h in ("subject_id", "site") else
+            ["" if math.isnan(x) else repr(float(x)) for x in v]
+            for h, v in cols.items() if v is not None}
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(cols)
+        w.writerows(zip(*cols.values()))
 
 
 def test_cohort_csv_round_trip(tmp_path):
@@ -420,6 +432,21 @@ def test_heatmap_volume_paints_consensus_labels(tmp_path):
 # -- phantom / noise configs --------------------------------------------------------
 
 
+def write_phantom_json(spec, path):
+    """``spec`` as the phantom JSON that ``read_phantom_json`` reads."""
+    doc = {
+        "dims": list(spec.geometry.dims),
+        "spacing": list(spec.geometry.spacing),
+        "background": spec.background_id,
+        "shapes": [
+            {"label": s.label_id, "kind": s.kind,
+             "center": list(s.center), "size": list(s.size)}
+            for s in spec.shapes
+        ],
+    }
+    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+
+
 def test_phantom_json_round_trip(tmp_path):
     spec = bundled_phantom()
     p = tmp_path / "phantom.json"
@@ -586,6 +613,16 @@ def write_prob_set(tmp_path, n, k, dims):
             write_nifti(q, maps[..., j], geom)
             prob_paths[-1].append(q)
     return label_paths, prob_paths, reg
+
+
+def test_sample_set_read_from_files_compares_by_identity(tmp_path):
+    # a file-backed stack holds paths, not a maps array to compare
+    label_paths, prob_paths, reg = write_prob_set(tmp_path, 2, 2, (3, 3, 3))
+    ss = read_sample_set(label_paths, reg, prob_paths=prob_paths)
+    again = read_sample_set(label_paths, reg, prob_paths=prob_paths)
+    for x, y in ((ss, again), (ss.labels[0], again.labels[0]), (ss.probs[0], again.probs[0])):
+        assert x == x and x != y
+        assert len({x, y, x}) == 2
 
 
 def test_read_sample_set_memory_is_bounded_by_one_sample(tmp_path):

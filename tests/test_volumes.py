@@ -57,7 +57,6 @@ def test_registry_accessors():
     assert reg.ids == (0, 1, 2)
     assert reg.foreground == ((1, "left"), (2, "right"))
     assert reg.max_id == 2
-    assert reg.name_of(2) == "right"
     assert 1 in reg and 7 not in reg
 
 
@@ -107,11 +106,18 @@ def test_label_volume_is_immutable():
         vol.data[0, 0, 0] = 1
 
 
-def test_label_volume_flat_is_x_fastest():
-    data = np.arange(27, dtype=np.int64).reshape(3, 3, 3)
-    vol = LabelVolume(geom(), data)
-    # serialized order must walk x first: element (1,0,0) right after (0,0,0)
-    assert vol.flat[1] == data[1, 0, 0]
+def test_array_holding_types_compare_by_identity():
+    # field-wise equality would compare arrays, whose element-wise result
+    # has no truth value, and arrays are not hashable
+    g = geom()
+    a = LabelVolume(g, np.zeros((3, 3, 3), dtype=np.uint8))
+    b = LabelVolume(g, np.zeros((3, 3, 3), dtype=np.uint8))
+    maps = np.full((3, 3, 3, 3), 1 / 3)
+    pairs = [(a, b), (ProbMapStack(g, (0, 1, 2), maps), ProbMapStack(g, (0, 1, 2), maps)),
+             (McSampleSet(g, small_registry(), (a, b)), McSampleSet(g, small_registry(), (a, b)))]
+    for x, y in pairs:
+        assert x == x and x != y
+        assert len({x, y, x}) == 2
 
 
 def test_check_labels_reports_unknown_ids():
