@@ -118,8 +118,10 @@ def _count_slab(labels: list[np.ndarray], registry: StructureRegistry, cons: np.
 
     Returns its partials of ``_count_labels``' ``inter`` and ``counts``,
     first writing its majority labels into the slab of ``cons`` when
-    ``vote``. Each slab is flattened x-fastest: a view, not a copy, of an
-    F-ordered volume, as files give and the vote's buffer is.
+    ``vote``, whose counts add its disagreement voxels' to the agreement
+    voxels' instead of recounting the slab. Each slab is flattened
+    x-fastest: a view, not a copy, of an F-ordered volume, as files give
+    and the vote's buffer is.
 
     The disagreement voxels are counted one label at a time, as bit
     planes: each sample's plane holds one bit a voxel, set where it
@@ -167,9 +169,10 @@ def _count_slab(labels: list[np.ndarray], registry: StructureRegistry, cons: np.
         out[...] = base
         out[dis] = best
     # free the slab's planes first, so a thread's peak stays its label loop's
-    del stacked, planes, packed, words, dis, best, best_votes
+    del stacked, planes, packed, words, dis, best_votes
     counts = np.zeros((3, len(registry.ids)), dtype=np.int64)
-    counts[0] = _registry_counts(out, registry)
+    counts[0] = (base_counts + _registry_counts(best, registry) if vote
+                 else _registry_counts(out, registry))
     if gt is not None:
         truth = gt[:, :, z].reshape(-1, order="F")
         counts[1] = _registry_counts(truth, registry)

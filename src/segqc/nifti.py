@@ -191,17 +191,17 @@ def read_nifti(path: str | Path) -> NiftiImage:
     """Decode a .nii or .nii.gz file (gzip detected by signature).
 
     ``data`` is read-only and indexed ``[x, y, z]`` in file order: for a
-    little-endian unscaled file it is a Fortran-order (x-fastest) view
-    over the decoded bytes, not a copy. A gzip stream is decoded only as
-    far as the header says the volume reaches.
+    little-endian unscaled file it is a Fortran-order (x-fastest) view,
+    not a copy, of a read-only map of a plain file (which must then stay
+    unchanged) or of a gzip stream decoded only as far as the volume reaches.
 
     Integer payloads keep their stored dtype unless a nontrivial
     scl_slope/scl_inter forces scaling, which disqualifies them as label
     maps. Float payloads have slope/intercept applied (slope 0 means 1);
     the trivial slope 1 / intercept 0 case skips arithmetic entirely so
     round-trips are bit-exact. Every format error names the file. The file
-    is read only up to ``vox_offset`` plus the volume, and not at all when
-    that (twice that for gzip) exceeds the memory the process may use.
+    is read or mapped only up to ``vox_offset`` plus the volume, and not at
+    all when that (twice that for gzip) exceeds the memory the process may use.
     """
     try:
         with open(path, "rb") as fh:
@@ -232,9 +232,14 @@ def _decode(fh) -> NiftiImage:
             gz.read(1)  # reaches the trailer of a well-formed stream, checking its CRC
             have, offset = HEADER_SIZE + len(body), offset - HEADER_SIZE
         else:
-            fh.seek(0)
-            body = fh.read(need)  # one bytes object, which labels then view
-            have = len(body)
+            import errno, mmap, os  # here, not at import, so startup loads nothing new
+            have = os.fstat(fd := fh.fileno()).st_size
+            try:  # a read-only map of the declared bytes only, which labels then view
+                body = mmap.mmap(fd, need, access=mmap.ACCESS_READ) if have >= need else b""
+            except OSError as exc:  # a map that finds no address space left fails with ENOMEM
+                if exc.errno != errno.ENOMEM:
+                    raise
+                raise MemoryError from None
     except MemoryError:
         raise ValidationError(f"{what} need at least {held / 2**30:.3g} GiB, "
                               "more than this process has left") from None

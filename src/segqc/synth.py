@@ -349,7 +349,9 @@ def sample_mc(
                     else:
                         grown = ndimage.binary_dilation(mask, _STRUCT6, iterations=r)
                         vol[grown & (vol == bg)] = lid
-        samples.append(LabelVolume(gt.geometry, vol.astype(dtype)))
+        vol = vol.astype(dtype)
+        vol.flags.writeable = False  # so LabelVolume keeps it instead of copying it again
+        samples.append(LabelVolume(gt.geometry, vol))
     probs = [soft_probs(s, registry, noise) for s in samples] if with_probs else None
     return McSampleSet(geometry=gt.geometry, registry=registry, labels=samples, probs=probs)
 

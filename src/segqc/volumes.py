@@ -95,9 +95,10 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     read-only private copy.
 
     An array is kept when it and every array it views are read-only and
-    the memory underneath is either owned by one of them or an immutable
-    ``bytes`` object (a decoded file). Anything else -- a writeable array,
-    a view of one, or foreign memory such as a ``bytearray`` -- is copied.
+    the memory underneath is owned by one of them, an immutable ``bytes``
+    object (a decoded .nii.gz) or an ``ACCESS_READ`` map (a plain .nii).
+    Anything else -- a writeable array, a view of one, or foreign memory
+    such as a ``bytearray`` or any other map -- is copied.
     """
     base = arr
     while isinstance(base, np.ndarray):
@@ -107,6 +108,10 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     else:
         if base is None or isinstance(base, bytes):
             return arr
+        if isinstance(base, memoryview):
+            import mmap  # here, not at import, so startup loads nothing new
+            if isinstance(base.obj, mmap.mmap) and memoryview(base.obj).readonly:
+                return arr  # the map's own buffer is read-only under ACCESS_READ alone
     arr = arr.copy(order="K")
     arr.flags.writeable = False
     return arr
@@ -405,7 +410,7 @@ class McSampleSet:
         return _prob_pass(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbPass:
     """Everything read from a sample set's probability maps in one pass.
 

@@ -373,14 +373,17 @@ def _limited_consensus(tmp_path, offset_mib):
                     + zeros * (offset_mib // 16 - 1) + gzip.compress(data.tobytes(order="F")))
     registry = tmp_path / "registry.json"
     write_registry(StructureRegistry(entries=((0, "bg"), (1, "box")), background_id=0), registry)
+    return _limited_cli("consensus", small, far, "--registry", registry,
+                        "--out", tmp_path / "c.nii"), far
+
+
+def _limited_cli(*argv):
+    """``segqc *argv`` run in a child process with 1.5 GiB of address space."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", _LIMITED_CLI, "consensus", str(small),
-                           str(far), "--registry", str(registry), "--out",
-                           str(tmp_path / "c.nii")],
+    return subprocess.run([sys.executable, "-c", _LIMITED_CLI, *map(str, argv)],
                           env=env, capture_output=True, text=True, timeout=120)
-    return proc, far
 
 
 def test_consensus_refuses_a_read_beyond_the_address_space_limit(tmp_path):
@@ -402,6 +405,39 @@ def test_consensus_names_a_read_that_runs_out_of_address_space(tmp_path):
     assert proc.stderr == (f"error: {far}: dims [4, 4, 4] need at least 1.41 GiB, "
                            "more than this process has left\n")
     assert not (tmp_path / "c.nii").exists()
+
+
+def test_consensus_names_a_plain_read_that_runs_out_of_address_space(tmp_path):
+    # a sparse .nii of 1024 x 1024 x 1400 uint8 voxels: its 1.37 GiB is under the
+    # 1.5 GiB limit, but the interpreter already holds part of it, so mapping it
+    # fails, which must read as a validation error and not an i/o error
+    path = tmp_path / "big.nii"
+    write_nifti(path, np.zeros((4, 4, 4), np.uint8), VoxelGeometry((4, 4, 4), (1.0, 1.0, 1.0)))
+    with open(path, "r+b") as fh:
+        fh.seek(40)
+        fh.write(struct.pack("<8h", 3, 1024, 1024, 1400, 1, 1, 1, 1))
+        fh.truncate(352 + 1024 * 1024 * 1400)
+    registry = tmp_path / "registry.json"
+    write_registry(StructureRegistry(entries=((0, "bg"), (1, "box")), background_id=0), registry)
+    proc = _limited_cli("consensus", path, path, "--registry", registry,
+                        "--out", tmp_path / "c.nii")
+    assert proc.returncode == 1, proc.stderr[-500:]
+    assert proc.stderr == (f"error: {path}: dims [1024, 1024, 1400] need at least 1.37 GiB, "
+                           "more than this process has left\n")
+    assert not (tmp_path / "c.nii").exists()
+
+
+def test_consensus_written_over_its_own_input(sim_dir, capsys):
+    # a plain input is mapped, not copied; the output replaces it by a rename,
+    # so the mapped file is never changed in place under the running call
+    samples = sorted(sim_dir.glob("sample_*.nii"))
+    argv = ["consensus", *samples, "--registry", sim_dir / "registry.json", "--out"]
+    assert run([*argv, sim_dir / "c.nii"]) == 0
+    printed = capsys.readouterr().out
+    assert run([*argv, samples[0]]) == 0
+    assert capsys.readouterr().out == printed.replace(str(sim_dir / "c.nii"), str(samples[0]))
+    assert samples[0].read_bytes() == (sim_dir / "c.nii").read_bytes()
+    assert no_temp_litter(sim_dir)
 
 
 def test_out_of_memory_is_one_error_line(configs, monkeypatch, capsys):

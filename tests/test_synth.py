@@ -171,6 +171,27 @@ def test_label_only_sampling():
     assert len(ss.labels) == 3
 
 
+def test_sampled_labels_are_not_copied_again(monkeypatch):
+    # each sample's array is made once and kept read-only by its LabelVolume
+    from segqc import volumes
+
+    spec = bundled_phantom()
+    gt = make_phantom(spec)
+    scan_id, noise = bundled_scans()[0]
+    copies = []
+
+    def counting(arr):
+        kept = keep(arr)
+        copies.append(kept is not arr)
+        return kept
+
+    keep = volumes._read_only
+    monkeypatch.setattr(volumes, "_read_only", counting)
+    ss = sample_mc(gt, registry_for_phantom(spec), noise, with_probs=False)
+    assert scan_id == "scan_00" and len(ss.labels) == len(copies) == 15
+    assert not any(copies)
+
+
 def test_erosion_dilation_changes_volume_by_shells():
     spec = box_phantom()
     gt = make_phantom(spec)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from segqc.nifti import read_label_nifti, write_nifti
 from segqc.volumes import (
     LabelVolume,
     McSampleSet,
@@ -13,6 +14,7 @@ from segqc.volumes import (
     StructureRegistry,
     ValidationError,
     VoxelGeometry,
+    _read_only,
     require_valid,
     validate_sample_set,
 )
@@ -120,6 +122,14 @@ def test_array_holding_types_compare_by_identity():
         assert len({x, y, x}) == 2
 
 
+def test_prob_pass_compares_by_identity():
+    g = geom()
+    stack = ProbMapStack(g, (0, 1, 2), np.full((3, 3, 3, 3), 1 / 3))
+    x, y = (McSampleSet(g, small_registry(), probs=(stack, stack)).prob_pass for _ in "xy")
+    assert x == x and x != y
+    assert len({x, y, x}) == 2
+
+
 def test_check_labels_reports_unknown_ids():
     data = np.zeros((3, 3, 3), dtype=np.uint8)
     data[0, 0, 0] = 5
@@ -144,6 +154,25 @@ def test_label_volume_keeps_read_only_view_over_bytes():
     data = np.frombuffer(bytes(range(27)), dtype=np.uint8).reshape((3, 3, 3), order="F")
     vol = LabelVolume(geom(), data)
     assert vol.data is data
+
+
+def test_label_volume_keeps_a_read_only_file_map_and_copies_other_maps(tmp_path):
+    import mmap
+
+    path = tmp_path / "vol.nii"
+    write_nifti(path, np.arange(27, dtype=np.uint8).reshape(3, 3, 3), geom())
+    data = read_label_nifti(path).data
+    assert _read_only(data) is data
+    with open(path, "r+b") as fh:
+        shared = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_WRITE)
+        private = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+    # a read-only view of a writeable map leaves the map itself writeable
+    for buf in (shared, private, memoryview(shared).toreadonly(), bytearray(379)):
+        arr = np.frombuffer(buf, dtype=np.uint8, count=27, offset=352)
+        arr.flags.writeable = False
+        kept = _read_only(arr)
+        assert not np.shares_memory(kept, arr) and not kept.flags.writeable
+        assert np.array_equal(kept, arr)
 
 
 def gap_registry():
