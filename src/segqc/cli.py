@@ -23,7 +23,6 @@ import json
 import os
 import sys
 import warnings
-from contextlib import contextmanager
 from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
@@ -32,7 +31,7 @@ import numpy as np
 
 from . import io as sio
 from .metrics import STRUCTURE_METRICS, _count_labels, structure_report, voxel_uncertainty
-from .nifti import read_label_nifti, read_orientation, write_nifti
+from .nifti import _atomic, read_label_nifti, read_orientation, write_nifti
 from .stats import GROUP_MODES, ValidationError, correlate_uncertainty_accuracy, group_analysis
 from .synth import make_phantom, registry_for_phantom, sample_mc, soft_probs
 from .volumes import StructureRegistry, _parallel, _require_memory, _thread_cap
@@ -51,23 +50,6 @@ class _Parser(argparse.ArgumentParser):
     # for I/O, so route usage problems through the normal error path
     def error(self, message):
         raise UsageError(message)
-
-
-@contextmanager
-def _atomic(path: str | Path):
-    """Yield a temp path; rename over the target only if the block succeeds.
-
-    The temp name keeps the target's extensions (writers pick gzip vs
-    plain from the suffix) and starts with a dot so discovery skips it.
-    """
-    final = Path(path)
-    tmp = final.with_name(f".tmp-{os.getpid()}-{final.name}")
-    try:
-        yield tmp
-        os.replace(tmp, final)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
 
 
 def _discover_samples(tokens: list[str]) -> list[str]:
@@ -133,17 +115,15 @@ def cmd_metrics(args) -> int:
         if not gt_path:
             raise
         raise ValidationError(f"{gt_path}: {exc}") from exc
-    with _atomic(args.out) as tmp:
-        sio.write_report(report, tmp)
+    sio.write_report(report, args.out)
     orient = read_orientation(samples[0]) if args.uncertainty_out or args.heatmap_out else None
     if args.uncertainty_out:
         unc = (voxel_uncertainty(sample_set, normalize=args.normalize_entropy)
                if report.uncertainty is None else report.uncertainty)
-        with _atomic(args.uncertainty_out) as tmp:
-            write_nifti(tmp, unc.astype(np.float32), sample_set.geometry, orient)
+        write_nifti(args.uncertainty_out, unc.astype(np.float32), sample_set.geometry, orient)
     if args.heatmap_out:
-        with _atomic(args.heatmap_out) as tmp:
-            sio.write_heatmap_volume(report.consensus, report, args.heatmap_metric, tmp, orient)
+        sio.write_heatmap_volume(report.consensus, report, args.heatmap_metric,
+                                 args.heatmap_out, orient)
     _print_report_table(report)
     return EXIT_OK
 
@@ -152,8 +132,7 @@ def cmd_consensus(args) -> int:
     samples, registry, _, probs = _gather_inputs(args)
     sample_set = sio.read_sample_set(samples, registry, prob_paths=probs)
     _, counts, consensus = _count_labels(sample_set)  # read_sample_set validated the set
-    with _atomic(args.out) as tmp:
-        write_nifti(tmp, consensus, orientation=read_orientation(samples[0]))
+    write_nifti(args.out, consensus, orientation=read_orientation(samples[0]))
     voxels = dict(zip(registry.ids, counts[0]))
     print(f"consensus of {sample_set.n} samples -> {args.out}")
     for i, name in registry.foreground:
@@ -225,27 +204,24 @@ def _write_one_scan(out, gt, registry, with_probs, scan):
     sample_names, prob_lists = [], []
     for i, labels in enumerate(sample_set.labels):
         name = f"sample_{i:03d}.nii"
-        with _atomic(scan_dir / name) as tmp:
-            write_nifti(tmp, labels)
+        write_nifti(scan_dir / name, labels)
         sample_names.append(name)
         if with_probs:
             maps = soft_probs(labels, registry, noise).maps
             per_sample = []
             for k, lid in enumerate(registry.ids):
                 pname = f"prob_{i:03d}_label_{lid}.nii.gz"
-                with _atomic(scan_dir / pname) as tmp:
-                    write_nifti(tmp, maps[k].astype(np.float32), gt.geometry)
+                write_nifti(scan_dir / pname, maps[k].astype(np.float32), gt.geometry)
                 per_sample.append(pname)
             prob_lists.append(per_sample)
     # NoiseSpec's field order is the JSON key order
     extra = {"scan_id": scan_id, "noise": {
         **asdict(noise), "flip_probs": {str(lid): p for lid, p in noise.flip_probs}}}
-    with _atomic(scan_dir / "manifest.json") as tmp:
-        sio.write_scan_manifest(
-            tmp, sample_names,
-            gt=f"{dataset_rel}gt.nii", registry=f"{dataset_rel}registry.json",
-            probs=prob_lists if with_probs else None, extra=extra,
-        )
+    sio.write_scan_manifest(
+        scan_dir / "manifest.json", sample_names,
+        gt=f"{dataset_rel}gt.nii", registry=f"{dataset_rel}registry.json",
+        probs=prob_lists if with_probs else None, extra=extra,
+    )
 
 
 def cmd_simulate(args) -> int:
@@ -270,10 +246,8 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     gt = make_phantom(spec)
     registry = registry_for_phantom(spec)
-    with _atomic(out / "gt.nii") as tmp:
-        write_nifti(tmp, gt)
-    with _atomic(out / "registry.json") as tmp:
-        sio.write_registry(registry, tmp)
+    write_nifti(out / "gt.nii", gt)
+    sio.write_registry(registry, out / "registry.json")
 
     import scipy.ndimage  # noqa: F401  sample_mc's, imported here before any pool thread
     _parallel(partial(_write_one_scan, out, gt, registry, args.with_probs), scans, workers)

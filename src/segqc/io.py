@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .metrics import STRUCTURE_METRICS, StructureMetrics, StructureReport
-from .nifti import OrientationInfo, read_label_nifti, read_nifti, write_nifti
+from .nifti import OrientationInfo, _atomic, read_label_nifti, read_nifti, write_nifti
 from .stats import CohortTable
 from .synth import NoiseSpec, PhantomSpec, ShapeSpec
 from .volumes import (
@@ -114,9 +114,8 @@ def _field(doc: dict, key: str, kind, where: str | Path, path: str = "",
 
 
 def _dump_json(obj: object, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(obj, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    with _atomic(path) as tmp:
+        tmp.write_text(json.dumps(obj, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
 
 
 # -- structure registry ------------------------------------------------------
@@ -447,9 +446,9 @@ class _NiftiProbMapStack(ProbMapStack):
         object.__setattr__(self, "paths", tuple(paths))
         object.__setattr__(self, "owner", owner)  # the sample's label file
 
-    def load_map(self, k: int) -> np.ndarray:
+    def load_map(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
         q = self.paths[k]
-        img = read_nifti(q)
+        img = read_nifti(q, out)
         if img.geometry != self.geometry:
             raise ValidationError(f"{q}: geometry does not match {self.owner}")
         data = img.data

@@ -12,9 +12,9 @@ immutable, that report is computed once and memoised
 raises it when a set is read, and metric operations refuse to run on an
 invalid set. So is the one pass over its probability maps that both
 validation and the metrics read (:attr:`McSampleSet.prob_pass`): each
-sample's maps are loaded once, in ascending sample order, and folded
-into float64 sums, so no (N, K, x, y, z) stack is ever held. A
-sample's maps are decoded, and folded in z-slabs, by up to
+sample's maps are loaded once, in ascending sample order, into K reused
+buffers and folded into float64 sums, so no (N, K, x, y, z) stack is
+ever held. A sample's maps are decoded, and folded in z-slabs, by up to
 ``SEGQC_THREADS`` threads (default: 2), the calling thread included;
 every float operation is per voxel, so no thread count changes a result.
 
@@ -45,6 +45,8 @@ _MAX_LABEL_ID = 1 << 20
 # probability pass), rounded down to whole x-y planes (at least one): a
 # slab's temporaries stay near the CPU cache, and a small volume is one slab.
 _SLAB = 1 << 17
+# A map slab less than 1 / _HARD_SHARE soft takes the entropy of its soft voxels alone
+_HARD_SHARE = 4
 
 
 class ValidationError(ValueError):
@@ -263,11 +265,12 @@ class ProbMapStack:
         object.__setattr__(self, "maps", _read_only(arr))
         object.__setattr__(self, "label_ids", tuple(int(i) for i in self.label_ids))
 
-    def load_map(self, k: int) -> np.ndarray:
+    def load_map(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
         """The map of ``label_ids[k]``.
 
         A stack backed by files (see :func:`segqc.io.read_sample_set`)
-        decodes that one file on every call and keeps nothing.
+        decodes that one file on every call, into ``out`` where it fits
+        (see :func:`segqc.nifti.read_nifti`); an in-memory one ignores it.
         """
         return self.maps[k]
 
@@ -291,7 +294,10 @@ def _fold_slab(maps: Sequence[np.ndarray], z: slice, label_ids: Sequence[int] = 
     float64, the order of a sum over the stack's first axis. With
     ``best``, the argmax labels of ``label_ids`` are written into its
     slab; with ``entropy``, each map's -p*ln(p) is taken from its slab
-    and the map added into the slab of ``sums[k]``.
+    and the map added into the slab of ``sums[k]``: only at its voxels in
+    (0, 1) when those are few (see ``_HARD_SHARE``). That is exact, as the
+    term is +0.0 at p = 0 and 1 and ``x - (+0.0)`` is ``x``, -0.0 included;
+    any other p fails the checks, which drop the entropy.
     """
     part = [m[:, :, z] for m in maps]
     bounds = np.array([(m.min(), m.max()) for m in part])
@@ -310,8 +316,14 @@ def _fold_slab(maps: Sequence[np.ndarray], z: slice, label_ids: Sequence[int] = 
     if entropy is not None:
         from scipy.special import xlogy  # first imported by _prob_pass, before its pool
         out = entropy[:, :, z]
-        for m, acc in zip(part, sums):
-            out -= xlogy(m, m, dtype=np.float64)
+        for m, (lo, hi), acc in zip(part, bounds, sums):
+            mm, oo = (m.T, out.T) if m.flags.f_contiguous else (m, out)  # in memory order
+            soft = None if 0 < lo and hi < 1 else (mm > 0) & (mm < 1)  # None: every voxel
+            if soft is not None and _HARD_SHARE * np.count_nonzero(soft) < soft.size:
+                p = mm.flat[at := np.flatnonzero(soft)]
+                oo.flat[at] -= xlogy(p, p, dtype=np.float64)
+            else:
+                out -= xlogy(m, m, dtype=np.float64)
             acc = acc[:, :, z]
             acc += m
     return bounds, err, differ
@@ -449,7 +461,8 @@ def _prob_pass(sample_set: McSampleSet) -> ProbPass:
     over samples (the mean) and of a per-sample loop over structures (the
     entropy), and widening float32 to float64 is exact, so the results
     are bit-identical to summing a float64 copy of the whole set. Memory
-    is K + 2 float64 volumes plus one sample's maps.
+    is K + 2 float64 volumes plus K float32 buffers, which every sample's
+    maps are decoded into, freed before the consensus is taken.
 
     Each sample's K files are decoded, then its maps folded in the z-slabs
     of :func:`_slabs` (:func:`_fold_slab`), by :func:`_parallel` on up to
@@ -466,8 +479,9 @@ def _prob_pass(sample_set: McSampleSet) -> ProbPass:
     workers = min(_thread_cap(2), len(slabs))
     entropy, sums, fold = None, [], True
     checks, mismatches, labels = [], [], []
+    bufs = [np.empty(sample_set.geometry.dims, dtype=np.float32, order="F") for _ in ids]
     for i, stack in enumerate(sample_set.probs):
-        maps = _parallel(stack.load_map, range(len(stack.label_ids)), workers)
+        maps = _parallel(lambda k: stack.load_map(k, bufs[k]), range(len(ids)), workers)
         if entropy is None:
             entropy = np.zeros_like(maps[0], dtype=np.float64)
             sums = [np.zeros_like(m, dtype=np.float64) for m in maps]
@@ -485,6 +499,7 @@ def _prob_pass(sample_set: McSampleSet) -> ProbPass:
             best.flags.writeable = False
         labels.append(best if truth is None else None)
         fold = fold and not msgs
+    del bufs
 
     consensus = None
     if not fold:

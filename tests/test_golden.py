@@ -2,9 +2,11 @@
 CLI calls, compared with ``golden.json``.
 
 Three scans of the bundled study (``docs/``) are simulated with
-probability maps once. Then each call of :func:`calls` runs in process,
-once with ``SEGQC_THREADS=1`` and once with ``SEGQC_THREADS=2``, and both
-runs must give the recorded digests. A ``.nii.gz`` is hashed by its
+probability maps once, beside a small fully soft set (:func:`soft_set`:
+a seeded softmax of random logits, soft at every voxel like the maps of
+MC dropout, which the bundled maps are not). Then each call of
+:func:`calls` runs in process, once with ``SEGQC_THREADS=1`` and once
+with ``SEGQC_THREADS=2``, and both runs must give the recorded digests. A ``.nii.gz`` is hashed by its
 decoded bytes (header and payload), which do not depend on the zlib
 build; every other file by its bytes. The output directory is
 replaced by ``<out>`` in stdout.
@@ -39,6 +41,7 @@ DOCS = HERE.parent / "docs"
 GOLDEN = HERE / "golden.json"
 N_SCANS = 3
 THREADS = (1, 2)
+SOFT_DIMS, SOFT_N, SOFT_K, SOFT_SEED = (20, 20, 20), 4, 5, 25
 
 
 def versions() -> dict:
@@ -58,6 +61,33 @@ def simulate(root: Path) -> Path:
                          "--with-probs"])
     assert code == 0
     return sim
+
+
+def soft_set(sim: Path) -> None:
+    """Under ``sim / "soft"``: ``SOFT_N`` samples of ``SOFT_K`` float32
+    ``.nii.gz`` maps on ``SOFT_DIMS``, a seeded softmax of random logits,
+    each sample's labels their argmax, and its manifest and registry."""
+    from segqc.io import write_registry, write_scan_manifest
+    from segqc.nifti import write_nifti
+    from segqc.volumes import StructureRegistry, VoxelGeometry
+
+    d = sim / "soft"
+    d.mkdir()
+    rng = np.random.default_rng(SOFT_SEED)
+    geom = VoxelGeometry(SOFT_DIMS, (1.0, 1.0, 1.0))
+    write_registry(StructureRegistry(tuple((k, f"s{k}") for k in range(SOFT_K)), 0),
+                   d / "registry.json")
+    samples, probs = [], []
+    for i in range(SOFT_N):
+        logits = rng.normal(size=(SOFT_K, *SOFT_DIMS))
+        e = np.exp(logits - logits.max(axis=0))
+        maps = (e / e.sum(axis=0)).astype(np.float32)
+        samples.append(f"sample_{i}.nii.gz")
+        write_nifti(d / samples[-1], np.argmax(maps, axis=0).astype(np.uint8), geom)
+        probs.append([f"prob_{i}_{k}.nii.gz" for k in range(SOFT_K)])
+        for k, name in enumerate(probs[-1]):
+            write_nifti(d / name, maps[k], geom)
+    write_scan_manifest(d / "manifest.json", samples, registry="registry.json", probs=probs)
 
 
 def calls(sim: Path, out: Path) -> list[tuple[str, list[str]]]:
@@ -83,6 +113,10 @@ def calls(sim: Path, out: Path) -> list[tuple[str, list[str]]]:
         d = out / f"consensus_labels{suffix.replace('.', '_')}"
         todo.append((d.name, ["consensus", str(sim / scans[0]), "--registry", registry,
                               "--out", str(d / f"consensus{suffix}")]))
+    d = out / "metrics_soft"
+    todo.append((d.name, ["metrics", "--manifest", str(sim / "soft" / "manifest.json"),
+                          "--out", str(d / "report.json"),
+                          "--uncertainty-out", str(d / "uncertainty.nii.gz")]))
     return todo
 
 
@@ -121,7 +155,9 @@ def run_calls(root: Path, sim: Path, threads: int) -> dict[str, str]:
 @pytest.fixture(scope="module")
 def study(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
-    return root, simulate(root)
+    sim = simulate(root)
+    soft_set(sim)
+    return root, sim
 
 
 @pytest.mark.parametrize("threads", THREADS)
@@ -141,6 +177,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         sim = simulate(root)
+        soft_set(sim)
         runs = [run_calls(root, sim, t) for t in THREADS]
     assert all(r == runs[0] for r in runs), "outputs depend on SEGQC_THREADS"
     GOLDEN.write_text(json.dumps({"versions": versions(), "digests": runs[0]}, indent=2) + "\n",

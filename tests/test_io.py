@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import gzip
 import io
 import json
 import math
@@ -36,6 +37,7 @@ from segqc.nifti import read_nifti, write_nifti
 from segqc.stats import CohortTable
 from segqc.synth import NoiseSpec, make_phantom, registry_for_phantom
 from segqc.volumes import LabelVolume, StructureRegistry, ValidationError, VoxelGeometry
+from test_nifti import MAP_VARIANTS
 
 
 # -- registry ------------------------------------------------------------------
@@ -596,8 +598,9 @@ def test_read_sample_set_refuses_float_labels(tmp_path):
         read_sample_set([fl] + paths[1:], reg)
 
 
-def write_prob_set(tmp_path, n, k, dims):
-    """N float32 Dirichlet stacks of K maps, labels = their argmax, all on disk."""
+def write_prob_set(tmp_path, n, k, dims, suffix=".nii"):
+    """N float32 Dirichlet stacks of K maps, labels = their argmax, all on
+    disk; the maps as ``suffix`` files."""
     rng = np.random.default_rng(11)
     geom = VoxelGeometry(dims, (1.0, 1.0, 1.0))
     reg = StructureRegistry(tuple((i, f"s{i}") for i in range(k)), background_id=0)
@@ -609,7 +612,7 @@ def write_prob_set(tmp_path, n, k, dims):
         label_paths.append(p)
         prob_paths.append([])
         for j in range(k):
-            q = tmp_path / f"prob_{i:03d}_{j}.nii"
+            q = tmp_path / f"prob_{i:03d}_{j}{suffix}"
             write_nifti(q, maps[..., j], geom)
             prob_paths[-1].append(q)
     return label_paths, prob_paths, reg
@@ -656,9 +659,9 @@ def test_read_sample_set_decodes_probability_files_once(tmp_path, monkeypatch):
     decoded = []
     real = segqc.nifti.read_nifti
 
-    def counted(path):
+    def counted(path, out=None):
         decoded.append(Path(path).name)
-        return real(path)
+        return real(path, out)
 
     monkeypatch.setattr(segqc.nifti, "read_nifti", counted)
     monkeypatch.setattr(segqc.io, "read_nifti", counted)
@@ -701,6 +704,41 @@ def test_probability_file_errors_keep_their_exit_codes(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("variant", sorted(MAP_VARIANTS))
+def test_probability_pass_decodes_each_file_as_a_one_off_read_does(tmp_path, capsys, variant):
+    # sample 1's map of label 2 stored another way: the pass, which decodes
+    # into buffers that sample 0 filled, gives the report or the error that
+    # decoding that file alone gives
+    from segqc.cli import main
+
+    label_paths, prob_paths, reg = write_prob_set(tmp_path, 3, 3, (6, 5, 4), suffix=".nii.gz")
+    write_registry(reg, tmp_path / "registry.json")
+    write_scan_manifest(tmp_path / "manifest.json", [p.name for p in label_paths],
+                        registry="registry.json",
+                        probs=[[q.name for q in qs] for qs in prob_paths])
+    argv = ["metrics", "--manifest", str(tmp_path / "manifest.json"),
+            "--uncertainty-out", str(tmp_path / "u.nii")]
+    assert main([*argv, "--out", str(tmp_path / "want.json")]) == 0
+    capsys.readouterr()
+    q = prob_paths[1][2]
+    make, same = MAP_VARIANTS[variant]
+    want_u = (tmp_path / "u.nii").read_bytes()
+    q.write_bytes(make(gzip.decompress(q.read_bytes())))
+    code = main([*argv, "--out", str(tmp_path / "got.json")])
+    err = capsys.readouterr().err
+    if same:
+        assert code == 0, err
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+        assert (tmp_path / "u.nii").read_bytes() == want_u
+        return
+    stack = segqc.io._NiftiProbMapStack(read_nifti(label_paths[1]).geometry, reg.ids,
+                                         prob_paths[1], label_paths[1])
+    with pytest.raises(ValidationError) as info:
+        stack.load_map(2)
+    assert code == 1 and err == f"error: {info.value}\n"
+    assert not (tmp_path / "got.json").exists()
+
+
 def test_structure_uncertainty_decodes_one_file_per_sample(tmp_path, monkeypatch):
     import segqc.io
     from scipy.special import xlogy
@@ -713,9 +751,9 @@ def test_structure_uncertainty_decodes_one_file_per_sample(tmp_path, monkeypatch
     decoded = []
     real = segqc.io.read_nifti
 
-    def counted(path):
+    def counted(path, out=None):
         decoded.append(Path(path))
-        return real(path)
+        return real(path, out)
 
     monkeypatch.setattr(segqc.io, "read_nifti", counted)
     got = structure_uncertainty(ss, 2)

@@ -786,9 +786,9 @@ def test_prob_pass_loads_each_sample_once():
     loads = []
 
     class CountingStack(ProbMapStack):
-        def load_map(self, k):
+        def load_map(self, k, out=None):
             loads.append((id(self), k))
-            return super().load_map(k)
+            return super().load_map(k, out)
 
     rng = np.random.default_rng(3)
     g = geom(4, 4, 4)
@@ -807,16 +807,28 @@ def test_prob_pass_loads_each_sample_once():
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_prob_pass_holds_one_sample_of_maps(monkeypatch, threads):
-    # a sample's maps are freed before the next sample's are decoded
-    refs, alive = [], []
+    # a sample's maps are freed before the next sample's are decoded, and
+    # the buffers they may be decoded into are K, one per structure, reused
+    # by every sample and freed before the consensus is taken
+    refs, alive, outs, bufs, at_consensus = [], [], [], [], []
 
     class TrackingStack(ProbMapStack):
-        def load_map(self, k):
+        def load_map(self, k, out=None):
             alive.append(sum(r() is not None for r in refs))
-            m = np.array(super().load_map(k))  # owned, as a decoded file is
+            outs.append((k, id(out)))
+            bufs.append(weakref.ref(out))
+            m = np.array(super().load_map(k, out))  # owned, as a decoded file is
             refs.append(weakref.ref(m))
             return m
 
+    real_argmax = volumes._argmax_labels
+
+    def argmax(maps, label_ids, out=None):
+        if out is None:  # the consensus; each slab's argmax writes into ``best``
+            at_consensus.append(sum(b() is not None for b in bufs))
+        return real_argmax(maps, label_ids, out)
+
+    monkeypatch.setattr(volumes, "_argmax_labels", argmax)
     monkeypatch.setenv("SEGQC_THREADS", threads)
     g = geom(4, 4, 4)
     stacks = random_prob_stacks(np.random.default_rng(6), n_samples=4)
@@ -824,6 +836,8 @@ def test_prob_pass_holds_one_sample_of_maps(monkeypatch, threads):
         TrackingStack(geometry=g, label_ids=REG.ids, maps=s) for s in stacks))
     assert not ss.violations
     assert len(alive) == 4 * 3 and max(alive) < 3
+    assert len(set(outs)) == len({buf for _, buf in outs}) == 3
+    assert at_consensus == [0]
 
 
 def slabbed_pass(probs, registry, threads, labels=None):

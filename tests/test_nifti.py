@@ -13,6 +13,7 @@ from segqc import nifti
 from segqc.nifti import (
     HEADER_SIZE,
     MAGIC,
+    WRITE_VOX_OFFSET,
     NiftiFormatError,
     OrientationInfo,
     read_label_nifti,
@@ -225,6 +226,132 @@ def test_read_orientation_decodes_only_the_header(tmp_path):
     assert read_orientation(cut) == o
     with pytest.raises(NiftiFormatError, match="truncated data"):
         read_nifti(cut)
+
+
+# -- decoding into a caller's buffer ---------------------------------------------
+
+
+def _be(raw: bytes) -> bytes:
+    """The float32 file ``raw`` rewritten big-endian, header and payload."""
+    buf = bytearray(raw[:WRITE_VOX_OFFSET])
+    for offset, fmt in nifti._FIELDS.values():
+        struct.pack_into(">" + fmt, buf, offset, *struct.unpack_from("<" + fmt, raw, offset))
+    return bytes(buf) + np.frombuffer(raw, "<f4", offset=WRITE_VOX_OFFSET).astype(">f4").tobytes()
+
+
+def _patched(raw: bytes, fmt: str, offset: int, *values, payload: bytes | None = None) -> bytes:
+    buf = bytearray(raw[:WRITE_VOX_OFFSET])
+    struct.pack_into("<" + fmt, buf, offset, *values)
+    return bytes(buf) + (raw[WRITE_VOX_OFFSET:] if payload is None else payload)
+
+
+def _crc_flipped(blob: bytes) -> bytes:
+    blob = bytearray(blob)
+    blob[-8] ^= 0xFF  # first byte of the CRC-32 trailer
+    return bytes(blob)
+
+
+def _grid(raw: bytes) -> bytes:
+    x, y, z = struct.unpack_from("<3h", raw, 42)
+    return _patched(raw, "h", 46, z + 1, payload=raw[WRITE_VOX_OFFSET:] + bytes(4 * x * y))
+
+
+# name -> (the stored file, from a little-endian float32 .nii's bytes; whether
+# it decodes to the same values). Each decodes into a float32 buffer of the
+# map's grid exactly as it decodes fresh, with the same values or error.
+MAP_VARIANTS = {
+    "gzip": (gzip.compress, True),
+    "concatenated": (lambda raw: gzip.compress(raw[:500]) + gzip.compress(raw[500:]), True),
+    "past_volume": (lambda raw: gzip.compress(raw + bytes(1 << 16)), True),
+    "big_endian": (lambda raw: gzip.compress(_be(raw)), True),
+    "scaled": (lambda raw: gzip.compress(_patched(
+        raw, "2f", 112, 0.5, 0.0,
+        payload=(np.frombuffer(raw, "<f4", offset=WRITE_VOX_OFFSET) * 2).tobytes())), True),
+    "corrupt_crc": (lambda raw: _crc_flipped(gzip.compress(raw)), False),
+    "truncated": (lambda raw: gzip.compress(raw)[:-30], False),
+    "float64": (lambda raw: gzip.compress(_patched(raw, "2h", 70, 64, 64)), False),
+    "grid": (lambda raw: gzip.compress(_grid(raw)), False),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(MAP_VARIANTS))
+def test_decode_into_a_buffer_matches_a_fresh_decode(tmp_path, variant):
+    data = np.random.default_rng(7).dirichlet(np.ones(3), GEOM.dims)[..., 0].astype(np.float32)
+    plain = tmp_path / "map.nii"
+    write_nifti(plain, data, GEOM)
+    make, same = MAP_VARIANTS[variant]
+    path = tmp_path / "map.nii.gz"
+    path.write_bytes(make(plain.read_bytes()))
+    buf = np.full(GEOM.dims, np.nan, dtype=np.float32, order="F")
+    got = []
+    for out in (None, buf):
+        try:
+            got.append(read_nifti(path, out).data)
+        except NiftiFormatError as exc:
+            got.append(str(exc))
+    fresh, buffered = got
+    if isinstance(fresh, str):
+        assert buffered == fresh and "map.nii.gz" in fresh
+        return
+    assert np.array_equal(buffered, fresh) and not buffered.flags.writeable
+    assert np.array_equal(fresh, data) == same
+    # a file that fits the buffer (the stored dtype and grid) is decoded into it
+    fits = variant in ("gzip", "concatenated", "past_volume", "scaled")
+    assert (np.shares_memory(buffered, buf) or variant == "scaled") == fits
+    assert buf.flags.writeable and np.isnan(buf).all() != fits
+
+
+def test_decode_reuses_one_buffer_across_files(tmp_path):
+    buf = np.empty(GEOM.dims, dtype=np.float32, order="F")
+    paths = [tmp_path / f"m{i}.nii.gz" for i in range(3)]
+    for i, path in enumerate(paths):
+        write_nifti(path, random_volume(np.float32, seed=i), GEOM)
+    for path in paths:
+        view = read_nifti(path, buf).data
+        assert np.shares_memory(view, buf) and np.array_equal(view, read_nifti(path).data)
+    # a plain file, an integer file or a C-ordered buffer is decoded as without one
+    write_nifti(plain := tmp_path / "p.nii", random_volume(np.float32), GEOM)
+    write_nifti(ints := tmp_path / "i.nii.gz", random_volume(np.int16), GEOM)
+    for path, out in ((plain, buf), (ints, buf), (paths[0], np.empty(GEOM.dims, np.float32))):
+        img = read_nifti(path, out)
+        assert not np.shares_memory(img.data, out)
+        assert np.array_equal(img.data, read_nifti(path).data)
+
+
+_REWRITE_PROBE = """
+import sys
+import numpy as np
+from segqc.nifti import read_label_nifti, write_nifti
+from segqc.volumes import VoxelGeometry
+vol = read_label_nifti(sys.argv[1])
+before = int(vol.data.sum())
+write_nifti(sys.argv[1], np.zeros(vol.geometry.dims, dtype=np.uint8), vol.geometry)
+write_nifti(sys.argv[1], np.zeros((4, 4, 4), dtype=np.uint8),
+            VoxelGeometry((4, 4, 4), (1.0, 1.0, 1.0)))
+print(before, int(vol.data.sum()))
+"""
+
+
+def test_rewriting_a_mapped_file_leaves_its_volume_unchanged(tmp_path):
+    # write_nifti renames a new file over the old one, so a volume mapped
+    # from the old file keeps its contents, even when the new one is smaller
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    path = tmp_path / "ones.nii"
+    write_nifti(path, np.ones((64, 64, 64), dtype=np.uint8),
+                VoxelGeometry((64, 64, 64), (1.0, 1.0, 1.0)))
+    src = str(Path(nifti.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _REWRITE_PROBE, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, (proc.returncode, proc.stderr[-500:])
+    assert proc.stdout.split() == [str(64**3)] * 2
+    assert [p.name for p in tmp_path.iterdir()] == ["ones.nii"]  # no temporary left
+    assert read_nifti(path).geometry.dims == (4, 4, 4)
 
 
 # -- scaling rules -------------------------------------------------------------

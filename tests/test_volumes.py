@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from segqc.nifti import read_label_nifti, write_nifti
+from segqc import volumes
+from segqc.nifti import read_label_nifti, read_nifti, write_nifti
 from segqc.volumes import (
     LabelVolume,
     McSampleSet,
@@ -175,6 +176,20 @@ def test_label_volume_keeps_a_read_only_file_map_and_copies_other_maps(tmp_path)
         assert np.array_equal(kept, arr)
 
 
+def test_label_volume_keeps_a_decoded_gzip_volume_and_copies_one_over_a_buffer(tmp_path):
+    # a .nii.gz is decoded into a fresh array made read-only once filled;
+    # one decoded into a caller's buffer views memory that stays writeable
+    path = tmp_path / "vol.nii.gz"
+    write_nifti(path, np.arange(27, dtype=np.uint8).reshape(3, 3, 3), geom())
+    data = read_label_nifti(path).data
+    assert _read_only(data) is data
+    buf = np.empty((3, 3, 3), dtype=np.uint8, order="F")
+    view = read_nifti(path, buf).data
+    assert np.shares_memory(view, buf) and not view.flags.writeable and buf.flags.writeable
+    kept = _read_only(view)
+    assert not np.shares_memory(kept, buf) and np.array_equal(kept, data)
+
+
 def gap_registry():
     return StructureRegistry(
         entries=((0, "background"), (2, "left"), (5, "right")), background_id=0
@@ -243,6 +258,66 @@ def test_prob_stack_argmax_tie_takes_lowest_id():
     perm[0] = 0.5  # label 2
     perm[1] = 0.5  # label 1
     assert argmax_labels(make_stack(perm, ids=(2, 1, 0)))[0, 0, 0] == 1
+
+
+def hard_and_soft_stacks(layout):
+    """3 samples of 3 float32 maps on 4 x 4 x 10: planes z < 5 one-hot but
+    for 2 of their 16 voxels, which hold exact 0 and 1, the smallest
+    subnormal, 1 - 2**-24 and 0.5; planes z >= 5 soft at every voxel.
+    With ``layout`` "F" each map is Fortran-ordered, as a decoded file is."""
+    rng = np.random.default_rng(25)
+    tiny, below_one = np.nextafter(np.float32(0), np.float32(1)), np.float32(1 - 2**-24)
+    special = np.array([[tiny, 1.0, 0.0], [tiny, below_one, 2**-24], [0.5, 0.5, 0.0],
+                        [below_one, 0.0, 2**-24]], dtype=np.float32)
+    stacks = []
+    for i in range(3):
+        maps = np.zeros((3, 4, 4, 10), dtype=np.float32)
+        maps[rng.integers(0, 3, (4, 4, 5)), *np.indices((4, 4, 5))] = 1.0
+        for z in range(5):
+            for x in range(2):
+                maps[:, x, (z + i) % 4, z] = special[(x + z + i) % 4]
+        maps[:, :, :, 5:] = np.moveaxis(rng.dirichlet(np.ones(3), (4, 4, 5)), -1, 0)
+        if layout == "F":  # each maps[k] Fortran-contiguous
+            maps = np.moveaxis(np.asfortranarray(np.moveaxis(maps, 0, -1)), -1, 0)
+        stacks.append(ProbMapStack(geometry=geom(4, 4, 10), label_ids=(0, 1, 2), maps=maps))
+    return stacks
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("slab,masked", [
+    (16, True),        # one plane a slab: hard planes take their soft voxels alone
+    (48, True),        # three planes: z 3..5 mixes hard and soft planes, above a quarter soft
+    (80, True),        # five planes: the hard half and the soft half
+    (1 << 17, False),  # one slab, 37.5 % soft: every voxel's term
+])
+def test_entropy_of_soft_voxels_alone_is_the_dense_entropy(monkeypatch, layout, threads, slab,
+                                                           masked):
+    import scipy.special
+    from scipy.special import xlogy
+
+    stacks = hard_and_soft_stacks(layout)
+    want = np.zeros((4, 4, 10))
+    for stack in stacks:
+        for m in stack.maps:
+            want -= xlogy(m, m, dtype=np.float64)
+    np.maximum(want, 0.0, out=want)
+    shapes = []
+
+    def spy(x, y, **kw):
+        shapes.append(np.shape(x))
+        return xlogy(x, y, **kw)
+
+    monkeypatch.setattr(scipy.special, "xlogy", spy)
+    monkeypatch.setattr(volumes, "_SLAB", slab)
+    monkeypatch.setenv("SEGQC_THREADS", threads)
+    ss = McSampleSet(geometry=geom(4, 4, 10), registry=small_registry(), probs=stacks)
+    assert not ss.violations
+    got = ss.prob_pass.entropy
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+    # the soft voxels of a hard slab come as one flat run; a dense slab whole
+    assert any(len(s) == 1 for s in shapes) == masked
+    assert any(len(s) == 3 for s in shapes)
 
 
 # -- samples and sets --------------------------------------------------------
@@ -344,9 +419,9 @@ def test_structural_fault_is_refused_before_any_map_is_read(rule):
     loads = []
 
     class CountingStack(ProbMapStack):
-        def load_map(self, k):
+        def load_map(self, k, out=None):
             loads.append((id(self), k))
-            return super().load_map(k)
+            return super().load_map(k, out)
 
     def stack(dims=(3, 3, 3), ids=(0, 1, 2)):
         maps = np.zeros((len(ids), *dims))
