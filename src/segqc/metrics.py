@@ -48,6 +48,7 @@ from .volumes import (
     StructureRegistry,
     ValidationError,
     _parallel,
+    _release,
     _slabs,
     _thread_cap,
     require_valid,
@@ -128,6 +129,7 @@ def _count_slab(labels: list[np.ndarray], registry: StructureRegistry, cons: np.
     carries the label, padded with zero bits to whole 64-bit words. A
     pair's intersection is the popcount of the AND of its two planes, and
     a voxel's vote for the label is the number of planes with its bit set.
+    Last, the slab's mapped pages of every sample and ``gt`` are released.
     """
     n = len(labels)
     parts = [arr[:, :, z].reshape(-1, order="F") for arr in labels]
@@ -177,6 +179,8 @@ def _count_slab(labels: list[np.ndarray], registry: StructureRegistry, cons: np.
         truth = gt[:, :, z].reshape(-1, order="F")
         counts[1] = _registry_counts(truth, registry)
         counts[2] = _registry_counts(out[out == truth], registry)
+    for arr in (*labels, gt):
+        _release(arr, z)
     return inter, counts
 
 

@@ -209,8 +209,10 @@ def read_nifti(path: str | Path, out: np.ndarray | None = None) -> NiftiImage:
     maps. Float payloads have slope/intercept applied (slope 0 means 1);
     the trivial slope 1 / intercept 0 case skips arithmetic entirely so
     round-trips are bit-exact. Every format error names the file. The file
-    is read or mapped only up to ``vox_offset`` plus the volume, and not at
-    all when that (twice that for gzip) exceeds the memory the process may use.
+    is read or mapped only up to ``vox_offset`` plus the volume, and not at all
+    when what the read holds (for gzip the volume, ``vox_offset`` twice and six
+    64 KiB chunks) exceeds the memory the process may use. The passes over a
+    mapped label volume release its pages (:func:`segqc.volumes._release`).
     """
     try:
         with open(path, "rb") as fh:
@@ -232,7 +234,9 @@ def _decode(fh, out: np.ndarray | None) -> NiftiImage:
     n = int(np.prod(header.dims))
     offset = int(header.vox_offset)
     need = offset + n * dt.itemsize
-    held, what = 2 * need if gz else need, f"dims {list(header.dims)}"
+    # gzip: the bytes before the payload twice (read, copied) and 6 chunks: input,
+    # its tail, last and next inflated chunk (two blocks, joined), zlib and file buffers
+    held, what = need + (offset + 6 * _GZIP_CHUNK if gz else 0), f"dims {list(header.dims)}"
     _require_memory(held, what)
     try:  # the check passed, but the interpreter and its threads hold memory too
         if gz:

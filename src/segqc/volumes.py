@@ -20,7 +20,8 @@ every float operation is per voxel, so no thread count changes a result.
 
 Voxel data is stored as 3-D numpy arrays indexed ``[x, y, z]``; the flat
 (serialized) order is x-fastest, matching the on-disk layout used by the
-io module.
+io module. A label volume mapped from a plain .nii has its pages released
+by each pass that has read them (:func:`_release`).
 """
 
 from __future__ import annotations
@@ -92,31 +93,42 @@ def _require_memory(need: int, what: str) -> int:
     return limit
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    """``arr`` itself if no writeable alias of its memory can exist, else a
-    read-only private copy.
-
-    An array is kept when it and every array it views are read-only and
-    the memory underneath is owned by one of them, an immutable ``bytes``
-    object (a decoded .nii.gz) or an ``ACCESS_READ`` map (a plain .nii).
-    Anything else -- a writeable array, a view of one, or foreign memory
-    such as a ``bytearray`` or any other map -- is copied.
-    """
+def _frozen_base(arr: np.ndarray | None) -> object:
+    """What holds ``arr``'s memory if no writeable alias of it can exist: a
+    read-only array owning it, with every array between read-only, a ``bytes``
+    or an ``ACCESS_READ`` map (a plain .nii). Else None: a writeable array, a
+    view of one, or foreign memory such as a ``bytearray`` or any other map."""
     base = arr
-    while isinstance(base, np.ndarray):
-        if base.flags.writeable:
-            break
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        if base.base is None:
+            return base
         base = base.base
-    else:
-        if base is None or isinstance(base, bytes):
-            return arr
-        if isinstance(base, memoryview):
-            import mmap  # here, not at import, so startup loads nothing new
-            if isinstance(base.obj, mmap.mmap) and memoryview(base.obj).readonly:
-                return arr  # the map's own buffer is read-only under ACCESS_READ alone
-    arr = arr.copy(order="K")
-    arr.flags.writeable = False
+    if isinstance(base, memoryview):
+        import mmap  # here, not at import, so startup loads nothing new
+        if isinstance(base.obj, mmap.mmap) and memoryview(base.obj).readonly:
+            return base.obj  # the map's own buffer is read-only under ACCESS_READ alone
+    return base if isinstance(base, bytes) else None
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr`` if :func:`_frozen_base` finds its memory, else a read-only copy."""
+    if _frozen_base(arr) is None:
+        arr = arr.copy(order="K")
+        arr.flags.writeable = False
     return arr
+
+
+def _release(arr: np.ndarray | None, z: slice = slice(None)) -> None:
+    """Hand back to the kernel the whole pages of ``arr[:, :, z]`` in the
+    ``ACCESS_READ`` file map under ``arr``: they refault from the page cache
+    with the same bytes, on any thread. Other memory, which ``MADV_DONTNEED``
+    would zero, is left alone, as is a map where ``mmap`` has no ``madvise``."""
+    if hasattr(base := _frozen_base(arr), "madvise"):  # only a map has it
+        import mmap  # here, not at import, so startup loads nothing new
+        lo, hi = (b - np.frombuffer(base, np.uint8).ctypes.data
+                  for b in np.lib.array_utils.byte_bounds(arr[:, :, z]))
+        lo -= lo % mmap.PAGESIZE
+        base.madvise(mmap.MADV_DONTNEED, lo, hi - lo)  # the map clips the tail
 
 
 @dataclass(frozen=True)
@@ -220,18 +232,21 @@ class LabelVolume:
         A min/max test settles the common case; when the registry has gaps
         inside the volume's value range, a lookup table over that range
         tests every voxel. ``np.unique`` only runs to name unknown ids once
-        some are known to exist.
+        some are known to exist. Mapped pages are released after (:func:`_release`).
         """
-        lo, hi = int(self.data.min()), int(self.data.max())
-        if lo >= 0 and hi <= registry.max_id:
-            known = np.zeros(hi + 1, dtype=bool)
-            known[[i for i in registry.ids if i <= hi]] = True
-            if known[lo:].all():
-                return []
-            if hi < self.data.size and known[self.data].all():
-                return []
-        ids = set(registry.ids)
-        return [int(v) for v in np.unique(self.data) if int(v) not in ids]
+        try:
+            lo, hi = int(self.data.min()), int(self.data.max())
+            if lo >= 0 and hi <= registry.max_id:
+                known = np.zeros(hi + 1, dtype=bool)
+                known[[i for i in registry.ids if i <= hi]] = True
+                if known[lo:].all():
+                    return []
+                if hi < self.data.size and known[self.data].all():
+                    return []
+            ids = set(registry.ids)
+            return [int(v) for v in np.unique(self.data) if int(v) not in ids]
+        finally:
+            _release(self.data)
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,7 +312,8 @@ def _fold_slab(maps: Sequence[np.ndarray], z: slice, label_ids: Sequence[int] = 
     and the map added into the slab of ``sums[k]``: only at its voxels in
     (0, 1) when those are few (see ``_HARD_SHARE``). That is exact, as the
     term is +0.0 at p = 0 and 1 and ``x - (+0.0)`` is ``x``, -0.0 included;
-    any other p fails the checks, which drop the entropy.
+    any other p fails the checks, which drop the entropy. Last, ``truth``'s
+    slab is released (:func:`_release`).
     """
     part = [m[:, :, z] for m in maps]
     bounds = np.array([(m.min(), m.max()) for m in part])
@@ -326,6 +342,7 @@ def _fold_slab(maps: Sequence[np.ndarray], z: slice, label_ids: Sequence[int] = 
                 out -= xlogy(m, m, dtype=np.float64)
             acc = acc[:, :, z]
             acc += m
+    _release(truth, z)
     return bounds, err, differ
 
 

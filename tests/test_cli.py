@@ -323,15 +323,16 @@ def test_metrics_refuses_a_volume_beyond_physical_memory(sim_dir, capsys, monkey
     assert run(["metrics", sim_dir, "--registry", sim_dir / "registry.json",
                 "--out", sim_dir / "r.json"]) == 1
     err = capsys.readouterr().err
-    # inflating needs the header and data twice over: 2 * (352 + 256**3) bytes
-    assert err.startswith(f"error: {bomb}: dims [256, 256, 256] need at least 0.0313 GiB")
+    # inflating holds the data, the header twice and six 64 KiB chunks:
+    # 256**3 + 2 * 352 + 6 * 2**16 bytes
+    assert err.startswith(f"error: {bomb}: dims [256, 256, 256] need at least 0.016 GiB")
     assert "more than physical memory" in err and "Traceback" not in err
     assert not (sim_dir / "r.json").exists()
 
 
 def test_consensus_refuses_a_gzip_offset_beyond_physical_memory(sim_dir, capsys, monkeypatch):
-    # a valid .nii.gz whose data starts 64 MiB in: inflating it would need
-    # twice that, against 16 MiB of memory
+    # a valid .nii.gz whose data starts 64 MiB in: inflating it would hold
+    # those bytes twice, against 16 MiB of memory
     raw = bytearray((sim_dir / "sample_001.nii").read_bytes())
     offset = 64 * 2**20
     struct.pack_into("<f", raw, 108, float(offset))
@@ -391,7 +392,7 @@ def test_consensus_refuses_a_read_beyond_the_address_space_limit(tmp_path):
     # a process limited to 1.5 GiB of address space
     proc, far = _limited_consensus(tmp_path, 1024)
     assert proc.returncode == 1, proc.stderr[-500:]
-    # inflating needs the offset and the data twice over
+    # inflating holds the bytes before the data twice
     assert proc.stderr == (f"error: {far}: dims [4, 4, 4] need at least 2 GiB, "
                            "more than the address-space limit of 1.5 GiB\n")
     assert not (tmp_path / "c.nii").exists()

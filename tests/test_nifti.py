@@ -142,6 +142,55 @@ def test_gzip_bomb_decodes_only_the_declared_volume(tmp_path):
     assert peak < expansion // 16
 
 
+def _gzip_volume(tmp_path, data, offset=352):
+    """``data`` as a .nii.gz whose payload starts ``offset`` bytes in; returns the
+    path and the bytes its read is checked for: the volume, ``offset`` twice and
+    six 64 KiB chunks of inflate buffers."""
+    plain = tmp_path / "vol.nii"
+    write_nifti(plain, data, VoxelGeometry(data.shape, (1.0, 1.0, 1.0)))
+    raw = bytearray(plain.read_bytes())
+    struct.pack_into("<f", raw, 108, float(offset))
+    path = tmp_path / "vol.nii.gz"
+    path.write_bytes(gzip.compress(bytes(raw[:352]) + bytes(offset - 352) + bytes(raw[352:]),
+                                   compresslevel=1))
+    return path, data.nbytes + 2 * offset + 6 * nifti._GZIP_CHUNK
+
+
+@pytest.mark.parametrize("kind, offset", [("labels", 352), ("map", 352), ("hard_map", 352),
+                                          ("labels", 3 << 20)])
+def test_gzip_read_holds_no_more_than_its_memory_check_counts(tmp_path, kind, offset):
+    import tracemalloc
+
+    rng = np.random.default_rng(11)
+    dims = (64, 64, 48)
+    data = {"labels": lambda: rng.integers(0, 5, dims).astype(np.uint8),
+            "map": lambda: rng.random(dims, dtype=np.float32),
+            "hard_map": lambda: (rng.random(dims) > 0.9).astype(np.float32)}[kind]()
+    path, held = _gzip_volume(tmp_path, data, offset)
+    tracemalloc.start()
+    try:
+        img = read_nifti(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(img.data, data)
+    assert peak <= held
+
+
+def test_gzip_read_is_checked_for_what_it_holds_not_twice_its_size(tmp_path, monkeypatch):
+    # 2 MiB of labels: the read holds about 2.4 MiB, under a 3 MiB bound that
+    # twice the header and volume (4 MiB) would exceed
+    data = np.random.default_rng(3).integers(0, 5, (128, 128, 128)).astype(np.uint8)
+    path, held = _gzip_volume(tmp_path, data)
+    bound = 3 << 20
+    assert held < bound < 2 * (352 + data.nbytes)
+    monkeypatch.setattr("segqc.volumes._PHYSICAL_MEMORY", bound)
+    assert np.array_equal(read_nifti(path).data, data)
+    monkeypatch.setattr("segqc.volumes._PHYSICAL_MEMORY", held - 1)
+    with pytest.raises(NiftiFormatError, match="need at least 0.00232 GiB, more than physical"):
+        read_nifti(path)
+
+
 _TAIL_PROBE = """
 import resource, sys
 from segqc.nifti import read_nifti

@@ -1,5 +1,7 @@
 """Domain type invariants: geometry, registry, label volumes, prob stacks."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 import oracles
 from segqc import volumes
+from segqc.io import read_sample_set
+from segqc.metrics import consensus_segmentation, structure_report
 from segqc.nifti import read_label_nifti, read_nifti, write_nifti
 from segqc.volumes import (
     LabelVolume,
@@ -188,6 +192,74 @@ def test_label_volume_keeps_a_decoded_gzip_volume_and_copies_one_over_a_buffer(t
     assert np.shares_memory(view, buf) and not view.flags.writeable and buf.flags.writeable
     kept = _read_only(view)
     assert not np.shares_memory(kept, buf) and np.array_equal(kept, data)
+
+
+def _resident_kib(path) -> list[int]:
+    """The ``Rss:`` kB that /proc/self/smaps lists for each mapping of ``path``."""
+    rss, inside = [], False
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            fields = line.split()
+            if not fields[0].endswith(":"):  # a mapping's first line ends in its file
+                inside = len(fields) == 6 and fields[5] == str(path)
+            elif inside and fields[0] == "Rss:":
+                rss.append(int(fields[1]))
+    return rss
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_passes_release_the_pages_of_mapped_label_files(tmp_path, monkeypatch, threads):
+    monkeypatch.setenv("SEGQC_THREADS", threads)
+    dims = (128, 128, 128)
+    assert len(volumes._slabs(dims)) == 16
+    slab_kib = 128 * 128 * 8 // 1024  # 8 planes of one byte a voxel
+    rng = np.random.default_rng(27)
+    truth = np.broadcast_to((np.arange(128) // 32).astype(np.uint8), dims)
+    arrays = [truth.copy()]  # the ground truth, then N = 3 samples with 5 % relabelled
+    for _ in range(3):
+        arr = truth.copy()
+        flip = rng.random(dims) < 0.05
+        arr[flip] = rng.integers(0, 4, int(flip.sum()))
+        arrays.append(arr)
+    registry = StructureRegistry(tuple((i, f"s{i}") for i in range(4)), background_id=0)
+    paths = [(tmp_path / f"v{i}.nii").resolve() for i in range(4)]
+    for path, arr in zip(paths, arrays):
+        write_nifti(path, arr, VoxelGeometry(dims, (1.0, 1.0, 1.0)))
+    gt = read_label_nifti(paths[0])
+    ss = read_sample_set(paths[1:], registry)
+    report = structure_report(ss, gt=gt)
+    resident = [_resident_kib(p) for p in paths]
+    assert all(len(r) == 1 and r[0] < slab_kib for r in resident), resident
+    consensus = consensus_segmentation(ss)
+    resident = [_resident_kib(p) for p in paths]
+    assert all(len(r) == 1 and r[0] < slab_kib for r in resident), resident
+    # the held volumes still read the files' bytes
+    for vol, arr in zip((gt, *ss.labels), arrays):
+        assert np.array_equal(vol.data, arr)
+    copies = [LabelVolume(gt.geometry, arr.copy()) for arr in arrays]
+    in_memory = McSampleSet(gt.geometry, registry, labels=copies[1:])
+    expected = structure_report(in_memory, gt=copies[0])
+    assert report == expected
+    for got in (report.consensus.data, consensus.data):
+        assert got.dtype == expected.consensus.data.dtype
+        assert np.array_equal(got, expected.consensus.data)
+
+
+def test_release_leaves_memory_other_than_a_file_map_alone(tmp_path):
+    data = (np.arange(64**3, dtype=np.uint16) % 7).reshape(64, 64, 64, order="F")
+    path = tmp_path / "vol.nii.gz"
+    write_nifti(path, data, geom(64, 64, 64))
+    owned = data.copy(order="F")
+    owned.flags.writeable = False
+    decoded = read_label_nifti(path).data
+    copied = _read_only(np.asfortranarray(data))
+    expected = data.copy()
+    # MADV_DONTNEED on any of these, or on a writeable array, would zero its pages
+    for arr in (owned, decoded, copied, data):
+        volumes._release(arr)
+        volumes._release(arr, slice(10, 20))
+        assert np.array_equal(arr, expected)
 
 
 def gap_registry():
