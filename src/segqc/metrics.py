@@ -211,7 +211,7 @@ def _count_labels(sample_set: McSampleSet, gt: LabelVolume | None = None) -> tup
     only on its own voxels, so the sum of the partials, taken in slab
     order, and the vote are the same for any slab size and thread count.
     """
-    labels = [sample_set.sample_labels(i) for i in range(sample_set.n)]
+    labels = [vol.data for vol in sample_set.labels]
     registry = sample_set.registry
     vote = sample_set.probs is None
     # the vote is always some sample's label, so no wider than the samples
@@ -324,11 +324,10 @@ def structure_report(
     """Full per-scan report: consensus, uncertainty map summary, and all
     per-structure metrics; Dice against ground truth when one is given.
 
-    CV and MC Dice follow each sample's labels (argmax labels for
-    probability-only sets) and are None when the structure is absent from
-    every sample; an MC Dice pair scores 1 when both masks are empty and 0
-    when exactly one is. Mean uncertainty is None when the consensus has
-    no voxel of the structure.
+    CV and MC Dice follow each sample's labels and are None when the
+    structure is absent from every sample; an MC Dice pair scores 1 when
+    both masks are empty and 0 when exactly one is. Mean uncertainty is
+    None when the consensus has no voxel of the structure.
 
     The consensus and uncertainty map are returned on the report as
     ``consensus`` and ``uncertainty``. A label-only set has an all-zero
@@ -336,10 +335,12 @@ def structure_report(
     :func:`voxel_uncertainty` for the map itself.
     """
     require_valid(sample_set)
-    registry = sample_set.registry
+    registry, geometry = sample_set.registry, sample_set.geometry
     if gt is not None:
-        if gt.geometry != sample_set.geometry:
-            raise ValidationError("ground-truth geometry does not match the sample set")
+        if gt.geometry != geometry:
+            raise ValidationError(
+                f"ground-truth dims {gt.geometry.dims} spacing {gt.geometry.spacing} do not "
+                f"match sample set geometry {geometry.dims} {geometry.spacing}")
         unknown = gt.check_labels(registry)
         if unknown:
             raise ValidationError(f"ground-truth label ids {unknown} not in registry")
@@ -348,7 +349,7 @@ def structure_report(
     label_only = sample_set.probs is None
     # the uncertainty map of a label-only set is all zero; not built
     unc = None if label_only else voxel_uncertainty(sample_set, normalize=normalize)
-    vox = sample_set.geometry.voxel_volume
+    vox = geometry.voxel_volume
 
     # a label-only set's structure means are zero and need no masks;
     # otherwise the per-structure masks select from the C-ordered map, and

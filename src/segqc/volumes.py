@@ -2,15 +2,14 @@
 
 All types are immutable after construction. Construction checks each
 part on its own (shapes, dtypes, registry ids) and a sample set's shape:
-its N samples are all of one kind, a tuple of label volumes, one of
-probability stacks, or both tuples paired by position. The rules that
-relate the parts of a set are :func:`validate_sample_set`'s, which lists
-every violation instead of stopping at the first and checks the set's
-structure before it reads any map. Because a set and all its parts are
-immutable, that report is computed once and memoised
-(:attr:`McSampleSet.violations`): :func:`segqc.io.read_sample_set`
-raises it when a set is read, and metric operations refuse to run on an
-invalid set. So is the one pass over its probability maps that both
+N label volumes, optionally N probability stacks paired with them by
+position. The rules that relate the parts of a set are
+:func:`validate_sample_set`'s, which lists every violation instead of
+stopping at the first and checks the set's structure before it reads
+any map. Because a set and all its parts are immutable, that report is
+computed once and memoised (:attr:`McSampleSet.violations`):
+:func:`segqc.io.read_sample_set` raises it when a set is read, and
+metric operations refuse to run on an invalid set. So is the one pass over its probability maps that both
 validation and the metrics read (:attr:`McSampleSet.prob_pass`): each
 sample's maps are loaded once, in ascending sample order, into K reused
 buffers and folded into float64 sums, so no (N, K, x, y, z) stack is
@@ -297,23 +296,23 @@ class ProbMapStack:
 
 
 def _fold_slab(maps: Sequence[np.ndarray], z: slice, label_ids: Sequence[int] = (),
-               best: np.ndarray | None = None, truth: np.ndarray | None = None,
-               entropy: np.ndarray | None = None, sums: Sequence[np.ndarray] = ()) -> tuple:
+               truth: np.ndarray | None = None, entropy: np.ndarray | None = None,
+               sums: Sequence[np.ndarray] = ()) -> tuple:
     """The probability pass over the z-slab ``[:, :, z]`` of one sample's maps.
 
     Returns each map's (min, max) as a (K, 2) array, the largest per-voxel
     deviation of the maps' sum from 1 (NaN unless every bound is finite)
-    and the voxels where ``truth`` differs from the argmax labels. The
-    minima and maxima propagate NaN and reach any infinity, so they settle
-    finiteness too. The per-voxel sum adds the maps in list order into
-    float64, the order of a sum over the stack's first axis. With
-    ``best``, the argmax labels of ``label_ids`` are written into its
-    slab; with ``entropy``, each map's -p*ln(p) is taken from its slab
-    and the map added into the slab of ``sums[k]``: only at its voxels in
-    (0, 1) when those are few (see ``_HARD_SHARE``). That is exact, as the
-    term is +0.0 at p = 0 and 1 and ``x - (+0.0)`` is ``x``, -0.0 included;
-    any other p fails the checks, which drop the entropy. Last, ``truth``'s
-    slab is released (:func:`_release`).
+    and the voxels where ``truth`` differs from the slab's argmax labels
+    of ``label_ids`` (0 without ``truth``). The minima and maxima
+    propagate NaN and reach any infinity, so they settle finiteness too.
+    The per-voxel sum adds the maps in list order into float64, the order
+    of a sum over the stack's first axis. With ``entropy``, each map's
+    -p*ln(p) is taken from its slab and the map added into the slab of
+    ``sums[k]``: only at its voxels in (0, 1) when those are few (see
+    ``_HARD_SHARE``). That is exact, as the term is +0.0 at p = 0 and 1
+    and ``x - (+0.0)`` is ``x``, -0.0 included; any other p fails the
+    checks, which drop the entropy. Last, ``truth``'s slab is released
+    (:func:`_release`).
     """
     part = [m[:, :, z] for m in maps]
     bounds = np.array([(m.min(), m.max()) for m in part])
@@ -325,10 +324,8 @@ def _fold_slab(maps: Sequence[np.ndarray], z: slice, label_ids: Sequence[int] = 
         total -= 1.0
         err = np.abs(total).max()
     differ = 0
-    if best is not None:
-        ids = _argmax_labels(part, label_ids, best[:, :, z])
-        if truth is not None:
-            differ = int(np.count_nonzero(truth[:, :, z] != ids))
+    if truth is not None:
+        differ = int(np.count_nonzero(truth[:, :, z] != _argmax_labels(part, label_ids)))
     if entropy is not None:
         from scipy.special import xlogy  # first imported by _prob_pass, before its pool
         out = entropy[:, :, z]
@@ -363,25 +360,18 @@ def _check_messages(bounds: np.ndarray, err: float) -> list[str]:
     return out
 
 
-def _id_dtype(label_ids: Sequence[int]) -> type:
-    """uint16 when every id fits, else int64."""
-    return np.uint16 if 0 <= min(label_ids) and max(label_ids) <= _UINT16_MAX else np.int64
-
-
-def _argmax_labels(maps: Sequence[np.ndarray], label_ids: Sequence[int],
-                   out: np.ndarray | None = None) -> np.ndarray:
+def _argmax_labels(maps: Sequence[np.ndarray], label_ids: Sequence[int]) -> np.ndarray:
     """Label id of the largest map per voxel, ties to the lowest id.
 
     A running maximum over the maps in ascending-id order with strict
     ``>``, so the first maximum -- the lowest id -- is kept without any
-    (K, x, y, z) temporary. The ids are written into ``out`` when given,
-    else into a new array of :func:`_id_dtype`.
+    (K, x, y, z) temporary. The ids are uint16 when every id fits, else
+    int64.
     """
     order = sorted(range(len(label_ids)), key=label_ids.__getitem__)
     best = np.array(maps[order[0]], dtype=np.result_type(*(m.dtype for m in maps)), order="K")
-    if out is None:
-        out = np.empty_like(best, dtype=_id_dtype(label_ids))
-    out[...] = label_ids[order[0]]
+    fits = 0 <= min(label_ids) and max(label_ids) <= _UINT16_MAX
+    out = np.full_like(best, label_ids[order[0]], dtype=np.uint16 if fits else np.int64)
     for k in order[1:]:
         better = maps[k] > best
         np.copyto(best, maps[k], where=better)
@@ -391,41 +381,35 @@ def _argmax_labels(maps: Sequence[np.ndarray], label_ids: Sequence[int],
 
 @dataclass(frozen=True, eq=False)
 class McSampleSet:
-    """N MC samples of one scan on one grid and registry, all of one kind.
+    """N MC samples of one scan on one grid and registry.
 
-    ``labels`` holds each sample's label volume and ``probs`` its
-    probability maps; either may be None, not both. When both are given,
-    ``labels[i]`` and ``probs[i]`` are sample ``i``, so the two tuples
-    must be equally long.
+    ``labels`` holds each sample's label volume and ``probs``, when given,
+    its probability maps: ``labels[i]`` and ``probs[i]`` are sample ``i``,
+    so the two tuples must be equally long.
     """
 
     geometry: VoxelGeometry
     registry: StructureRegistry
-    labels: tuple[LabelVolume, ...] | None = None
+    labels: tuple[LabelVolume, ...]
     probs: tuple[ProbMapStack, ...] | None = None
 
     def __post_init__(self):
-        if self.labels is None and self.probs is None:
-            raise ValidationError("a sample set needs labels, probability maps, or both")
-        for name in ("labels", "probs"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, tuple(getattr(self, name)))
-        both = self.labels is not None and self.probs is not None
-        if both and len(self.labels) != len(self.probs):
-            raise ValidationError(f"got {len(self.probs)} probability stacks for "
-                                  f"{len(self.labels)} label volumes")
+        object.__setattr__(self, "labels", tuple(self.labels))
+        if self.probs is not None:
+            object.__setattr__(self, "probs", tuple(self.probs))
+            if len(self.probs) != self.n:
+                raise ValidationError(f"got {len(self.probs)} probability stacks for "
+                                      f"{self.n} label volumes")
         if not self.n:
             raise ValidationError("sample set must contain at least one sample")
 
     @property
     def n(self) -> int:
-        return len(self.labels if self.labels is not None else self.probs)
+        return len(self.labels)
 
     def sample_labels(self, i: int) -> np.ndarray:
-        """Label array for sample ``i`` (argmax of its maps if label-free)."""
-        if self.labels is not None:
-            return self.labels[i].data
-        return self.prob_pass.labels[i]
+        """Label array of sample ``i``; ``perfbench/spans.py`` reads it by name."""
+        return self.labels[i].data
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
@@ -445,9 +429,7 @@ class ProbPass:
 
     checks     -- per sample, its stack's normalisation messages
     mismatches -- per sample, the voxels where its labels differ from the
-                  argmax of its maps (0 for a probability-only set)
-    labels     -- per sample, the argmax labels of a probability-only
-                  set, else None
+                  argmax of its maps
     entropy    -- sum over samples, then structures in registry order, of
                   -p*ln(p), clipped at 0; C-order float64
     consensus  -- argmax of the per-structure mean over samples, ties to
@@ -460,7 +442,6 @@ class ProbPass:
 
     checks: tuple[tuple[str, ...], ...]
     mismatches: tuple[int, ...]
-    labels: tuple[np.ndarray | None, ...] = field(repr=False)
     entropy: np.ndarray | None = field(repr=False)
     consensus: np.ndarray | None = field(repr=False)
 
@@ -484,9 +465,9 @@ def _prob_pass(sample_set: McSampleSet) -> ProbPass:
     Each sample's K files are decoded, then its maps folded in the z-slabs
     of :func:`_slabs` (:func:`_fold_slab`), by :func:`_parallel` on up to
     ``SEGQC_THREADS`` threads (default: 2) and never more than its slabs.
-    Slabs write disjoint parts of the sums and the argmax, and their map
-    bounds, sum errors and mismatch counts combine exactly (min and max,
-    max, integer sum), so no slab size or thread count changes a result.
+    Slabs write disjoint parts of the sums, and their map bounds, sum
+    errors and mismatch counts combine exactly (min and max, max, integer
+    sum), so no slab size or thread count changes a result.
     A sample that fails its checks turns the fold off, which drops the
     terms it added.
     """
@@ -495,26 +476,21 @@ def _prob_pass(sample_set: McSampleSet) -> ProbPass:
     slabs = _slabs(sample_set.geometry.dims)
     workers = min(_thread_cap(2), len(slabs))
     entropy, sums, fold = None, [], True
-    checks, mismatches, labels = [], [], []
+    checks, mismatches = [], []
     bufs = [np.empty(sample_set.geometry.dims, dtype=np.float32, order="F") for _ in ids]
-    for i, stack in enumerate(sample_set.probs):
+    for stack, vol in zip(sample_set.probs, sample_set.labels):
         maps = _parallel(lambda k: stack.load_map(k, bufs[k]), range(len(ids)), workers)
         if entropy is None:
             entropy = np.zeros_like(maps[0], dtype=np.float64)
             sums = [np.zeros_like(m, dtype=np.float64) for m in maps]
-        best = np.empty_like(maps[0], dtype=_id_dtype(stack.label_ids))
-        truth = None if sample_set.labels is None else sample_set.labels[i].data
         parts = _parallel(partial(
-            _fold_slab, maps, label_ids=stack.label_ids, best=best, truth=truth,
+            _fold_slab, maps, label_ids=stack.label_ids, truth=vol.data,
             entropy=entropy if fold else None, sums=sums), slabs, workers)
         del maps  # freed before the next sample is decoded
         bounds, errs, differs = zip(*parts)
         msgs = tuple(_check_messages(np.array(bounds), np.max(errs)))
         checks.append(msgs)
         mismatches.append(sum(differs))
-        if truth is None:  # a probability-only set's labels are its argmax
-            best.flags.writeable = False
-        labels.append(best if truth is None else None)
         fold = fold and not msgs
     del bufs
 
@@ -532,7 +508,7 @@ def _prob_pass(sample_set: McSampleSet) -> ProbPass:
             acc /= sample_set.n
         consensus = _argmax_labels(sums, ids)
         consensus.flags.writeable = False
-    return ProbPass(tuple(checks), tuple(mismatches), tuple(labels), entropy, consensus)
+    return ProbPass(tuple(checks), tuple(mismatches), entropy, consensus)
 
 
 def _parallel(fn, items, workers: int) -> list:
@@ -586,7 +562,7 @@ def validate_sample_set(sample_set: McSampleSet) -> list[Violation]:
     geometry, registry = sample_set.geometry, sample_set.registry
     if sample_set.n < 2:
         out.append(Violation("sample_count", f"need N >= 2 samples, got {sample_set.n}"))
-    for i, vol in enumerate(sample_set.labels or ()):
+    for i, vol in enumerate(sample_set.labels):
         if vol.geometry != geometry:
             out.append(Violation(
                 "geometry",
@@ -600,8 +576,8 @@ def validate_sample_set(sample_set: McSampleSet) -> list[Violation]:
         if stack.geometry != geometry:
             out.append(Violation(
                 "geometry",
-                f"probability map dims {stack.geometry.dims} do not match "
-                f"set geometry {geometry.dims}",
+                f"probability map dims {stack.geometry.dims} spacing {stack.geometry.spacing} "
+                f"do not match set geometry {geometry.dims} {geometry.spacing}",
                 i,
             ))
         if stack.label_ids != registry.ids:

@@ -92,6 +92,15 @@ def onehot_maps_oracle(labels, ids):
     return out
 
 
+def argmax_labels_oracle(maps, ids):
+    """Label id of the largest of ``maps`` (shape (len(ids), x, y, z)) at
+    each voxel, ties to the lowest id: ``np.argmax``, which keeps the
+    first maximum, over the maps sorted by id. A NaN wins here, where the
+    package's strict ``>`` never picks it."""
+    order = np.argsort(ids, kind="stable")
+    return np.asarray(ids, dtype=np.int64)[order][np.argmax(np.asarray(maps)[order], axis=0)]
+
+
 def wls_oracle(X, w, y):
     """Weighted least squares by explicit normal equations."""
     X = np.asarray(X, dtype=np.float64)

@@ -104,9 +104,12 @@ def a3_registry(n_labels):
     )
 
 
-def probs_only_set(stacks, geometry, registry):
+def prob_set(stacks, geometry, registry):
+    """A set of ``stacks`` labelled with their argmax by the oracle."""
     probs = tuple(ProbMapStack(geometry, registry.ids, m) for m in stacks)
-    return McSampleSet(geometry=geometry, registry=registry, probs=probs)
+    labels = tuple(LabelVolume(geometry, oracles.argmax_labels_oracle(m, registry.ids))
+                   for m in stacks)
+    return McSampleSet(geometry=geometry, registry=registry, labels=labels, probs=probs)
 
 
 def test_a3_entropy_oracle_and_bound():
@@ -119,7 +122,7 @@ def test_a3_entropy_oracle_and_bound():
     for _ in range(5):
         raw = rng.random((5, 4) + geom.dims)
         stacks = [r / r.sum(axis=0) for r in raw]
-        ss = probs_only_set(stacks, geom, reg)
+        ss = prob_set(stacks, geom, reg)
         got = voxel_uncertainty(ss)
         want = oracles.entropy_map_oracle(stacks)
         worst = max(worst, float(np.max(np.abs(got - want))))
@@ -140,7 +143,7 @@ def test_a3_entropy_oracle_and_bound():
         m[1] = p.reshape(geom_big.dims)
         m[0] = 1.0 - m[1]
         stacks.append(m)
-    ss_big = probs_only_set(stacks, geom_big, reg2)
+    ss_big = prob_set(stacks, geom_big, reg2)
     u_s = structure_uncertainty(ss_big, 1)
     bound = n / np.e
     bound_ok = float(u_s.min()) >= 0.0 and float(u_s.max()) <= bound + 1e-12

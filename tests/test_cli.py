@@ -268,10 +268,15 @@ def test_metrics_from_directory(sim_dir, capsys):
     assert "structure_1" in out and "gt_dice" in out
     # a bad ground truth is refused with its file named
     bad_gt = sim_dir.parent / "bad_gt.nii"
-    for dims, label, fault in [((20, 20, 20), 9, "not in registry"),
-                               ((20, 20, 21), 0, "geometry")]:
-        write_nifti(bad_gt, np.full(dims, label, dtype=np.uint8),
-                    VoxelGeometry(dims, (1.0, 1.0, 1.0)))
+    one, far = (1.0, 1.0, 1.0), (1.0, 1.0, 2.5)
+    for dims, spacing, label, fault in [
+            ((20, 20, 20), one, 9, "not in registry"),
+            ((20, 20, 21), one, 0, "geometry"),
+            # the dims agree, so only the spacings tell the two grids apart
+            ((20, 20, 20), far, 0, "ground-truth dims (20, 20, 20) spacing (1.0, 1.0, 2.5) "
+                                   "do not match sample set geometry (20, 20, 20) "
+                                   "(1.0, 1.0, 1.0)")]:
+        write_nifti(bad_gt, np.full(dims, label, dtype=np.uint8), VoxelGeometry(dims, spacing))
         assert run(["metrics", sim_dir, "--registry", sim_dir / "registry.json",
                     "--gt", bad_gt, "--out", report_path]) == 1
         err = capsys.readouterr().err

@@ -47,12 +47,21 @@ def label_set(arrays, registry=REG):
     return McSampleSet(geometry=g, registry=registry, labels=labels)
 
 
+def oracle_labels(stacks, registry=REG):
+    """Each stack's argmax labels, by the oracle, as label volumes."""
+    return tuple(LabelVolume(VoxelGeometry(np.shape(s)[1:], (1.0, 1.0, 1.0)),
+                             oracles.argmax_labels_oracle(s, registry.ids)) for s in stacks)
+
+
 def prob_set(stacks, registry=REG):
+    """A set of ``stacks`` whose labels are their argmax, so a valid set
+    also shows that the pass's argmax agrees with the oracle's."""
     g = VoxelGeometry(np.asarray(stacks[0]).shape[1:], (1.0, 1.0, 1.0))
     probs = tuple(
         ProbMapStack(geometry=g, label_ids=registry.ids, maps=np.asarray(s)) for s in stacks
     )
-    return McSampleSet(geometry=g, registry=registry, probs=probs)
+    return McSampleSet(geometry=g, registry=registry, labels=oracle_labels(stacks, registry),
+                       probs=probs)
 
 
 def random_prob_stacks(rng, n_samples=3, n_labels=3, dims=(4, 4, 4)):
@@ -104,7 +113,7 @@ def test_uncertainty_needs_two_samples():
     stack[0] = 1.0
     g = geom(2, 2, 2)
     ss = McSampleSet(
-        geometry=g, registry=REG,
+        geometry=g, registry=REG, labels=oracle_labels([stack]),
         probs=(ProbMapStack(geometry=g, label_ids=REG.ids, maps=stack),),
     )
     with pytest.raises(ValidationError, match="N >= 2"):
@@ -735,11 +744,6 @@ def loop_mean_argmax(stacks, ids):
     return best_id
 
 
-def np_argmax_labels(maps, ids):
-    order = np.argsort(ids, kind="stable")
-    return np.asarray(ids, dtype=np.int64)[order][np.argmax(maps[order], axis=0)]
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(2, 5),
        st.sampled_from([np.float32, np.float64]), st.booleans())
@@ -773,9 +777,9 @@ def test_prob_pass_is_bit_identical_to_per_structure_loops(seed, n, k, dtype, fo
                           loop_entropy(stacks) / n)
     assert np.array_equal(consensus_segmentation(ss).data, loop_mean_argmax(stacks, ids))
     for i, maps in enumerate(stacks):
-        want = np_argmax_labels(maps, ids)
-        assert np.array_equal(ss.sample_labels(i), want)
-        assert np.array_equal(volumes._argmax_labels(maps, ids), want)
+        assert ss.prob_pass.mismatches[i] == 0  # the slabs' argmax is the oracle's
+        assert np.array_equal(volumes._argmax_labels(maps, ids),
+                              oracles.argmax_labels_oracle(maps, ids))
         assert ss.prob_pass.checks[i] == tuple(ss.probs[i].violations())
 
 
@@ -792,9 +796,9 @@ def test_prob_pass_loads_each_sample_once():
 
     rng = np.random.default_rng(3)
     g = geom(4, 4, 4)
-    ss = McSampleSet(geometry=g, registry=REG, probs=tuple(
-        CountingStack(geometry=g, label_ids=REG.ids, maps=s)
-        for s in random_prob_stacks(rng, n_samples=4)
+    stacks = random_prob_stacks(rng, n_samples=4)
+    ss = McSampleSet(geometry=g, registry=REG, labels=oracle_labels(stacks), probs=tuple(
+        CountingStack(geometry=g, label_ids=REG.ids, maps=s) for s in stacks
     ))
     rep = structure_report(ss, normalize=True)
     consensus_segmentation(ss)
@@ -810,7 +814,7 @@ def test_prob_pass_holds_one_sample_of_maps(monkeypatch, threads):
     # a sample's maps are freed before the next sample's are decoded, and
     # the buffers they may be decoded into are K, one per structure, reused
     # by every sample and freed before the consensus is taken
-    refs, alive, outs, bufs, at_consensus = [], [], [], [], []
+    refs, alive, outs, bufs, at_argmax = [], [], [], [], []
 
     class TrackingStack(ProbMapStack):
         def load_map(self, k, out=None):
@@ -823,35 +827,34 @@ def test_prob_pass_holds_one_sample_of_maps(monkeypatch, threads):
 
     real_argmax = volumes._argmax_labels
 
-    def argmax(maps, label_ids, out=None):
-        if out is None:  # the consensus; each slab's argmax writes into ``best``
-            at_consensus.append(sum(b() is not None for b in bufs))
-        return real_argmax(maps, label_ids, out)
+    def argmax(maps, label_ids):
+        at_argmax.append(sum(b() is not None for b in bufs))
+        return real_argmax(maps, label_ids)
 
     monkeypatch.setattr(volumes, "_argmax_labels", argmax)
     monkeypatch.setenv("SEGQC_THREADS", threads)
     g = geom(4, 4, 4)
     stacks = random_prob_stacks(np.random.default_rng(6), n_samples=4)
-    ss = McSampleSet(geometry=g, registry=REG, probs=tuple(
+    ss = McSampleSet(geometry=g, registry=REG, labels=oracle_labels(stacks), probs=tuple(
         TrackingStack(geometry=g, label_ids=REG.ids, maps=s) for s in stacks))
     assert not ss.violations
     assert len(alive) == 4 * 3 and max(alive) < 3
     assert len(set(outs)) == len({buf for _, buf in outs}) == 3
-    assert at_consensus == [0]
+    # one slab's argmax a sample, then last the consensus, with no buffer left
+    assert len(at_argmax) == 4 + 1 and at_argmax[-1] == 0
 
 
-def slabbed_pass(probs, registry, threads, labels=None):
-    """The probability pass of a fresh set of ``probs`` (and ``labels``) in
+def slabbed_pass(ss, threads):
+    """The probability pass of a fresh set of the parts of ``ss`` in
     z-slabs of two planes of the 3 x 4 grid, on ``threads`` threads, with a
     short switch interval that would expose a lost write."""
-    g = probs[0].geometry
     interval = sys.getswitchinterval()
     with pytest.MonkeyPatch.context() as m:
         m.setattr(volumes, "_SLAB", 24)
         m.setenv("SEGQC_THREADS", threads)
         sys.setswitchinterval(1e-6)
         try:
-            return McSampleSet(g, registry, labels, probs).prob_pass
+            return McSampleSet(ss.geometry, ss.registry, ss.labels, ss.probs).prob_pass
         finally:
             sys.setswitchinterval(interval)
 
@@ -859,8 +862,6 @@ def slabbed_pass(probs, registry, threads, labels=None):
 def assert_same_pass(got, want):
     assert got.checks == want.checks
     assert got.mismatches == want.mismatches
-    for a, b in zip(got.labels, want.labels):
-        assert (a is None and b is None) or (a.dtype == b.dtype and np.array_equal(a, b))
     for a, b in ((got.entropy, want.entropy), (got.consensus, want.consensus)):
         assert (a is None and b is None) or (a.dtype == b.dtype and np.array_equal(a, b))
 
@@ -880,13 +881,12 @@ def test_prob_pass_is_the_same_for_any_slabbing(threads, dtype, fortran):
         stack[:, 0, 0, :] = np.eye(3)[rng.integers(0, 3, size=7)].T  # exact zero terms
         stack = stack.astype(dtype)
         stacks.append(np.asfortranarray(stack) if fortran else stack)
-    probs = tuple(ProbMapStack(geom(*dims), ids, s) for s in stacks)
-    got = slabbed_pass(probs, reg, threads)
-    assert_same_pass(got, prob_set(stacks, reg).prob_pass)
+    ss = prob_set(stacks, reg)
+    got = slabbed_pass(ss, threads)
+    assert_same_pass(got, ss.prob_pass)
     assert np.array_equal(got.entropy, loop_entropy(stacks))
     assert np.array_equal(got.consensus, loop_mean_argmax(stacks, ids))
-    for maps, labels in zip(stacks, got.labels):
-        assert np.array_equal(labels, np_argmax_labels(maps, ids))
+    assert not any(got.mismatches)  # every slab's argmax is the oracle's
     assert not any(got.checks)
 
 
@@ -901,10 +901,10 @@ def test_prob_pass_finds_faults_in_the_last_slab(threads):
     stacks[2][:, 0, 3, 6] = (-0.25, 1.25, 0.0)  # sums to 1, out of range
     stacks[3][:, 2, 1, 6] *= 1.001  # in range, sums to 1.001
     stacks[4][0, 1, 1, 6] = np.inf
-    probs = tuple(ProbMapStack(geom(*dims), REG.ids, s) for s in stacks)
-    got = slabbed_pass(probs, REG, threads)
-    assert_same_pass(got, prob_set(stacks).prob_pass)
-    assert got.checks == tuple(tuple(s.violations()) for s in probs)
+    ss = prob_set(stacks)
+    got = slabbed_pass(ss, threads)
+    assert_same_pass(got, ss.prob_pass)
+    assert got.checks == tuple(tuple(s.violations()) for s in ss.probs)
     assert got.checks[0] == ()
     assert got.checks[1] == got.checks[4] == ("probability maps contain non-finite values",)
     assert got.checks[2] == ("probability values outside [0, 1] (range -0.25..1.25)",)
@@ -925,9 +925,10 @@ def test_prob_pass_counts_mismatches_in_later_slabs(threads):
         labels[:, :, 4 + i % 3:] = (labels[:, :, 4 + i % 3:] + 1) % 3  # 12 voxels a plane
         vols.append(LabelVolume(geom(*dims), labels))
     probs = tuple(ProbMapStack(geom(*dims), REG.ids, stack) for stack in stacks)
-    got = slabbed_pass(probs, REG, threads, labels=vols)
+    ss = McSampleSet(geom(*dims), REG, vols, probs)
+    got = slabbed_pass(ss, threads)
     assert got.mismatches == (36, 24, 12)
-    assert_same_pass(got, McSampleSet(geom(*dims), REG, vols, probs).prob_pass)
+    assert_same_pass(got, ss.prob_pass)
 
 
 @pytest.mark.parametrize("env, slab, workers", [

@@ -44,14 +44,17 @@ mods = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 print(json.dumps({"code": code, "scipy": mods, "at_submit": at_submit}))
 """
 
-# A probability pass over two samples of two z-slabs each.
+# A probability pass over two samples of two z-slabs each, labelled with
+# their argmax by the oracle.
 _PROB_PASS_PROBE = _NOTE_SUBMITS + """
 import numpy as np
-from segqc.volumes import McSampleSet, ProbMapStack, StructureRegistry, VoxelGeometry
+from oracles import argmax_labels_oracle
+from segqc.volumes import LabelVolume, McSampleSet, ProbMapStack, StructureRegistry, VoxelGeometry
 geom = VoxelGeometry((64, 64, 40), (1.0, 1.0, 1.0))
 p = np.random.default_rng(0).random((2, *geom.dims))
 probs = [ProbMapStack(geom, (0, 1), np.stack([q, 1 - q])) for q in p]
-sample_set = McSampleSet(geom, StructureRegistry(((0, "bg"), (1, "a")), 0), probs=probs)
+labels = [LabelVolume(geom, argmax_labels_oracle(s.maps, s.label_ids)) for s in probs]
+sample_set = McSampleSet(geom, StructureRegistry(((0, "bg"), (1, "a")), 0), labels, probs)
 assert not sample_set.violations and sample_set.prob_pass.entropy is not None
 print(json.dumps({"at_submit": at_submit}))
 """
@@ -60,8 +63,9 @@ print(json.dumps({"at_submit": at_submit}))
 def fresh(code: str, *args: str, **env: str) -> dict:
     """The JSON that ``code`` prints last, run in a fresh interpreter."""
     src = str(Path(segqc.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)  # the oracles
     env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        p for p in (src, tests, os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     return json.loads(done.stdout.splitlines()[-1])

@@ -35,6 +35,12 @@ def geom(*dims, spacing=(1.0, 1.0, 1.0)):
     return VoxelGeometry(dims or (3, 3, 3), spacing)
 
 
+def argmax_volumes(stacks):
+    """Each stack's argmax labels, by the oracle, as label volumes."""
+    return tuple(LabelVolume(s.geometry, oracles.argmax_labels_oracle(s.maps, s.label_ids))
+                 for s in stacks)
+
+
 # -- VoxelGeometry -----------------------------------------------------------
 
 
@@ -130,7 +136,8 @@ def test_array_holding_types_compare_by_identity():
 def test_prob_pass_compares_by_identity():
     g = geom()
     stack = ProbMapStack(g, (0, 1, 2), np.full((3, 3, 3, 3), 1 / 3))
-    x, y = (McSampleSet(g, small_registry(), probs=(stack, stack)).prob_pass for _ in "xy")
+    labels = argmax_volumes((stack, stack))
+    x, y = (McSampleSet(g, small_registry(), labels, (stack, stack)).prob_pass for _ in "xy")
     assert x == x and x != y
     assert len({x, y, x}) == 2
 
@@ -314,22 +321,30 @@ def test_prob_stack_violations():
     assert any("non-finite" in v for v in make_stack(bad).violations())
 
 
-def argmax_labels(stack):
-    """The labels a probability-only sample set reads from ``stack``."""
-    ss = McSampleSet(geometry=stack.geometry, registry=small_registry(), probs=(stack,))
-    return ss.sample_labels(0)
+def tie_report(maps, ids, label):
+    """The report on two samples of ``maps``, whose registry lists ``ids``
+    in the stack's order, labelled ``label`` at every voxel."""
+    stack = make_stack(maps, ids)
+    vol = LabelVolume(stack.geometry, np.full(stack.geometry.dims, label, dtype=np.uint8))
+    reg = StructureRegistry(tuple((i, f"s{i}") for i in ids), background_id=0)
+    return validate_sample_set(McSampleSet(stack.geometry, reg, (vol, vol), (stack, stack)))
 
 
 def test_prob_stack_argmax_tie_takes_lowest_id():
+    # labels 1 and 2 tie at 0.5: labels 1 are the argmax, labels 2 differ
     maps = np.zeros((3, 1, 1, 1))
     maps[1] = 0.5
     maps[2] = 0.5
-    assert argmax_labels(make_stack(maps))[0, 0, 0] == 1
     # same distribution with ids listed out of order: maps[0] is label 2
     perm = np.zeros((3, 1, 1, 1))
     perm[0] = 0.5  # label 2
     perm[1] = 0.5  # label 1
-    assert argmax_labels(make_stack(perm, ids=(2, 1, 0)))[0, 0, 0] == 1
+    for m, ids in ((maps, (0, 1, 2)), (perm, (2, 1, 0))):
+        assert tie_report(m, ids, label=1) == []
+        report = tie_report(m, ids, label=2)
+        assert [(v.rule, v.sample_index) for v in report] == [
+            ("label_prob_mismatch", 0), ("label_prob_mismatch", 1)]
+        assert all("at 1 voxels" in v.message for v in report)
 
 
 def hard_and_soft_stacks(layout):
@@ -383,7 +398,7 @@ def test_entropy_of_soft_voxels_alone_is_the_dense_entropy(monkeypatch, layout, 
     monkeypatch.setattr(scipy.special, "xlogy", spy)
     monkeypatch.setattr(volumes, "_SLAB", slab)
     monkeypatch.setenv("SEGQC_THREADS", threads)
-    ss = McSampleSet(geometry=geom(4, 4, 10), registry=small_registry(), probs=stacks)
+    ss = McSampleSet(geom(4, 4, 10), small_registry(), argmax_volumes(stacks), stacks)
     assert not ss.violations
     got = ss.prob_pass.entropy
     assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
@@ -396,8 +411,13 @@ def test_entropy_of_soft_voxels_alone_is_the_dense_entropy(monkeypatch, layout, 
 
 
 def test_sample_needs_content():
-    with pytest.raises(ValidationError):
+    with pytest.raises(TypeError, match="labels"):
         McSampleSet(geometry=geom(), registry=small_registry())
+    with pytest.raises(ValidationError, match="at least one sample"):
+        McSampleSet(geometry=geom(), registry=small_registry(), labels=())
+    stack = ProbMapStack(geometry=geom(), label_ids=(0, 1, 2), maps=np.full((3, 3, 3, 3), 1 / 3))
+    with pytest.raises(ValidationError, match="1 probability stacks for 0 label volumes"):
+        McSampleSet(geometry=geom(), registry=small_registry(), labels=(), probs=(stack,))
 
 
 def test_sample_set_pairs_labels_with_probs():
@@ -413,14 +433,6 @@ def test_sample_set_pairs_labels_with_probs():
     assert ss.n == 2 and ss.labels == (vol, vol) and ss.probs == (stack, stack)
 
 
-def test_sample_set_labels_from_probs():
-    maps = np.zeros((3, 3, 3, 3))
-    maps[2] = 1.0
-    stack = ProbMapStack(geometry=geom(), label_ids=(0, 1, 2), maps=maps)
-    ss = McSampleSet(geometry=geom(), registry=small_registry(), probs=(stack, stack))
-    assert np.all(ss.sample_labels(0) == 2)
-
-
 def test_validate_flags_geometry_mismatch():
     reg = small_registry()
     a = LabelVolume(geom(), np.zeros((3, 3, 3), dtype=np.uint8))
@@ -430,6 +442,19 @@ def test_validate_flags_geometry_mismatch():
     assert any(v.rule == "geometry" and v.sample_index == 1 for v in out)
     with pytest.raises(ValidationError, match="geometry"):
         require_valid(ss)
+
+
+def test_validate_names_both_grids_of_a_stack_on_another_spacing():
+    # the dims agree, so only the spacings tell the two grids apart
+    vol = LabelVolume(geom(), np.zeros((3, 3, 3), dtype=np.uint8))
+    maps = np.zeros((3, 3, 3, 3))
+    maps[0] = 1.0
+    near = ProbMapStack(geom(), (0, 1, 2), maps)
+    far = ProbMapStack(geom(spacing=(1.0, 1.0, 2.5)), (0, 1, 2), maps)
+    ss = McSampleSet(geom(), small_registry(), (vol, vol), (near, far))
+    assert [str(v) for v in validate_sample_set(ss)] == [
+        "[geometry] sample 1: probability map dims (3, 3, 3) spacing (1.0, 1.0, 2.5) "
+        "do not match set geometry (3, 3, 3) (1.0, 1.0, 1.0)"]
 
 
 def test_validate_flags_unknown_labels():
@@ -480,7 +505,8 @@ def test_validate_flags_prob_label_mismatch():
     maps = np.zeros((2, 3, 3, 3))
     maps[0] = 1.0
     stack = ProbMapStack(geometry=geom(), label_ids=(0, 1), maps=maps)
-    ss = McSampleSet(geometry=geom(), registry=reg, probs=(stack, stack))
+    vol = LabelVolume(geom(), np.zeros((3, 3, 3), dtype=np.uint8))
+    ss = McSampleSet(geometry=geom(), registry=reg, labels=(vol, vol), probs=(stack, stack))
     assert any(v.rule == "prob_labels" for v in validate_sample_set(ss))
 
 
@@ -503,7 +529,10 @@ def test_structural_fault_is_refused_before_any_map_is_read(rule):
     stacks = {"prob_labels": (stack(), stack(ids=(2, 1, 0))),
               "geometry": (stack(), stack(dims=(3, 3, 4))),
               "sample_count": (stack(),)}[rule]
-    ss = McSampleSet(geometry=geom(), registry=small_registry(), probs=stacks)
+    # labels on the set's grid, given outright: an argmax of the stack on
+    # another grid would be on that grid too, a second fault
+    labels = (LabelVolume(geom(), np.zeros((3, 3, 3), dtype=np.uint8)),) * len(stacks)
+    ss = McSampleSet(geometry=geom(), registry=small_registry(), labels=labels, probs=stacks)
     assert [v.rule for v in validate_sample_set(ss)] == [rule]
     with pytest.raises(ValidationError, match=rule):
         require_valid(ss)
@@ -522,6 +551,8 @@ def test_onehot_probs_round_trip(seed):
     stack = make_stack(oracles.onehot_maps_oracle(data, reg.ids), ids=reg.ids)
     assert stack.violations() == []
     assert np.all(stack.maps.sum(axis=0) == 1.0)
-    assert np.array_equal(argmax_labels(stack), data)
+    # no label_prob_mismatch: the maps' argmax is ``data`` at every voxel
+    vol = LabelVolume(stack.geometry, data)
+    assert validate_sample_set(McSampleSet(stack.geometry, reg, (vol, vol), (stack, stack))) == []
     # exactly one-hot, never fractional
     assert set(np.unique(stack.maps)) <= {0.0, 1.0}
