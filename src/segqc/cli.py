@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 import warnings
@@ -34,7 +33,7 @@ from .metrics import STRUCTURE_METRICS, _count_labels, structure_report, voxel_u
 from .nifti import _atomic, read_label_nifti, read_orientation, write_nifti
 from .stats import GROUP_MODES, ValidationError, correlate_uncertainty_accuracy, group_analysis
 from .synth import make_phantom, registry_for_phantom, sample_mc, soft_probs
-from .volumes import StructureRegistry, _parallel, _require_memory, _thread_cap
+from .volumes import McSampleSet, _parallel, _require_memory, _thread_cap
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -69,8 +68,8 @@ def _discover_samples(tokens: list[str]) -> list[str]:
     return list(tokens)
 
 
-def _gather_inputs(args) -> tuple[list[str], StructureRegistry, str | None, list | None]:
-    """Resolve samples, registry, gt, and prob stacks from flags + manifest."""
+def _read_inputs(args) -> tuple[list[str], str | None, McSampleSet]:
+    """The sample paths, gt path and read sample set that flags + manifest name."""
     manifest = sio.read_scan_manifest(args.manifest) if args.manifest else {}
     samples = manifest.get("samples") or _discover_samples(args.samples or [])
     if args.samples and args.manifest:
@@ -82,7 +81,7 @@ def _gather_inputs(args) -> tuple[list[str], StructureRegistry, str | None, list
         raise UsageError("--registry is required (or a manifest carrying one)")
     registry = sio.read_registry(registry_path)
     gt_path = getattr(args, "gt", None) or manifest.get("gt")
-    return samples, registry, gt_path, manifest.get("probs")
+    return samples, gt_path, sio.read_sample_set(samples, registry, manifest.get("probs"))
 
 
 def _print_report_table(report) -> None:
@@ -100,8 +99,7 @@ def _print_report_table(report) -> None:
 
 
 def cmd_metrics(args) -> int:
-    samples, registry, gt_path, probs = _gather_inputs(args)
-    sample_set = sio.read_sample_set(samples, registry, prob_paths=probs)
+    samples, gt_path, sample_set = _read_inputs(args)
     _thread_cap(1)  # a bad SEGQC_THREADS is not a ground-truth error
     gt = read_label_nifti(gt_path) if gt_path else None  # its errors name the file
     try:
@@ -129,15 +127,19 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_consensus(args) -> int:
-    samples, registry, _, probs = _gather_inputs(args)
-    sample_set = sio.read_sample_set(samples, registry, prob_paths=probs)
+    samples, _, sample_set = _read_inputs(args)
     _, counts, consensus = _count_labels(sample_set)  # read_sample_set validated the set
     write_nifti(args.out, consensus, orientation=read_orientation(samples[0]))
-    voxels = dict(zip(registry.ids, counts[0]))
+    voxels = dict(zip(sample_set.registry.ids, counts[0]))
     print(f"consensus of {sample_set.n} samples -> {args.out}")
-    for i, name in registry.foreground:
+    for i, name in sample_set.registry.foreground:
         print(f"  {name:<24}{int(voxels[i]):>10} voxels")
     return EXIT_OK
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
+    with _atomic(path) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
 
 
 def cmd_correlate(args) -> int:
@@ -149,11 +151,9 @@ def cmd_correlate(args) -> int:
 
     results, absent_dropped = correlate_uncertainty_accuracy(reports)
     if args.out:
-        with _atomic(args.out) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["dataset", "metric", "r", "n_used", "n_dropped"])
-            for (dataset, metric), res in results.items():
-                w.writerow([dataset, metric, repr(res.r), res.n_used, res.n_dropped])
+        _write_csv(args.out, ["dataset", "metric", "r", "n_used", "n_dropped"],
+                   ([*key, repr(res.r), res.n_used, res.n_dropped]
+                    for key, res in results.items()))
     print(f"{len(reports)} reports, {absent_dropped} absent-flagged structure records dropped")
     print(f"{'dataset':<16}{'metric':<12}{'r':>9}{'n_used':>8}{'dropped':>8}")
     for (dataset, metric), res in results.items():
@@ -175,12 +175,9 @@ def cmd_group(args) -> int:
             for w in caught:
                 print(f"warning: {w.message}", file=sys.stderr)
     if args.out:
-        with _atomic(args.out) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["mode", "beta_d", "se_d", "p_d", "n_used", "n_dropped"])
-            for row in analysis.rows:
-                w.writerow([row.mode, repr(row.beta_d), repr(row.se_d),
-                            repr(row.p_d), row.n_used, row.n_dropped])
+        _write_csv(args.out, ["mode", "beta_d", "se_d", "p_d", "n_used", "n_dropped"],
+                   ([r.mode, repr(r.beta_d), repr(r.se_d), repr(r.p_d), r.n_used, r.n_dropped]
+                    for r in analysis.rows))
     scale = "standardized" if analysis.standardized else "raw"
     print(f"diagnosis effect on {analysis.structure or 'volume'} ({scale} scale), "
           f"n = {table.n}")
@@ -254,10 +251,8 @@ def cmd_simulate(args) -> int:
     if single:
         print(f"wrote gt.nii, registry.json, {n} samples, manifest.json -> {out}")
         return EXIT_OK
-    with _atomic(out / "dataset.json") as tmp:
-        doc = {"schema_version": sio.REPORT_SCHEMA_VERSION,
-               "scans": [sid for sid, _ in scans]}
-        Path(tmp).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    sio._dump_json({"schema_version": sio.REPORT_SCHEMA_VERSION,
+                    "scans": [sid for sid, _ in scans]}, out / "dataset.json")
     print(f"wrote gt.nii, registry.json, and {len(scans)} scan directories -> {out}")
     return EXIT_OK
 

@@ -450,7 +450,8 @@ class _NiftiProbMapStack(ProbMapStack):
         q = self.paths[k]
         img = read_nifti(q, out)
         if img.geometry != self.geometry:
-            raise ValidationError(f"{q}: geometry does not match {self.owner}")
+            raise ValidationError(
+                f"{q}: map {img.geometry} do not match {self.owner} geometry {self.geometry}")
         data = img.data
         if not np.issubdtype(data.dtype, np.floating):
             data = data.astype(np.float64)
@@ -476,7 +477,7 @@ def read_sample_set(
     a sample at a time. Any violation raises one
     ValidationError listing them all, each sample's prefixed with its
     label file; a probability file that is missing or on another grid
-    than its label file raises while it is decoded.
+    than its label file raises while it is decoded, naming both grids.
     """
     if prob_paths is not None and len(prob_paths) != len(label_paths):
         raise ValidationError(

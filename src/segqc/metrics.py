@@ -269,7 +269,6 @@ def structure_uncertainty(sample_set: McSampleSet, label_id: int) -> np.ndarray:
     for stack in sample_set.probs:
         p = stack.load_map(k)
         values -= xlogy(p, p, dtype=np.float64)
-    np.maximum(values, 0.0, out=values)
     return values
 
 
@@ -300,12 +299,10 @@ def dice_score(seg: LabelVolume, reference: LabelVolume, label_id: int) -> float
     """Dice overlap of one label between two volumes on the same grid.
 
     2*|A & B| / (|A| + |B|); both masks empty gives 1, exactly one empty
-    gives 0.
+    gives 0. Volumes on two grids are refused with both grids named.
     """
     if seg.geometry != reference.geometry:
-        raise ValidationError(
-            f"geometry mismatch: {seg.geometry.dims} vs {reference.geometry.dims}"
-        )
+        raise ValidationError(f"geometry mismatch: {seg.geometry} vs {reference.geometry}")
     a = seg.data == label_id
     b = reference.data == label_id
     size_a = int(np.count_nonzero(a))
@@ -339,8 +336,7 @@ def structure_report(
     if gt is not None:
         if gt.geometry != geometry:
             raise ValidationError(
-                f"ground-truth dims {gt.geometry.dims} spacing {gt.geometry.spacing} do not "
-                f"match sample set geometry {geometry.dims} {geometry.spacing}")
+                f"ground-truth {gt.geometry} do not match sample set geometry {geometry}")
         unknown = gt.check_labels(registry)
         if unknown:
             raise ValidationError(f"ground-truth label ids {unknown} not in registry")

@@ -151,6 +151,10 @@ class VoxelGeometry:
         if any(not np.isfinite(s) or s <= 0 for s in self.spacing):
             raise ValidationError(f"all spacings must be positive and finite, got {self.spacing}")
 
+    def __str__(self) -> str:
+        """The one spelling of a grid in messages: ``dims (x, y, z) spacing (a, b, c)``."""
+        return f"dims {self.dims} spacing {self.spacing}"
+
     @property
     def n_voxels(self) -> int:
         return self.dims[0] * self.dims[1] * self.dims[2]
@@ -431,7 +435,7 @@ class ProbPass:
     mismatches -- per sample, the voxels where its labels differ from the
                   argmax of its maps
     entropy    -- sum over samples, then structures in registry order, of
-                  -p*ln(p), clipped at 0; C-order float64
+                  -p*ln(p); C-order float64
     consensus  -- argmax of the per-structure mean over samples, ties to
                   the lowest id
 
@@ -498,10 +502,8 @@ def _prob_pass(sample_set: McSampleSet) -> ProbPass:
     if not fold:
         entropy = None
     else:
-        # -p*ln(p) is non-negative for p in [0, 1]; clip float dust at 0.
         # C order, like a fresh array: reductions over the whole map then
         # visit voxels in the same order whatever layout the files had
-        np.maximum(entropy, 0.0, out=entropy)
         entropy = np.ascontiguousarray(entropy)
         entropy.flags.writeable = False
         for acc in sums:
@@ -556,7 +558,8 @@ def validate_sample_set(sample_set: McSampleSet) -> list[Violation]:
     volume's and each probability stack's grid and ids. The probability
     maps are read (:attr:`McSampleSet.prob_pass`) only when all of that
     holds, so a set with a structural fault is refused without decoding
-    any map, and its report lists no map message.
+    any map, and its report lists no map message. A grid fault names both
+    grids, each spelled by :class:`VoxelGeometry`'s ``str``.
     """
     out: list[Violation] = []
     geometry, registry = sample_set.geometry, sample_set.registry
@@ -565,28 +568,16 @@ def validate_sample_set(sample_set: McSampleSet) -> list[Violation]:
     for i, vol in enumerate(sample_set.labels):
         if vol.geometry != geometry:
             out.append(Violation(
-                "geometry",
-                f"label dims {vol.geometry.dims} spacing {vol.geometry.spacing} do not "
-                f"match set geometry {geometry.dims} {geometry.spacing}",
-                i,
-            ))
+                "geometry", f"label {vol.geometry} do not match set geometry {geometry}", i))
         elif unknown := vol.check_labels(registry):
             out.append(Violation("labels", f"label ids {unknown} not in registry", i))
     for i, stack in enumerate(sample_set.probs or ()):
         if stack.geometry != geometry:
-            out.append(Violation(
-                "geometry",
-                f"probability map dims {stack.geometry.dims} spacing {stack.geometry.spacing} "
-                f"do not match set geometry {geometry.dims} {geometry.spacing}",
-                i,
-            ))
+            out.append(Violation("geometry", f"probability map {stack.geometry} do not match "
+                                 f"set geometry {geometry}", i))
         if stack.label_ids != registry.ids:
-            out.append(Violation(
-                "prob_labels",
-                "probability stack labels do not match the registry "
-                f"({stack.label_ids} vs {registry.ids})",
-                i,
-            ))
+            out.append(Violation("prob_labels", "probability stack labels do not match the "
+                                 f"registry ({stack.label_ids} vs {registry.ids})", i))
     if out or sample_set.probs is None:
         return out
 
@@ -597,11 +588,8 @@ def validate_sample_set(sample_set: McSampleSet) -> list[Violation]:
         # consensus follows the maps while CV and MC Dice follow the
         # labels, so the two must describe the same segmentation
         if differ := prob_pass.mismatches[i]:
-            out.append(Violation(
-                "label_prob_mismatch",
-                f"labels differ from the argmax of the probability maps at {differ} voxels",
-                i,
-            ))
+            out.append(Violation("label_prob_mismatch", "labels differ from the argmax of the "
+                                 f"probability maps at {differ} voxels", i))
     return out
 
 

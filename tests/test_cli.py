@@ -274,8 +274,8 @@ def test_metrics_from_directory(sim_dir, capsys):
             ((20, 20, 21), one, 0, "geometry"),
             # the dims agree, so only the spacings tell the two grids apart
             ((20, 20, 20), far, 0, "ground-truth dims (20, 20, 20) spacing (1.0, 1.0, 2.5) "
-                                   "do not match sample set geometry (20, 20, 20) "
-                                   "(1.0, 1.0, 1.0)")]:
+                                   "do not match sample set geometry dims (20, 20, 20) "
+                                   "spacing (1.0, 1.0, 1.0)")]:
         write_nifti(bad_gt, np.full(dims, label, dtype=np.uint8), VoxelGeometry(dims, spacing))
         assert run(["metrics", sim_dir, "--registry", sim_dir / "registry.json",
                     "--gt", bad_gt, "--out", report_path]) == 1

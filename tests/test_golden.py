@@ -4,7 +4,8 @@ CLI calls, compared with ``golden.json``.
 Three scans of the bundled study (``docs/``) are simulated with
 probability maps once, beside a small fully soft set (:func:`soft_set`:
 a seeded softmax of random logits, soft at every voxel like the maps of
-MC dropout, which the bundled maps are not). Then each call of
+MC dropout, which the bundled maps are not) and a set of two slabs
+(:func:`slab_set`; every other input fits in one). Then each call of
 :func:`calls` runs in process, once with ``SEGQC_THREADS=1`` and once
 with ``SEGQC_THREADS=2``, and both runs must give the recorded digests. A ``.nii.gz`` is hashed by its
 decoded bytes (header and payload), which do not depend on the zlib
@@ -42,6 +43,7 @@ GOLDEN = HERE / "golden.json"
 N_SCANS = 3
 THREADS = (1, 2)
 SOFT_DIMS, SOFT_N, SOFT_K, SOFT_SEED = (20, 20, 20), 4, 5, 25
+SLAB_DIMS, SLAB_N, SLAB_K, SLAB_SEED = (64, 64, 48), 3, 4, 7
 
 
 def versions() -> dict:
@@ -90,6 +92,45 @@ def soft_set(sim: Path) -> None:
     write_scan_manifest(d / "manifest.json", samples, registry="registry.json", probs=probs)
 
 
+def slab_set(sim: Path) -> None:
+    """Under ``sim / "slabs"``: ``SLAB_N`` samples on ``SLAB_DIMS``, which
+    :func:`segqc.volumes._slabs` splits into two slabs, so that with two
+    threads both voxel passes start a pool and release mapped label pages
+    a slab at a time. Plain ``.nii`` labels (their maps' argmax), the
+    ground truth ``gt.nii``, and ``SLAB_K`` float32 ``.nii.gz`` maps per
+    sample: a seeded softmax of one shared field plus per-sample noise,
+    soft in the first slab and one-hot at nine in ten voxels of the second,
+    so that both of the pass's entropy branches run."""
+    from segqc.io import write_registry, write_scan_manifest
+    from segqc.nifti import write_nifti
+    from segqc.volumes import StructureRegistry, VoxelGeometry, _slabs
+
+    d = sim / "slabs"
+    d.mkdir()
+    slabs = _slabs(SLAB_DIMS)
+    assert len(slabs) == 2
+    rng = np.random.default_rng(SLAB_SEED)
+    geom = VoxelGeometry(SLAB_DIMS, (1.0, 1.0, 1.2))
+    write_registry(StructureRegistry(tuple((k, f"s{k}") for k in range(SLAB_K)), 0),
+                   d / "registry.json")
+    field = rng.normal(size=(SLAB_K, *SLAB_DIMS))
+    write_nifti(d / "gt.nii", np.argmax(field, axis=0).astype(np.uint8), geom)
+    hard = np.zeros(SLAB_DIMS, dtype=bool)
+    hard[:, :, slabs[1]] = rng.random(hard[:, :, slabs[1]].shape) < 0.9
+    samples, probs = [], []
+    for i in range(SLAB_N):
+        logits = field + 0.5 * rng.normal(size=field.shape)
+        e = np.exp(logits - logits.max(axis=0))
+        onehot = np.moveaxis(np.eye(SLAB_K)[np.argmax(logits, axis=0)], -1, 0)
+        maps = np.where(hard, onehot, e / e.sum(axis=0)).astype(np.float32)
+        samples.append(f"sample_{i}.nii")
+        write_nifti(d / samples[-1], np.argmax(maps, axis=0).astype(np.uint8), geom)
+        probs.append([f"prob_{i}_{k}.nii.gz" for k in range(SLAB_K)])
+        for k, name in enumerate(probs[-1]):
+            write_nifti(d / name, maps[k], geom)
+    write_scan_manifest(d / "manifest.json", samples, registry="registry.json", probs=probs)
+
+
 def calls(sim: Path, out: Path) -> list[tuple[str, list[str]]]:
     """(name, argv) of every checked call; each writes only under ``out / name``."""
     scans = [f"scan_{k:02d}" for k in range(N_SCANS)]
@@ -117,6 +158,15 @@ def calls(sim: Path, out: Path) -> list[tuple[str, list[str]]]:
     todo.append((d.name, ["metrics", "--manifest", str(sim / "soft" / "manifest.json"),
                           "--out", str(d / "report.json"),
                           "--uncertainty-out", str(d / "uncertainty.nii.gz")]))
+    slabs = sim / "slabs"
+    d = out / "metrics_slabs"
+    todo.append((d.name, ["metrics", "--manifest", str(slabs / "manifest.json"),
+                          "--gt", str(slabs / "gt.nii"), "--out", str(d / "report.json"),
+                          "--uncertainty-out", str(d / "uncertainty.nii"),
+                          "--heatmap-out", str(d / "heatmap.nii")]))
+    d = out / "consensus_slabs"
+    todo.append((d.name, ["consensus", "--manifest", str(slabs / "manifest.json"),
+                          "--out", str(d / "consensus.nii")]))
     return todo
 
 
@@ -157,6 +207,7 @@ def study(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     sim = simulate(root)
     soft_set(sim)
+    slab_set(sim)
     return root, sim
 
 
@@ -178,6 +229,7 @@ if __name__ == "__main__":
         root = Path(tmp)
         sim = simulate(root)
         soft_set(sim)
+        slab_set(sim)
         runs = [run_calls(root, sim, t) for t in THREADS]
     assert all(r == runs[0] for r in runs), "outputs depend on SEGQC_THREADS"
     GOLDEN.write_text(json.dumps({"versions": versions(), "digests": runs[0]}, indent=2) + "\n",

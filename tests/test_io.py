@@ -32,11 +32,14 @@ from segqc.io import (
     write_report,
     write_scan_manifest,
 )
-from segqc.metrics import StructureMetrics, StructureReport, structure_report
+from segqc.metrics import StructureMetrics, StructureReport, dice_score, structure_report
 from segqc.nifti import read_nifti, write_nifti
 from segqc.stats import CohortTable
 from segqc.synth import NoiseSpec, make_phantom, registry_for_phantom
-from segqc.volumes import LabelVolume, StructureRegistry, ValidationError, VoxelGeometry
+from segqc.volumes import (
+    LabelVolume, McSampleSet, ProbMapStack, StructureRegistry, ValidationError, VoxelGeometry,
+    validate_sample_set,
+)
 from test_nifti import MAP_VARIANTS
 
 
@@ -626,6 +629,47 @@ def test_sample_set_read_from_files_compares_by_identity(tmp_path):
     for x, y in ((ss, again), (ss.labels[0], again.labels[0]), (ss.probs[0], again.probs[0])):
         assert x == x and x != y
         assert len({x, y, x}) == 2
+
+
+def test_read_sample_set_names_a_map_file_and_both_grids(tmp_path):
+    # the dims agree, so only the spacings tell the two grids apart
+    label_paths, prob_paths, reg = write_prob_set(tmp_path, 2, 2, (3, 3, 3))
+    q = prob_paths[1][1]
+    write_nifti(q, read_nifti(q).data, VoxelGeometry((3, 3, 3), (1.0, 1.0, 2.0)))
+    with pytest.raises(ValidationError) as info:
+        read_sample_set(label_paths, reg, prob_paths=prob_paths)
+    assert str(info.value) == (
+        f"{q}: map dims (3, 3, 3) spacing (1.0, 1.0, 2.0) do not match {label_paths[1]} "
+        "geometry dims (3, 3, 3) spacing (1.0, 1.0, 1.0)")
+
+
+@pytest.mark.parametrize("check", ["label", "prob_map", "ground_truth", "dice", "map_file"])
+def test_every_grid_check_names_both_grids(tmp_path, check):
+    near = VoxelGeometry((3, 3, 3), (1.0, 1.0, 1.0))
+    far = VoxelGeometry((3, 3, 3), (1.0, 1.0, 2.5))
+    reg = StructureRegistry(((0, "bg"), (1, "s1")), background_id=0)
+    zeros = np.zeros((3, 3, 3), dtype=np.uint8)
+    vol, odd = LabelVolume(near, zeros), LabelVolume(far, zeros)
+    maps = np.stack([np.ones((3, 3, 3)), np.zeros((3, 3, 3))])
+    if check == "label":
+        messages = [v.message for v in validate_sample_set(McSampleSet(near, reg, (vol, odd)))]
+    elif check == "prob_map":
+        stacks = (ProbMapStack(near, reg.ids, maps), ProbMapStack(far, reg.ids, maps))
+        messages = [v.message for v in validate_sample_set(
+            McSampleSet(near, reg, (vol, vol), stacks))]
+    else:
+        with pytest.raises(ValidationError) as info:
+            if check == "ground_truth":
+                structure_report(McSampleSet(near, reg, (vol, vol)), gt=odd)
+            elif check == "dice":
+                dice_score(vol, odd, 1)
+            else:
+                label_paths, prob_paths, reg = write_prob_set(tmp_path, 2, 2, near.dims)
+                write_nifti(prob_paths[0][0], maps[0].astype(np.float32), far)
+                read_sample_set(label_paths, reg, prob_paths=prob_paths)
+        messages = [str(info.value)]
+    assert len(messages) == 1
+    assert "geometry" in messages[0] and str(near) in messages[0] and str(far) in messages[0]
 
 
 def test_read_sample_set_memory_is_bounded_by_one_sample(tmp_path):

@@ -291,6 +291,16 @@ def test_dice_geometry_mismatch():
         dice_score(a, b, 1)
 
 
+def test_dice_names_both_spacings():
+    # the dims agree, so only the spacings tell the two grids apart
+    a = LabelVolume(geom(3, 3, 3), np.zeros((3, 3, 3), dtype=np.int64))
+    b = LabelVolume(VoxelGeometry((3, 3, 3), (1.0, 1.0, 2.0)), a.data)
+    with pytest.raises(ValidationError) as info:
+        dice_score(a, b, 1)
+    assert str(info.value) == ("geometry mismatch: dims (3, 3, 3) spacing (1.0, 1.0, 1.0) vs "
+                               "dims (3, 3, 3) spacing (1.0, 1.0, 2.0)")
+
+
 # -- full report -------------------------------------------------------------
 
 
@@ -781,6 +791,39 @@ def test_prob_pass_is_bit_identical_to_per_structure_loops(seed, n, k, dtype, fo
         assert np.array_equal(volumes._argmax_labels(maps, ids),
                               oracles.argmax_labels_oracle(maps, ids))
         assert ss.prob_pass.checks[i] == tuple(ss.probs[i].violations())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(2, 4),
+       st.sampled_from([np.float32, np.float64]), st.sampled_from(["1", "2"]))
+def test_prob_pass_entropy_matches_oracle_with_no_sign_bit(seed, n, k, dtype, threads):
+    # soft voxels, ties, exact 0s and 1s and a subnormal: each term
+    # -xlogy(p, p) is >= +0.0 and each voxel starts at +0.0, so the sums
+    # need no clip at 0 and none of them is negative or -0.0
+    rng = np.random.default_rng(seed)
+    reg = StructureRegistry(tuple((i, f"s{i}") for i in range(k)), background_id=0)
+    dims = (3, 4, 5)  # three slabs of two planes in slabbed_pass
+    v = int(np.prod(dims))
+    hot = rng.integers(0, k, size=v)
+    onehot = np.eye(k)[hot].T
+    tiny = onehot.copy()
+    tiny[(hot + 1) % k, np.arange(v)] = np.finfo(dtype).smallest_subnormal
+    kinds = (rng.dirichlet(np.ones(k), size=v).T, np.full((k, v), 1.0 / k), onehot, tiny)
+    stacks = []
+    for _ in range(n):
+        pick = rng.integers(0, len(kinds), size=v)
+        flat = np.choose(pick, kinds)
+        stacks.append(flat.reshape((k,) + dims).astype(dtype))
+    ss = prob_set(stacks, reg)
+    entropy = slabbed_pass(ss, threads).entropy
+    assert entropy is not None
+    assert np.max(np.abs(entropy - oracles.entropy_map_oracle(stacks))) < 1e-12
+    assert not np.signbit(entropy).any()
+    for j, label_id in enumerate(reg.ids):
+        one = structure_uncertainty(ss, label_id)
+        want = oracles.entropy_map_oracle([s[j:j + 1] for s in stacks])
+        assert np.max(np.abs(one - want)) < 1e-12
+        assert not np.signbit(one).any()
 
 
 def test_prob_pass_loads_each_sample_once():

@@ -454,7 +454,7 @@ def test_validate_names_both_grids_of_a_stack_on_another_spacing():
     ss = McSampleSet(geom(), small_registry(), (vol, vol), (near, far))
     assert [str(v) for v in validate_sample_set(ss)] == [
         "[geometry] sample 1: probability map dims (3, 3, 3) spacing (1.0, 1.0, 2.5) "
-        "do not match set geometry (3, 3, 3) (1.0, 1.0, 1.0)"]
+        "do not match set geometry dims (3, 3, 3) spacing (1.0, 1.0, 1.0)"]
 
 
 def test_validate_flags_unknown_labels():
