@@ -50,6 +50,7 @@ from .volumes import (
     _parallel,
     _release,
     _slabs,
+    _special,
     _thread_cap,
     require_valid,
 )
@@ -263,8 +264,7 @@ def structure_uncertainty(sample_set: McSampleSet, label_id: int) -> np.ndarray:
     values = np.zeros(sample_set.geometry.dims, dtype=np.float64)
     if sample_set.probs is None:
         return values
-    from scipy.special import xlogy
-
+    xlogy = _special("xlogy")
     k = sample_set.registry.ids.index(label_id)
     for stack in sample_set.probs:
         p = stack.load_map(k)

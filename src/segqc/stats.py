@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .metrics import STRUCTURE_METRICS, StructureReport
-from .volumes import ValidationError
+from .volumes import ValidationError, _special
 
 # Floor on CV and (1 - mc_dice) before inversion: a perfect-agreement
 # subject should dominate the fit, not break it with an infinite weight.
@@ -261,13 +261,11 @@ def design_matrix(table: CohortTable) -> tuple[np.ndarray, tuple[str, ...]]:
 
 def _two_sided_p(t: np.ndarray, df: int) -> np.ndarray:
     """P(|T| >= |t|) for Student-t via the regularized incomplete beta."""
-    from scipy.special import betainc
-
     t = np.asarray(t, dtype=np.float64)
     out = np.ones_like(t)
     finite = np.isfinite(t)
     x = df / (df + t[finite] ** 2)
-    out[finite] = betainc(df / 2.0, 0.5, x)
+    out[finite] = _special("betainc")(df / 2.0, 0.5, x)
     out[~finite] = 0.0
     return np.clip(out, 0.0, 1.0)
 

@@ -26,6 +26,8 @@ by each pass that has read them (:func:`_release`).
 from __future__ import annotations
 
 import os
+import sys
+import types
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -72,6 +74,26 @@ def _thread_cap(default: int) -> int:
     if n < 1:
         raise ValidationError(f"SEGQC_THREADS must be >= 1, got {n}")
     return n
+
+
+def _special(name: str):
+    """scipy's ufunc ``name`` from ``scipy.special._ufuncs``, imported under a placeholder
+    package: the real one loads an array-API layer segqc never uses, and gets the same ufuncs
+    if imported later. The first call edits ``sys.modules``: make it before any pool."""
+    special = sys.modules.get("scipy.special") or sys.modules.get("scipy.special._ufuncs")
+    if special is None:
+        import scipy  # only __path__ is read: its __getattr__ imports scipy.special
+        sys.modules["scipy.special"] = stub = types.ModuleType("scipy.special")
+        stub.__path__ = [os.path.join(p, "special") for p in scipy.__path__]
+        try:
+            from scipy.special import _ufuncs as special
+        except ImportError:  # another layout: the package's own import, below
+            pass
+        finally:
+            del sys.modules["scipy.special"]
+    if special is None:
+        import scipy.special as special
+    return getattr(special, name)
 
 
 _PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")  # bytes
@@ -331,7 +353,7 @@ def _fold_slab(maps: Sequence[np.ndarray], z: slice, label_ids: Sequence[int] = 
     if truth is not None:
         differ = int(np.count_nonzero(truth[:, :, z] != _argmax_labels(part, label_ids)))
     if entropy is not None:
-        from scipy.special import xlogy  # first imported by _prob_pass, before its pool
+        xlogy = _special("xlogy")  # first loaded by _prob_pass, before its pool
         out = entropy[:, :, z]
         for m, (lo, hi), acc in zip(part, bounds, sums):
             mm, oo = (m.T, out.T) if m.flags.f_contiguous else (m, out)  # in memory order
@@ -476,7 +498,7 @@ def _prob_pass(sample_set: McSampleSet) -> ProbPass:
     terms it added.
     """
     ids = sample_set.registry.ids
-    import scipy.special  # noqa: F401  xlogy: imported on this thread, never first on a pool's
+    _special("xlogy")  # loaded on this thread, never first on a pool's
     slabs = _slabs(sample_set.geometry.dims)
     workers = min(_thread_cap(2), len(slabs))
     entropy, sums, fold = None, [], True
