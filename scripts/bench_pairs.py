@@ -9,7 +9,10 @@ pair runs ``perfbench/run.py --trace 0`` once in each of them, from its
 own root, and swaps which side runs first from one pair to the next, so
 slow drift of the host lands on both sides alike. The workloads run one
 after the other, all pairs of each. For each workload and each end-to-end
-metric that ``BENCHMARK.json`` of CHANGE names, it then prints both
+metric that ``BENCHMARK.json`` of CHANGE names, it then prints a table
+titled with the host's ``FileHugePages`` (the page cache held in huge
+pages, from ``/proc/meminfo`` where that exists: the peak RSS of a call
+that maps its inputs depends on it) and listing both
 medians, the parent's quartiles, in how many of the pairs the change was
 better (ties count for neither side) and a verdict, and at the end every
 failed call or run. With ``bound`` the metric's fraction of the parent
@@ -115,6 +118,19 @@ def print_table(title: str, rows: dict) -> None:
     print(flush=True)
 
 
+def file_huge_pages() -> str:
+    """``", FileHugePages <n> kB"`` from ``/proc/meminfo``, or ``""`` where
+    the file or the line does not exist."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("FileHugePages:"):
+                    return f", FileHugePages {line.split(':', 1)[1].strip()}"
+    except OSError:
+        pass
+    return ""
+
+
 def import_seconds(root: Path) -> float | None:
     """Wall time of one fresh interpreter importing ``segqc.cli`` from
     ``root``'s sources, or None when the start fails."""
@@ -159,7 +175,8 @@ def compare(workload: str, metrics: dict, args) -> list[str]:
                 f"{name} {got[name]:.4g}" for name in metrics if name in got)
             print(f"{workload} pair {pair + 1}/{args.pairs} {side}: {shown}", flush=True)
 
-    print_table(f"{workload}, seed {args.seed}, {args.pairs} pairs, {args.seconds:g} s a run",
+    print_table(f"{workload}, seed {args.seed}, {args.pairs} pairs, {args.seconds:g} s a run"
+                f"{file_huge_pages()}",
                 {name: ([(p[name], c[name]) for p, c in zip(values["parent"], values["change"])
                          if p is not None and c is not None and name in p and name in c],
                         better, bound)

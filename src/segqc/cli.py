@@ -30,7 +30,7 @@ import numpy as np
 
 from . import io as sio
 from .metrics import STRUCTURE_METRICS, _count_labels, structure_report, voxel_uncertainty
-from .nifti import _atomic, read_label_nifti, read_orientation, write_nifti
+from .nifti import _atomic, _check_orientation, read_label_nifti, write_nifti
 from .stats import GROUP_MODES, ValidationError, correlate_uncertainty_accuracy, group_analysis
 from .synth import make_phantom, registry_for_phantom, sample_mc, soft_probs
 from .volumes import McSampleSet, _parallel, _require_memory, _thread_cap
@@ -102,6 +102,9 @@ def cmd_metrics(args) -> int:
     samples, gt_path, sample_set = _read_inputs(args)
     _thread_cap(1)  # a bad SEGQC_THREADS is not a ground-truth error
     gt = read_label_nifti(gt_path) if gt_path else None  # its errors name the file
+    first = sample_set.labels[0]  # its orientation fields go into every volume written
+    if gt is not None:
+        _check_orientation(gt_path, gt, samples[0], first)
     try:
         # read_sample_set refused any bad sample, so what structure_report
         # refuses here is the ground truth
@@ -114,22 +117,22 @@ def cmd_metrics(args) -> int:
             raise
         raise ValidationError(f"{gt_path}: {exc}") from exc
     sio.write_report(report, args.out)
-    orient = read_orientation(samples[0]) if args.uncertainty_out or args.heatmap_out else None
     if args.uncertainty_out:
         unc = (voxel_uncertainty(sample_set, normalize=args.normalize_entropy)
                if report.uncertainty is None else report.uncertainty)
-        write_nifti(args.uncertainty_out, unc.astype(np.float32), sample_set.geometry, orient)
+        write_nifti(args.uncertainty_out, unc.astype(np.float32), sample_set.geometry,
+                    first._orientation)
     if args.heatmap_out:
         sio.write_heatmap_volume(report.consensus, report, args.heatmap_metric,
-                                 args.heatmap_out, orient)
+                                 args.heatmap_out, first._orientation)
     _print_report_table(report)
     return EXIT_OK
 
 
 def cmd_consensus(args) -> int:
-    samples, _, sample_set = _read_inputs(args)
+    _, _, sample_set = _read_inputs(args)
     _, counts, consensus = _count_labels(sample_set)  # read_sample_set validated the set
-    write_nifti(args.out, consensus, orientation=read_orientation(samples[0]))
+    write_nifti(args.out, consensus, orientation=sample_set.labels[0]._orientation)
     voxels = dict(zip(sample_set.registry.ids, counts[0]))
     print(f"consensus of {sample_set.n} samples -> {args.out}")
     for i, name in sample_set.registry.foreground:

@@ -24,7 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .metrics import STRUCTURE_METRICS, StructureMetrics, StructureReport
-from .nifti import OrientationInfo, _atomic, read_label_nifti, read_nifti, write_nifti
+from .nifti import (OrientationInfo, _atomic, _check_orientation, read_label_nifti, read_nifti,
+                    write_nifti)
 from .stats import CohortTable
 from .synth import NoiseSpec, PhantomSpec, ShapeSpec
 from .volumes import (
@@ -468,8 +469,11 @@ def read_sample_set(
     ``prob_paths``, when given, lists one probability volume per registry
     entry (in registry order) for each sample; the stacks are attached so
     voxel uncertainty reflects the stored soft predictions instead of
-    degenerate one-hot indicators. The label files are decoded first;
-    then the set's memoised :func:`validate_sample_set` report is taken.
+    degenerate one-hot indicators. The label files are decoded first, and
+    one that declares another orientation than the first sample's is
+    refused, naming both files and both orientations (see
+    :func:`segqc.nifti._check_orientation`); then the set's memoised
+    :func:`validate_sample_set` report is taken.
     It checks the set's structure (N >= 2, each label file's grid and
     ids) before the maps, so a structural fault is refused before any
     probability file is decoded; otherwise its pass over the maps
@@ -486,6 +490,7 @@ def read_sample_set(
     labels, probs = [], None if prob_paths is None else []
     for i, p in enumerate(label_paths):
         labels.append(read_label_nifti(p))
+        _check_orientation(p, labels[i], label_paths[0], labels[0])
         if probs is not None:
             stack_paths = list(prob_paths[i])
             if len(stack_paths) != len(registry.ids):

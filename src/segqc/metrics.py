@@ -48,7 +48,6 @@ from .volumes import (
     StructureRegistry,
     ValidationError,
     _parallel,
-    _release,
     _slabs,
     _special,
     _thread_cap,
@@ -114,26 +113,27 @@ def _registry_counts(values: np.ndarray, registry: StructureRegistry) -> np.ndar
     return np.bincount(values, minlength=registry.max_id + 1)[list(registry.ids)]
 
 
-def _count_slab(labels: list[np.ndarray], registry: StructureRegistry, cons: np.ndarray,
-                gt: np.ndarray | None, vote: bool, z: slice) -> tuple:
-    """Counting pass over the z-slab ``[:, :, z]`` of the 3-D ``labels``.
+def _count_slab(labels: tuple[LabelVolume, ...], registry: StructureRegistry, cons: np.ndarray,
+                gt: LabelVolume | None, vote: bool, z: slice) -> tuple:
+    """Counting pass over the z-slab ``[:, :, z]`` of the label volumes ``labels``.
 
     Returns its partials of ``_count_labels``' ``inter`` and ``counts``,
     first writing its majority labels into the slab of ``cons`` when
     ``vote``, whose counts add its disagreement voxels' to the agreement
-    voxels' instead of recounting the slab. Each slab is flattened
-    x-fastest: a view, not a copy, of an F-ordered volume, as files give
-    and the vote's buffer is.
+    voxels' instead of recounting the slab. Each volume's slab, and
+    ``gt``'s, is read as every pass reads it (:meth:`LabelVolume._slab`):
+    from a plain .nii into a fresh array, never through the file's map.
+    Each slab is flattened x-fastest: a view, not a copy, of an F-ordered
+    slab, as files give and the vote's buffer is.
 
     The disagreement voxels are counted one label at a time, as bit
     planes: each sample's plane holds one bit a voxel, set where it
     carries the label, padded with zero bits to whole 64-bit words. A
     pair's intersection is the popcount of the AND of its two planes, and
     a voxel's vote for the label is the number of planes with its bit set.
-    Last, the slab's mapped pages of every sample and ``gt`` are released.
     """
     n = len(labels)
-    parts = [arr[:, :, z].reshape(-1, order="F") for arr in labels]
+    parts = [vol._slab(z).reshape(-1, order="F") for vol in labels]
     base = parts[0]
     agree = np.ones(base.shape, dtype=bool)
     for arr in parts[1:]:
@@ -177,11 +177,9 @@ def _count_slab(labels: list[np.ndarray], registry: StructureRegistry, cons: np.
     counts[0] = (base_counts + _registry_counts(best, registry) if vote
                  else _registry_counts(out, registry))
     if gt is not None:
-        truth = gt[:, :, z].reshape(-1, order="F")
+        truth = gt._slab(z).reshape(-1, order="F")
         counts[1] = _registry_counts(truth, registry)
         counts[2] = _registry_counts(out[out == truth], registry)
-    for arr in (*labels, gt):
-        _release(arr, z)
     return inter, counts
 
 
@@ -207,20 +205,21 @@ def _count_labels(sample_set: McSampleSet, gt: LabelVolume | None = None) -> tup
 
     The pass runs in the probability pass's z-slabs (:func:`_slabs`) on up
     to ``SEGQC_THREADS`` threads, two when it is unset whatever the CPU
-    count, since each holds its own slab buffers (up to 5.9 MiB at N = 15).
+    count, since each holds its own slab buffers (up to 7.7 MiB at N = 15 on
+    256 x 256 planes, the 16 label slabs it reads included).
     Each slab's counts are a partial sum of integers and its votes depend
     only on its own voxels, so the sum of the partials, taken in slab
     order, and the vote are the same for any slab size and thread count.
     """
-    labels = [vol.data for vol in sample_set.labels]
-    registry = sample_set.registry
+    labels, registry = sample_set.labels, sample_set.registry
     vote = sample_set.probs is None
     # the vote is always some sample's label, so no wider than the samples
-    top = min(registry.max_id, max(np.iinfo(a.dtype).max for a in labels))
+    top = min(registry.max_id, max(np.iinfo(vol.data.dtype).max for vol in labels))
     dtype = np.uint16 if top <= _UINT16_MAX else np.int64
-    cons = np.empty(labels[0].shape, dtype, order="F") if vote else sample_set.prob_pass.consensus
-    slabs = _slabs(cons.shape)
-    count = partial(_count_slab, labels, registry, cons, None if gt is None else gt.data, vote)
+    dims = sample_set.geometry.dims
+    cons = np.empty(dims, dtype, order="F") if vote else sample_set.prob_pass.consensus
+    slabs = _slabs(dims)
+    count = partial(_count_slab, labels, registry, cons, gt, vote)
     inter, counts = map(sum, zip(*_parallel(count, slabs, min(_thread_cap(2), len(slabs)))))
     if cons.dtype != np.uint16 and cons.max(initial=0) <= _UINT16_MAX:
         cons = cons.astype(np.uint16)

@@ -7,7 +7,8 @@ transparent gzip. Both byte orders are accepted on read (detected from
 the header-size field); writes are always little-endian with vox_offset
 352. Orientation fields (qform/sform) are carried through numerically
 but never interpreted: volumes entering one computation must share dims
-and voxel spacing, which is validated elsewhere.
+and voxel spacing, which is validated elsewhere, and label files must
+not declare different orientations (:func:`_check_orientation`).
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ import gzip
 import struct
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .volumes import LabelVolume, ValidationError, VoxelGeometry, _require_memory
+from .volumes import LabelVolume, ValidationError, VoxelGeometry, _MappedFile, _require_memory
 
 HEADER_SIZE = 348
 MAGIC = b"n+1\x00"
@@ -78,6 +79,22 @@ class OrientationInfo:
     srow_y: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
     srow_z: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
 
+    def __str__(self) -> str:
+        """The one spelling of an orientation in messages: each form's code,
+        then the fields it declares."""
+        q = f" qfac {self.qfac} quatern {self.quatern} qoffset {self.qoffset}"
+        s = f" srow_x {self.srow_x} srow_y {self.srow_y} srow_z {self.srow_z}"
+        return (f"qform_code {self.qform_code}{q if self.qform_code else ''}, "
+                f"sform_code {self.sform_code}{s if self.sform_code else ''}")
+
+    def _declared(self) -> tuple | None:
+        """The fields this orientation declares, as stored: a form's own
+        fields count only when its code is nonzero; None when neither is."""
+        if not (self.qform_code or self.sform_code):
+            return None
+        return (self.qform_code, self.qform_code and (self.qfac, self.quatern, self.qoffset),
+                self.sform_code, self.sform_code and (self.srow_x, self.srow_y, self.srow_z))
+
 
 @dataclass(frozen=True)
 class NiftiHeaderSubset:
@@ -102,6 +119,8 @@ class NiftiImage:
     header: NiftiHeaderSubset
     orientation: OrientationInfo
     scaled: bool  # True when scl_slope/scl_inter were applied
+    # the plain file ``data`` maps, which label passes read slabs from; else None
+    _file: _MappedFile | None = field(default=None, repr=False, compare=False, kw_only=True)
 
 
 class _Gunzip:
@@ -211,8 +230,10 @@ def read_nifti(path: str | Path, out: np.ndarray | None = None) -> NiftiImage:
     round-trips are bit-exact. Every format error names the file. The file
     is read or mapped only up to ``vox_offset`` plus the volume, and not at all
     when what the read holds (for gzip the volume, ``vox_offset`` twice and six
-    64 KiB chunks) exceeds the memory the process may use. The passes over a
-    mapped label volume release its pages (:func:`segqc.volumes._release`).
+    64 KiB chunks) exceeds the memory the process may use. For a mapped
+    file the image also keeps a descriptor of it, which the passes over a
+    label volume read their slabs from (:class:`segqc.volumes._MappedFile`)
+    so that none of them faults a page of the map in.
     """
     try:
         with open(path, "rb") as fh:
@@ -286,8 +307,10 @@ def _decode(fh, out: np.ndarray | None) -> NiftiImage:
 
     data.flags.writeable = False
     geometry = VoxelGeometry(dims=header.dims, spacing=header.pixdim)
-    return NiftiImage(geometry=geometry, data=data,
-                      header=header, orientation=orientation, scaled=scaled)
+    mapped = not gz and e == "<" and not scaled  # ``data`` views the map
+    file = _MappedFile(fh.name, fd, offset, data) if mapped else None
+    return NiftiImage(geometry=geometry, data=data, header=header,
+                      orientation=orientation, scaled=scaled, _file=file)
 
 
 def read_orientation(path: str | Path) -> OrientationInfo:
@@ -306,7 +329,20 @@ def read_label_nifti(path: str | Path) -> LabelVolume:
     if not np.issubdtype(image.data.dtype, np.integer):
         raise NiftiFormatError(f"{path}: datatype {image.data.dtype.name} cannot be used as "
                                "labels; labels must be integer-typed")
-    return LabelVolume(image.geometry, image.data)
+    return LabelVolume(image.geometry, image.data, _orientation=image.orientation,
+                       _file=image._file)
+
+
+def _check_orientation(path: str | Path, vol: LabelVolume, first_path: str | Path,
+                       first: LabelVolume) -> None:
+    """Refuse the label volume ``vol``, read from ``path``, when it declares
+    another orientation than ``first``, read from ``first_path``. A file
+    whose qform_code and sform_code are both 0 declares nothing and matches
+    any; declared fields compare exactly as stored, with no tolerance."""
+    mine, theirs = vol._orientation._declared(), first._orientation._declared()
+    if None not in (mine, theirs) and mine != theirs:
+        raise ValidationError(f"{path}: orientation ({vol._orientation}) does not match "
+                              f"{first_path} orientation ({first._orientation})")
 
 
 def _storage_dtype(data: np.ndarray) -> np.dtype:

@@ -19,8 +19,10 @@ every float operation is per voxel, so no thread count changes a result.
 
 Voxel data is stored as 3-D numpy arrays indexed ``[x, y, z]``; the flat
 (serialized) order is x-fastest, matching the on-disk layout used by the
-io module. A label volume mapped from a plain .nii has its pages released
-by each pass that has read them (:func:`_release`).
+io module. A label volume read from a plain .nii maps the file, but no
+pass reads that map: each reads its z-slabs from the file by positional
+reads into buffers it owns (:meth:`LabelVolume._slab`), so a call holds
+none of the N volumes' pages.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import os
 import sys
 import types
+import weakref
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -139,19 +142,6 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _release(arr: np.ndarray | None, z: slice = slice(None)) -> None:
-    """Hand back to the kernel the whole pages of ``arr[:, :, z]`` in the
-    ``ACCESS_READ`` file map under ``arr``: they refault from the page cache
-    with the same bytes, on any thread. Other memory, which ``MADV_DONTNEED``
-    would zero, is left alone, as is a map where ``mmap`` has no ``madvise``."""
-    if hasattr(base := _frozen_base(arr), "madvise"):  # only a map has it
-        import mmap  # here, not at import, so startup loads nothing new
-        lo, hi = (b - np.frombuffer(base, np.uint8).ctypes.data
-                  for b in np.lib.array_utils.byte_bounds(arr[:, :, z]))
-        lo -= lo % mmap.PAGESIZE
-        base.madvise(mmap.MADV_DONTNEED, lo, hi - lo)  # the map clips the tail
-
-
 @dataclass(frozen=True)
 class VoxelGeometry:
     """Grid shape and physical voxel size of a volume.
@@ -217,7 +207,7 @@ class StructureRegistry:
         if len(ids) < 2:
             raise ValidationError("registry needs at least one non-background structure")
 
-    @property
+    @cached_property  # the passes read it per slab: computed once, kept out of the fields
     def ids(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.entries)
 
@@ -226,7 +216,7 @@ class StructureRegistry:
         """Entries excluding background, in registry order."""
         return tuple((i, n) for i, n in self.entries if i != self.background_id)
 
-    @property
+    @cached_property
     def max_id(self) -> int:
         return max(self.ids)
 
@@ -234,12 +224,47 @@ class StructureRegistry:
         return label_id in self.ids
 
 
+class _MappedFile:
+    """The plain .nii whose bytes a read-only array ``data`` maps: its name,
+    a descriptor of it, closed once this object is collected, and the byte
+    offset of ``data`` in it."""
+
+    def __init__(self, name, fd: int, offset: int, data: np.ndarray):
+        self.name, self.offset, self.data, self.fd = name, offset, data, os.dup(fd)
+        weakref.finalize(self, os.close, self.fd)
+
+    def __reduce__(self):  # a descriptor means nothing in another process: unpickles as None
+        return type(None), ()
+
+    def read(self, z: slice) -> np.ndarray:
+        """``data[:, :, z]`` read from the file into a fresh Fortran-order
+        array by one positional read, which touches no page of the map. A
+        file cut short since it was mapped (a regular file reads short only
+        at its end) raises an OSError naming it, where reading the map would
+        end the process with SIGBUS."""
+        nx, ny, nz = self.data.shape
+        z0, z1, _ = z.indices(nz)
+        flat = np.empty(nx * ny * (z1 - z0), self.data.dtype)
+        at = self.offset + flat.itemsize * nx * ny * z0
+        if (got := os.preadv(self.fd, [flat], at)) < flat.nbytes:
+            raise OSError(f"{self.name}: read {got} of {flat.nbytes} bytes at offset {at}: "
+                          "the file is shorter than when it was read")
+        return flat.reshape((nx, ny, z1 - z0), order="F")
+
+
 @dataclass(frozen=True, eq=False)
 class LabelVolume:
-    """Dense 3-D map of integer label ids."""
+    """Dense 3-D map of integer label ids.
+
+    A volume read from a file (:func:`segqc.nifti.read_label_nifti`) keeps
+    the file's orientation fields and, when ``data`` maps a plain .nii, the
+    file, which its passes read their slabs from (:meth:`_slab`).
+    """
 
     geometry: VoxelGeometry
     data: np.ndarray = field(repr=False)
+    _orientation: object = field(default=None, repr=False, kw_only=True)
+    _file: _MappedFile | None = field(default=None, repr=False, kw_only=True)
 
     def __post_init__(self):
         arr = np.asarray(self.data)
@@ -250,28 +275,34 @@ class LabelVolume:
                 f"label data shape {arr.shape} does not match dims {self.geometry.dims}"
             )
         object.__setattr__(self, "data", _read_only(arr))
+        if self._file is not None and self._file.data is not self.data:
+            object.__setattr__(self, "_file", None)  # a file that holds other data is not read
+
+    def _slab(self, z: slice) -> np.ndarray:
+        """``data[:, :, z]``: read from the mapped file into a fresh array
+        (:meth:`_MappedFile.read`), so no pass faults a page of the map in;
+        for any other volume, a view."""
+        return self.data[:, :, z] if self._file is None else self._file.read(z)
 
     def check_labels(self, registry: StructureRegistry) -> list[int]:
         """Label ids present in the volume but absent from the registry, sorted.
 
-        A min/max test settles the common case; when the registry has gaps
-        inside the volume's value range, a lookup table over that range
-        tests every voxel. ``np.unique`` only runs to name unknown ids once
-        some are known to exist. Mapped pages are released after (:func:`_release`).
+        The volume is read one z-slab at a time (:func:`_slabs`,
+        :meth:`_slab`). A slab's min/max settles the common case; when the
+        registry has gaps inside that range, a lookup table over the
+        registry's ids tests every voxel. ``np.unique`` only runs to name
+        the unknown ids of a slab known to hold some.
         """
-        try:
-            lo, hi = int(self.data.min()), int(self.data.max())
-            if lo >= 0 and hi <= registry.max_id:
-                known = np.zeros(hi + 1, dtype=bool)
-                known[[i for i in registry.ids if i <= hi]] = True
-                if known[lo:].all():
-                    return []
-                if hi < self.data.size and known[self.data].all():
-                    return []
-            ids = set(registry.ids)
-            return [int(v) for v in np.unique(self.data) if int(v) not in ids]
-        finally:
-            _release(self.data)
+        ids, top = set(registry.ids), registry.max_id
+        known = np.zeros(top + 1, dtype=bool)
+        known[list(ids)] = True
+        unknown = set()
+        for z in _slabs(self.geometry.dims):
+            part = self._slab(z)
+            lo, hi = int(part.min()), int(part.max())
+            if not (0 <= lo and hi <= top and (known[lo:hi + 1].all() or known[part].all())):
+                unknown.update(v for v in map(int, np.unique(part)) if v not in ids)
+        return sorted(unknown)
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,14 +353,15 @@ class ProbMapStack:
 
 
 def _fold_slab(maps: Sequence[np.ndarray], z: slice, label_ids: Sequence[int] = (),
-               truth: np.ndarray | None = None, entropy: np.ndarray | None = None,
+               truth: LabelVolume | None = None, entropy: np.ndarray | None = None,
                sums: Sequence[np.ndarray] = ()) -> tuple:
     """The probability pass over the z-slab ``[:, :, z]`` of one sample's maps.
 
     Returns each map's (min, max) as a (K, 2) array, the largest per-voxel
     deviation of the maps' sum from 1 (NaN unless every bound is finite)
-    and the voxels where ``truth`` differs from the slab's argmax labels
-    of ``label_ids`` (0 without ``truth``). The minima and maxima
+    and the voxels where the label volume ``truth`` differs from the
+    slab's argmax labels of ``label_ids`` (0 without ``truth``), reading
+    its slab as every pass does (:meth:`LabelVolume._slab`). The minima and maxima
     propagate NaN and reach any infinity, so they settle finiteness too.
     The per-voxel sum adds the maps in list order into float64, the order
     of a sum over the stack's first axis. With ``entropy``, each map's
@@ -337,8 +369,7 @@ def _fold_slab(maps: Sequence[np.ndarray], z: slice, label_ids: Sequence[int] = 
     ``sums[k]``: only at its voxels in (0, 1) when those are few (see
     ``_HARD_SHARE``). That is exact, as the term is +0.0 at p = 0 and 1
     and ``x - (+0.0)`` is ``x``, -0.0 included; any other p fails the
-    checks, which drop the entropy. Last, ``truth``'s slab is released
-    (:func:`_release`).
+    checks, which drop the entropy.
     """
     part = [m[:, :, z] for m in maps]
     bounds = np.array([(m.min(), m.max()) for m in part])
@@ -351,7 +382,7 @@ def _fold_slab(maps: Sequence[np.ndarray], z: slice, label_ids: Sequence[int] = 
         err = np.abs(total).max()
     differ = 0
     if truth is not None:
-        differ = int(np.count_nonzero(truth[:, :, z] != _argmax_labels(part, label_ids)))
+        differ = int(np.count_nonzero(truth._slab(z) != _argmax_labels(part, label_ids)))
     if entropy is not None:
         xlogy = _special("xlogy")  # first loaded by _prob_pass, before its pool
         out = entropy[:, :, z]
@@ -365,7 +396,6 @@ def _fold_slab(maps: Sequence[np.ndarray], z: slice, label_ids: Sequence[int] = 
                 out -= xlogy(m, m, dtype=np.float64)
             acc = acc[:, :, z]
             acc += m
-    _release(truth, z)
     return bounds, err, differ
 
 
@@ -510,7 +540,7 @@ def _prob_pass(sample_set: McSampleSet) -> ProbPass:
             entropy = np.zeros_like(maps[0], dtype=np.float64)
             sums = [np.zeros_like(m, dtype=np.float64) for m in maps]
         parts = _parallel(partial(
-            _fold_slab, maps, label_ids=stack.label_ids, truth=vol.data,
+            _fold_slab, maps, label_ids=stack.label_ids, truth=vol,
             entropy=entropy if fold else None, sums=sums), slabs, workers)
         del maps  # freed before the next sample is decoded
         bounds, errs, differs = zip(*parts)

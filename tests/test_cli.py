@@ -603,6 +603,64 @@ def test_output_volumes_keep_the_input_orientation(configs):
         assert read_nifti(path).orientation == o, name
 
 
+@pytest.fixture()
+def bundled_scan_00(tmp_path):
+    """The bundled study's scan_00 (``simulate --seed 1000`` on the configs in
+    docs/), simulated alone: its directory, beside the study's gt.nii."""
+    noise = json.loads((DOCS / "graded_noise.json").read_text())
+    noise["scans"] = noise["scans"][:1]
+    (tmp_path / "noise.json").write_text(json.dumps(noise))
+    study = tmp_path / "study"
+    assert run(["simulate", "--phantom", DOCS / "paired_boxes_phantom.json", "--noise",
+                tmp_path / "noise.json", "--out", study, "--seed", "1000"]) == 0
+    return study / "scan_00"
+
+
+def _sform(path, x_sign):
+    """Rewrite ``path`` with an sform of unit spacing whose x axis runs ``x_sign``."""
+    img = read_nifti(path)
+    nx = img.geometry.dims[0]
+    o = OrientationInfo(sform_code=1, srow_x=(x_sign, 0.0, 0.0, 0.0 if x_sign > 0 else nx - 1.0),
+                        srow_y=(0.0, 1.0, 0.0, 0.0), srow_z=(0.0, 0.0, 1.0, 0.0))
+    write_nifti(path, img.data, img.geometry, orientation=o)
+    return o
+
+
+def test_metrics_refuses_a_ground_truth_declaring_another_orientation(bundled_scan_00, capsys):
+    scan = bundled_scan_00
+    gt = scan / ".." / "gt.nii"  # as the manifest names it
+    flipped = _sform(gt, -1.0)  # x-flipped: the same voxels, mirrored in space
+    argv = ["metrics", "--manifest", scan / "manifest.json", "--out", scan / "r.json"]
+    # samples that declare no orientation match any: nothing to compare against
+    assert run(argv) == 0
+    (scan / "r.json").unlink()
+    for sample in scan.glob("sample_*.nii"):
+        plain = _sform(sample, 1.0)
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    first = scan / "sample_000.nii"
+    assert err == (f"error: {gt}: orientation ({flipped}) does not match {first} "
+                   f"orientation ({plain})\n")
+    assert "srow_x (-1.0, 0.0, 0.0, 47.0)" in err and "srow_x (1.0, 0.0, 0.0, 0.0)" in err
+    assert not (scan / "r.json").exists()
+
+
+@pytest.mark.parametrize("command", ["metrics", "consensus"])
+def test_a_sample_declaring_another_orientation_is_refused(bundled_scan_00, capsys, command):
+    scan = bundled_scan_00
+    for sample in scan.glob("sample_*.nii"):
+        plain = _sform(sample, 1.0)
+    flipped = _sform(scan / "sample_007.nii", -1.0)
+    capsys.readouterr()
+    out = scan / ("r.json" if command == "metrics" else "cons.nii")
+    assert run([command, "--manifest", scan / "manifest.json", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {scan / 'sample_007.nii'}: orientation ({flipped}) does not match "
+                   f"{scan / 'sample_000.nii'} orientation ({plain})\n")
+    assert not out.exists()
+
+
 def test_metrics_ignores_dotfiles_and_prob_stacks(configs):
     root, phantom, noise = configs
     out = root / "sim"

@@ -33,7 +33,7 @@ from segqc.io import (
     write_scan_manifest,
 )
 from segqc.metrics import StructureMetrics, StructureReport, dice_score, structure_report
-from segqc.nifti import read_nifti, write_nifti
+from segqc.nifti import OrientationInfo, read_nifti, write_nifti
 from segqc.stats import CohortTable
 from segqc.synth import NoiseSpec, make_phantom, registry_for_phantom
 from segqc.volumes import (
@@ -641,6 +641,37 @@ def test_read_sample_set_names_a_map_file_and_both_grids(tmp_path):
     assert str(info.value) == (
         f"{q}: map dims (3, 3, 3) spacing (1.0, 1.0, 2.0) do not match {label_paths[1]} "
         "geometry dims (3, 3, 3) spacing (1.0, 1.0, 1.0)")
+
+
+_SFORM = {"sform_code": 1, "srow_x": (1.0, 0.0, 0.0, 0.0), "srow_y": (0.0, 1.0, 0.0, 0.0),
+          "srow_z": (0.0, 0.0, 1.0, 0.0)}
+
+
+@pytest.mark.parametrize("second, refused", [
+    ({}, False),  # declares nothing: matches any orientation
+    (_SFORM, False),
+    ({**_SFORM, "quatern": (0.0, 0.0, 1.0), "qfac": -1.0}, False),  # qform_code 0: not declared
+    ({**_SFORM, "srow_x": (1.0, 0.0, 0.0, float(np.nextafter(np.float32(0), 1)))}, True),
+    ({**_SFORM, "srow_x": (-1.0, 0.0, 0.0, 2.0)}, True),  # x flipped
+    ({**_SFORM, "sform_code": 2}, True),
+    ({**_SFORM, "qform_code": 1}, True),
+])
+def test_read_sample_set_refuses_a_label_file_declaring_another_orientation(
+        tmp_path, second, refused):
+    reg = StructureRegistry(((0, "bg"), (1, "s1")), background_id=0)
+    data = np.zeros((3, 3, 3), dtype=np.uint8)
+    paths = [tmp_path / "s0.nii", tmp_path / "s1.nii", tmp_path / "s2.nii.gz"]
+    for path, fields in zip(paths, (_SFORM, _SFORM, second)):
+        write_nifti(path, data, VoxelGeometry((3, 3, 3), (1.0, 1.0, 1.0)),
+                    OrientationInfo(**fields))
+    if not refused:
+        assert read_sample_set(paths, reg).n == 3
+        return
+    with pytest.raises(ValidationError) as info:
+        read_sample_set(paths, reg)
+    assert str(info.value) == (f"{paths[2]}: orientation ({OrientationInfo(**second)}) does not "
+                               f"match {paths[0]} orientation ({OrientationInfo(**_SFORM)})")
+    assert "srow_x (1.0, 0.0, 0.0, 0.0)" in str(info.value)
 
 
 @pytest.mark.parametrize("check", ["label", "prob_map", "ground_truth", "dice", "map_file"])

@@ -214,15 +214,21 @@ def _resident_kib(path) -> list[int]:
     return rss
 
 
+def _one_hot_maps(arr, registry, paths) -> list:
+    """Write the one-hot float32 map of each registry id of ``arr`` as .nii.gz."""
+    for lid, path in zip(registry.ids, paths):
+        write_nifti(path, (arr == lid).astype(np.float32), geom(*arr.shape))
+    return paths
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_passes_release_the_pages_of_mapped_label_files(tmp_path, monkeypatch, threads):
+def test_no_pass_maps_a_label_page(tmp_path, monkeypatch, threads):
     monkeypatch.setenv("SEGQC_THREADS", threads)
-    dims = (128, 128, 128)
-    assert len(volumes._slabs(dims)) == 16
-    slab_kib = 128 * 128 * 8 // 1024  # 8 planes of one byte a voxel
+    dims = (64, 64, 96)
+    assert len(volumes._slabs(dims)) == 3
     rng = np.random.default_rng(27)
-    truth = np.broadcast_to((np.arange(128) // 32).astype(np.uint8), dims)
+    truth = np.broadcast_to((np.arange(64) // 16).astype(np.uint8)[:, None, None], dims)
     arrays = [truth.copy()]  # the ground truth, then N = 3 samples with 5 % relabelled
     for _ in range(3):
         arr = truth.copy()
@@ -232,15 +238,26 @@ def test_passes_release_the_pages_of_mapped_label_files(tmp_path, monkeypatch, t
     registry = StructureRegistry(tuple((i, f"s{i}") for i in range(4)), background_id=0)
     paths = [(tmp_path / f"v{i}.nii").resolve() for i in range(4)]
     for path, arr in zip(paths, arrays):
-        write_nifti(path, arr, VoxelGeometry(dims, (1.0, 1.0, 1.0)))
+        write_nifti(path, arr, geom(*dims))
+    probs = [_one_hot_maps(arr, registry, [tmp_path / f"p{i}_{k}.nii.gz" for k in range(4)])
+             for i, arr in enumerate(arrays[1:])]
+
+    def untouched(when):
+        resident = [_resident_kib(p) for p in paths]  # one mapping a file per set read
+        assert all(r and set(r) == {0} for r in resident), (when, resident)
+
     gt = read_label_nifti(paths[0])
     ss = read_sample_set(paths[1:], registry)
+    untouched("read_sample_set")
     report = structure_report(ss, gt=gt)
-    resident = [_resident_kib(p) for p in paths]
-    assert all(len(r) == 1 and r[0] < slab_kib for r in resident), resident
+    untouched("structure_report")
     consensus = consensus_segmentation(ss)
-    resident = [_resident_kib(p) for p in paths]
-    assert all(len(r) == 1 and r[0] < slab_kib for r in resident), resident
+    untouched("consensus_segmentation")
+    with_maps = read_sample_set(paths[1:], registry, probs)
+    assert with_maps.prob_pass.mismatches == (0, 0, 0)
+    untouched("the probability pass")
+    report_maps = structure_report(with_maps, gt=gt)
+    untouched("structure_report of a set with maps")
     # the held volumes still read the files' bytes
     for vol, arr in zip((gt, *ss.labels), arrays):
         assert np.array_equal(vol.data, arr)
@@ -248,25 +265,74 @@ def test_passes_release_the_pages_of_mapped_label_files(tmp_path, monkeypatch, t
     in_memory = McSampleSet(gt.geometry, registry, labels=copies[1:])
     expected = structure_report(in_memory, gt=copies[0])
     assert report == expected
-    for got in (report.consensus.data, consensus.data):
+    assert report_maps.structures == expected.structures
+    for got in (report.consensus.data, consensus.data, report_maps.consensus.data):
         assert got.dtype == expected.consensus.data.dtype
         assert np.array_equal(got, expected.consensus.data)
 
 
-def test_release_leaves_memory_other_than_a_file_map_alone(tmp_path):
-    data = (np.arange(64**3, dtype=np.uint16) % 7).reshape(64, 64, 64, order="F")
-    path = tmp_path / "vol.nii.gz"
-    write_nifti(path, data, geom(64, 64, 64))
-    owned = data.copy(order="F")
-    owned.flags.writeable = False
-    decoded = read_label_nifti(path).data
-    copied = _read_only(np.asfortranarray(data))
-    expected = data.copy()
-    # MADV_DONTNEED on any of these, or on a writeable array, would zero its pages
-    for arr in (owned, decoded, copied, data):
-        volumes._release(arr)
-        volumes._release(arr, slice(10, 20))
-        assert np.array_equal(arr, expected)
+def test_a_pickled_label_volume_reads_its_own_data_not_a_descriptor(tmp_path):
+    import gc
+    import pickle
+
+    for name, value in (("a.nii", 1), ("b.nii", 7)):
+        write_nifti(tmp_path / name, np.full((8, 8, 8), value, dtype=np.uint8), geom(8, 8, 8))
+    blob = pickle.dumps(read_label_nifti(tmp_path / "a.nii"))
+    gc.collect()  # the original's descriptor is closed, and its number free again
+    other = read_label_nifti(tmp_path / "b.nii")
+    vol = pickle.loads(blob)
+    assert vol._file is None and other._file is not None
+    assert np.array_equal(vol._slab(slice(0, 8)), np.ones((8, 8, 8)))
+
+
+# Reads a set of label files, cuts the last one short and runs the counting pass:
+# through the library ("library") or the CLI, whose read is patched to cut after it.
+_CUT_SHORT_PROBE = """
+import os, sys
+from segqc import cli, io
+from segqc.metrics import structure_report
+mode, registry, *paths = sys.argv[1:]
+read = io.read_sample_set
+def read_then_cut(*args, **kwargs):
+    sample_set = read(*args, **kwargs)
+    os.truncate(paths[-1], os.path.getsize(paths[-1]) // 2)
+    return sample_set
+if mode == "library":
+    sample_set = read_then_cut(paths, io.read_registry(registry))
+    try:
+        structure_report(sample_set)
+    except OSError as exc:
+        print(f"{type(exc).__name__}: {exc}")
+    sys.exit(0)
+io.read_sample_set = read_then_cut
+sys.exit(cli.main(["metrics", *paths, "--registry", registry, "--out", paths[0] + ".json"]))
+"""
+
+
+@pytest.mark.parametrize("mode", ["library", "cli"])
+def test_a_label_file_cut_short_after_it_is_read_is_an_error_not_sigbus(tmp_path, mode):
+    import subprocess
+    import sys
+
+    from segqc.io import write_registry
+
+    registry = small_registry()
+    write_registry(registry, tmp_path / "registry.json")
+    data = (np.arange(64 * 64 * 64) % 3).astype(np.uint8).reshape(64, 64, 64)
+    paths = [str(tmp_path / f"s{i}.nii") for i in range(3)]
+    for path in paths:
+        write_nifti(path, data, geom(64, 64, 64))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    done = subprocess.run(
+        [sys.executable, "-c", _CUT_SHORT_PROBE, mode, str(tmp_path / "registry.json"), *paths],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+    assert done.returncode == (0 if mode == "library" else 2), done  # not -SIGBUS
+    if mode == "library":
+        assert done.stdout.startswith(f"OSError: {paths[-1]}: read "), done.stdout
+    else:
+        assert done.stderr.startswith(f"i/o error: {paths[-1]}: read "), done.stderr
+    assert "shorter than when it was read" in done.stdout + done.stderr
+    assert not os.path.exists(paths[0] + ".json")
 
 
 def gap_registry():
