@@ -199,7 +199,7 @@ def _write_one_scan(out, gt, registry, with_probs, scan):
     scan_id, noise = scan
     scan_dir, dataset_rel = (out / scan_id, "../") if scan_id else (out, "")
     scan_dir.mkdir(parents=True, exist_ok=True)
-    # each sample's maps are made just before they are written: K held, not N * K
+    # each map is written as soon as it is made: one held, not N * K
     sample_set = sample_mc(gt, registry, noise, with_probs=False)
     sample_names, prob_lists = [], []
     for i, labels in enumerate(sample_set.labels):
@@ -207,11 +207,10 @@ def _write_one_scan(out, gt, registry, with_probs, scan):
         write_nifti(scan_dir / name, labels)
         sample_names.append(name)
         if with_probs:
-            maps = soft_probs(labels, registry, noise).maps
             per_sample = []
-            for k, lid in enumerate(registry.ids):
+            for lid, m in zip(registry.ids, soft_probs(labels, registry, noise)):
                 pname = f"prob_{i:03d}_label_{lid}.nii.gz"
-                write_nifti(scan_dir / pname, maps[k].astype(np.float32), gt.geometry)
+                write_nifti(scan_dir / pname, m.astype(np.float32), gt.geometry)
                 per_sample.append(pname)
             prob_lists.append(per_sample)
     # NoiseSpec's field order is the JSON key order
@@ -230,10 +229,10 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         scans = tuple((sid, replace(noise, seed=args.seed + k))
                       for k, (sid, noise) in enumerate(scans))
-    # one scan needs at least make_phantom's int64 raster of V voxels, N label
-    # volumes of V bytes and, with maps, one sample's K float64 maps
+    # one scan needs at least make_phantom's int64 raster of V voxels, N label volumes of
+    # V bytes and, with maps, the one float64 map being written and its float32 copy
     n = max(noise.n_samples for _, noise in scans)
-    need = spec.geometry.n_voxels * (8 + n + 8 * (len(spec.label_ids) + 1) * args.with_probs)
+    need = spec.geometry.n_voxels * (8 + n + 12 * args.with_probs)
     limit = _require_memory(need, f"dims {list(spec.geometry.dims)} with n_samples {n}")
     for sid, _ in scans:  # a scan directory may not take the name of a file beside it
         if sid in ("gt.nii", "registry.json", "dataset.json"):

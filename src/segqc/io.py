@@ -24,8 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .metrics import STRUCTURE_METRICS, StructureMetrics, StructureReport
-from .nifti import (OrientationInfo, _atomic, _check_orientation, read_label_nifti, read_nifti,
-                    write_nifti)
+from .nifti import OrientationInfo, _atomic, _check_orientation, read_label_nifti, write_nifti
 from .stats import CohortTable
 from .synth import NoiseSpec, PhantomSpec, ShapeSpec
 from .volumes import (
@@ -431,34 +430,6 @@ def read_noise_json(path: str | Path) -> tuple[tuple[str, NoiseSpec], ...]:
 # -- sample sets from volume files -------------------------------------------
 
 
-class _NiftiProbMapStack(ProbMapStack):
-    """A probability stack backed by one NIfTI file per label.
-
-    A file is decoded each time its map is asked for and nothing is kept,
-    so a sample set holds none of its maps between uses. Each map keeps
-    the dtype it was stored with (integer maps become float64, as in
-    :class:`ProbMapStack`).
-    """
-
-    def __init__(self, geometry: VoxelGeometry, label_ids: Sequence[int],
-                 paths: Sequence[str | Path], owner: str | Path):
-        object.__setattr__(self, "geometry", geometry)
-        object.__setattr__(self, "label_ids", tuple(int(i) for i in label_ids))
-        object.__setattr__(self, "paths", tuple(paths))
-        object.__setattr__(self, "owner", owner)  # the sample's label file
-
-    def load_map(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
-        q = self.paths[k]
-        img = read_nifti(q, out)
-        if img.geometry != self.geometry:
-            raise ValidationError(
-                f"{q}: map {img.geometry} do not match {self.owner} geometry {self.geometry}")
-        data = img.data
-        if not np.issubdtype(data.dtype, np.floating):
-            data = data.astype(np.float64)
-        return data
-
-
 def read_sample_set(
     label_paths: Sequence[str | Path],
     registry: StructureRegistry,
@@ -467,9 +438,9 @@ def read_sample_set(
     """Assemble and validate a sample set from per-sample label files.
 
     ``prob_paths``, when given, lists one probability volume per registry
-    entry (in registry order) for each sample; the stacks are attached so
-    voxel uncertainty reflects the stored soft predictions instead of
-    degenerate one-hot indicators. The label files are decoded first, and
+    entry (in registry order) for each sample, which becomes the sample's
+    :class:`ProbMapStack` of file paths, so voxel uncertainty reflects the
+    stored soft predictions. The label files are decoded first, and
     one that declares another orientation than the first sample's is
     refused, naming both files and both orientations (see
     :func:`segqc.nifti._check_orientation`); then the set's memoised
@@ -492,13 +463,7 @@ def read_sample_set(
         labels.append(read_label_nifti(p))
         _check_orientation(p, labels[i], label_paths[0], labels[0])
         if probs is not None:
-            stack_paths = list(prob_paths[i])
-            if len(stack_paths) != len(registry.ids):
-                raise ValidationError(
-                    f"sample {i}: {len(stack_paths)} probability volumes for "
-                    f"{len(registry.ids)} registry entries"
-                )
-            probs.append(_NiftiProbMapStack(labels[i].geometry, registry.ids, stack_paths, p))
+            probs.append(ProbMapStack(labels[i].geometry, registry.ids, prob_paths[i], owner=p))
     sample_set = McSampleSet(geometry=labels[0].geometry if labels else None,
                              registry=registry, labels=labels, probs=probs)
     if sample_set.violations:

@@ -313,12 +313,6 @@ def _decode(fh, out: np.ndarray | None) -> NiftiImage:
                       orientation=orientation, scaled=scaled, _file=file)
 
 
-def read_orientation(path: str | Path) -> OrientationInfo:
-    """Orientation fields of a .nii or .nii.gz file, decoding only its header."""
-    with open(path, "rb") as fh:
-        return _read_header(fh)[2]
-
-
 def read_label_nifti(path: str | Path) -> LabelVolume:
     """Read a file that must contain an integer label map; errors name it."""
     image = read_nifti(path)

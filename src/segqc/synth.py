@@ -28,7 +28,7 @@ never perturbs the draws of existing ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -236,15 +236,17 @@ def soft_probs(
     sample: LabelVolume,
     registry: StructureRegistry,
     noise: NoiseSpec,
-) -> ProbMapStack:
+) -> Iterator[np.ndarray]:
     """One-hot maps with boundary voxels softened by sigma = flip_prob / 2.
 
     The maps :func:`sample_mc` gives a sample, made from its labels alone,
     so a caller can draw label-only samples and make each sample's maps
-    when it needs them. A boundary voxel keeps 1 - sigma on its own label
-    and moves sigma to its dominant differing neighbor, with sigma the
-    larger of the two structures' values (background contributes none).
-    Argmax of the result always reproduces the labels.
+    when it needs them. They are yielded one at a time, in registry order,
+    each a fresh read-only float64 array, so a caller that drops each map
+    before it takes the next holds at most two. A boundary voxel keeps
+    1 - sigma on its own label and moves sigma to its dominant differing
+    neighbor, with sigma the larger of the two structures' values
+    (background contributes none). Argmax of the maps is the labels.
     """
     labels = sample.data
     boundary = np.zeros(labels.shape, dtype=bool)
@@ -257,25 +259,24 @@ def soft_probs(
         boundary[tuple(sl_a)] |= diff
         boundary[tuple(sl_b)] |= diff
     idx = np.flatnonzero(boundary.reshape(-1))
+    del boundary, diff
 
-    ids = registry.ids
     sigma_of = np.zeros(registry.max_id + 1)
     for lid, _ in registry.foreground:
         sigma_of[lid] = noise.flip_prob(lid) / 2.0
-    pos_of = np.zeros(registry.max_id + 1, dtype=np.intp)  # registry position of each id
-    pos_of[list(ids)] = np.arange(len(ids))
-
-    maps = np.zeros((len(ids), labels.size), dtype=np.float64)
     flat = labels.reshape(-1)
-    for i, lid in enumerate(ids):
-        maps[i] = flat == lid
-    if idx.size:
-        own = flat[idx]
-        other = _dominant_other_neighbor(labels, idx, registry.background_id)
-        sigma = np.maximum(sigma_of[own], sigma_of[other])
-        maps[pos_of[own], idx] = 1.0 - sigma
-        maps[pos_of[other], idx] += sigma
-    return ProbMapStack(sample.geometry, ids, maps.reshape((len(ids),) + labels.shape))
+    own = flat[idx]
+    other = _dominant_other_neighbor(labels, idx, registry.background_id)
+    sigma = np.maximum(sigma_of[own], sigma_of[other])
+    for lid in registry.ids:
+        m = np.zeros(labels.shape)
+        np.equal(flat, lid, out=(mf := m.reshape(-1)))
+        at = own == lid
+        mf[idx[at]] = 1.0 - sigma[at]
+        at = other == lid
+        mf[idx[at]] += sigma[at]
+        m.flags.writeable = False  # so ProbMapStack keeps it instead of copying it
+        yield m
 
 
 def sample_mc(
@@ -352,7 +353,8 @@ def sample_mc(
         vol = vol.astype(dtype)
         vol.flags.writeable = False  # so LabelVolume keeps it instead of copying it again
         samples.append(LabelVolume(gt.geometry, vol))
-    probs = [soft_probs(s, registry, noise) for s in samples] if with_probs else None
+    probs = [ProbMapStack(gt.geometry, registry.ids, tuple(soft_probs(s, registry, noise)))
+             for s in samples] if with_probs else None
     return McSampleSet(geometry=gt.geometry, registry=registry, labels=samples, probs=probs)
 
 

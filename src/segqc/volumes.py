@@ -3,13 +3,14 @@
 All types are immutable after construction. Construction checks each
 part on its own (shapes, dtypes, registry ids) and a sample set's shape:
 N label volumes, optionally N probability stacks paired with them by
-position. The rules that relate the parts of a set are
-:func:`validate_sample_set`'s, which lists every violation instead of
-stopping at the first and checks the set's structure before it reads
-any map. Because a set and all its parts are immutable, that report is
-computed once and memoised (:attr:`McSampleSet.violations`):
-:func:`segqc.io.read_sample_set` raises it when a set is read, and
-metric operations refuse to run on an invalid set. So is the one pass over its probability maps that both
+position, each map of a stack an array or the path of its file. The
+rules that relate the parts of a set are :func:`validate_sample_set`'s,
+which lists every violation instead of stopping at the first and checks
+the set's structure before it reads any map. Because a set and all its
+parts are immutable, that report is computed once and memoised
+(:attr:`McSampleSet.violations`): :func:`segqc.io.read_sample_set`
+raises it when a set is read, and metric operations refuse to run on an
+invalid set. So is the one pass over its probability maps that both
 validation and the metrics read (:attr:`McSampleSet.prob_pass`): each
 sample's maps are loaded once, in ascending sample order, into K reused
 buffers and folded into float64 sums, so no (N, K, x, y, z) stack is
@@ -307,43 +308,54 @@ class LabelVolume:
 
 @dataclass(frozen=True, eq=False)
 class ProbMapStack:
-    """Per-structure probability volumes for one MC sample.
+    """Per-structure probability maps for one MC sample.
 
-    ``maps[k]`` is the probability volume for ``label_ids[k]``; the stack
-    covers every registry entry, background included. Per voxel the maps
-    are expected to sum to 1 within PROB_SUM_TOL -- checked by
-    :meth:`violations`, not at construction.
+    ``maps[k]``, the map of ``label_ids[k]``, is a read-only 3-D float
+    array on ``geometry`` (a (K, x, y, z) array counts as K arrays, and
+    integer ones become float64) or the path of a NIfTI file that
+    :meth:`load_map` decodes on every call, so a stack of files holds none
+    of its maps between uses. The maps cover every registry entry,
+    background included, and per voxel should sum to 1 within
+    PROB_SUM_TOL: checked by :meth:`violations`, not at construction.
+    ``owner``, the sample's label file, is named in the count and grid errors.
     """
 
     geometry: VoxelGeometry
     label_ids: tuple[int, ...]
-    maps: np.ndarray = field(repr=False)  # shape (n_labels, *dims)
+    maps: tuple[np.ndarray | str | os.PathLike, ...] = field(repr=False)
+    owner: str | os.PathLike = field(default="the stack", repr=False, kw_only=True)
 
     def __post_init__(self):
-        arr = np.asarray(self.maps)
-        if arr.ndim != 4 or arr.shape[0] != len(self.label_ids):
+        maps = []
+        for m in self.maps:
+            if not isinstance(m, (str, os.PathLike)):
+                if (m := np.asarray(m)).shape != self.geometry.dims:
+                    raise ValidationError(
+                        f"map shape {m.shape} does not match dims {self.geometry.dims}")
+                if not np.issubdtype(m.dtype, np.floating):
+                    m = m.astype(np.float64)
+                    m.flags.writeable = False
+                m = _read_only(m)
+            maps.append(m)
+        if len(maps) != len(self.label_ids):
             raise ValidationError(
-                f"expected maps of shape (n_labels, x, y, z), got {arr.shape} "
-                f"for {len(self.label_ids)} labels"
-            )
-        if arr.shape[1:] != self.geometry.dims:
-            raise ValidationError(
-                f"map shape {arr.shape[1:]} does not match dims {self.geometry.dims}"
-            )
-        if not np.issubdtype(arr.dtype, np.floating):
-            arr = arr.astype(np.float64)
-            arr.flags.writeable = False
-        object.__setattr__(self, "maps", _read_only(arr))
+                f"{self.owner}: {len(maps)} probability maps for {len(self.label_ids)} labels")
+        object.__setattr__(self, "maps", tuple(maps))
         object.__setattr__(self, "label_ids", tuple(int(i) for i in self.label_ids))
 
     def load_map(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
-        """The map of ``label_ids[k]``.
-
-        A stack backed by files (see :func:`segqc.io.read_sample_set`)
-        decodes that one file on every call, into ``out`` where it fits
-        (see :func:`segqc.nifti.read_nifti`); an in-memory one ignores it.
-        """
-        return self.maps[k]
+        """The map of ``label_ids[k]``: its array, or its file decoded into ``out`` where
+        that fits (see :func:`segqc.nifti.read_nifti`), integers as float64. A file on
+        another grid raises, naming both grids."""
+        if isinstance(src := self.maps[k], np.ndarray):
+            return src
+        from .nifti import read_nifti  # here: segqc.nifti imports this module
+        img = read_nifti(src, out)
+        if img.geometry != self.geometry:
+            raise ValidationError(
+                f"{src}: map {img.geometry} do not match {self.owner} geometry {self.geometry}")
+        data = img.data
+        return data if np.issubdtype(data.dtype, np.floating) else data.astype(np.float64)
 
     def violations(self) -> list[str]:
         """Rule violations in this stack; empty list means valid."""

@@ -92,6 +92,34 @@ def onehot_maps_oracle(labels, ids):
     return out
 
 
+def soft_probs_oracle(labels, ids, sigma_of):
+    """The whole (len(ids), x, y, z) float64 stack of boundary-softened
+    one-hot maps, by scalar loop over voxels. Map k is 1.0 where the label
+    is ids[k]. A voxel with a differing 6-neighbour inside the volume moves
+    sigma from its own label's map to that of the differing neighbour label
+    seen most often (ties to the lowest id), sigma being the larger of the
+    two labels' values in the dict ``sigma_of`` (absent ids: 0)."""
+    labels = np.asarray(labels)
+    pos = {label_id: k for k, label_id in enumerate(ids)}
+    out = np.zeros((len(ids),) + labels.shape, dtype=np.float64)
+    for idx in np.ndindex(*labels.shape):
+        own = int(labels[idx])
+        out[(pos[own],) + idx] = 1.0
+        seen = Counter()
+        for axis in range(3):
+            for step in (-1, 1):
+                n = list(idx)
+                n[axis] += step
+                if 0 <= n[axis] < labels.shape[axis] and int(labels[tuple(n)]) != own:
+                    seen[int(labels[tuple(n)])] += 1
+        if seen:
+            other = max(seen, key=lambda label_id: (seen[label_id], -label_id))
+            sigma = max(sigma_of.get(own, 0.0), sigma_of.get(other, 0.0))
+            out[(pos[own],) + idx] = 1.0 - sigma
+            out[(pos[other],) + idx] += sigma
+    return out
+
+
 def argmax_labels_oracle(maps, ids):
     """Label id of the largest of ``maps`` (shape (len(ids), x, y, z)) at
     each voxel, ties to the lowest id: ``np.argmax``, which keeps the

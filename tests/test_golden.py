@@ -2,15 +2,17 @@
 CLI calls, compared with ``golden.json``.
 
 Three scans of the bundled study (``docs/``) are simulated with
-probability maps once, beside a small fully soft set (:func:`soft_set`:
-a seeded softmax of random logits, soft at every voxel like the maps of
-MC dropout, which the bundled maps are not) and a set of two slabs
-(:func:`slab_set`; every other input fits in one). Then each call of
-:func:`calls` runs in process, once with ``SEGQC_THREADS=1`` and once
-with ``SEGQC_THREADS=2``, and both runs must give the recorded digests. A ``.nii.gz`` is hashed by its
-decoded bytes (header and payload), which do not depend on the zlib
-build; every other file by its bytes. The output directory is
-replaced by ``<out>`` in stdout.
+probability maps, and the simulated tree must give the recorded digest
+(:func:`tree_digest`) at ``SEGQC_THREADS`` 1 and 2. Beside that tree go a
+small fully soft set (:func:`soft_set`: a seeded softmax of random
+logits, soft at every voxel like the maps of MC dropout, which the
+bundled maps are not) and a set of two slabs (:func:`slab_set`; every
+other input fits in one). Then each call of :func:`calls` runs in
+process, once with ``SEGQC_THREADS=1`` and once with
+``SEGQC_THREADS=2``, and both runs must give the recorded digests. A
+``.nii.gz`` is hashed by its decoded bytes (header and payload), which
+do not depend on the zlib build; every other file by its bytes. The
+output directory is replaced by ``<out>`` in stdout.
 
 The entropy's bits come from libm (through scipy's ``xlogy``), so a
 mismatch under other Python, numpy or scipy versions than the recorded
@@ -177,6 +179,14 @@ def digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def tree_digest(root: Path) -> str:
+    """One digest of every file under ``root``: its relative path and :func:`digest`."""
+    h = hashlib.sha256()
+    for p in sorted(q for q in root.rglob("*") if q.is_file()):
+        h.update(f"{p.relative_to(root).as_posix()} {digest(p)}\n".encode())
+    return h.hexdigest()
+
+
 def run_calls(root: Path, sim: Path, threads: int) -> dict[str, str]:
     """Digests of every output and stdout of :func:`calls`, by ``call/file`` name."""
     out = root / f"threads_{threads}"
@@ -212,6 +222,13 @@ def study(tmp_path_factory):
 
 
 @pytest.mark.parametrize("threads", THREADS)
+def test_simulated_tree_matches_golden(tmp_path, monkeypatch, threads):
+    monkeypatch.setenv("SEGQC_THREADS", str(threads))
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert tree_digest(simulate(tmp_path)) == golden["simulate"]
+
+
+@pytest.mark.parametrize("threads", THREADS)
 def test_outputs_match_golden(study, threads):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     got = run_calls(*study, threads)
@@ -228,10 +245,11 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         sim = simulate(root)
+        tree = tree_digest(sim)
         soft_set(sim)
         slab_set(sim)
         runs = [run_calls(root, sim, t) for t in THREADS]
     assert all(r == runs[0] for r in runs), "outputs depend on SEGQC_THREADS"
-    GOLDEN.write_text(json.dumps({"versions": versions(), "digests": runs[0]}, indent=2) + "\n",
-                      encoding="utf-8")
+    GOLDEN.write_text(json.dumps({"versions": versions(), "simulate": tree, "digests": runs[0]},
+                                 indent=2) + "\n", encoding="utf-8")
     print(f"wrote {len(runs[0])} digests -> {GOLDEN}")

@@ -643,6 +643,13 @@ def test_read_sample_set_names_a_map_file_and_both_grids(tmp_path):
         "geometry dims (3, 3, 3) spacing (1.0, 1.0, 1.0)")
 
 
+def test_read_sample_set_names_the_label_file_of_a_sample_missing_a_map(tmp_path):
+    label_paths, prob_paths, reg = write_prob_set(tmp_path, 2, 3, (3, 3, 3))
+    with pytest.raises(ValidationError) as info:
+        read_sample_set(label_paths, reg, prob_paths=[prob_paths[0], prob_paths[1][:2]])
+    assert str(info.value) == f"{label_paths[1]}: 2 probability maps for 3 labels"
+
+
 _SFORM = {"sform_code": 1, "srow_x": (1.0, 0.0, 0.0, 0.0), "srow_y": (0.0, 1.0, 0.0, 0.0),
           "srow_z": (0.0, 0.0, 1.0, 0.0)}
 
@@ -719,7 +726,6 @@ def test_read_sample_set_memory_is_bounded_by_one_sample(tmp_path):
 
 
 def test_read_sample_set_decodes_probability_files_once(tmp_path, monkeypatch):
-    import segqc.io
     import segqc.nifti
     from segqc.cli import main
 
@@ -739,7 +745,6 @@ def test_read_sample_set_decodes_probability_files_once(tmp_path, monkeypatch):
         return real(path, out)
 
     monkeypatch.setattr(segqc.nifti, "read_nifti", counted)
-    monkeypatch.setattr(segqc.io, "read_nifti", counted)
     code = main([
         "metrics", "--manifest", str(tmp_path / "manifest.json"),
         "--out", str(tmp_path / "r.json"), "--uncertainty-out", str(tmp_path / "u.nii"),
@@ -806,8 +811,8 @@ def test_probability_pass_decodes_each_file_as_a_one_off_read_does(tmp_path, cap
         assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
         assert (tmp_path / "u.nii").read_bytes() == want_u
         return
-    stack = segqc.io._NiftiProbMapStack(read_nifti(label_paths[1]).geometry, reg.ids,
-                                         prob_paths[1], label_paths[1])
+    stack = ProbMapStack(read_nifti(label_paths[1]).geometry, reg.ids, prob_paths[1],
+                         owner=label_paths[1])
     with pytest.raises(ValidationError) as info:
         stack.load_map(2)
     assert code == 1 and err == f"error: {info.value}\n"
@@ -815,7 +820,7 @@ def test_probability_pass_decodes_each_file_as_a_one_off_read_does(tmp_path, cap
 
 
 def test_structure_uncertainty_decodes_one_file_per_sample(tmp_path, monkeypatch):
-    import segqc.io
+    import segqc.nifti
     from scipy.special import xlogy
 
     from segqc.metrics import structure_uncertainty
@@ -824,13 +829,13 @@ def test_structure_uncertainty_decodes_one_file_per_sample(tmp_path, monkeypatch
     label_paths, prob_paths, reg = write_prob_set(tmp_path, n, k, (6, 5, 4))
     ss = read_sample_set(label_paths, reg, prob_paths=prob_paths)
     decoded = []
-    real = segqc.io.read_nifti
+    real = segqc.nifti.read_nifti
 
     def counted(path, out=None):
         decoded.append(Path(path))
         return real(path, out)
 
-    monkeypatch.setattr(segqc.io, "read_nifti", counted)
+    monkeypatch.setattr(segqc.nifti, "read_nifti", counted)
     got = structure_uncertainty(ss, 2)
     assert decoded == [qs[2] for qs in prob_paths]
     monkeypatch.undo()
@@ -843,7 +848,6 @@ def test_structure_uncertainty_decodes_one_file_per_sample(tmp_path, monkeypatch
 
 @pytest.mark.parametrize("fault", ["geometry", "labels"])
 def test_bad_label_file_is_refused_before_any_map_is_decoded(tmp_path, monkeypatch, fault):
-    import segqc.io
     import segqc.nifti
 
     n, k = 3, 3
@@ -861,9 +865,8 @@ def test_bad_label_file_is_refused_before_any_map_is_decoded(tmp_path, monkeypat
         decoded.append(Path(path))
         return real(path)
 
-    # label files decode through read_label_nifti, probability files in segqc.io
+    # label files decode through read_label_nifti, probability files in ProbMapStack.load_map
     monkeypatch.setattr(segqc.nifti, "read_nifti", counted)
-    monkeypatch.setattr(segqc.io, "read_nifti", counted)
     with pytest.raises(ValidationError, match=f"\\[{fault}\\] sample 1") as info:
         read_sample_set(label_paths, reg, prob_paths=prob_paths)
     assert str(label_paths[1]) in str(info.value)

@@ -1,10 +1,13 @@
 """Phantom construction, MC sampler, and cohort simulator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from bundled import bundled_phantom, bundled_scans
 from segqc.metrics import consensus_segmentation, dice_score
 from segqc.synth import (
@@ -16,8 +19,9 @@ from segqc.synth import (
     make_phantom,
     registry_for_phantom,
     sample_mc,
+    soft_probs,
 )
-from segqc.volumes import VoxelGeometry, validate_sample_set
+from segqc.volumes import LabelVolume, StructureRegistry, VoxelGeometry, validate_sample_set
 
 
 def box_phantom(dims=24, edges=(10.0, 10.0, 6.0)):
@@ -278,6 +282,48 @@ def test_soft_probs_argmax_invariant(flip, seed):
     ids = np.asarray(reg.ids)
     for labels, probs in zip(ss.labels, ss.probs, strict=True):
         assert np.array_equal(ids[np.argmax(probs.maps, axis=0)], labels.data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.tuples(*[st.integers(1, 5)] * 3), n_ids=st.integers(2, 5),
+       flip=st.floats(0.0, 0.45), uniform=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(dims=(4, 5, 3), n_ids=4, flip=0.0, uniform=False, seed=1)  # flip 0: exact one-hot
+@example(dims=(4, 5, 3), n_ids=4, flip=0.3, uniform=True, seed=1)  # no boundary voxel
+def test_soft_probs_yields_the_rows_of_the_whole_stack(dims, n_ids, flip, uniform, seed):
+    # ids out of order and with gaps, the background anywhere in the registry
+    rng = np.random.default_rng(seed)
+    ids = [int(i) for i in rng.permutation(12)[:n_ids]]
+    reg = StructureRegistry(tuple((i, f"s{i}") for i in ids), background_id=ids[-1])
+    data = np.full(dims, ids[0]) if uniform else rng.choice(ids, size=dims)
+    noise = NoiseSpec(n_samples=2, default_flip_prob=flip, flip_probs=((ids[0], flip / 3),))
+    want = oracles.soft_probs_oracle(
+        data, reg.ids, {lid: noise.flip_prob(lid) / 2.0 for lid, _ in reg.foreground})
+    got = list(soft_probs(LabelVolume(VoxelGeometry(dims, (1.0, 1.0, 1.0)),
+                                      data.astype(np.uint8)), reg, noise))
+    assert len(got) == len(ids)
+    for k, m in enumerate(got):
+        assert m.dtype == np.float64 and m.shape == dims and not m.flags.writeable
+        assert m.tobytes() == want[k].tobytes()
+
+
+def test_soft_probs_holds_at_most_two_maps_at_once():
+    # eight boxes and the background: the whole stack would be nine maps
+    geom = VoxelGeometry((64, 64, 64), (1.0, 1.0, 1.0))
+    shapes = tuple(ShapeSpec(k + 1, "box", (10.5 + 18 * (k & 1), 10.5 + 18 * (k >> 1 & 1),
+                                            10.5 + 18 * (k >> 2)), (8.0, 8.0, 8.0))
+                   for k in range(8))
+    spec = PhantomSpec(geometry=geom, shapes=shapes)
+    reg = registry_for_phantom(spec)
+    sample = make_phantom(spec)
+    noise = NoiseSpec(n_samples=2, default_flip_prob=0.2)
+    tracemalloc.start()
+    try:  # each map is dropped once the next is taken
+        n = sum(1 for _ in soft_probs(sample, reg, noise))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == len(reg.ids) == 9
+    assert peak < 3 * geom.n_voxels * 8, peak / (geom.n_voxels * 8)
 
 
 # -- the bundled study in docs/ ---------------------------------------------------

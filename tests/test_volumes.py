@@ -616,7 +616,7 @@ def test_onehot_probs_round_trip(seed):
     data = rng.integers(0, 3, size=(4, 4, 4)).astype(np.uint8)
     stack = make_stack(oracles.onehot_maps_oracle(data, reg.ids), ids=reg.ids)
     assert stack.violations() == []
-    assert np.all(stack.maps.sum(axis=0) == 1.0)
+    assert np.all(np.sum(stack.maps, axis=0) == 1.0)
     # no label_prob_mismatch: the maps' argmax is ``data`` at every voxel
     vol = LabelVolume(stack.geometry, data)
     assert validate_sample_set(McSampleSet(stack.geometry, reg, (vol, vol), (stack, stack))) == []
