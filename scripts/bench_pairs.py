@@ -26,6 +26,12 @@ median in ``BENCHMARK.json``, the verdict is the first that holds of:
   differ by more than the parent's quartile spread;
 - ``held``: none of these.
 
+Below the end-to-end metrics, each table also lists the per-call medians
+that ``perfbench/run.py`` prints beside them (``simulate_s``,
+``correlate_s``, ``group_s``, for the workloads that make such calls).
+Each is a median wall time of one kind of call, like ``metrics_s``, so it
+is judged with the bound of ``metrics_s`` and the same rules.
+
 After the workloads, it times ``IMPORT_STARTS`` fresh interpreters that
 run ``import segqc.cli`` in each checkout, with ``PYTHONPATH`` set to
 that checkout's ``src``: one warm-up start a side, then the two sides in
@@ -43,18 +49,22 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+# a per-call median line of ``perfbench/run.py``: "<kind>_s <median> s n=<calls>"
+PER_CALL = re.compile(r"(\w+_s) +([-+.\deE]+) s +n=\d+")
 SETUP_S = 600  # building a workload's inputs on a cold cache, with room to spare
 IMPORT_STARTS = 40  # timed fresh ``import segqc.cli`` starts a side
 
 
 def run_once(root: Path, workload: str, args) -> tuple[dict | None, list[str]]:
-    """Metric values of one benchmark run in ``root``, and its failures."""
+    """Metric values of one benchmark run in ``root``, its per-call
+    medians among them, and its failures."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
     # each run imports the sources of its own checkout only
@@ -80,7 +90,10 @@ def run_once(root: Path, workload: str, args) -> tuple[dict | None, list[str]]:
     problems = [line for line in lines if line.startswith("FAILED ")]
     if proc.returncode:
         problems.append(f"exit {proc.returncode}")
-    return {name: m["value"] for name, m in result["metrics"].items()}, problems
+    values = {name: m["value"] for name, m in result["metrics"].items()}
+    for match in filter(None, map(PER_CALL.fullmatch, lines)):
+        values.setdefault(match[1], float(match[2]))
+    return values, problems
 
 
 def verdict(parent, change, spread: float, wins: int, better: str, bound: float) -> str:
@@ -172,15 +185,18 @@ def compare(workload: str, metrics: dict, args) -> list[str]:
             values[side].append(got)
             failures += [f"{workload} pair {pair + 1} {side}: {p}" for p in problems]
             shown = "failed" if got is None else ", ".join(
-                f"{name} {got[name]:.4g}" for name in metrics if name in got)
+                f"{name} {value:.4g}" for name, value in got.items())
             print(f"{workload} pair {pair + 1}/{args.pairs} {side}: {shown}", flush=True)
 
+    per_call = dict.fromkeys(name for got in values["parent"] + values["change"]
+                             for name in got or () if name not in metrics)
+    rows = {**metrics, **{name: ("lower", metrics["metrics_s"][1]) for name in per_call}}
     print_table(f"{workload}, seed {args.seed}, {args.pairs} pairs, {args.seconds:g} s a run"
                 f"{file_huge_pages()}",
                 {name: ([(p[name], c[name]) for p, c in zip(values["parent"], values["change"])
                          if p is not None and c is not None and name in p and name in c],
                         better, bound)
-                 for name, (better, bound) in metrics.items()})
+                 for name, (better, bound) in rows.items()})
     return failures
 
 

@@ -248,7 +248,6 @@ def cmd_simulate(args) -> int:
     write_nifti(out / "gt.nii", gt)
     sio.write_registry(registry, out / "registry.json")
 
-    import scipy.ndimage  # noqa: F401  sample_mc's, imported here before any pool thread
     _parallel(partial(_write_one_scan, out, gt, registry, args.with_probs), scans, workers)
     if single:
         print(f"wrote gt.nii, registry.json, {n} samples, manifest.json -> {out}")

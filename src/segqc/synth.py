@@ -45,10 +45,6 @@ from .volumes import (
 
 _MASK64 = (1 << 64) - 1
 
-# 6-connected structuring element: faces only, matching the neighborhood
-# used for boundary detection (ndimage.generate_binary_structure(3, 1)).
-_STRUCT6 = np.abs(np.indices((3, 3, 3)) - 1).sum(axis=0) <= 1
-
 
 @dataclass(frozen=True)
 class ShapeSpec:
@@ -205,23 +201,41 @@ def _stream(seed: int, sample_index: int, label_id: int) -> np.random.Generator:
     )
 
 
+def _faces(volume: np.ndarray, **pad) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``volume`` padded by one voxel with ``np.pad``'s keywords ``pad``: its
+    core, and the views of the six face neighbours, -x, +x, -y, +y, -z, +z."""
+    padded = np.pad(volume, 1, **pad)
+    core = (slice(1, -1),) * 3
+    return padded[core], [padded[core[:axis] + (s,) + core[axis + 1:]]
+                          for axis in range(3) for s in (slice(None, -2), slice(2, None))]
+
+
+def _grow(mask: np.ndarray, steps: int, outside: bool = False) -> np.ndarray:
+    """``mask`` dilated by ``steps`` 6-connected steps, voxels beyond the
+    volume counting as ``outside``; ``~_grow(~mask, r, True)`` erodes by r
+    with the outside not in the mask. No mask changes past ``sum(dims)``
+    steps, or once a step adds nothing, so the loop stops there."""
+    core, faces = _faces(mask, constant_values=outside)
+    for _ in range(min(steps, sum(mask.shape))):
+        grown = core.copy()
+        for face in faces:
+            grown |= face
+        if np.array_equal(grown, core):
+            break
+        core[...] = grown
+    return core
+
+
 def _dominant_other_neighbor(data: np.ndarray, idx: np.ndarray, background_id: int) -> np.ndarray:
     """Most frequent 6-neighbor label differing from each voxel's own.
 
     Ties break to the lowest label; a voxel with no differing neighbor
     (possible at the volume edge) maps to the background.
     """
-    dims = data.shape
-    own = data.reshape(-1)[idx]
-    coords = np.unravel_index(idx, dims)
-    neigh = np.empty((6, idx.size), dtype=np.int64)
-    k = 0
-    for axis in range(3):
-        for delta in (-1, 1):
-            cc = [c for c in coords]
-            cc[axis] = np.clip(coords[axis] + delta, 0, dims[axis] - 1)
-            neigh[k] = data[tuple(cc)]
-            k += 1
+    coords = np.unravel_index(idx, data.shape)
+    core, faces = _faces(data, mode="edge")  # beyond the edge, a voxel is its own neighbour
+    own = core[coords]
+    neigh = np.stack([face[coords] for face in faces]).astype(np.int64)
     cand = np.where(neigh != own[None, :], neigh, -1)
     counts = (cand[:, None, :] == cand[None, :, :]).sum(axis=1)
     # rank by count, then by low label id; invalid slots rank below all
@@ -249,17 +263,12 @@ def soft_probs(
     (background contributes none). Argmax of the maps is the labels.
     """
     labels = sample.data
+    core, faces = _faces(labels, mode="edge")
     boundary = np.zeros(labels.shape, dtype=bool)
-    for axis in range(3):
-        sl_a = [slice(None)] * 3
-        sl_b = [slice(None)] * 3
-        sl_a[axis] = slice(None, -1)
-        sl_b[axis] = slice(1, None)
-        diff = labels[tuple(sl_a)] != labels[tuple(sl_b)]
-        boundary[tuple(sl_a)] |= diff
-        boundary[tuple(sl_b)] |= diff
-    idx = np.flatnonzero(boundary.reshape(-1))
-    del boundary, diff
+    for face in faces:
+        boundary |= face != core
+    idx = np.flatnonzero(boundary)
+    del core, faces, boundary
 
     sigma_of = np.zeros(registry.max_id + 1)
     for lid, _ in registry.foreground:
@@ -294,11 +303,8 @@ def sample_mc(
     also carries the maps :func:`soft_probs` makes of each sample's
     labels; otherwise it is label-only. The ground truth's ids and the
     background must lie in 0..65535; registry ids the ground truth does
-    not use may be larger. The first call imports ``scipy.ndimage``: a
-    caller that runs this on pool threads imports it first.
+    not use may be larger.
     """
-    from scipy import ndimage
-
     unknown = gt.check_labels(registry)
     if unknown:
         raise ValidationError(f"ground truth contains unregistered labels: {unknown}")
@@ -315,11 +321,8 @@ def sample_mc(
         mask = gt_data == lid
         if f == 0.0 or not mask.any():
             continue
-        # border_value=1: the volume edge is not a structure boundary
-        inner = mask & ~ndimage.binary_erosion(mask, _STRUCT6, border_value=1)
-        outer = ndimage.binary_dilation(mask, _STRUCT6) & ~mask
-        inner_idx = np.flatnonzero(inner.reshape(-1))
-        outer_idx = np.flatnonzero(outer.reshape(-1))
+        inner_idx = np.flatnonzero(mask & _grow(~mask, 1))  # the volume edge is no boundary
+        outer_idx = np.flatnonzero(_grow(mask, 1) & ~mask)
         inner_target = _dominant_other_neighbor(gt_data, inner_idx, bg)
         flip_sets[lid] = (f, inner_idx, inner_target, outer_idx)
 
@@ -345,11 +348,9 @@ def sample_mc(
                 mask = vol == lid
                 if mask.any():
                     if rng.integers(2) == 0:
-                        keep = ndimage.binary_erosion(mask, _STRUCT6, iterations=r)
-                        vol[mask & ~keep] = bg
+                        vol[mask & _grow(~mask, r, outside=True)] = bg
                     else:
-                        grown = ndimage.binary_dilation(mask, _STRUCT6, iterations=r)
-                        vol[grown & (vol == bg)] = lid
+                        vol[_grow(mask, r) & (vol == bg)] = lid
         vol = vol.astype(dtype)
         vol.flags.writeable = False  # so LabelVolume keeps it instead of copying it again
         samples.append(LabelVolume(gt.geometry, vol))

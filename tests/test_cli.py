@@ -8,6 +8,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,25 @@ def test_simulate_seed_flag_changes_samples(configs):
          "--seed", "999"])
     assert (a / "gt.nii").read_bytes() == (b / "gt.nii").read_bytes()
     assert (a / "sample_000.nii").read_bytes() != (b / "sample_000.nii").read_bytes()
+
+
+def test_simulate_takes_a_radius_past_any_mask(configs):
+    # no erosion or dilation changes a mask past sum(dims) steps: a radius
+    # of 10**13 gives what 10**9 gives, and overflows no C int on its way
+    root, phantom, noise = configs
+    phantom.write_text(json.dumps({"dims": [12, 12, 12], "shapes": [
+        {"label": 1, "kind": "box", "center": [4.5, 5.5, 5.5], "size": [4, 6, 6]},
+        {"label": 2, "kind": "box", "center": [8.5, 5.5, 5.5], "size": [3, 6, 6]}]}))
+    samples = []
+    for radius in (10**9, 10**13):
+        noise.write_text(json.dumps({"n_samples": 4, "default_flip_prob": 0.2,
+                                     "erosion_dilation_radius": radius, "seed": 3}))
+        out = root / f"r{radius}"
+        t0 = time.perf_counter()
+        assert run(["simulate", "--phantom", phantom, "--noise", noise, "--out", out]) == 0
+        assert time.perf_counter() - t0 < 10
+        samples.append([p.read_bytes() for p in sorted(out.glob("sample_*.nii"))])
+    assert len(samples[0]) == 4 and samples[1] == samples[0]
 
 
 def test_simulate_refuses_label_ids_beyond_uint16(configs, capsys):

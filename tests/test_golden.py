@@ -3,7 +3,9 @@ CLI calls, compared with ``golden.json``.
 
 Three scans of the bundled study (``docs/``) are simulated with
 probability maps, and the simulated tree must give the recorded digest
-(:func:`tree_digest`) at ``SEGQC_THREADS`` 1 and 2. Beside that tree go a
+(:func:`tree_digest`) at ``SEGQC_THREADS`` 1 and 2. So must a second
+tree, two scans simulated with ``erosion_dilation_radius`` 2 (the
+bundled study's is 0). Beside the first tree go a
 small fully soft set (:func:`soft_set`: a seeded softmax of random
 logits, soft at every voxel like the maps of MC dropout, which the
 bundled maps are not) and a set of two slabs (:func:`slab_set`; every
@@ -43,6 +45,7 @@ HERE = Path(__file__).resolve().parent
 DOCS = HERE.parent / "docs"
 GOLDEN = HERE / "golden.json"
 N_SCANS = 3
+RADIUS_SCANS, RADIUS = 2, 2
 THREADS = (1, 2)
 SOFT_DIMS, SOFT_N, SOFT_K, SOFT_SEED = (20, 20, 20), 4, 5, 25
 SLAB_DIMS, SLAB_N, SLAB_K, SLAB_SEED = (64, 64, 48), 3, 4, 7
@@ -53,10 +56,12 @@ def versions() -> dict:
             "scipy": scipy.__version__}
 
 
-def simulate(root: Path) -> Path:
-    """The first ``N_SCANS`` scans of the bundled study, with maps, under ``root``."""
+def simulate(root: Path, n_scans: int = N_SCANS, radius: int = 0) -> Path:
+    """The first ``n_scans`` scans of the bundled study, with maps and
+    ``erosion_dilation_radius`` ``radius``, under ``root``."""
     noise = json.loads((DOCS / "graded_noise.json").read_text(encoding="utf-8"))
-    noise["scans"] = noise["scans"][:N_SCANS]
+    noise["scans"] = noise["scans"][:n_scans]
+    noise["erosion_dilation_radius"] = radius
     (root / "noise.json").write_text(json.dumps(noise), encoding="utf-8")
     sim = root / "sim"
     with contextlib.redirect_stdout(io.StringIO()):
@@ -229,6 +234,13 @@ def test_simulated_tree_matches_golden(tmp_path, monkeypatch, threads):
 
 
 @pytest.mark.parametrize("threads", THREADS)
+def test_simulated_tree_with_radius_matches_golden(tmp_path, monkeypatch, threads):
+    monkeypatch.setenv("SEGQC_THREADS", str(threads))
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert tree_digest(simulate(tmp_path, RADIUS_SCANS, RADIUS)) == golden["simulate_radius"]
+
+
+@pytest.mark.parametrize("threads", THREADS)
 def test_outputs_match_golden(study, threads):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     got = run_calls(*study, threads)
@@ -249,7 +261,10 @@ if __name__ == "__main__":
         soft_set(sim)
         slab_set(sim)
         runs = [run_calls(root, sim, t) for t in THREADS]
+        (root / "radius").mkdir()
+        radius_tree = tree_digest(simulate(root / "radius", RADIUS_SCANS, RADIUS))
     assert all(r == runs[0] for r in runs), "outputs depend on SEGQC_THREADS"
-    GOLDEN.write_text(json.dumps({"versions": versions(), "simulate": tree, "digests": runs[0]},
+    GOLDEN.write_text(json.dumps({"versions": versions(), "simulate": tree,
+                                  "simulate_radius": radius_tree, "digests": runs[0]},
                                  indent=2) + "\n", encoding="utf-8")
     print(f"wrote {len(runs[0])} digests -> {GOLDEN}")

@@ -11,13 +11,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
-from scipy import ndimage
 
 import segqc
 from segqc.cli import main as cli_main
-from segqc.synth import _STRUCT6, make_cohort
+from segqc.synth import make_cohort
 from test_io import write_cohort_csv
 
 # scipy's array-API layer, which the ``scipy.special`` package loads and segqc never uses
@@ -31,8 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 at_submit = []
 submit = ThreadPoolExecutor.submit
 def noting(self, *args, **kwargs):
-    at_submit.append([m for m in ("scipy.special._ufuncs", "scipy.special", "scipy.ndimage")
-                      if m in sys.modules])
+    at_submit.append([m for m in ("scipy.special._ufuncs", "scipy.special") if m in sys.modules])
     return submit(self, *args, **kwargs)
 ThreadPoolExecutor.submit = noting
 """
@@ -218,11 +215,6 @@ def test_scipy_special_imported_later_is_whole_and_holds_the_same_ufuncs(study, 
     assert doc["same"] and doc["ufuncs"] and doc["gammaln"]
 
 
-def test_struct6_is_the_6_connected_element():
-    want = ndimage.generate_binary_structure(3, 1)
-    assert _STRUCT6.dtype == want.dtype and np.array_equal(_STRUCT6, want)
-
-
 def test_special_falls_back_on_the_package_import():
     doc = fresh(_OTHER_LAYOUT_PROBE)
     assert doc["same"] and Path(doc["package"]).name == "__init__.py"
@@ -239,11 +231,12 @@ def test_prob_pass_imports_scipy_special_before_its_pool():
     assert all(loaded == at_submit[0] for loaded in at_submit)
 
 
-def test_simulate_imports_scipy_ndimage_before_its_pool(study, tmp_path):
+@pytest.mark.parametrize("with_probs", [[], ["--with-probs"]], ids=["labels", "maps"])
+def test_simulate_loads_no_scipy(study, tmp_path, with_probs):
     root = study[0].parent
-    doc = cli_probe(["simulate", "--phantom", root / "phantom.json",
-                     "--noise", root / "noise.json", "--out", tmp_path / "sim"],
+    doc = cli_probe(["simulate", "--phantom", root / "phantom.json", "--noise",
+                     root / "noise.json", "--out", tmp_path / "sim", *with_probs],
                     SEGQC_THREADS="3")
     assert doc["code"] == 0
     assert len(doc["at_submit"]) == 3 - 1  # one call for 3 scans: workers - 1 submissions
-    assert all("scipy.ndimage" in loaded for loaded in doc["at_submit"])
+    assert doc["scipy"] == []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 import oracles
 from bundled import bundled_phantom, bundled_scans
@@ -20,6 +21,7 @@ from segqc.synth import (
     registry_for_phantom,
     sample_mc,
     soft_probs,
+    _grow,
 )
 from segqc.volumes import LabelVolume, StructureRegistry, VoxelGeometry, validate_sample_set
 
@@ -209,6 +211,30 @@ def test_erosion_dilation_changes_volume_by_shells():
     assert vols <= {8 * 8 * 4, 600 + 440}
     assert len(vols) == 2  # both coin outcomes appear across 6 samples
     assert base not in vols
+
+
+@pytest.mark.parametrize("extent", range(1, 10))
+@settings(max_examples=40, deadline=None)
+@given(others=st.tuples(st.integers(1, 9), st.integers(1, 9)), axis=st.integers(0, 2),
+       radius=st.one_of(st.integers(1, 5), st.none()), density=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_grow_is_ndimages_6_connected_erosion_and_dilation(extent, others, axis, radius,
+                                                           density, seed):
+    # scipy.ndimage is the reference here only; radius None is one step past sum(dims)
+    dims = [*others[:axis], extent, *others[axis:]]
+    mask = np.random.default_rng(seed).random(dims) < density
+    before = mask.copy()
+    r = sum(dims) + 1 if radius is None else radius
+    s6 = ndimage.generate_binary_structure(3, 1)
+    assert np.array_equal(_grow(mask, r), ndimage.binary_dilation(mask, s6, iterations=r))
+    for border in (0, 1):
+        assert np.array_equal(~_grow(~mask, r, outside=not border),
+                              ndimage.binary_erosion(mask, s6, iterations=r, border_value=border))
+    # sample_mc's flip sets: the shells inside and outside each structure
+    assert np.array_equal(mask & _grow(~mask, 1),
+                          mask & ~ndimage.binary_erosion(mask, s6, border_value=1))
+    assert np.array_equal(_grow(mask, 1) & ~mask, ndimage.binary_dilation(mask, s6) & ~mask)
+    assert np.array_equal(mask, before)
 
 
 def test_sampler_rejects_unregistered_labels():
