@@ -26,13 +26,11 @@ from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import io as sio
 from .metrics import STRUCTURE_METRICS, _count_labels, structure_report, voxel_uncertainty
 from .nifti import _atomic, _check_orientation, read_label_nifti, write_nifti
 from .stats import GROUP_MODES, ValidationError, correlate_uncertainty_accuracy, group_analysis
-from .synth import make_phantom, registry_for_phantom, sample_mc, soft_probs
+from .synth import _label_dtype, make_phantom, registry_for_phantom, sample_mc, soft_probs
 from .volumes import McSampleSet, _parallel, _require_memory, _thread_cap
 
 EXIT_OK = 0
@@ -52,15 +50,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _discover_samples(tokens: list[str]) -> list[str]:
-    # directory mode picks up bare .nii only; gzipped or mixed layouts are
-    # handled by an explicit manifest, which is the unambiguous route.
+    # directory mode picks up bare .nii files only; gzipped or mixed layouts
+    # are handled by an explicit manifest, which is the unambiguous route.
     # gt.nii is the layout's reserved ground-truth name, never a sample
     if len(tokens) == 1 and Path(tokens[0]).is_dir():
         root = Path(tokens[0])
         found = sorted(
             str(p) for p in root.iterdir()
             if p.name.endswith(".nii") and not p.name.startswith(".")
-            and p.name != "gt.nii"
+            and p.name != "gt.nii" and p.is_file()
         )
         if not found:
             raise ValidationError(f"no .nii files in directory {root}")
@@ -120,7 +118,7 @@ def cmd_metrics(args) -> int:
     if args.uncertainty_out:
         unc = (voxel_uncertainty(sample_set, normalize=args.normalize_entropy)
                if report.uncertainty is None else report.uncertainty)
-        write_nifti(args.uncertainty_out, unc.astype(np.float32), sample_set.geometry,
+        write_nifti(args.uncertainty_out, unc, sample_set.geometry,
                     first._orientation)
     if args.heatmap_out:
         sio.write_heatmap_volume(report.consensus, report, args.heatmap_metric,
@@ -147,7 +145,9 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 def cmd_correlate(args) -> int:
     root = Path(args.reports)
-    paths = sorted(root.glob("[!.]*.json")) if root.is_dir() else [root]  # skips dotfiles
+    # skips dotfiles, such as a half-written temp report, and all but regular files
+    paths = (sorted(p for p in root.glob("[!.]*.json") if p.is_file()) if root.is_dir()
+             else [root])
     reports = [sio.read_report(p) for p in paths]
     if len(reports) < 3:
         raise ValidationError(f"need at least 3 reports, got {len(reports)}")
@@ -210,7 +210,7 @@ def _write_one_scan(out, gt, registry, with_probs, scan):
             per_sample = []
             for lid, m in zip(registry.ids, soft_probs(labels, registry, noise)):
                 pname = f"prob_{i:03d}_label_{lid}.nii.gz"
-                write_nifti(scan_dir / pname, m.astype(np.float32), gt.geometry)
+                write_nifti(scan_dir / pname, m, gt.geometry)
                 per_sample.append(pname)
             prob_lists.append(per_sample)
     # NoiseSpec's field order is the JSON key order
@@ -229,10 +229,12 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         scans = tuple((sid, replace(noise, seed=args.seed + k))
                       for k, (sid, noise) in enumerate(scans))
-    # one scan needs at least make_phantom's int64 raster of V voxels, N label volumes of
-    # V bytes and, with maps, the one float64 map being written and its float32 copy
+    # a voxel of one scan holds N labels (a byte each, two past id 255), the sampler's masks
+    # (about 8 bytes) and, with maps, the float64 map being written and write_nifti's float32
+    # payload, its Fortran-order bytes and those joined to the header (8 + 3 * 4)
     n = max(noise.n_samples for _, noise in scans)
-    need = spec.geometry.n_voxels * (8 + n + 12 * args.with_probs)
+    label_bytes = _label_dtype([spec.background_id, *spec.label_ids]).itemsize
+    need = spec.geometry.n_voxels * (8 + n * label_bytes + 20 * args.with_probs)
     limit = _require_memory(need, f"dims {list(spec.geometry.dims)} with n_samples {n}")
     for sid, _ in scans:  # a scan directory may not take the name of a file beside it
         if sid in ("gt.nii", "registry.json", "dataset.json"):

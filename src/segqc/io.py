@@ -439,10 +439,11 @@ def read_sample_set(
 
     ``prob_paths``, when given, lists one probability volume per registry
     entry (in registry order) for each sample, which becomes the sample's
-    :class:`ProbMapStack` of file paths, so voxel uncertainty reflects the
-    stored soft predictions. The label files are decoded first, and
-    one that declares another orientation than the first sample's is
-    refused, naming both files and both orientations (see
+    :class:`ProbMapStack` of file paths on the set's grid (the first label
+    file's), so voxel uncertainty reflects the stored soft predictions;
+    each map keeps the dtype its file stores. The label files are decoded
+    first, and one that declares another orientation than the first
+    sample's is refused, naming both files and both orientations (see
     :func:`segqc.nifti._check_orientation`); then the set's memoised
     :func:`validate_sample_set` report is taken.
     It checks the set's structure (N >= 2, each label file's grid and
@@ -452,7 +453,7 @@ def read_sample_set(
     a sample at a time. Any violation raises one
     ValidationError listing them all, each sample's prefixed with its
     label file; a probability file that is missing or on another grid
-    than its label file raises while it is decoded, naming both grids.
+    than the set's raises while it is decoded, naming both grids.
     """
     if prob_paths is not None and len(prob_paths) != len(label_paths):
         raise ValidationError(
@@ -463,7 +464,7 @@ def read_sample_set(
         labels.append(read_label_nifti(p))
         _check_orientation(p, labels[i], label_paths[0], labels[0])
         if probs is not None:
-            probs.append(ProbMapStack(labels[i].geometry, registry.ids, prob_paths[i], owner=p))
+            probs.append(ProbMapStack(labels[0].geometry, registry.ids, prob_paths[i], owner=p))
     sample_set = McSampleSet(geometry=labels[0].geometry if labels else None,
                              registry=registry, labels=labels, probs=probs)
     if sample_set.violations:

@@ -144,7 +144,7 @@ class NoiseSpec:
         return float(self.default_flip_prob)
 
 
-def _label_dtype(ids) -> type:
+def _label_dtype(ids) -> np.dtype:
     """Smallest unsigned dtype holding every label id; ids outside the
     uint16 range of label volumes raise instead of wrapping."""
     lo, hi = min(ids), max(ids)
@@ -153,7 +153,7 @@ def _label_dtype(ids) -> type:
             f"label id {lo if lo < 0 else hi} is outside 0..{_UINT16_MAX}, "
             "the range of label volumes"
         )
-    return np.uint8 if hi <= np.iinfo(np.uint8).max else np.uint16
+    return np.dtype(np.uint8 if hi <= np.iinfo(np.uint8).max else np.uint16)
 
 
 def make_phantom(spec: PhantomSpec) -> LabelVolume:
@@ -172,9 +172,8 @@ def make_phantom(spec: PhantomSpec) -> LabelVolume:
                     f"[{lo:.2f}, {hi:.2f}] vs [-0.5, {dims[axis] - 0.5}]"
                 )
     x, y, z = np.ogrid[: dims[0], : dims[1], : dims[2]]
-    data = np.full(dims, spec.background_id, dtype=np.int64)
-    unwritten = np.ones(dims, dtype=bool)
-    for shape in spec.shapes:
+    data = np.full(dims, spec.background_id, dtype=dtype)
+    for shape in reversed(spec.shapes):  # painted last, an earlier shape wins an overlap
         cx, cy, cz = shape.center
         if shape.kind == "sphere":
             ax, ay, az = shape.size
@@ -182,10 +181,9 @@ def make_phantom(spec: PhantomSpec) -> LabelVolume:
         else:
             ex, ey, ez = (s / 2.0 for s in shape.size)
             inside = (np.abs(x - cx) <= ex) & (np.abs(y - cy) <= ey) & (np.abs(z - cz) <= ez)
-        sel = inside & unwritten
-        data[sel] = shape.label_id
-        unwritten[sel] = False
-    return LabelVolume(spec.geometry, data.astype(dtype))
+        data[inside] = shape.label_id
+    data.flags.writeable = False  # so LabelVolume keeps it instead of copying it
+    return LabelVolume(spec.geometry, data)
 
 
 def registry_for_phantom(spec: PhantomSpec) -> StructureRegistry:
@@ -308,27 +306,27 @@ def sample_mc(
     unknown = gt.check_labels(registry)
     if unknown:
         raise ValidationError(f"ground truth contains unregistered labels: {unknown}")
-    gt_data = gt.data.astype(np.int64)
     bg = registry.background_id
     # samples hold only the ground truth's ids and the background; their
     # dtype follows the registry, whose unused ids may pass the uint16 range
-    dtype = _label_dtype([bg, int(gt_data.max()), min(registry.max_id, _UINT16_MAX)])
+    # (a uint16 volume compares unequal to every such id)
+    dtype = _label_dtype([bg, int(gt.data.max()), min(registry.max_id, _UINT16_MAX)])
 
     # flip candidate sets depend only on the ground truth: compute once
     flip_sets = {}
     for lid, _ in registry.foreground:
         f = noise.flip_prob(lid)
-        mask = gt_data == lid
+        mask = gt.data == lid
         if f == 0.0 or not mask.any():
             continue
         inner_idx = np.flatnonzero(mask & _grow(~mask, 1))  # the volume edge is no boundary
         outer_idx = np.flatnonzero(_grow(mask, 1) & ~mask)
-        inner_target = _dominant_other_neighbor(gt_data, inner_idx, bg)
+        inner_target = _dominant_other_neighbor(gt.data, inner_idx, bg)
         flip_sets[lid] = (f, inner_idx, inner_target, outer_idx)
 
     samples = []
     for i in range(noise.n_samples):
-        vol = gt_data.copy()
+        vol = gt.data.astype(dtype, order="C")  # a sample's one copy; flat views it
         flat = vol.reshape(-1)
         written = np.zeros(flat.size, dtype=bool)
         for lid, _ in registry.foreground:
@@ -351,8 +349,7 @@ def sample_mc(
                         vol[mask & _grow(~mask, r, outside=True)] = bg
                     else:
                         vol[_grow(mask, r) & (vol == bg)] = lid
-        vol = vol.astype(dtype)
-        vol.flags.writeable = False  # so LabelVolume keeps it instead of copying it again
+        vol.flags.writeable = False  # so LabelVolume keeps it instead of copying it
         samples.append(LabelVolume(gt.geometry, vol))
     probs = [ProbMapStack(gt.geometry, registry.ids, tuple(soft_probs(s, registry, noise)))
              for s in samples] if with_probs else None

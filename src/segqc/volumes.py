@@ -310,14 +310,15 @@ class LabelVolume:
 class ProbMapStack:
     """Per-structure probability maps for one MC sample.
 
-    ``maps[k]``, the map of ``label_ids[k]``, is a read-only 3-D float
-    array on ``geometry`` (a (K, x, y, z) array counts as K arrays, and
-    integer ones become float64) or the path of a NIfTI file that
-    :meth:`load_map` decodes on every call, so a stack of files holds none
-    of its maps between uses. The maps cover every registry entry,
-    background included, and per voxel should sum to 1 within
-    PROB_SUM_TOL: checked by :meth:`violations`, not at construction.
-    ``owner``, the sample's label file, is named in the count and grid errors.
+    ``maps[k]``, the map of ``label_ids[k]``, is a read-only 3-D array on
+    ``geometry`` (a (K, x, y, z) array counts as K arrays) or the path of a
+    NIfTI file that :meth:`load_map` decodes on every call, so a stack of
+    files holds none of its maps between uses. A map keeps its dtype, bool,
+    integer or float: the passes widen each term to float64. The maps cover
+    every registry entry, background included, and per voxel should sum to 1
+    within PROB_SUM_TOL: checked by :meth:`violations`, not at construction.
+    ``owner``, the sample's label file, is named in the count, dtype and grid
+    errors.
     """
 
     geometry: VoxelGeometry
@@ -332,9 +333,9 @@ class ProbMapStack:
                 if (m := np.asarray(m)).shape != self.geometry.dims:
                     raise ValidationError(
                         f"map shape {m.shape} does not match dims {self.geometry.dims}")
-                if not np.issubdtype(m.dtype, np.floating):
-                    m = m.astype(np.float64)
-                    m.flags.writeable = False
+                if m.dtype.kind not in "biuf":
+                    raise ValidationError(f"{self.owner}: probability map dtype {m.dtype} "
+                                          "is not bool, integer or float")
                 m = _read_only(m)
             maps.append(m)
         if len(maps) != len(self.label_ids):
@@ -345,8 +346,8 @@ class ProbMapStack:
 
     def load_map(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
         """The map of ``label_ids[k]``: its array, or its file decoded into ``out`` where
-        that fits (see :func:`segqc.nifti.read_nifti`), integers as float64. A file on
-        another grid raises, naming both grids."""
+        that fits (see :func:`segqc.nifti.read_nifti`), in the dtype the file stores.
+        A file on another grid raises, naming both grids."""
         if isinstance(src := self.maps[k], np.ndarray):
             return src
         from .nifti import read_nifti  # here: segqc.nifti imports this module
@@ -354,8 +355,7 @@ class ProbMapStack:
         if img.geometry != self.geometry:
             raise ValidationError(
                 f"{src}: map {img.geometry} do not match {self.owner} geometry {self.geometry}")
-        data = img.data
-        return data if np.issubdtype(data.dtype, np.floating) else data.astype(np.float64)
+        return img.data
 
     def violations(self) -> list[str]:
         """Rule violations in this stack; empty list means valid."""
@@ -375,27 +375,29 @@ def _fold_slab(maps: Sequence[np.ndarray], z: slice, label_ids: Sequence[int] = 
     slab's argmax labels of ``label_ids`` (0 without ``truth``), reading
     its slab as every pass does (:meth:`LabelVolume._slab`). The minima and maxima
     propagate NaN and reach any infinity, so they settle finiteness too.
-    The per-voxel sum adds the maps in list order into float64, the order
-    of a sum over the stack's first axis. With ``entropy``, each map's
-    -p*ln(p) is taken from its slab and the map added into the slab of
-    ``sums[k]``: only at its voxels in (0, 1) when those are few (see
-    ``_HARD_SHARE``). That is exact, as the term is +0.0 at p = 0 and 1
-    and ``x - (+0.0)`` is ``x``, -0.0 included; any other p fails the
-    checks, which drop the entropy.
+    The per-voxel sum starts from the first map widened to float64 and
+    adds the others in list order, the order of a sum over the stack's
+    first axis. With ``entropy``, each map's -p*ln(p) is taken from its
+    slab and the map added into the slab of ``sums[k]``: only at its
+    voxels in (0, 1) when those are few (see ``_HARD_SHARE``). That is
+    exact, as the term is +0.0 at p = 0 and 1 and ``x - (+0.0)`` is
+    ``x``, -0.0 included; any other p fails the checks, which drop the
+    entropy, and a slab with a non-finite value is not folded at all, so
+    no infinities of opposite signs meet in a sum.
     """
     part = [m[:, :, z] for m in maps]
     bounds = np.array([(m.min(), m.max()) for m in part])
     err = np.nan
     if np.isfinite(bounds).all():
-        total = np.zeros_like(part[0], dtype=np.float64)
-        for m in part:
+        total = part[0].astype(np.float64)
+        for m in part[1:]:
             total += m
         total -= 1.0
         err = np.abs(total).max()
     differ = 0
     if truth is not None:
         differ = int(np.count_nonzero(truth._slab(z) != _argmax_labels(part, label_ids)))
-    if entropy is not None:
+    if entropy is not None and np.isfinite(err):
         xlogy = _special("xlogy")  # first loaded by _prob_pass, before its pool
         out = entropy[:, :, z]
         for m, (lo, hi), acc in zip(part, bounds, sums):
@@ -525,25 +527,25 @@ def _prob_pass(sample_set: McSampleSet) -> ProbPass:
 
     Per voxel the additions run in the order of a per-structure loop
     over samples (the mean) and of a per-sample loop over structures (the
-    entropy), and widening float32 to float64 is exact, so the results
-    are bit-identical to summing a float64 copy of the whole set. Memory
-    is K + 2 float64 volumes plus K float32 buffers, which every sample's
-    maps are decoded into, freed before the consensus is taken.
+    entropy), and widening a map's values to float64 is exact, so the
+    results are bit-identical to summing a float64 copy of the whole set.
+    Memory is K + 2 float64 volumes plus K float32 buffers, which float32
+    map files are decoded into, freed before the consensus is taken.
 
     Each sample's K files are decoded, then its maps folded in the z-slabs
     of :func:`_slabs` (:func:`_fold_slab`), by :func:`_parallel` on up to
     ``SEGQC_THREADS`` threads (default: 2) and never more than its slabs.
     Slabs write disjoint parts of the sums, and their map bounds, sum
     errors and mismatch counts combine exactly (min and max, max, integer
-    sum), so no slab size or thread count changes a result.
-    A sample that fails its checks turns the fold off, which drops the
-    terms it added.
+    sum), so no slab size or thread count changes a result. Every sample
+    is folded; if any fails its checks, the entropy and the consensus are
+    dropped at the end, unread.
     """
     ids = sample_set.registry.ids
     _special("xlogy")  # loaded on this thread, never first on a pool's
     slabs = _slabs(sample_set.geometry.dims)
     workers = min(_thread_cap(2), len(slabs))
-    entropy, sums, fold = None, [], True
+    entropy, sums = None, []
     checks, mismatches = [], []
     bufs = [np.empty(sample_set.geometry.dims, dtype=np.float32, order="F") for _ in ids]
     for stack, vol in zip(sample_set.probs, sample_set.labels):
@@ -553,27 +555,23 @@ def _prob_pass(sample_set: McSampleSet) -> ProbPass:
             sums = [np.zeros_like(m, dtype=np.float64) for m in maps]
         parts = _parallel(partial(
             _fold_slab, maps, label_ids=stack.label_ids, truth=vol,
-            entropy=entropy if fold else None, sums=sums), slabs, workers)
+            entropy=entropy, sums=sums), slabs, workers)
         del maps  # freed before the next sample is decoded
         bounds, errs, differs = zip(*parts)
-        msgs = tuple(_check_messages(np.array(bounds), np.max(errs)))
-        checks.append(msgs)
+        checks.append(tuple(_check_messages(np.array(bounds), np.max(errs))))
         mismatches.append(sum(differs))
-        fold = fold and not msgs
     del bufs
 
-    consensus = None
-    if not fold:
-        entropy = None
-    else:
-        # C order, like a fresh array: reductions over the whole map then
-        # visit voxels in the same order whatever layout the files had
-        entropy = np.ascontiguousarray(entropy)
-        entropy.flags.writeable = False
-        for acc in sums:
-            acc /= sample_set.n
-        consensus = _argmax_labels(sums, ids)
-        consensus.flags.writeable = False
+    if any(checks):
+        return ProbPass(tuple(checks), tuple(mismatches), None, None)
+    # C order, like a fresh array: reductions over the whole map then
+    # visit voxels in the same order whatever layout the files had
+    entropy = np.ascontiguousarray(entropy)
+    entropy.flags.writeable = False
+    for acc in sums:
+        acc /= sample_set.n
+    consensus = _argmax_labels(sums, ids)
+    consensus.flags.writeable = False
     return ProbPass(tuple(checks), tuple(mismatches), entropy, consensus)
 
 

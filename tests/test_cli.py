@@ -181,7 +181,7 @@ def test_simulate_refuses_spacing_beyond_the_nifti_header(configs, capsys, spaci
 
 @pytest.mark.parametrize("dims, n_samples", [([32767, 32767, 32767], 4), ([100, 100, 100], 10**9)])
 def test_simulate_refuses_a_scan_beyond_physical_memory(configs, capsys, dims, n_samples):
-    # one scan needs at least an int64 raster and N label volumes of its grid
+    # one scan needs at least N label volumes of its grid and the sampler's masks
     root, phantom, noise = configs
     doc = json.loads(phantom.read_text())
     doc["dims"] = dims
@@ -222,6 +222,43 @@ def test_simulate_runs_no_more_scans_at_once_than_memory_holds(configs, monkeypa
         monkeypatch.setattr(volumes, "_PHYSICAL_MEMORY", int(2.5 * needs[0]))
     assert calls == [1, 2]
     assert trees[1] == trees[3]
+
+
+@pytest.mark.parametrize("with_probs", [False, True])
+def test_simulate_budgets_what_one_scan_holds(tmp_path, monkeypatch, with_probs):
+    # a box and a sphere on 64^3, N = 4, with flips and a radius: the peak
+    # of writing the scan stays within the need simulate budgets for it
+    import tracemalloc
+
+    phantom, noise = tmp_path / "phantom.json", tmp_path / "noise.json"
+    phantom.write_text(json.dumps({"dims": [64, 64, 64], "shapes": [
+        {"label": 1, "kind": "box", "center": [64 / 3, 64 / 3, 32], "size": [64 / 3, 64 / 3, 32]},
+        {"label": 2, "kind": "sphere", "center": [128 / 3, 128 / 3, 32],
+         "size": [12.8, 12.8, 16]}]}))
+    noise.write_text(json.dumps({"n_samples": 4, "default_flip_prob": 0.2,
+                                 "erosion_dilation_radius": 1, "seed": 3}))
+    needs, peaks = [], []
+    require_memory, write_one_scan = cli._require_memory, cli._write_one_scan
+
+    def budgeted(need, what):
+        needs.append(need)
+        return require_memory(need, what)
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            write_one_scan(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_require_memory", budgeted)
+    monkeypatch.setattr(cli, "_write_one_scan", traced)
+    argv = ["simulate", "--phantom", phantom, "--noise", noise, "--out", tmp_path / "sim"]
+    assert run(argv + ["--with-probs"] * with_probs) == 0
+    assert len(needs) == len(peaks) == 1
+    assert peaks[0] <= needs[0], (peaks[0] / 64**3, needs[0] / 64**3)
+
 
 def test_simulate_multi_scan_layout(configs):
     root, phantom, _ = configs
@@ -695,6 +732,26 @@ def test_metrics_ignores_dotfiles_and_prob_stacks(configs):
     assert read_report(out / "r.json").n_samples == 4
 
 
+def test_metrics_discovers_regular_files_only(sim_dir):
+    # a directory named like a sample is not one
+    (sim_dir / "zz.nii").mkdir()
+    assert run(["metrics", sim_dir, "--registry", sim_dir / "registry.json",
+                "--out", sim_dir / "r.json"]) == 0
+    assert read_report(sim_dir / "r.json").n_samples == 4
+
+
+@pytest.mark.parametrize("in_directory, message", [
+    (True, "no .nii files in directory {}"),
+    (False, "no samples given: pass files, a directory, or --manifest"),
+])
+def test_metrics_without_samples_names_what_is_missing(tmp_path, capsys, in_directory, message):
+    # an empty directory, and no sample argument at all
+    samples = [tmp_path] if in_directory else []
+    assert run(["metrics", *samples, "--registry", tmp_path / "registry.json",
+                "--out", tmp_path / "r.json"]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(tmp_path)}\n"
+
+
 def test_consensus_zero_noise_equals_gt(configs):
     root, phantom, _ = configs
     noise = root / "clean.json"
@@ -780,6 +837,15 @@ def test_correlate_skips_dotfiles(report_dir):
     root, reports = report_dir
     assert run(["correlate", reports, "--out", root / "before.csv"]) == 0
     (reports / ".tmp-4242-scan_3.json").write_text('{"schema_version": "1", "struc')
+    assert run(["correlate", reports, "--out", root / "after.csv"]) == 0
+    assert (root / "after.csv").read_bytes() == (root / "before.csv").read_bytes()
+
+
+def test_correlate_reads_regular_files_only(report_dir):
+    # a directory named like a report is not one
+    root, reports = report_dir
+    assert run(["correlate", reports, "--out", root / "before.csv"]) == 0
+    (reports / "zz.json").mkdir()
     assert run(["correlate", reports, "--out", root / "after.csv"]) == 0
     assert (root / "after.csv").read_bytes() == (root / "before.csv").read_bytes()
 

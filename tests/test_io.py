@@ -33,7 +33,7 @@ from segqc.io import (
     write_scan_manifest,
 )
 from segqc.metrics import StructureMetrics, StructureReport, dice_score, structure_report
-from segqc.nifti import OrientationInfo, read_nifti, write_nifti
+from segqc.nifti import OrientationInfo, read_label_nifti, read_nifti, write_nifti
 from segqc.stats import CohortTable
 from segqc.synth import NoiseSpec, make_phantom, registry_for_phantom
 from segqc.volumes import (
@@ -648,6 +648,82 @@ def test_read_sample_set_names_the_label_file_of_a_sample_missing_a_map(tmp_path
     with pytest.raises(ValidationError) as info:
         read_sample_set(label_paths, reg, prob_paths=[prob_paths[0], prob_paths[1][:2]])
     assert str(info.value) == f"{label_paths[1]}: 2 probability maps for 3 labels"
+
+
+def test_read_sample_set_refuses_probability_entries_for_another_sample_count(tmp_path):
+    label_paths, prob_paths, reg = write_prob_set(tmp_path, 2, 2, (3, 3, 3))
+    with pytest.raises(ValidationError) as info:
+        read_sample_set(label_paths, reg, prob_paths=prob_paths[:1])
+    assert str(info.value) == "got 1 probability entries for 2 samples"
+
+
+def test_a_label_file_on_another_grid_is_one_fault_and_no_map_is_decoded(tmp_path, monkeypatch):
+    # three label files, the third on 4 x 4 x 5, each with two maps on its
+    # own grid: the third label file is the one fault, and no stack on the
+    # label file's grid makes a second, about a map no one decoded
+    import segqc.nifti
+
+    reg = StructureRegistry(((0, "bg"), (1, "s1")), background_id=0)
+    label_paths, prob_paths = [], []
+    for i, dims in enumerate([(4, 4, 4), (4, 4, 4), (4, 4, 5)]):
+        g = VoxelGeometry(dims, (1.0, 1.0, 1.0))
+        label_paths.append(tmp_path / f"sample_{i}.nii")
+        write_nifti(label_paths[-1], np.zeros(dims, dtype=np.uint8), g)
+        prob_paths.append([tmp_path / f"prob_{i}_{k}.nii.gz" for k in range(2)])
+        write_nifti(prob_paths[-1][0], np.ones(dims, dtype=np.float32), g)
+        write_nifti(prob_paths[-1][1], np.zeros(dims, dtype=np.float32), g)
+    decoded, real = [], segqc.nifti.read_nifti
+
+    def counted(path, out=None):
+        decoded.append(Path(path))
+        return real(path, out)
+
+    monkeypatch.setattr(segqc.nifti, "read_nifti", counted)
+    with pytest.raises(ValidationError) as info:
+        read_sample_set(label_paths, reg, prob_paths=prob_paths)
+    faults = str(info.value).split("; ")
+    assert faults == [f"{label_paths[2]}: [geometry] sample 2: label dims (4, 4, 5) spacing "
+                      "(1.0, 1.0, 1.0) do not match set geometry dims (4, 4, 4) spacing "
+                      "(1.0, 1.0, 1.0)"]
+    assert "probability map" not in str(info.value)
+    assert decoded == label_paths
+
+
+def one_hot_sets(tmp_path):
+    """The label files of :func:`write_sample_files` with their one-hot maps
+    in several forms, each a sample set: float32, uint8 and int16 files, and
+    bool and uint8 arrays."""
+    paths, gt_path, reg, ss = write_sample_files(tmp_path)
+    sets = {}
+    for name, dtype, suffix in (("float32", np.float32, ".nii.gz"), ("uint8", np.uint8, ".nii"),
+                                ("int16", np.int16, ".nii.gz")):
+        probs = [[tmp_path / f"prob_{i}_{lid}_{name}{suffix}" for lid in reg.ids]
+                 for i in range(ss.n)]
+        for vol, qs in zip(ss.labels, probs):
+            for lid, q in zip(reg.ids, qs):
+                write_nifti(q, (vol.data == lid).astype(dtype), vol.geometry)
+        sets[f"{name} files"] = read_sample_set(paths, reg, prob_paths=probs)
+    for dtype in (bool, np.uint8):
+        stacks = [ProbMapStack(ss.geometry, reg.ids, [(vol.data == lid).astype(dtype)
+                                                      for lid in reg.ids]) for vol in ss.labels]
+        sets[f"{np.dtype(dtype)} arrays"] = McSampleSet(ss.geometry, reg, ss.labels, stacks)
+    return sets, read_label_nifti(gt_path)
+
+
+def test_integer_and_bool_maps_give_the_report_of_float32_maps(tmp_path):
+    # maps keep their own dtype: a file of uint8 or int16 maps is decoded as
+    # stored, bool and uint8 arrays are kept, and every term is widened in
+    # the pass, so each gives the float32 maps' report, bit for bit
+    sets, gt = one_hot_sets(tmp_path)
+    assert sets["uint8 files"].probs[0].load_map(0).dtype == np.uint8
+    assert sets["bool arrays"].probs[0].maps[0].dtype == bool
+    want = structure_report(sets.pop("float32 files"), gt=gt)
+    for name, ss in sets.items():
+        assert ss.violations == (), name
+        got = structure_report(ss, gt=gt)
+        assert report_to_dict(got) == report_to_dict(want), name
+        assert np.array_equal(got.consensus.data, want.consensus.data), name
+        assert got.uncertainty.tobytes() == want.uncertainty.tobytes(), name
 
 
 _SFORM = {"sform_code": 1, "srow_x": (1.0, 0.0, 0.0, 0.0), "srow_y": (0.0, 1.0, 0.0, 0.0),

@@ -130,6 +130,17 @@ def test_structure_uncertainty_bound():
         assert np.all(u <= 5.0 / math.e + 1e-12)
 
 
+def test_structure_uncertainty_of_a_label_set_and_of_an_unknown_id():
+    # a label-only set's indicator maps hold no uncertainty
+    ss = label_set([np.zeros((3, 3, 3)), np.ones((3, 3, 3))])
+    u = structure_uncertainty(ss, 1)
+    assert u.dtype == np.float64 and u.shape == (3, 3, 3)
+    assert not u.any() and not np.signbit(u).any()
+    with pytest.raises(ValidationError) as info:
+        structure_uncertainty(ss, 7)
+    assert str(info.value) == "label id 7 not in registry"
+
+
 # -- consensus ---------------------------------------------------------------
 
 
@@ -618,6 +629,22 @@ def test_unused_large_id_keeps_the_vote_narrow():
     assert np.array_equal(rep.consensus.data, plain.consensus.data)
     assert rep.structures[:2] == plain.structures
     assert rep.by_id(1_000_000).consensus_volume == 0.0
+
+
+def test_a_wide_vote_is_narrowed_to_uint16_once_counted():
+    # int32 samples beside an unused id of 70000: the vote buffer is int64,
+    # and the finished vote, whose ids all fit, is stored as uint16
+    arrays = [np.zeros((3, 3, 3), dtype=np.int32) for _ in range(3)]
+    arrays[0][0] = 1
+    arrays[1][0] = 1
+    arrays[2][:, 0] = 2
+    wide = StructureRegistry(entries=REG.entries + ((70000, "unused"),), background_id=0)
+    ss = McSampleSet(geometry=geom(), registry=wide,
+                     labels=tuple(LabelVolume(geom(), a) for a in arrays))
+    _, counts, cons = metrics._count_labels(ss)
+    assert cons.data.dtype == np.uint16 and not cons.data.flags.writeable
+    assert np.array_equal(cons.data, consensus_segmentation(label_set(arrays)).data)
+    assert counts[0].tolist() == [18, 9, 0, 0]
 
 
 def parallel_workers(monkeypatch, *modules) -> list[int]:

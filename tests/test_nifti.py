@@ -487,6 +487,13 @@ def test_write_requires_geometry_and_matching_shape(tmp_path):
         write_nifti(tmp_path / "v.nii", np.zeros((2, 2, 2), dtype=np.uint8), GEOM)
 
 
+def test_write_refuses_a_dtype_it_cannot_store(tmp_path):
+    with pytest.raises(NiftiFormatError) as info:
+        write_nifti(tmp_path / "v.nii", np.zeros(GEOM.dims, dtype=bool), GEOM)
+    assert str(info.value) == "cannot store dtype bool"
+    assert not (tmp_path / "v.nii").exists()
+
+
 # -- malformed input, each error naming its field ---------------------------------
 
 

@@ -62,6 +62,18 @@ def test_table_validates_finiteness():
                     dx=[0, 1, 0], volume=[1, 2, 3])
 
 
+@pytest.mark.parametrize("columns, message", [
+    ({"volume": [1, 2]}, "column volume has 2 entries for 3 subjects"),
+    ({"mc_dice": [0.5, 1.5, 0.2]}, "mc_dice weights must lie in [0, 1]"),
+    ({"site": ("a", "b")}, "site column has 2 entries for 3 subjects"),
+])
+def test_table_refuses_a_short_column_and_an_out_of_range_dice(columns, message):
+    cols = {"age": [1, 2, 3], "sex": [0, 1, 1], "dx": [0, 1, 0], "volume": [1, 2, 3], **columns}
+    with pytest.raises(ValidationError) as info:
+        CohortTable(subject_ids=("a", "b", "c"), **cols)
+    assert str(info.value) == message
+
+
 def test_table_take_subsets_all_columns():
     t = make_table(10)
     sub = t.take(np.array([1, 3, 5]))
@@ -96,6 +108,12 @@ def test_pearson_rejects_constant_and_tiny_input():
         pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValidationError):
         pearson([1.0, 2.0], [1.0, 2.0])
+
+
+def test_pearson_refuses_vectors_of_different_lengths():
+    with pytest.raises(ValidationError) as info:
+        pearson([1.0, 2.0, 3.0], [1.0, 2.0])
+    assert str(info.value) == "length mismatch: 3 vs 2"
 
 
 def test_pearson_perfect_correlation_is_clipped():
@@ -256,6 +274,19 @@ def test_missing_weight_column_is_an_error():
         wls_fit(t, weight_mode="inv_one_minus_dice")
 
 
+@pytest.mark.parametrize("mode, weights, message", [
+    ("explicit", None, "weight_mode 'explicit' requires explicit_weights"),
+    ("explicit", np.ones(19), "need 20 explicit weights, got (19,)"),
+    ("explicit", np.r_[np.ones(19), -1.0], "explicit weights must be finite and >= 0"),
+    ("explicit", np.r_[np.ones(19), np.nan], "explicit weights must be finite and >= 0"),
+    ("inv_volume", None, f"unknown weight mode 'inv_volume'; expected one of {stats.WEIGHT_MODES}"),
+])
+def test_wls_fit_refuses_bad_explicit_weights_and_an_unknown_mode(mode, weights, message):
+    with pytest.raises(ValidationError) as info:
+        wls_fit(make_table(20), weight_mode=mode, explicit_weights=weights)
+    assert str(info.value) == message
+
+
 def test_exact_fit_gives_extreme_p():
     # the only fit whose residuals are bit-exactly zero is volume == 0
     # (beta comes out exactly 0 through the SVD); se = 0 with beta = 0
@@ -359,6 +390,13 @@ def test_huber_equals_ols_on_clean_data():
     ols = wls_fit(t)
     hub = huber_fit(t)
     assert np.max(np.abs(ols.beta - hub.beta)) < 1e-8
+
+
+def test_huber_needs_two_residual_degrees_of_freedom():
+    # 5 subjects for 4 columns: intercept, age, sex and dx
+    with pytest.raises(ValidationError) as info:
+        huber_fit(make_table(5, with_site=False))
+    assert str(info.value) == "huber fit needs n - p >= 2 (n=5, p=4)"
 
 
 def test_huber_exact_fit_note():

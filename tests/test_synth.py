@@ -76,6 +76,80 @@ def test_phantom_validation():
         ShapeSpec(1, "box", (0, 0, 0), (1.0, 0.0, 1.0))
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: ShapeSpec(-1, "box", (4, 4, 4), (2, 2, 2)), "shape label_id must be >= 0"),
+    (lambda: ShapeSpec(1, "box", (4, 4), (2, 2, 2)), "center and size must have 3 components"),
+    (lambda: ShapeSpec(1, "sphere", (4, 4, 4), (2, 2, 2, 2)),
+     "center and size must have 3 components"),
+    (lambda: make_phantom(PhantomSpec(VoxelGeometry((8, 8, 8), (1.0, 1.0, 1.0)), (
+        ShapeSpec(1, "box", (4.0, 4.0, 3.5), (2.0, 2.0, 2.0)),
+        ShapeSpec(2, "box", (4.0, 4.0, 6.5), (2.0, 2.0, 4.0))))),
+     "shape 2 exceeds volume bounds on axis 2: [4.50, 8.50] vs [-0.5, 7.5]"),
+])
+def test_shape_and_phantom_refusals_name_the_fault(make, message):
+    with pytest.raises(ValidationError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def box_and_sphere(dims=64):
+    """A box and a sphere on a ``dims``-cube."""
+    geom = VoxelGeometry((dims,) * 3, (1.0, 1.0, 1.0))
+    return PhantomSpec(geometry=geom, shapes=(
+        ShapeSpec(1, "box", (dims / 3, dims / 3, dims / 2), (dims / 3, dims / 3, dims / 2)),
+        ShapeSpec(2, "sphere", (2 * dims / 3, 2 * dims / 3, dims / 2),
+                  (dims / 5, dims / 5, dims / 4))))
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak of the memory tracemalloc saw it take."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_make_phantom_paints_in_the_label_dtype():
+    # the raster is uint8 and kept, not copied: it and the sphere's float64
+    # test take 10 bytes a voxel, where an int64 raster and its masks took 20
+    spec = box_and_sphere()
+    gt, peak = traced_peak(lambda: make_phantom(spec))
+    assert gt.data.dtype == np.uint8
+    assert peak < 15 * spec.geometry.n_voxels, peak / spec.geometry.n_voxels
+
+
+def test_sample_mc_copies_the_ground_truth_once_in_the_sample_dtype():
+    # each of N = 4 samples is one uint8 copy of the ground truth, kept: about
+    # 13 bytes a voxel with the sampler's masks, where int64 copies took 33
+    spec = box_and_sphere()
+    gt = make_phantom(spec)
+    noise = NoiseSpec(n_samples=4, default_flip_prob=0.2, erosion_dilation_radius=1, seed=3)
+    ss, peak = traced_peak(lambda: sample_mc(gt, registry_for_phantom(spec), noise,
+                                             with_probs=False))
+    assert all(s.data.dtype == np.uint8 for s in ss.labels)
+    assert peak < 24 * spec.geometry.n_voxels, peak / spec.geometry.n_voxels
+
+
+def test_sample_mc_of_a_ground_truth_read_from_a_file_is_the_in_memory_one(tmp_path):
+    # a file's volume is x-fastest (Fortran order); the samples, whose flips
+    # are written through a flat view, must not depend on that layout
+    from segqc.nifti import read_label_nifti, write_nifti
+
+    spec = box_and_sphere(24)
+    gt = make_phantom(spec)
+    write_nifti(tmp_path / "gt.nii", gt)
+    read = read_label_nifti(tmp_path / "gt.nii")
+    assert read.data.flags.f_contiguous and not read.data.flags.c_contiguous
+    noise = NoiseSpec(n_samples=3, default_flip_prob=0.3, erosion_dilation_radius=1, seed=5)
+    want = sample_mc(gt, registry_for_phantom(spec), noise, with_probs=False)
+    got = sample_mc(read, registry_for_phantom(spec), noise, with_probs=False)
+    assert not all(np.array_equal(s.data, gt.data) for s in want.labels)
+    for a, b in zip(got.labels, want.labels):
+        assert np.array_equal(a.data, b.data)
+
+
 def test_multi_part_structure_allowed():
     # one structure id may appear as several disjoint shapes
     geom = VoxelGeometry((16, 16, 16), (1.0, 1.0, 1.0))

@@ -100,6 +100,12 @@ def test_registry_needs_a_foreground_structure():
         StructureRegistry(entries=((0, "bg"),), background_id=0)
 
 
+def test_registry_refuses_a_negative_id():
+    with pytest.raises(ValidationError) as info:
+        StructureRegistry(entries=((0, "bg"), (-3, "s")), background_id=0)
+    assert str(info.value) == "label ids must be non-negative"
+
+
 # -- LabelVolume -------------------------------------------------------------
 
 
@@ -147,6 +153,21 @@ def test_check_labels_reports_unknown_ids():
     data[0, 0, 0] = 5
     vol = LabelVolume(geom(), data)
     assert vol.check_labels(small_registry()) == [5]
+
+
+def test_a_volume_read_from_a_file_and_given_other_data_is_read_from_that_data(tmp_path):
+    # the replaced volume no longer reads its slabs from the file it was read from
+    import dataclasses
+
+    path = tmp_path / "five.nii"
+    write_nifti(path, np.full((3, 3, 3), 5, dtype=np.uint8), geom())
+    vol = read_label_nifti(path)
+    assert vol.check_labels(small_registry()) == [5]
+    other = dataclasses.replace(vol, data=np.ones((3, 3, 3), dtype=np.uint8))
+    assert other._orientation is vol._orientation
+    assert other.check_labels(small_registry()) == []
+    cons = consensus_segmentation(McSampleSet(geom(), small_registry(), (other, other)))
+    assert np.array_equal(cons.data, np.ones((3, 3, 3)))
 
 
 def test_label_volume_from_writeable_array_is_private_copy():
@@ -369,6 +390,20 @@ def make_stack(maps, ids=(0, 1, 2)):
 def test_prob_stack_shape_checks():
     with pytest.raises(ValidationError):
         make_stack(np.zeros((2, 3, 3, 3)))  # 2 maps for 3 ids
+    with pytest.raises(ValidationError) as info:
+        ProbMapStack(geom(), (0, 1), (np.zeros((3, 3, 3)), np.zeros((3, 4, 3))))
+    assert str(info.value) == "map shape (3, 4, 3) does not match dims (3, 3, 3)"
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.str_, object])
+def test_prob_stack_refuses_maps_that_are_not_real_numbers(dtype):
+    # a complex map would lose its imaginary part to a cast, a string map
+    # fail in one; the stack names its sample instead
+    maps = np.zeros((2, 3, 3, 3), dtype=dtype)
+    with pytest.raises(ValidationError) as info:
+        ProbMapStack(geom(), (0, 1), maps, owner="sample_007.nii")
+    assert str(info.value) == (f"sample_007.nii: probability map dtype {maps.dtype} "
+                               "is not bool, integer or float")
 
 
 def test_prob_stack_violations():
