@@ -449,11 +449,11 @@ def read_sample_set(
     It checks the set's structure (N >= 2, each label file's grid and
     ids) before the maps, so a structural fault is refused before any
     probability file is decoded; otherwise its pass over the maps
-    (:attr:`McSampleSet.prob_pass`) decodes each probability file once,
-    a sample at a time. Any violation raises one
-    ValidationError listing them all, each sample's prefixed with its
-    label file; a probability file that is missing or on another grid
-    than the set's raises while it is decoded, naming both grids.
+    (:attr:`McSampleSet.prob_pass`) checks every probability file's
+    header, then reads each file once, a z-slab at a time. Any violation
+    raises one ValidationError listing them all, each sample's prefixed
+    with its label file; a probability file that is missing or on another
+    grid than the set's raises when its header is read, naming both grids.
     """
     if prob_paths is not None and len(prob_paths) != len(label_paths):
         raise ValidationError(

@@ -21,11 +21,11 @@ one bit plane per sample, so a pair's count is a popcount of two planes
 ANDed together. The entropy map and the mean map's argmax come from the
 sample set's one pass over its probability maps
 (:attr:`~segqc.volumes.McSampleSet.prob_pass`), which loads each
-sample's maps once and never holds them all. Both passes split a volume
-into the same z-slabs of whole planes (:func:`~segqc.volumes._slabs`) and
-run them on up to ``SEGQC_THREADS`` threads (default: 2) with the
-calling thread counted as one of them (:func:`~segqc.volumes._parallel`);
-the probability pass first decodes each sample's maps. Counts add
+map once, a z-slab at a time, and never holds a whole map. Both passes
+split a volume into the same z-slabs of whole planes
+(:func:`~segqc.volumes._slabs`) and run them on up to ``SEGQC_THREADS``
+threads (default: 2) with the calling thread counted as one of them
+(:func:`~segqc.volumes._parallel`). Counts add
 exactly, each voxel's vote is its own and every float operation is per
 voxel, so neither the slab size nor the thread count changes a result.
 

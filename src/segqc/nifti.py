@@ -14,6 +14,7 @@ not declare different orientations (:func:`_check_orientation`).
 from __future__ import annotations
 
 import gzip
+import os
 import struct
 import zlib
 from contextlib import contextmanager
@@ -29,6 +30,8 @@ MAGIC = b"n+1\x00"
 WRITE_VOX_OFFSET = 352
 # bytes pulled, and inflated, at once: small blocks, which the heap reuses
 _GZIP_CHUNK = 1 << 16
+# bytes of input inflated at once: the inflater keeps what it has not consumed
+_GZIP_INPUT = 1 << 14
 
 # datatype code -> numpy dtype (byte order applied at read time)
 DTYPES = {
@@ -136,6 +139,19 @@ class _Gunzip:
         self._fh, self._pending, self._fed = fh, b"", False  # fed: a member is open
         self._inflater = zlib.decompressobj(wbits=31)
 
+    def pause(self) -> int:
+        """Let go of the file, and of the input read but not yet inflated:
+        returns the file offset of that input, where the stream goes on once
+        it is given the file again, seeked there (:meth:`resume`)."""
+        at = self._fh.tell() - len(self._pending)
+        self._fh, self._pending = None, b""
+        return at
+
+    def resume(self, fh, at: int) -> None:
+        """Go on reading from the file ``fh`` at ``at``, the offset :meth:`pause` returned."""
+        fh.seek(at)
+        self._fh = fh
+
     def read(self, size: int) -> bytes:
         """Up to ``size`` decoded bytes; fewer only where the stream ends."""
         buf = np.empty(size, dtype=np.uint8)  # its pages are touched only as they are filled
@@ -147,7 +163,7 @@ class _Gunzip:
         view, done = memoryview(buf).cast("B"), 0
         while done < len(view):
             if not self._pending:
-                self._pending = self._fh.read(_GZIP_CHUNK)
+                self._pending = self._fh.read(_GZIP_INPUT)
                 if not self._pending:  # the file has ended
                     if self._fed:
                         raise NiftiFormatError("gzip stream is corrupt: truncated stream")
@@ -213,15 +229,14 @@ def _parse_header(buf: bytes) -> tuple[NiftiHeaderSubset, OrientationInfo, str]:
     return h, orientation, e
 
 
-def read_nifti(path: str | Path, out: np.ndarray | None = None) -> NiftiImage:
+def read_nifti(path: str | Path) -> NiftiImage:
     """Decode a .nii or .nii.gz file (gzip detected by signature).
 
     ``data`` is read-only and indexed ``[x, y, z]`` in file order: for a
     little-endian unscaled file it is a Fortran-order (x-fastest) view,
     not a copy, of a read-only map of a plain file (which must then stay
     unchanged) or of a gzip stream decoded only as far as the volume
-    reaches: into ``out`` if it is a Fortran-order array of the file's dims
-    and stored dtype (``data`` then views it), else into a fresh array.
+    reaches.
 
     Integer payloads keep their stored dtype unless a nontrivial
     scl_slope/scl_inter forces scaling, which disqualifies them as label
@@ -237,7 +252,7 @@ def read_nifti(path: str | Path, out: np.ndarray | None = None) -> NiftiImage:
     """
     try:
         with open(path, "rb") as fh:
-            return _decode(fh, out)
+            return _decode(fh)
     except ValidationError as exc:
         raise NiftiFormatError(f"{path}: {exc}") from exc
 
@@ -249,7 +264,31 @@ def _read_header(fh) -> tuple[_Gunzip | None, NiftiHeaderSubset, OrientationInfo
     return gz, *_parse_header(gz.read(HEADER_SIZE) if gz else fh.read(HEADER_SIZE))
 
 
-def _decode(fh, out: np.ndarray | None) -> NiftiImage:
+def _truncated(need: int, have: int) -> NiftiFormatError:
+    return NiftiFormatError(f"truncated data section: need {need} bytes total, file has {have}")
+
+
+def _values(data: np.ndarray, header: NiftiHeaderSubset) -> tuple[np.ndarray, bool]:
+    """The stored values ``data`` (all of a file's payload or any part of
+    it) in native byte order with the header's scaling applied, and whether
+    it was: every step is per voxel."""
+    if data.dtype.byteorder == ">":
+        data = data.astype(data.dtype.newbyteorder("<"))
+    slope = header.scl_slope if header.scl_slope != 0.0 else 1.0
+    inter = header.scl_inter
+    # extreme (finite) slopes may saturate float32 to inf; that is the
+    # correct IEEE result, not a condition worth a RuntimeWarning
+    with np.errstate(over="ignore"):
+        if np.issubdtype(data.dtype, np.integer):
+            if (header.scl_slope not in (0.0, 1.0)) or inter != 0.0:
+                # scaled integers are real-valued measurements, not labels
+                return data.astype(np.float32) * np.float32(slope) + np.float32(inter), True
+        elif slope != 1.0 or inter != 0.0:
+            return data * np.float32(slope) + np.float32(inter), True
+    return data, False
+
+
+def _decode(fh) -> NiftiImage:
     gz, header, orientation, e = _read_header(fh)
     dt = DTYPES[header.datatype].newbyteorder(e)
     n = int(np.prod(header.dims))
@@ -261,13 +300,11 @@ def _decode(fh, out: np.ndarray | None) -> NiftiImage:
     _require_memory(held, what)
     try:  # the check passed, but the interpreter and its threads hold memory too
         if gz:
-            fits = (out is not None and out.dtype == dt and out.shape == header.dims
-                    and out.flags.f_contiguous)
-            flat = out.reshape(-1, order="F") if fits else np.empty(n, dtype=dt)
+            flat = np.empty(n, dtype=dt)
             have = HEADER_SIZE + len(gz.read(offset - HEADER_SIZE)) + gz.readinto(flat)
             gz.read(1)  # reaches the trailer of a well-formed stream, checking its CRC
         else:
-            import errno, mmap, os  # here, not at import, so startup loads nothing new
+            import errno, mmap  # here, not at import, so startup loads nothing new
             have = os.fstat(fd := fh.fileno()).st_size
             try:  # a read-only map of the declared bytes only, which labels then view
                 body = mmap.mmap(fd, need, access=mmap.ACCESS_READ) if have >= need else b""
@@ -279,38 +316,91 @@ def _decode(fh, out: np.ndarray | None) -> NiftiImage:
         raise ValidationError(f"{what} need at least {held / 2**30:.3g} GiB, "
                               "more than this process has left") from None
     if have < need:
-        raise NiftiFormatError(
-            f"truncated data section: need {need} bytes total, file has {have}"
-        )
+        raise _truncated(need, have)
     if not gz:
         flat = np.frombuffer(body, dtype=dt, count=n, offset=offset)
-    flat.flags.writeable = False  # when ``flat`` views ``out``, ``out`` stays writeable
-    data = flat.reshape(header.dims, order="F")
-    if e == ">":
-        data = data.astype(data.dtype.newbyteorder("<"))
-
-    slope = header.scl_slope if header.scl_slope != 0.0 else 1.0
-    inter = header.scl_inter
-    scaled = False
-    # extreme (finite) slopes may saturate float32 to inf; that is the
-    # correct IEEE result, not a condition worth a RuntimeWarning
-    with np.errstate(over="ignore"):
-        if np.issubdtype(data.dtype, np.integer):
-            if (header.scl_slope not in (0.0, 1.0)) or inter != 0.0:
-                # scaled integers are real-valued measurements, not labels
-                data = data.astype(np.float32) * np.float32(slope) + np.float32(inter)
-                scaled = True
-        else:
-            if slope != 1.0 or inter != 0.0:
-                data = data * np.float32(slope) + np.float32(inter)
-                scaled = True
-
+    flat.flags.writeable = False
+    data, scaled = _values(flat.reshape(header.dims, order="F"), header)
     data.flags.writeable = False
     geometry = VoxelGeometry(dims=header.dims, spacing=header.pixdim)
     mapped = not gz and e == "<" and not scaled  # ``data`` views the map
     file = _MappedFile(fh.name, fd, offset, data) if mapped else None
     return NiftiImage(geometry=geometry, data=data, header=header,
                       orientation=orientation, scaled=scaled, _file=file)
+
+
+def _identity(fh) -> tuple:
+    """What tells the open file ``fh`` from another, or from itself changed."""
+    st = os.fstat(fh.fileno())
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+class _MapStream:
+    """A map file read in ascending z-slabs, each straight from the file.
+
+    Opening it reads and checks its header, and for gzip inflates up to
+    its payload; each :meth:`read` then takes the next planes. A plain
+    file is read by one positional read a slab, a gzip stream inflated on
+    from where the last read stopped (:meth:`_Gunzip.pause`). Both reopen
+    the file for each read, so a stream holds no descriptor, and no input
+    it has not inflated, between reads. Values come out as
+    :func:`read_nifti` gives them (:func:`_values`), and so do the errors,
+    each naming the file: a plain file shorter than its volume is refused
+    when opened, a gzip one by the read that reaches its end, and the read
+    of the last planes checks a gzip stream's CRC. A file replaced or
+    changed since it was opened (another inode, size or mtime) fails the
+    next read with an OSError naming it.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path, self.planes = path, 0  # planes read so far
+        try:
+            with open(path, "rb") as fh:
+                self._gz, self._header, _, e = _read_header(fh)
+                self._seen = _identity(fh)
+                self.geometry = VoxelGeometry(self._header.dims, self._header.pixdim)
+                self._dtype = DTYPES[self._header.datatype].newbyteorder(e)
+                self._at = offset = int(self._header.vox_offset)  # at: where the next read starts
+                self._need = offset + self.geometry.n_voxels * self._dtype.itemsize
+                if self._gz:  # inflate up to the payload a chunk at a time, keeping none of it
+                    self._have = HEADER_SIZE  # bytes inflated
+                    while self._have < offset and (got := len(
+                            self._gz.read(min(offset - self._have, _GZIP_CHUNK)))):
+                        self._have += got
+                    self._at = self._gz.pause()
+                elif (have := os.fstat(fh.fileno()).st_size) < self._need:
+                    raise _truncated(self._need, have)
+        except ValidationError as exc:
+            raise NiftiFormatError(f"{path}: {exc}") from exc
+
+    def read(self, z: slice, buf: np.ndarray) -> np.ndarray:
+        """Planes ``z`` of the map, the first of them :attr:`planes`, read
+        into the uint8 array ``buf``, which their stored bytes must fit."""
+        nx, ny, nz = self.geometry.dims
+        z0, z1, _ = z.indices(nz)
+        assert z0 == self.planes, "a map stream is read in ascending z-slabs"
+        raw = buf[:nx * ny * (z1 - z0) * self._dtype.itemsize]
+        try:
+            with open(self.path, "rb") as fh:
+                if _identity(fh) != self._seen:
+                    raise OSError(f"{self.path}: the file changed since it was opened")
+                if self._gz:
+                    self._gz.resume(fh, self._at)
+                    self._have += (got := self._gz.readinto(raw))
+                    if got < raw.size:
+                        raise _truncated(self._need, self._have)
+                    if z1 == nz:
+                        self._gz.read(1)  # reaches the trailer, checking the CRC
+                    self._at = self._gz.pause()
+                else:
+                    if (got := os.preadv(fh.fileno(), [raw], self._at)) < raw.size:
+                        raise _truncated(self._need, self._at + got)
+                    self._at += got
+        except ValidationError as exc:
+            raise NiftiFormatError(f"{self.path}: {exc}") from exc
+        self.planes = z1
+        data = raw.view(self._dtype).reshape((nx, ny, z1 - z0), order="F")
+        return _values(data, self._header)[0]
 
 
 def read_label_nifti(path: str | Path) -> LabelVolume:
@@ -417,7 +507,6 @@ def _atomic(path: str | Path):
     a dot so discovery skips it. A reader never sees a half-written file,
     and a volume still mapped from the file it replaces keeps its contents.
     """
-    import os  # here, not at import, so startup loads nothing new
     final = Path(path)
     tmp = final.with_name(f".tmp-{os.getpid()}-{final.name}")
     try:

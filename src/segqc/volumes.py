@@ -11,12 +11,14 @@ parts are immutable, that report is computed once and memoised
 (:attr:`McSampleSet.violations`): :func:`segqc.io.read_sample_set`
 raises it when a set is read, and metric operations refuse to run on an
 invalid set. So is the one pass over its probability maps that both
-validation and the metrics read (:attr:`McSampleSet.prob_pass`): each
-sample's maps are loaded once, in ascending sample order, into K reused
-buffers and folded into float64 sums, so no (N, K, x, y, z) stack is
-ever held. A sample's maps are decoded, and folded in z-slabs, by up to
-``SEGQC_THREADS`` threads (default: 2), the calling thread included;
-every float operation is per voxel, so no thread count changes a result.
+validation and the metrics read (:attr:`McSampleSet.prob_pass`): every
+map file's header is checked first, then each map is read once, a z-slab
+at a time, and each slab of every sample folded, in ascending sample
+order, into float64 slab sums whose argmax is that slab of the consensus,
+so no whole map, let alone an (N, K, x, y, z) stack, is ever held. The
+slabs are read and folded by up to ``SEGQC_THREADS`` threads (default:
+2), the calling thread included; every float operation is per voxel, so
+no thread count changes a result.
 
 Voxel data is stored as 3-D numpy arrays indexed ``[x, y, z]``; the flat
 (serialized) order is x-fastest, matching the on-disk layout used by the
@@ -30,12 +32,13 @@ from __future__ import annotations
 
 import os
 import sys
+import threading
 import types
 import weakref
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -312,7 +315,8 @@ class ProbMapStack:
 
     ``maps[k]``, the map of ``label_ids[k]``, is a read-only 3-D array on
     ``geometry`` (a (K, x, y, z) array counts as K arrays) or the path of a
-    NIfTI file that :meth:`load_map` decodes on every call, so a stack of
+    NIfTI file that :meth:`load_map` decodes whole, and the probability
+    pass a z-slab at a time (:meth:`_open`), on every call, so a stack of
     files holds none of its maps between uses. A map keeps its dtype, bool,
     integer or float: the passes widen each term to float64. The maps cover
     every registry entry, background included, and per voxel should sum to 1
@@ -344,48 +348,61 @@ class ProbMapStack:
         object.__setattr__(self, "maps", tuple(maps))
         object.__setattr__(self, "label_ids", tuple(int(i) for i in self.label_ids))
 
-    def load_map(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
-        """The map of ``label_ids[k]``: its array, or its file decoded into ``out`` where
-        that fits (see :func:`segqc.nifti.read_nifti`), in the dtype the file stores.
-        A file on another grid raises, naming both grids."""
+    def load_map(self, k: int) -> np.ndarray:
+        """The map of ``label_ids[k]``: its array, or its file decoded whole
+        (:func:`segqc.nifti.read_nifti`), in the dtype the file stores. A
+        file on another grid raises, naming both grids."""
         if isinstance(src := self.maps[k], np.ndarray):
             return src
         from .nifti import read_nifti  # here: segqc.nifti imports this module
-        img = read_nifti(src, out)
-        if img.geometry != self.geometry:
+        return self._on_grid(src, read_nifti(src)).data
+
+    def _open(self) -> list:
+        """Each map as the probability pass reads it, a z-slab at a time:
+        its array, or its file opened with its header read and checked
+        (:class:`segqc.nifti._MapStream`). A file on another grid raises,
+        naming both grids, before any payload is read."""
+        from .nifti import _MapStream  # here: segqc.nifti imports this module
+        return [src if isinstance(src, np.ndarray) else self._on_grid(src, _MapStream(src))
+                for src in self.maps]
+
+    def _on_grid(self, src, read):
+        """``read``, what was read from the file ``src``, if it is on the stack's grid."""
+        if read.geometry != self.geometry:
             raise ValidationError(
-                f"{src}: map {img.geometry} do not match {self.owner} geometry {self.geometry}")
-        return img.data
+                f"{src}: map {read.geometry} do not match {self.owner} geometry {self.geometry}")
+        return read
 
     def violations(self) -> list[str]:
         """Rule violations in this stack; empty list means valid."""
         maps = [self.load_map(k) for k in range(len(self.label_ids))]
-        bounds, err, _ = _fold_slab(maps, slice(None))
+        bounds, err, _ = _fold_slab(maps)
         return _check_messages(bounds, err)
 
 
-def _fold_slab(maps: Sequence[np.ndarray], z: slice, label_ids: Sequence[int] = (),
-               truth: LabelVolume | None = None, entropy: np.ndarray | None = None,
+def _fold_slab(part: Sequence[np.ndarray], label_ids: Sequence[int] = (),
+               truth: np.ndarray | None = None, entropy: np.ndarray | None = None,
                sums: Sequence[np.ndarray] = ()) -> tuple:
-    """The probability pass over the z-slab ``[:, :, z]`` of one sample's maps.
+    """The probability pass over one z-slab of one sample's maps, ``part[k]``
+    the slab of map k.
 
     Returns each map's (min, max) as a (K, 2) array, the largest per-voxel
     deviation of the maps' sum from 1 (NaN unless every bound is finite)
-    and the voxels where the label volume ``truth`` differs from the
-    slab's argmax labels of ``label_ids`` (0 without ``truth``), reading
-    its slab as every pass does (:meth:`LabelVolume._slab`). The minima and maxima
+    and the voxels where ``truth``, the slab of the sample's labels,
+    differs from the slab's argmax labels of ``label_ids`` (0 without
+    ``truth``). The minima and maxima
     propagate NaN and reach any infinity, so they settle finiteness too.
     The per-voxel sum starts from the first map widened to float64 and
     adds the others in list order, the order of a sum over the stack's
     first axis. With ``entropy``, each map's -p*ln(p) is taken from its
-    slab and the map added into the slab of ``sums[k]``: only at its
+    slab into the slab ``entropy``, and the map added into the slab
+    ``sums[k]``: only at its
     voxels in (0, 1) when those are few (see ``_HARD_SHARE``). That is
     exact, as the term is +0.0 at p = 0 and 1 and ``x - (+0.0)`` is
     ``x``, -0.0 included; any other p fails the checks, which drop the
     entropy, and a slab with a non-finite value is not folded at all, so
     no infinities of opposite signs meet in a sum.
     """
-    part = [m[:, :, z] for m in maps]
     bounds = np.array([(m.min(), m.max()) for m in part])
     err = np.nan
     if np.isfinite(bounds).all():
@@ -396,19 +413,17 @@ def _fold_slab(maps: Sequence[np.ndarray], z: slice, label_ids: Sequence[int] = 
         err = np.abs(total).max()
     differ = 0
     if truth is not None:
-        differ = int(np.count_nonzero(truth._slab(z) != _argmax_labels(part, label_ids)))
+        differ = int(np.count_nonzero(truth != _argmax_labels(part, label_ids)))
     if entropy is not None and np.isfinite(err):
         xlogy = _special("xlogy")  # first loaded by _prob_pass, before its pool
-        out = entropy[:, :, z]
         for m, (lo, hi), acc in zip(part, bounds, sums):
-            mm, oo = (m.T, out.T) if m.flags.f_contiguous else (m, out)  # in memory order
+            mm, oo = (m.T, entropy.T) if m.flags.f_contiguous else (m, entropy)  # in memory order
             soft = None if 0 < lo and hi < 1 else (mm > 0) & (mm < 1)  # None: every voxel
             if soft is not None and _HARD_SHARE * np.count_nonzero(soft) < soft.size:
                 p = mm.flat[at := np.flatnonzero(soft)]
                 oo.flat[at] -= xlogy(p, p, dtype=np.float64)
             else:
-                out -= xlogy(m, m, dtype=np.float64)
-            acc = acc[:, :, z]
+                entropy -= xlogy(m, m, dtype=np.float64)
             acc += m
     return bounds, err, differ
 
@@ -507,7 +522,8 @@ class ProbPass:
 
     ``entropy`` and ``consensus`` are None unless every sample's maps
     pass their checks; a set without them is invalid, so no metric reads
-    them. Only a set with maps has a pass.
+    them. Only a set with maps has a pass. The two volumes are the only
+    whole volumes it makes: everything else is taken a z-slab at a time.
     """
 
     checks: tuple[tuple[str, ...], ...]
@@ -517,62 +533,105 @@ class ProbPass:
 
 
 def _prob_pass(sample_set: McSampleSet) -> ProbPass:
-    """Load each sample's maps once, in ascending sample order, and fold
-    them into float64 sums.
+    """Read every map once, a z-slab at a time, and fold each slab of every
+    sample into float64 sums, then take that slab's consensus.
 
     The set must have maps and a valid structure, as
     :func:`validate_sample_set` checks before it runs this pass: every
     stack on the set's grid, with the registry's ids in its order, and
-    each label volume on that grid.
+    each label volume on that grid. First every map file is opened and its
+    header checked (:meth:`ProbMapStack._open`), so a file on another grid
+    is refused before any payload is read.
+
+    Then :func:`_parallel`, on up to ``SEGQC_THREADS`` threads (default:
+    2) and never more than the z-slabs of :func:`_slabs`, gives each
+    worker the next slab. The worker reads that slab of each sample's K
+    maps, in ascending sample order, into its own K buffers; folds them
+    (:func:`_fold_slab`) into its own slab of the entropy and K slabs of
+    float64 sums; and once the last sample is folded, writes the entropy
+    and the argmax of the mean (:func:`_argmax_labels`) into that slab of
+    the two whole volumes. A map file is read in z order: a worker waits
+    for the slab before its own to be read from it, and is let go, to
+    return nothing, when another worker fails, whose error then
+    propagates. Memory is the entropy map and the consensus, plus per
+    worker K slabs of stored map values and K + 1 float64 slabs.
 
     Per voxel the additions run in the order of a per-structure loop
     over samples (the mean) and of a per-sample loop over structures (the
     entropy), and widening a map's values to float64 is exact, so the
     results are bit-identical to summing a float64 copy of the whole set.
-    Memory is K + 2 float64 volumes plus K float32 buffers, which float32
-    map files are decoded into, freed before the consensus is taken.
-
-    Each sample's K files are decoded, then its maps folded in the z-slabs
-    of :func:`_slabs` (:func:`_fold_slab`), by :func:`_parallel` on up to
-    ``SEGQC_THREADS`` threads (default: 2) and never more than its slabs.
-    Slabs write disjoint parts of the sums, and their map bounds, sum
+    Slabs write disjoint parts of both volumes, and their map bounds, sum
     errors and mismatch counts combine exactly (min and max, max, integer
     sum), so no slab size or thread count changes a result. Every sample
     is folded; if any fails its checks, the entropy and the consensus are
     dropped at the end, unread.
     """
-    ids = sample_set.registry.ids
+    ids, n, dims = sample_set.registry.ids, sample_set.n, sample_set.geometry.dims
+    sources = [stack._open() for stack in sample_set.probs]  # every header before any payload
     _special("xlogy")  # loaded on this thread, never first on a pool's
-    slabs = _slabs(sample_set.geometry.dims)
-    workers = min(_thread_cap(2), len(slabs))
-    entropy, sums = None, []
-    checks, mismatches = [], []
-    bufs = [np.empty(sample_set.geometry.dims, dtype=np.float32, order="F") for _ in ids]
-    for stack, vol in zip(sample_set.probs, sample_set.labels):
-        maps = _parallel(lambda k: stack.load_map(k, bufs[k]), range(len(ids)), workers)
-        if entropy is None:
-            entropy = np.zeros_like(maps[0], dtype=np.float64)
-            sums = [np.zeros_like(m, dtype=np.float64) for m in maps]
-        parts = _parallel(partial(
-            _fold_slab, maps, label_ids=stack.label_ids, truth=vol,
-            entropy=entropy, sums=sums), slabs, workers)
-        del maps  # freed before the next sample is decoded
-        bounds, errs, differs = zip(*parts)
-        checks.append(tuple(_check_messages(np.array(bounds), np.max(errs))))
-        mismatches.append(sum(differs))
-    del bufs
-
-    if any(checks):
-        return ProbPass(tuple(checks), tuple(mismatches), None, None)
+    slabs = _slabs(dims)
     # C order, like a fresh array: reductions over the whole map then
     # visit voxels in the same order whatever layout the files had
-    entropy = np.ascontiguousarray(entropy)
+    entropy = np.empty(dims)
+    fits = 0 <= min(ids) and max(ids) <= _UINT16_MAX
+    consensus = np.empty(dims, dtype=np.uint16 if fits else np.int64, order="F")
+    turn, failed = threading.Condition(), []
+    scratch = threading.local()  # a worker's buffers, kept for every slab it takes
+    size = dims[0] * dims[1] * len(range(dims[2])[slabs[0]])  # voxels of the deepest slab
+
+    def read(src, z: slice, buf: np.ndarray) -> np.ndarray:
+        if isinstance(src, np.ndarray):
+            return src[:, :, z]
+        with turn:
+            turn.wait_for(lambda: failed or src.planes == z.start)
+            if failed:
+                raise _Released
+        try:
+            return src.read(z, buf)
+        finally:
+            with turn:
+                turn.notify_all()
+
+    def fold(z: slice) -> list[tuple] | None:
+        try:
+            if not hasattr(scratch, "bufs"):
+                scratch.bufs = [np.empty(4 * size, np.uint8) for _ in ids]  # 4: nifti's widest
+                scratch.f64 = [np.empty(size) for _ in range(len(ids) + 1)]
+            shape = (dims[0], dims[1], len(range(dims[2])[z]))
+            ent, *sums = (a[:np.prod(shape)].reshape(shape, order="F") for a in scratch.f64)
+            for a in (ent, *sums):
+                a.fill(0.0)
+            parts = [_fold_slab([read(src, z, buf) for src, buf in zip(maps, scratch.bufs)],
+                                ids, vol._slab(z), ent, sums)
+                     for maps, vol in zip(sources, sample_set.labels)]
+        except _Released:
+            return None
+        except BaseException:  # lets go of every worker waiting for a stream, and re-raises
+            with turn:
+                failed.append(True)
+                turn.notify_all()
+            raise
+        entropy[:, :, z] = ent
+        for acc in sums:
+            acc /= n
+        consensus[:, :, z] = _argmax_labels(sums, ids)
+        return parts
+
+    per_slab = _parallel(fold, slabs, min(_thread_cap(2), len(slabs)))
+    checks, mismatches = [], []
+    for i in range(n):
+        bounds, errs, differs = zip(*(parts[i] for parts in per_slab))
+        checks.append(tuple(_check_messages(np.array(bounds), np.max(errs))))
+        mismatches.append(sum(differs))
+    if any(checks):
+        return ProbPass(tuple(checks), tuple(mismatches), None, None)
     entropy.flags.writeable = False
-    for acc in sums:
-        acc /= sample_set.n
-    consensus = _argmax_labels(sums, ids)
     consensus.flags.writeable = False
     return ProbPass(tuple(checks), tuple(mismatches), entropy, consensus)
+
+
+class _Released(Exception):
+    """A worker of the probability pass let go from a wait: another failed."""
 
 
 def _parallel(fn, items, workers: int) -> list:

@@ -1117,7 +1117,7 @@ def test_thread_cap_env_accepted(configs, monkeypatch):
 def test_thread_count_leaves_cli_outputs_unchanged(configs, monkeypatch, capsys):
     # a multi-scan simulate, then metrics and consensus on one scan, at one
     # thread and at three; slabs are small, so every pool has work for
-    # three: 3 scans, and 10 slabs a sample and of the counting pass
+    # three: 3 scans, and 10 slabs of the fold of the maps and of the count
     root, phantom, _ = configs
     noise = root / "multi.json"
     noise.write_text(json.dumps({"n_samples": 3, "default_flip_prob": 0.2,
@@ -1137,8 +1137,8 @@ def test_thread_count_leaves_cli_outputs_unchanged(configs, monkeypatch, capsys)
         assert run(["metrics", "--manifest", scan, "--out", "r.json", "--uncertainty-out",
                     "u.nii.gz", "--heatmap-out", "h.nii"]) == 0
         assert run(["consensus", "--manifest", scan, "--out", "c.nii"]) == 0
-        # simulate; metrics: 3 samples x (decode, fold), counting; consensus: the same
-        assert calls == [threads] * (1 + 6 + 1 + 7)
+        # simulate; metrics: the fold of the maps, counting; consensus: the same
+        assert calls == [threads] * (1 + 2 + 2)
         outputs[threads] = capsys.readouterr().out, {
             p.relative_to(work): p.read_bytes() for p in work.rglob("*") if p.is_file()}
     assert len(outputs[1][1]) == 3 + 3 * (1 + 3 + 3 * 3) + 4

@@ -9,7 +9,9 @@ bundled study's is 0). Beside the first tree go a
 small fully soft set (:func:`soft_set`: a seeded softmax of random
 logits, soft at every voxel like the maps of MC dropout, which the
 bundled maps are not) and a set of two slabs (:func:`slab_set`; every
-other input fits in one). Then each call of :func:`calls` runs in
+other input fits in one) and a set of tied maps and tied votes
+(:func:`tie_set`; no other input holds a tie). Then each call of
+:func:`calls` runs in
 process, once with ``SEGQC_THREADS=1`` and once with
 ``SEGQC_THREADS=2``, and both runs must give the recorded digests. A
 ``.nii.gz`` is hashed by its decoded bytes (header and payload), which
@@ -49,6 +51,7 @@ RADIUS_SCANS, RADIUS = 2, 2
 THREADS = (1, 2)
 SOFT_DIMS, SOFT_N, SOFT_K, SOFT_SEED = (20, 20, 20), 4, 5, 25
 SLAB_DIMS, SLAB_N, SLAB_K, SLAB_SEED = (64, 64, 48), 3, 4, 7
+TIE_DIMS, TIE_VOTES, TIE_SEED = (6, 5, 4), 4, 3
 
 
 def versions() -> dict:
@@ -138,6 +141,50 @@ def slab_set(sim: Path) -> None:
     write_scan_manifest(d / "manifest.json", samples, registry="registry.json", probs=probs)
 
 
+def tie_set(sim: Path) -> None:
+    """Under ``sim / "ties"``, on ``TIE_DIMS`` with ids 0, 1 and 2: two
+    samples of float32 ``.nii.gz`` maps (``manifest.json``) in which each
+    voxel is a tie or not, picked at random: one-hot in both samples; one-hot
+    on another label in each, so the mean map ties; or 0.5 on two labels in
+    both, so each sample's maps tie too. Each sample's labels are its argmax,
+    ties to the lowest id. Beside them ``TIE_VOTES`` label files
+    (``votes.json``, no maps): at each voxel two labels, each of half the
+    samples, or one label of all. Every tie must go to the lowest id."""
+    from segqc.io import write_registry, write_scan_manifest
+    from segqc.nifti import write_nifti
+    from segqc.volumes import StructureRegistry, VoxelGeometry
+
+    d = sim / "ties"
+    d.mkdir()
+    rng = np.random.default_rng(TIE_SEED)
+    geom = VoxelGeometry(TIE_DIMS, (1.0, 1.0, 1.0))
+    write_registry(StructureRegistry(((0, "bg"), (1, "a"), (2, "b")), 0), d / "registry.json")
+    first, second = rng.integers(0, 3, TIE_DIMS), rng.integers(0, 3, TIE_DIMS)
+    pair = np.stack([first, (first + 1 + (second % 2)) % 3])  # two distinct labels a voxel
+    kind = rng.integers(0, 3, TIE_DIMS)  # 0: agree, 1: mean-map tie, 2: tie in each sample
+    samples, probs = [], []
+    for i in range(2):
+        maps = np.zeros((3, *TIE_DIMS), dtype=np.float32)
+        hot = np.where(kind == 1, pair[i], pair[0])
+        np.put_along_axis(maps, hot[None], 1.0, axis=0)
+        halves = np.zeros_like(maps)
+        for label in pair:
+            np.put_along_axis(halves, label[None], 0.5, axis=0)
+        maps = np.where(kind == 2, halves, maps)
+        samples.append(f"sample_{i}.nii")
+        write_nifti(d / samples[-1], np.argmax(maps, axis=0).astype(np.uint8), geom)
+        probs.append([f"prob_{i}_{k}.nii.gz" for k in range(3)])
+        for k, name in enumerate(probs[-1]):
+            write_nifti(d / name, maps[k], geom)
+    write_scan_manifest(d / "manifest.json", samples, registry="registry.json", probs=probs)
+    tied = rng.random(TIE_DIMS) < 0.5
+    votes = []
+    for i in range(TIE_VOTES):
+        votes.append(f"vote_{i}.nii")
+        write_nifti(d / votes[-1], np.where(tied, pair[i % 2], pair[0]).astype(np.uint8), geom)
+    write_scan_manifest(d / "votes.json", votes, registry="registry.json")
+
+
 def calls(sim: Path, out: Path) -> list[tuple[str, list[str]]]:
     """(name, argv) of every checked call; each writes only under ``out / name``."""
     scans = [f"scan_{k:02d}" for k in range(N_SCANS)]
@@ -174,6 +221,15 @@ def calls(sim: Path, out: Path) -> list[tuple[str, list[str]]]:
     d = out / "consensus_slabs"
     todo.append((d.name, ["consensus", "--manifest", str(slabs / "manifest.json"),
                           "--out", str(d / "consensus.nii")]))
+    ties = sim / "ties"
+    d = out / "metrics_ties"
+    todo.append((d.name, ["metrics", "--manifest", str(ties / "manifest.json"),
+                          "--out", str(d / "report.json"),
+                          "--uncertainty-out", str(d / "uncertainty.nii")]))
+    for name in ("manifest", "votes"):
+        d = out / f"consensus_ties_{name}"
+        todo.append((d.name, ["consensus", "--manifest", str(ties / f"{name}.json"),
+                              "--out", str(d / "consensus.nii")]))
     return todo
 
 
@@ -223,6 +279,7 @@ def study(tmp_path_factory):
     sim = simulate(root)
     soft_set(sim)
     slab_set(sim)
+    tie_set(sim)
     return root, sim
 
 
@@ -260,6 +317,7 @@ if __name__ == "__main__":
         tree = tree_digest(sim)
         soft_set(sim)
         slab_set(sim)
+        tie_set(sim)
         runs = [run_calls(root, sim, t) for t in THREADS]
         (root / "radius").mkdir()
         radius_tree = tree_digest(simulate(root / "radius", RADIUS_SCANS, RADIUS))

@@ -6,6 +6,7 @@ import gzip
 import io
 import json
 import math
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -674,11 +675,12 @@ def test_a_label_file_on_another_grid_is_one_fault_and_no_map_is_decoded(tmp_pat
         write_nifti(prob_paths[-1][1], np.zeros(dims, dtype=np.float32), g)
     decoded, real = [], segqc.nifti.read_nifti
 
-    def counted(path, out=None):
+    def counted(path):
         decoded.append(Path(path))
-        return real(path, out)
+        return real(path)
 
     monkeypatch.setattr(segqc.nifti, "read_nifti", counted)
+    monkeypatch.setattr(segqc.nifti, "_MapStream", lambda path: decoded.append(Path(path)))
     with pytest.raises(ValidationError) as info:
         read_sample_set(label_paths, reg, prob_paths=prob_paths)
     faults = str(info.value).split("; ")
@@ -813,22 +815,33 @@ def test_read_sample_set_decodes_probability_files_once(tmp_path, monkeypatch):
     write_scan_manifest(tmp_path / "manifest.json", [p.name for p in label_paths],
                         gt="gt.nii", registry="registry.json",
                         probs=[[q.name for q in qs] for qs in prob_paths])
-    decoded = []
-    real = segqc.nifti.read_nifti
+    decoded, streamed = [], []
+    real, stream = segqc.nifti.read_nifti, segqc.nifti._MapStream
 
-    def counted(path, out=None):
+    def counted(path):
         decoded.append(Path(path).name)
-        return real(path, out)
+        return real(path)
+
+    class Counted(stream):  # the probability pass reads each map file a slab at a time
+        def read(self, z, buf):
+            streamed.append((Path(self.path).name, z.start))
+            return super().read(z, buf)
 
     monkeypatch.setattr(segqc.nifti, "read_nifti", counted)
+    monkeypatch.setattr(segqc.nifti, "_MapStream", Counted)
+    monkeypatch.setattr("segqc.volumes._SLAB", 60)  # two planes of 6 x 5: two slabs
     code = main([
         "metrics", "--manifest", str(tmp_path / "manifest.json"),
         "--out", str(tmp_path / "r.json"), "--uncertainty-out", str(tmp_path / "u.nii"),
         "--heatmap-out", str(tmp_path / "h.nii"),
     ])
     assert code == 0
-    assert len(decoded) == n * k + n + 1
-    assert sorted(set(decoded)) == sorted(decoded)
+    # the label files and the ground truth decoded whole, once each
+    assert sorted(decoded) == sorted([p.name for p in label_paths] + ["gt.nii"])
+    names = [q.name for qs in prob_paths for q in qs]
+    assert sorted(streamed) == sorted((name, z) for name in names for z in (0, 2))
+    for name in names:
+        assert [z for q, z in streamed if q == name] == [0, 2]
 
 
 def test_probability_file_errors_keep_their_exit_codes(tmp_path, capsys):
@@ -861,11 +874,14 @@ def test_probability_file_errors_keep_their_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("variant", sorted(MAP_VARIANTS))
-def test_probability_pass_decodes_each_file_as_a_one_off_read_does(tmp_path, capsys, variant):
-    # sample 1's map of label 2 stored another way: the pass, which decodes
-    # into buffers that sample 0 filled, gives the report or the error that
-    # decoding that file alone gives
+def test_probability_pass_decodes_each_file_as_a_one_off_read_does(tmp_path, monkeypatch,
+                                                                   capsys, variant):
+    # sample 1's map of label 2 stored another way: the pass, which reads
+    # each slab into buffers that sample 0's slab filled, gives the report
+    # or the error that decoding that file alone gives
     from segqc.cli import main
+
+    monkeypatch.setattr("segqc.volumes._SLAB", 60)  # two planes of 6 x 5: two slabs
 
     label_paths, prob_paths, reg = write_prob_set(tmp_path, 3, 3, (6, 5, 4), suffix=".nii.gz")
     write_registry(reg, tmp_path / "registry.json")
@@ -895,6 +911,160 @@ def test_probability_pass_decodes_each_file_as_a_one_off_read_does(tmp_path, cap
     assert not (tmp_path / "got.json").exists()
 
 
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+@pytest.mark.parametrize("fault", ["truncated", "corrupt", "grid"])
+def test_a_bad_map_in_the_last_sample_fails_as_a_whole_read_does(tmp_path, monkeypatch,
+                                                                 capsys, threads, fault):
+    # the last sample's map of label 1, in a set of four slabs, is cut in
+    # half (its stream ends in the second slab), corrupt (its CRC, checked
+    # with the last slab) or on another grid: the call exits with the code
+    # and the error, naming the file, that reading that file whole gives. A
+    # worker waiting for a later slab of the cut file is let go, so no call
+    # hangs; and every header is checked before any payload, so a grid
+    # fault reads no slab at all
+    import threading
+
+    import segqc.nifti
+    import segqc.volumes
+    from segqc.cli import main
+
+    label_paths, prob_paths, reg = write_prob_set(tmp_path, 3, 3, (6, 5, 8), suffix=".nii.gz")
+    write_scan_manifest(tmp_path / "manifest.json", [p.name for p in label_paths],
+                        registry="registry.json",
+                        probs=[[q.name for q in qs] for qs in prob_paths])
+    write_registry(reg, tmp_path / "registry.json")
+    bad = prob_paths[-1][1]
+    if fault == "grid":
+        write_nifti(bad, np.full((6, 5, 9), 0.5, dtype=np.float32),
+                    VoxelGeometry((6, 5, 9), (1.0, 1.0, 1.0)))
+        stack = ProbMapStack(read_nifti(label_paths[-1]).geometry, reg.ids, prob_paths[-1],
+                             owner=label_paths[-1])
+        with pytest.raises(ValidationError) as info:
+            stack.load_map(1)
+    else:
+        blob = bad.read_bytes()
+        bad.write_bytes(blob[:len(blob) // 2] if fault == "truncated"
+                        else MAP_VARIANTS["corrupt_crc"][0](gzip.decompress(blob)))
+        with pytest.raises(ValidationError) as info:
+            read_nifti(bad)
+    assert str(bad) in str(info.value)
+    reads, released, real = [], [], segqc.nifti._MapStream.read
+
+    def read(self, z, buf):
+        reads.append(z.start)
+        if Path(self.path).name == bad.name and z.start:
+            time.sleep(0.1)  # the other workers reach their wait for this stream
+        return real(self, z, buf)
+
+    class Released(segqc.volumes._Released):
+        def __init__(self):
+            released.append(threading.current_thread().name)
+
+    monkeypatch.setattr(segqc.nifti._MapStream, "read", read)
+    monkeypatch.setattr(segqc.volumes, "_Released", Released)
+    monkeypatch.setattr(segqc.volumes, "_SLAB", 60)  # two planes of 6 x 5: four slabs
+    monkeypatch.setenv("SEGQC_THREADS", threads)
+    done = []
+    call = threading.Thread(target=lambda: done.append(main([
+        "metrics", "--manifest", str(tmp_path / "manifest.json"),
+        "--out", str(tmp_path / "r.json")])), daemon=True)
+    call.start()
+    call.join(timeout=60)
+    assert not call.is_alive(), "the call hangs"
+    assert done == [1]
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+    assert not (tmp_path / "r.json").exists()
+    if fault == "grid":
+        assert reads == []
+    if fault == "truncated" and threads != "1":
+        assert released  # a worker was waiting for the cut file's third slab
+
+
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+def test_map_streams_hold_no_descriptor_between_slabs(tmp_path, suffix):
+    # the labels and the ground truth hold two descriptors each (a plain
+    # .nii is mapped, and read through a descriptor of its own); under a
+    # limit that leaves fewer spare descriptors than a sample has maps, let
+    # alone the set, metrics still runs: a map file is open only while a
+    # slab of it is read
+    import os
+    import subprocess
+    import sys
+
+    n, k = 4, 8
+    label_paths, prob_paths, reg = write_prob_set(tmp_path, n, k, (6, 5, 8), suffix=suffix)
+    write_registry(reg, tmp_path / "registry.json")
+    write_nifti(tmp_path / "gt.nii", read_nifti(label_paths[0]).data,
+                VoxelGeometry((6, 5, 8), (1.0, 1.0, 1.0)))
+    write_scan_manifest(tmp_path / "manifest.json", [p.name for p in label_paths],
+                        gt="gt.nii", registry="registry.json",
+                        probs=[[q.name for q in qs] for qs in prob_paths])
+    spare = 5  # < k: below what even one sample's maps would need open at once
+    probe = f"""
+import os, resource, sys
+import segqc.cli
+from segqc.volumes import _special
+_special("xlogy")
+os.environ["SEGQC_THREADS"] = "2"
+resource.setrlimit(resource.RLIMIT_NOFILE, (3 + 2 * {n} + 2 + {spare}, resource.getrlimit(
+    resource.RLIMIT_NOFILE)[1]))
+sys.exit(segqc.cli.main(sys.argv[1:]))
+"""
+    src = str(Path(segqc.io.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, "metrics", "--manifest", str(tmp_path / "manifest.json"),
+         "--out", str(tmp_path / "r.json"), "--uncertainty-out", str(tmp_path / "u.nii")],
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert (tmp_path / "r.json").exists()
+
+
+def test_prob_pass_memory_does_not_grow_with_n(tmp_path, monkeypatch):
+    # traced memory of the pass over N = 4 and N = 8 samples of K = 3 gzip
+    # maps in 16 slabs, on two threads: the entropy map and the consensus,
+    # each worker's slab scratch (K slabs of stored values, K + 1 float64
+    # slabs, and the fold's temporaries: at most three times that in all),
+    # and what every open gzip stream keeps between slabs: its inflater's
+    # state, measured here on one stream, and at most _GZIP_INPUT bytes of
+    # input it has not consumed. Never a whole map: each is 256 KiB, and a
+    # sample's three are 768 KiB
+    import segqc.nifti
+    from segqc.volumes import _special
+
+    k, dims = 3, (32, 32, 64)
+    geometry = VoxelGeometry(dims, (1.0, 1.0, 1.0))
+    slab = 32 * 32 * 4
+    monkeypatch.setattr("segqc.volumes._SLAB", slab)
+    monkeypatch.setenv("SEGQC_THREADS", "2")
+    volumes = 8 * 32 * 32 * 64 + 2 * 32 * 32 * 64
+    scratch = k * 4 * slab + (k + 1) * 8 * slab
+    label_paths, prob_paths, reg = write_prob_set(tmp_path, 8, k, dims, suffix=".nii.gz")
+    _special("xlogy")
+    buf = np.empty(4 * slab, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        stream = segqc.nifti._MapStream(prob_paths[0][0])
+        stream.read(slice(0, 4), buf)
+        state = tracemalloc.get_traced_memory()[0] + segqc.nifti._GZIP_INPUT
+    finally:
+        tracemalloc.stop()
+    del stream
+    assert state < 96 * 1024
+    peaks = {}
+    for n in (4, 8):
+        ss = McSampleSet(geometry, reg, [read_label_nifti(p) for p in label_paths[:n]],
+                         [ProbMapStack(geometry, reg.ids, qs) for qs in prob_paths[:n]])
+        tracemalloc.start()
+        try:
+            assert ss.prob_pass.entropy is not None
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peaks[n] < volumes + n * k * state + 2 * 3 * scratch, (n, peaks, state)
+    assert peaks[8] - peaks[4] < 4 * k * state + scratch, (peaks, state)
+
+
 def test_structure_uncertainty_decodes_one_file_per_sample(tmp_path, monkeypatch):
     import segqc.nifti
     from scipy.special import xlogy
@@ -907,9 +1077,9 @@ def test_structure_uncertainty_decodes_one_file_per_sample(tmp_path, monkeypatch
     decoded = []
     real = segqc.nifti.read_nifti
 
-    def counted(path, out=None):
+    def counted(path):
         decoded.append(Path(path))
-        return real(path, out)
+        return real(path)
 
     monkeypatch.setattr(segqc.nifti, "read_nifti", counted)
     got = structure_uncertainty(ss, 2)
@@ -941,8 +1111,9 @@ def test_bad_label_file_is_refused_before_any_map_is_decoded(tmp_path, monkeypat
         decoded.append(Path(path))
         return real(path)
 
-    # label files decode through read_label_nifti, probability files in ProbMapStack.load_map
+    # label files decode through read_label_nifti; the pass opens probability files as streams
     monkeypatch.setattr(segqc.nifti, "read_nifti", counted)
+    monkeypatch.setattr(segqc.nifti, "_MapStream", counted)
     with pytest.raises(ValidationError, match=f"\\[{fault}\\] sample 1") as info:
         read_sample_set(label_paths, reg, prob_paths=prob_paths)
     assert str(label_paths[1]) in str(info.value)

@@ -7,6 +7,7 @@ import threading
 import time
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -853,65 +854,100 @@ def test_prob_pass_entropy_matches_oracle_with_no_sign_bit(seed, n, k, dtype, th
         assert not np.signbit(one).any()
 
 
-def test_prob_pass_loads_each_sample_once():
-    # a sample's K files may be decoded in parallel, each through load_map,
-    # so loads are counted per (sample, k): every map exactly once, and
-    # every map of a sample before any of the next sample's
-    loads = []
+def file_set(root, stacks, suffixes=(".nii.gz", ".nii")):
+    """A set of ``stacks``, float32, with each map a file: sample ``i``'s
+    with the suffix ``suffixes[i % len(suffixes)]``, and labels their argmax."""
+    from segqc.nifti import write_nifti
 
-    class CountingStack(ProbMapStack):
-        def load_map(self, k, out=None):
-            loads.append((id(self), k))
-            return super().load_map(k, out)
+    stacks = [np.asarray(s, dtype=np.float32) for s in stacks]
+    g = VoxelGeometry(stacks[0].shape[1:], (1.0, 1.0, 1.0))
+    probs = []
+    for i, stack in enumerate(stacks):
+        paths = [root / f"prob_{i}_{k}{suffixes[i % len(suffixes)]}" for k in range(len(stack))]
+        for path, m in zip(paths, stack):
+            write_nifti(path, m, g)
+        probs.append(ProbMapStack(g, REG.ids, paths))
+    return McSampleSet(g, REG, oracle_labels(stacks), probs), stacks
 
-    rng = np.random.default_rng(3)
-    g = geom(4, 4, 4)
-    stacks = random_prob_stacks(rng, n_samples=4)
-    ss = McSampleSet(geometry=g, registry=REG, labels=oracle_labels(stacks), probs=tuple(
-        CountingStack(geometry=g, label_ids=REG.ids, maps=s) for s in stacks
-    ))
-    rep = structure_report(ss, normalize=True)
-    consensus_segmentation(ss)
-    voxel_uncertainty(ss)
-    want = [(id(s), k) for s in ss.probs for k in range(len(REG.ids))]
-    assert sorted(loads) == sorted(want)
-    assert [sample for sample, _ in loads] == [sample for sample, _ in want]
-    assert np.array_equal(rep.consensus.data, consensus_segmentation(ss).data)
+
+def traced_streams(monkeypatch) -> list[tuple]:
+    """Every map file the probability pass opens, ("open", name), and every
+    slab it reads from one, ("read", name, first plane, id of the buffer)."""
+    import segqc.nifti
+
+    events, stream = [], segqc.nifti._MapStream
+
+    class Traced(stream):
+        def __init__(self, path):
+            events.append(("open", Path(path).name))
+            super().__init__(path)
+
+        def read(self, z, buf):
+            events.append(("read", Path(self.path).name, z.start, id(buf)))
+            return super().read(z, buf)
+
+    monkeypatch.setattr(segqc.nifti, "_MapStream", Traced)
+    return events
+
+
+def test_prob_pass_loads_each_sample_once(tmp_path, monkeypatch):
+    # every map file is opened once, all of them before any slab is read,
+    # then read once a slab, in z order, and each slab of every sample's
+    # maps in sample order, whatever the thread count; the memoised pass
+    # serves every later metric without another read
+    events = traced_streams(monkeypatch)
+    monkeypatch.setattr(volumes, "_SLAB", 32)  # two planes of 4 x 4: two slabs
+    stacks = random_prob_stacks(np.random.default_rng(3), n_samples=4)
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("SEGQC_THREADS", threads)
+        events.clear()
+        (root := tmp_path / threads).mkdir()
+        ss, stacks32 = file_set(root, stacks)
+        rep = structure_report(ss, normalize=True)
+        consensus_segmentation(ss)
+        voxel_uncertainty(ss)
+        names = [Path(q).name for stack in ss.probs for q in stack.maps]
+        assert events[:len(names)] == [("open", name) for name in names]
+        reads = events[len(names):]
+        assert sorted(r[1:3] for r in reads) == sorted((q, z) for q in names for z in (0, 2))
+        for name in names:
+            assert [r[2] for r in reads if r[1] == name] == [0, 2]
+        for z in (0, 2):
+            assert [r[1] for r in reads if r[2] == z] == names
+        assert np.array_equal(rep.consensus.data, consensus_segmentation(ss).data)
+        assert np.array_equal(rep.consensus.data, loop_mean_argmax(stacks32, REG.ids))
+        assert np.array_equal(voxel_uncertainty(ss), loop_entropy(stacks32))
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_prob_pass_holds_one_sample_of_maps(monkeypatch, threads):
-    # a sample's maps are freed before the next sample's are decoded, and
-    # the buffers they may be decoded into are K, one per structure, reused
-    # by every sample and freed before the consensus is taken
-    refs, alive, outs, bufs, at_argmax = [], [], [], [], []
+def test_prob_pass_holds_one_sample_of_maps(tmp_path, monkeypatch, threads):
+    # no worker holds more than one slab of one sample's maps: each reads
+    # its slabs into K buffers of its own, one a structure, reused by every
+    # sample and every slab it takes and freed before the pass returns
+    events = traced_streams(monkeypatch)
+    bufs = []
+    real = volumes._fold_slab
 
-    class TrackingStack(ProbMapStack):
-        def load_map(self, k, out=None):
-            alive.append(sum(r() is not None for r in refs))
-            outs.append((k, id(out)))
-            bufs.append(weakref.ref(out))
-            m = np.array(super().load_map(k, out))  # owned, as a decoded file is
-            refs.append(weakref.ref(m))
-            return m
+    def fold(part, *args):
+        bufs.extend(weakref.ref(m.base if m.base is not None else m) for m in part)
+        return real(part, *args)
 
-    real_argmax = volumes._argmax_labels
-
-    def argmax(maps, label_ids):
-        at_argmax.append(sum(b() is not None for b in bufs))
-        return real_argmax(maps, label_ids)
-
-    monkeypatch.setattr(volumes, "_argmax_labels", argmax)
+    monkeypatch.setattr(volumes, "_fold_slab", fold)
+    monkeypatch.setattr(volumes, "_SLAB", 16)  # one plane of 4 x 4: four slabs
     monkeypatch.setenv("SEGQC_THREADS", threads)
-    g = geom(4, 4, 4)
-    stacks = random_prob_stacks(np.random.default_rng(6), n_samples=4)
-    ss = McSampleSet(geometry=g, registry=REG, labels=oracle_labels(stacks), probs=tuple(
-        TrackingStack(geometry=g, label_ids=REG.ids, maps=s) for s in stacks))
+    ss, _ = file_set(tmp_path, random_prob_stacks(np.random.default_rng(6), n_samples=4))
     assert not ss.violations
-    assert len(alive) == 4 * 3 and max(alive) < 3
-    assert len(set(outs)) == len({buf for _, buf in outs}) == 3
-    # one slab's argmax a sample, then last the consensus, with no buffer left
-    assert len(at_argmax) == 4 + 1 and at_argmax[-1] == 0
+    reads = [e for e in events if e[0] == "read"]
+    assert len(reads) == 4 * 3 * 4
+    held = {buf for *_, buf in reads}
+    assert 3 <= len(held) <= 3 * int(threads)
+    # each sample's K buffers are the same K while one worker folds a slab
+    by_slab = {}
+    for _, name, z, buf in reads:
+        by_slab.setdefault(z, []).append(buf)
+    for z, ids in by_slab.items():
+        assert len(set(ids)) == 3 and ids == ids[:3] * 4, z
+    assert all(ref() is None for ref in bufs)
 
 
 def slabbed_pass(ss, threads):
@@ -1004,9 +1040,10 @@ def test_prob_pass_counts_mismatches_in_later_slabs(threads):
 @pytest.mark.parametrize("env, slab, workers", [
     (None, 16, 2), ("3", 16, 3), ("64", 16, 4), ("1", 16, 1), ("2", 1 << 17, 1)])
 def test_prob_pass_pool_size(monkeypatch, env, slab, workers):
-    # a sample is decoded, then folded, by SEGQC_THREADS threads (two when
-    # unset, whatever the CPU count), the calling thread included, and by
-    # no more than it has slabs: here 4 of one plane each, or one
+    # the maps are read and folded, a slab at a time, by SEGQC_THREADS
+    # threads (two when unset, whatever the CPU count), the calling thread
+    # included, and by no more than there are slabs: here 4 of one plane
+    # each, or one
     seen = parallel_workers(monkeypatch, volumes)
     monkeypatch.setattr(volumes, "_SLAB", slab)
     monkeypatch.setattr(volumes.os, "cpu_count", lambda: 64)
@@ -1016,14 +1053,15 @@ def test_prob_pass_pool_size(monkeypatch, env, slab, workers):
         monkeypatch.setenv("SEGQC_THREADS", env)
     stacks = random_prob_stacks(np.random.default_rng(4), n_samples=3)
     assert not prob_set(stacks).violations
-    assert seen == [workers, workers] * 3
+    assert seen == [workers]
     assert not label_set([np.zeros((4, 4, 4), dtype=int)] * 2).violations
-    assert len(seen) == 6  # validating a label-only set runs no pass
+    assert len(seen) == 1  # validating a label-only set runs no pass
 
 
 def test_both_passes_split_a_set_into_the_same_slabs(monkeypatch):
     # the counting pass walks the probability pass's z-slabs, here 4 of one
-    # plane: each sample's fold and the count get the same list of slabs
+    # plane: the one slab-major fold of the maps and the count get the same
+    # list of slabs
     seen, real = [], volumes._parallel
 
     def spy(fn, items, workers):
@@ -1035,8 +1073,8 @@ def test_both_passes_split_a_set_into_the_same_slabs(monkeypatch):
     monkeypatch.setattr(volumes, "_SLAB", 16)
     slabs = [slice(z, z + 1) for z in range(4)]
     structure_report(prob_set(random_prob_stacks(np.random.default_rng(8), n_samples=3)))
-    # per sample, its 3 maps decoded, then folded; last, the count
-    assert seen == [[0, 1, 2], slabs] * 3 + [slabs]
+    # the fold of every sample's maps, then the count
+    assert seen == [slabs, slabs]
     seen.clear()
     structure_report(label_set([np.zeros((4, 4, 4), dtype=int)] * 2))
     assert seen == [slabs]

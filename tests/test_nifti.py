@@ -2,6 +2,7 @@
 
 import gzip
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -260,7 +261,7 @@ def test_orientation_passthrough(tmp_path):
     assert back == o
 
 
-# -- decoding into a caller's buffer ---------------------------------------------
+# -- reading a map a slab at a time into a caller's buffer ------------------------
 
 
 def _be(raw: bytes) -> bytes:
@@ -289,8 +290,8 @@ def _grid(raw: bytes) -> bytes:
 
 
 # name -> (the stored file, from a little-endian float32 .nii's bytes; whether
-# it decodes to the same values). Each decodes into a float32 buffer of the
-# map's grid exactly as it decodes fresh, with the same values or error.
+# it decodes to the same values). Read a slab at a time into a buffer, each
+# gives the values or the error that decoding it whole gives.
 MAP_VARIANTS = {
     "gzip": (gzip.compress, True),
     "concatenated": (lambda raw: gzip.compress(raw[:500]) + gzip.compress(raw[500:]), True),
@@ -306,48 +307,85 @@ MAP_VARIANTS = {
 }
 
 
+def _read_in_slabs(path, depth):
+    """The map ``path`` read through a :class:`segqc.nifti._MapStream` in
+    z-slabs of ``depth`` planes, each into one buffer (first filled with
+    0xFF), joined; or the error, as text."""
+    try:
+        stream = nifti._MapStream(path)
+        nx, ny, nz = stream.geometry.dims
+        buf = np.full(4 * nx * ny * depth, 0xFF, dtype=np.uint8)
+        return np.concatenate([stream.read(slice(z, z + depth), buf).copy()
+                               for z in range(0, nz, depth)], axis=2)
+    except NiftiFormatError as exc:
+        return str(exc)
+
+
 @pytest.mark.parametrize("variant", sorted(MAP_VARIANTS))
 def test_decode_into_a_buffer_matches_a_fresh_decode(tmp_path, variant):
     data = np.random.default_rng(7).dirichlet(np.ones(3), GEOM.dims)[..., 0].astype(np.float32)
     plain = tmp_path / "map.nii"
     write_nifti(plain, data, GEOM)
     make, same = MAP_VARIANTS[variant]
-    path = tmp_path / "map.nii.gz"
-    path.write_bytes(make(plain.read_bytes()))
-    buf = np.full(GEOM.dims, np.nan, dtype=np.float32, order="F")
-    got = []
-    for out in (None, buf):
+    blob = make(plain.read_bytes())
+    (path := tmp_path / "map.nii.gz").write_bytes(blob)
+    files = [path]
+    try:  # the same bytes stored plain, where the stream decompresses
+        (unzipped := tmp_path / "unzipped.nii").write_bytes(gzip.decompress(blob))
+        files.append(unzipped)
+    except (OSError, EOFError, zlib.error):
+        pass
+    for f in files:
         try:
-            got.append(read_nifti(path, out).data)
+            fresh = read_nifti(f).data
         except NiftiFormatError as exc:
-            got.append(str(exc))
-    fresh, buffered = got
-    if isinstance(fresh, str):
-        assert buffered == fresh and "map.nii.gz" in fresh
-        return
-    assert np.array_equal(buffered, fresh) and not buffered.flags.writeable
-    assert np.array_equal(fresh, data) == same
-    # a file that fits the buffer (the stored dtype and grid) is decoded into it
-    fits = variant in ("gzip", "concatenated", "past_volume", "scaled")
-    assert (np.shares_memory(buffered, buf) or variant == "scaled") == fits
-    assert buf.flags.writeable and np.isnan(buf).all() != fits
+            fresh = str(exc)
+        for depth in (1, 2, 3):
+            got = _read_in_slabs(f, depth)
+            if isinstance(fresh, str):
+                assert got == fresh and f.name in fresh, (f.name, depth)
+                continue
+            assert np.array_equal(got, fresh), (f.name, depth)
+            assert np.array_equal(fresh, data) == same
+    if variant == "truncated":  # a plain file cut short is refused when it is opened
+        (cut := tmp_path / "cut.nii").write_bytes(plain.read_bytes()[:-30])
+        with pytest.raises(NiftiFormatError) as info:
+            read_nifti(cut)
+        assert _read_in_slabs(cut, 3) == str(info.value)
 
 
 def test_decode_reuses_one_buffer_across_files(tmp_path):
-    buf = np.empty(GEOM.dims, dtype=np.float32, order="F")
+    # one buffer takes every slab of every file: gzip or plain, float or
+    # integer, stored as read; a big-endian or scaled file is converted
+    # from it into a fresh array
+    buf = np.empty(4 * 5 * 4 * 2, dtype=np.uint8)
     paths = [tmp_path / f"m{i}.nii.gz" for i in range(3)]
     for i, path in enumerate(paths):
         write_nifti(path, random_volume(np.float32, seed=i), GEOM)
-    for path in paths:
-        view = read_nifti(path, buf).data
-        assert np.shares_memory(view, buf) and np.array_equal(view, read_nifti(path).data)
-    # a plain file, an integer file or a C-ordered buffer is decoded as without one
     write_nifti(plain := tmp_path / "p.nii", random_volume(np.float32), GEOM)
     write_nifti(ints := tmp_path / "i.nii.gz", random_volume(np.int16), GEOM)
-    for path, out in ((plain, buf), (ints, buf), (paths[0], np.empty(GEOM.dims, np.float32))):
-        img = read_nifti(path, out)
-        assert not np.shares_memory(img.data, out)
-        assert np.array_equal(img.data, read_nifti(path).data)
+    (swapped := tmp_path / "be.nii.gz").write_bytes(gzip.compress(_be(plain.read_bytes())))
+    for path in (*paths, plain, ints, swapped):
+        stream, want = nifti._MapStream(path), read_nifti(path).data
+        for z in (slice(0, 2), slice(2, 3)):
+            view = stream.read(z, buf)
+            assert np.array_equal(view, want[:, :, z]) and view.dtype == want.dtype
+            assert np.shares_memory(view, buf) == (path != swapped)
+        assert stream.planes == 3
+
+
+@pytest.mark.parametrize("name", ["map.nii", "map.nii.gz"])
+def test_a_map_stream_refuses_a_file_replaced_since_it_was_opened(tmp_path, name):
+    # a stream reopens its file for every slab: one replaced in between (a
+    # rename, as every write here makes) is refused, not read on from the new
+    # file at the old offset
+    path, buf = tmp_path / name, np.empty(4 * 5 * 4 * 3, dtype=np.uint8)
+    write_nifti(path, random_volume(np.float32), GEOM)
+    stream = nifti._MapStream(path)
+    assert np.array_equal(stream.read(slice(0, 1), buf), read_nifti(path).data[:, :, :1])
+    write_nifti(path, random_volume(np.float32, seed=1), GEOM)
+    with pytest.raises(OSError, match=f"{name}: the file changed since it was opened"):
+        stream.read(slice(1, 3), buf)
 
 
 _REWRITE_PROBE = """

@@ -11,7 +11,7 @@ import oracles
 from segqc import volumes
 from segqc.io import read_sample_set
 from segqc.metrics import consensus_segmentation, structure_report
-from segqc.nifti import read_label_nifti, read_nifti, write_nifti
+from segqc.nifti import read_label_nifti, write_nifti
 from segqc.volumes import (
     LabelVolume,
     McSampleSet,
@@ -210,14 +210,15 @@ def test_label_volume_keeps_a_read_only_file_map_and_copies_other_maps(tmp_path)
 
 def test_label_volume_keeps_a_decoded_gzip_volume_and_copies_one_over_a_buffer(tmp_path):
     # a .nii.gz is decoded into a fresh array made read-only once filled;
-    # one decoded into a caller's buffer views memory that stays writeable
+    # a read-only view of a caller's buffer views memory that stays writeable
     path = tmp_path / "vol.nii.gz"
     write_nifti(path, np.arange(27, dtype=np.uint8).reshape(3, 3, 3), geom())
     data = read_label_nifti(path).data
     assert _read_only(data) is data
-    buf = np.empty((3, 3, 3), dtype=np.uint8, order="F")
-    view = read_nifti(path, buf).data
-    assert np.shares_memory(view, buf) and not view.flags.writeable and buf.flags.writeable
+    buf = data.copy(order="F")
+    view = buf.view()
+    view.flags.writeable = False
+    assert np.shares_memory(view, buf) and buf.flags.writeable
     kept = _read_only(view)
     assert not np.shares_memory(kept, buf) and np.array_equal(kept, data)
 
@@ -617,10 +618,14 @@ def test_structural_fault_is_refused_before_any_map_is_read(rule):
     # grid, one sample: each is refused with that fault alone, no map read
     loads = []
 
-    class CountingStack(ProbMapStack):
-        def load_map(self, k, out=None):
+    class CountingStack(ProbMapStack):  # the pass opens a stack's maps, load_map one map
+        def _open(self):
+            loads.append((id(self), "all"))
+            return super()._open()
+
+        def load_map(self, k):
             loads.append((id(self), k))
-            return super().load_map(k, out)
+            return super().load_map(k)
 
     def stack(dims=(3, 3, 3), ids=(0, 1, 2)):
         maps = np.zeros((len(ids), *dims))
